@@ -241,7 +241,7 @@ def load_config(path, seed: int | None = None, out: str | None = None) -> Experi
 
 class _Artifact(NamedTuple):
     name: str
-    kind: str  # "json" | "csv" | "trace"
+    kind: str  # "json" | "csv" | "field" | "trace"
     payload: object
 
 
@@ -266,17 +266,26 @@ def _build_source(cfg: ExperimentConfig, grid: GridSpec):
     )
 
 
-def _field_rows(field):
+def _write_field_csv(fh, field) -> None:
+    """Write a field as CSV: header ``x0,...,t,re,im``, then one row per grid
+    point in row-major order (last axis fastest), floats as shortest
+    round-trip ``repr``, ``\\r\\n`` line ends: the bytes ``csv.writer`` gives.
+
+    Each axis is formatted once; the body streams one leading-axis slab at
+    a time, so only one slab of strings is held.
+    """
     grid = field.grid
+    cols = [[repr(x) for x in ax.tolist()] for ax in grid.axes()]
     header = [f"x{i}" for i in range(grid.dim - 1)] + ["t", "re", "im"]
-    axes = grid.axes()
-    rows = []
-    for idx in np.ndindex(*grid.points):
-        val = field.values[idx]
-        rows.append(
-            [axes[d][idx[d]] for d in range(grid.dim)] + [val.real, val.imag]
-        )
-    return header, rows
+    fh.write(",".join(header) + "\r\n")
+    # coordinates after the leading one, for every point of a slab
+    tail = [""]
+    for col in cols[1:]:
+        tail = [f"{p}{c}," for p in tail for c in col]
+    for x0, slab in zip(cols[0], field.values.reshape(grid.points[0], -1)):
+        re = map(repr, slab.real.tolist())
+        im = map(repr, slab.imag.tolist())
+        fh.writelines(f"{x0},{p}{r},{i}\r\n" for p, r, i in zip(tail, re, im))
 
 
 def _cmd_roots(cfg):
@@ -387,7 +396,7 @@ def _cmd_propagate(cfg):
     }
     return [
         _Artifact("propagate.json", "json", payload),
-        _Artifact("field.csv", "csv", _field_rows(u)),
+        _Artifact("field.csv", "field", u),
     ], EXIT_OK
 
 
@@ -464,7 +473,7 @@ def _cmd_picard(cfg):
     status = EXIT_DIVERGED if report.diverged else EXIT_OK
     return [
         _Artifact("picard.json", "json", payload),
-        _Artifact("solution.csv", "csv", _field_rows(u)),
+        _Artifact("solution.csv", "field", u),
     ], status
 
 
@@ -562,6 +571,9 @@ def _write_all(out_dir: Path, artifacts: list) -> None:
                     wr = csv.writer(fh)
                     wr.writerow(header)
                     wr.writerows(rows)
+            elif art.kind == "field":
+                with open(path, "w", newline="") as fh:
+                    _write_field_csv(fh, art.payload)
             else:
                 art.payload.to_csv(path)
     except OSError as exc:

@@ -58,19 +58,11 @@ def _check_stacked(xi: np.ndarray, dim: int) -> np.ndarray:
 
 
 class WeightFunction:
-    """Base interface: callable on stacked frequencies, with a growth bound."""
+    """Base interface: callable on stacked frequencies."""
 
     dim: int
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-    def growth_bound(self) -> tuple[float, float]:
-        """Return (C, N) with w(xi) <= C <xi>^N."""
-        raise NotImplementedError
-
-    def reciprocal_bound(self) -> tuple[float, float]:
-        """Return (C, N) with 1/w(xi) <= C <xi>^N."""
         raise NotImplementedError
 
 
@@ -82,12 +74,6 @@ class IsoWeight(WeightFunction):
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         xi = _check_stacked(xi, self.dim)
         return bracket(xi) ** self.s
-
-    def growth_bound(self) -> tuple[float, float]:
-        return 1.0, max(self.s, 0.0)
-
-    def reciprocal_bound(self) -> tuple[float, float]:
-        return 1.0, max(-self.s, 0.0)
 
 
 @dataclass(frozen=True)
@@ -108,12 +94,6 @@ class SplitWeight(WeightFunction):
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         xi = _check_stacked(xi, self.dim)
         return bracket(xi) ** self.m * bracket(xi[self.d :]) ** self.a
-
-    def growth_bound(self) -> tuple[float, float]:
-        return 1.0, max(self.m, 0.0) + max(self.a, 0.0)
-
-    def reciprocal_bound(self) -> tuple[float, float]:
-        return 1.0, max(-self.m, 0.0) + max(-self.a, 0.0)
 
 
 @dataclass(frozen=True)
@@ -241,12 +221,6 @@ class VariableWeight(WeightFunction):
         xi = _check_stacked(xi, self.dim)
         return bracket(xi) ** self.order(xi)
 
-    def growth_bound(self) -> tuple[float, float]:
-        return 1.0, max(self.order.bounds()[1], 0.0)
-
-    def reciprocal_bound(self) -> tuple[float, float]:
-        return 1.0, max(-self.order.bounds()[0], 0.0)
-
 
 @dataclass(frozen=True)
 class SumWeight(WeightFunction):
@@ -268,16 +242,6 @@ class SumWeight(WeightFunction):
         for p in self.parts[1:]:
             out = out + p(xi)
         return out
-
-    def growth_bound(self) -> tuple[float, float]:
-        bounds = [p.growth_bound() for p in self.parts]
-        return float(sum(c for c, _ in bounds)), max(n for _, n in bounds)
-
-    def reciprocal_bound(self) -> tuple[float, float]:
-        # 1/sum <= min of reciprocals; use the best single bound
-        bounds = [p.reciprocal_bound() for p in self.parts]
-        c, n = min(bounds, key=lambda b: b[1])
-        return c, n
 
 
 @dataclass(frozen=True)

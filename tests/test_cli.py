@@ -1,13 +1,20 @@
 """Config parsing, artifact emission, manifests, exit codes."""
 
+import csv
 import hashlib
+import io
 import json
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from feynlab import cli
 from feynlab.cli import (
     ArtifactIOError,
     ConfigError,
@@ -15,11 +22,12 @@ from feynlab.cli import (
     NumericDivergence,
     _Artifact,
     _write_all,
+    _write_field_csv,
     load_config,
     main,
     run_experiment,
 )
-from feynlab.fields import GridSpec
+from feynlab.fields import GridSpec, SpectralField
 
 
 def write_config(path: Path, data: dict) -> Path:
@@ -322,6 +330,90 @@ def test_seed_changes_random_artifacts(tmp_path):
     assert m1.files != m2.files
 
 
+# --- field CSV bytes ------------------------------------------------------
+
+# sha256 of the field artifact, pinned from the per-element csv.writer output
+GOLDEN_FIELDS = [
+    (
+        {
+            "subcommand": "propagate",
+            "grid": {"extent": [8.0, 8.0], "points": [16, 16]},
+            "params": {"kind": "retarded", "eps": 0.5},
+        },
+        "field.csv",
+        "8ecda3fd79f4e33e8128a262eee26cf33bfcf15ea5ce7b604249d4c1fce0b87d",
+    ),
+    (
+        {
+            "subcommand": "propagate",
+            "seed": 11,
+            "grid": {"extent": [6.0, 5.0, 8.0], "points": [6, 10, 12]},
+            "params": {"kind": "feynman", "eps": 0.3, "source": {"type": "random"}},
+        },
+        "field.csv",
+        "54a9ecc638645f25d9c9f7f6e137c44da9806ae3d495cbe61f45708e60ae68e5",
+    ),
+    (
+        PICARD,
+        "solution.csv",
+        "4fd0079090cf6ed276cd006ddf630483bcde2c283cf0cdc80b0392237becf23c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "data,name,digest", GOLDEN_FIELDS, ids=["propagate-2d", "propagate-3d", "picard"]
+)
+def test_field_csv_golden_bytes(tmp_path, data, name, digest):
+    out, manifest = run_dict(tmp_path, data)
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert dict(manifest.files)[name] == digest
+
+
+def reference_field_csv(field) -> str:
+    """The per-element writer the streamed one replaced: one list of
+    np.float64 per grid point, formatted by csv.writer."""
+    grid = field.grid
+    header = [f"x{i}" for i in range(grid.dim - 1)] + ["t", "re", "im"]
+    axes = grid.axes()
+    rows = []
+    for idx in np.ndindex(*grid.points):
+        val = field.values[idx]
+        rows.append([axes[d][idx[d]] for d in range(grid.dim)] + [val.real, val.imag])
+    buf = io.StringIO(newline="")
+    wr = csv.writer(buf)
+    wr.writerow(header)
+    wr.writerows(rows)
+    return buf.getvalue()
+
+
+# exponent switch of repr on both sides, signed zero, subnormals, specials
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e-4, 1e16, -1e16, 1e300]
+SPECIAL_FLOATS += [float("inf"), float("-inf"), float("nan")]
+
+
+@st.composite
+def fields(draw):
+    dim = draw(st.integers(1, 3))
+    points = tuple(draw(st.sampled_from([4, 6])) for _ in range(dim))
+    extent = tuple(
+        draw(st.floats(1e-6, 1e17, allow_nan=False, allow_infinity=False))
+        for _ in range(dim)
+    )
+    parts = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64))
+    values = np.empty(points, dtype=np.complex128)
+    values.real = draw(arrays(np.float64, points, elements=parts))
+    values.imag = draw(arrays(np.float64, points, elements=parts))
+    return SpectralField(GridSpec(extent, points), values)
+
+
+@given(fields())
+def test_field_csv_matches_per_element_writer(field):
+    buf = io.StringIO(newline="")
+    _write_field_csv(buf, field)
+    assert buf.getvalue() == reference_field_csv(field)
+
+
 # --- write failures -------------------------------------------------------
 
 class _ExplodingRows:
@@ -336,6 +428,48 @@ def test_partial_write_cleanup(tmp_path):
     ]
     with pytest.raises(ArtifactIOError):
         _write_all(tmp_path, artifacts)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_field_write_failure_midway_cleans_up(tmp_path, monkeypatch):
+    class FailsOnSecondSlab:
+        """A text file whose second body slab cannot be written."""
+
+        def __init__(self, fh):
+            self.fh = fh
+            self.slabs = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text)
+
+        def writelines(self, lines):
+            self.slabs += 1
+            if self.slabs == 2:
+                raise OSError("disk full")
+            self.fh.writelines(lines)
+
+    opened = []
+
+    def failing_open(*args, **kwargs):
+        opened.append(FailsOnSecondSlab(open(*args, **kwargs)))
+        return opened[-1]
+
+    grid = GridSpec((8.0, 8.0), (16, 16))
+    field = SpectralField(grid, np.ones(grid.points))
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    artifacts = [
+        _Artifact("good.json", "json", {"fine": True}),
+        _Artifact("field.csv", "field", field),
+    ]
+    with pytest.raises(ArtifactIOError):
+        _write_all(tmp_path, artifacts)
+    assert [f.slabs for f in opened] == [2]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -383,6 +517,23 @@ def test_main_divergence_exit_three(tmp_path):
         },
     )
     assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_main_long_source_center_exit_two(tmp_path, capsys):
+    p = write_config(
+        tmp_path / "c.json",
+        {
+            "subcommand": "propagate",
+            "grid": {"extent": [8.0, 8.0], "points": [16, 16]},
+            "params": {
+                "kind": "retarded",
+                "eps": 0.5,
+                "source": {"type": "gaussian", "center": [0.5, 0.5, 0.5]},
+            },
+        },
+    )
+    assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "center dimension does not match grid" in capsys.readouterr().err
 
 
 def test_main_io_error_exit_four(tmp_path):

@@ -93,6 +93,19 @@ def test_weighted_norm_dimension_mismatch():
         SplitWeight(1, 1, 0.5, 0.5)  # split needs d < dim
 
 
+def test_gaussian_source_long_center_rejected():
+    grid = GridSpec((8.0, 8.0), (16, 16))
+    with pytest.raises(DimensionError):
+        gaussian_source(grid, width=1.0, center=(0.5, 0.5, 0.5))
+
+
+@pytest.mark.xfail(raises=IndexError, strict=True, reason="ROADMAP 4b: short centre")
+def test_gaussian_source_short_center_rejected():
+    grid = GridSpec((8.0, 8.0), (16, 16))
+    with pytest.raises(DimensionError):
+        gaussian_source(grid, width=1.0, center=(0.5,))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_norm_monotonicity(seed):
     grid = GridSpec((6.0, 6.0), (24, 24))
