@@ -50,7 +50,9 @@ from .orders import rule_sweep, sweep_plan
 from .propagators import (
     Kind,
     Prescription,
+    _symbol_gap,
     default_epsilon,
+    near_cone,
     prescription_residual,
     propagate,
     wick_continuation_study,
@@ -400,16 +402,6 @@ def _cmd_propagate(cfg):
     ], EXIT_OK
 
 
-def _mask_near_cone(field, gap_frac: float):
-    grid = field.grid
-    zeta = grid.freq_mesh()
-    sym = zeta[-1] ** 2 - np.sum(zeta[:-1] ** 2, axis=0)
-    nonzero = np.abs(sym)[np.abs(sym) > 0]
-    coeffs = np.array(field.coeffs)
-    coeffs[np.abs(sym) < gap_frac * float(nonzero.min())] = 0.0
-    return SpectralField.from_coeffs(grid, coeffs, dict(field.meta))
-
-
 def _cmd_wick(cfg):
     grid = _require_grid(cfg)
     p = cfg.params
@@ -421,8 +413,9 @@ def _cmd_wick(cfg):
     f = random_band_limited(grid, cfg.seed, band=band)
     g = random_band_limited(grid, cfg.seed + 1, band=band)
     if cone_gap > 0.0:
-        f = _mask_near_cone(f, cone_gap)
-        g = _mask_near_cone(g, cone_gap)
+        near = near_cone(grid, cone_gap * _symbol_gap(grid))
+        f = SpectralField.from_coeffs(grid, np.where(near, 0.0, f.coeffs), dict(f.meta))
+        g = SpectralField.from_coeffs(grid, np.where(near, 0.0, g.coeffs), dict(g.meta))
     s = np.linspace(1.0 / steps, 1.0, steps)
     straight = wick_continuation_study(f, g, 1j * eps * s)
     diagonal = wick_continuation_study(f, g, (1.0 + 1j) / np.sqrt(2.0) * eps * s)

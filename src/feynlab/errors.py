@@ -9,10 +9,6 @@ class DimensionError(FeynlabError, ValueError):
     """A weight, field or covector does not fit the ambient dimension."""
 
 
-class InsufficientDataError(FeynlabError, ValueError):
-    """Not enough usable data to estimate a quantity (e.g. decay shells)."""
-
-
 class ChartError(FeynlabError, ValueError):
     """A compactification chart is degenerate at the requested point."""
 
@@ -31,10 +27,6 @@ class InfeasibleParameterError(FeynlabError, ValueError):
 
 class ZeroModeError(FeynlabError, ValueError):
     """Zero-frequency content present while the policy excludes it."""
-
-
-class SupportError(FeynlabError, ValueError):
-    """Field support escapes the box under a requested transformation."""
 
 
 class ResolutionError(FeynlabError, ValueError):

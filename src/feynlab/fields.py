@@ -13,32 +13,19 @@ Conventions, used consistently across the package:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InsufficientDataError
-from .weights import (
-    OrderFunction,
-    Sector,
-    WeightFunction,
-    assign_sectors,
-    bracket,
-    smooth_step,
-)
+from .errors import DimensionError
+from .weights import WeightFunction, bracket
 
 __all__ = [
     "GridSpec",
     "SpectralField",
-    "window_array",
     "weighted_norm",
-    "sector_energies",
-    "decay_rate",
     "random_band_limited",
     "gaussian_source",
-    "write_field",
-    "read_field",
 ]
 
 
@@ -186,114 +173,11 @@ class SpectralField:
         return SpectralField(self.grid, -self.values)
 
 
-def window_array(grid: GridSpec, margin: float = 0.2) -> np.ndarray:
-    """Smooth box window: 1 on the inner box, 0 in a collar at the boundary.
-
-    The profile is 1 for |z_j| <= (1/2 - margin) L_j and falls smoothly to 0
-    one cell short of the boundary on every axis.
-    """
-    if not 0.0 < margin < 0.5:
-        raise ValueError("margin must be in (0, 1/2)")
-    out = np.ones(grid.points)
-    mesh = grid.mesh()
-    for j, (L, dlt) in enumerate(zip(grid.extent, grid.deltas)):
-        a = (0.5 - margin) * L
-        b = 0.5 * L - dlt
-        if b <= a:
-            raise ValueError("margin collar narrower than one cell")
-        out = out * smooth_step((np.abs(mesh[j]) - a) / (b - a))
-    return out
-
-
 def weighted_norm(u: SpectralField, w: WeightFunction) -> float:
     """Weighted spectral norm sqrt(sum w(xi)^2 |c_xi|^2)."""
     xi = u.grid.freq_mesh()
     wv = w(xi)
     return float(np.sqrt(np.sum((wv * np.abs(u.coeffs)) ** 2)))
-
-
-def sector_energies(
-    u: SpectralField,
-    order: OrderFunction | None,
-    sectors: list[Sector],
-) -> dict[str, float]:
-    """Squared weighted energy of u per direction sector.
-
-    The weight is <xi>^(order(xi-hat)); `order=None` means order 0.  The zero
-    mode is assigned to the first sector, so the energies sum exactly to the
-    squared variable-order norm.
-    """
-    xi = u.grid.freq_mesh()
-    if order is None:
-        wv = np.ones(u.grid.points)
-    else:
-        if order.dim != u.grid.dim:
-            raise DimensionError("order function dimension does not match grid")
-        wv = bracket(xi) ** order(xi)
-    dens = (wv * np.abs(u.coeffs)) ** 2
-    idx = assign_sectors(xi, sectors)
-    out: dict[str, float] = {}
-    for k, sec in enumerate(sectors):
-        out[sec.label] = float(np.sum(dens[idx == k]))
-    return out
-
-
-def decay_rate(
-    u: SpectralField,
-    center: tuple[float, ...] | None = None,
-    *,
-    margin: float = 0.2,
-    detail: bool = False,
-):
-    """Estimate the radial weight l with u in rho^l L^2_b from dyadic shells.
-
-    Shell masses are L^2 norms with respect to the b-density r^{-n} dz
-    (equivalently (dr/r) d omega), so a field decaying like r^{-l} has shell
-    norm proportional to rho^l with rho = 1/r.  The returned slope is the
-    least-squares fit of log(shell norm) against log(rho).  A smooth window is
-    applied internally; shells stay inside the untouched region.
-    """
-    grid = u.grid
-    n = grid.dim
-    if center is None:
-        center = tuple(0.0 for _ in range(n))
-    if len(center) != n:
-        raise DimensionError("center dimension does not match grid")
-    mesh = grid.mesh()
-    r = np.sqrt(
-        sum((mesh[j] - center[j]) ** 2 for j in range(n))
-    )
-    vals = u.values * window_array(grid, margin)
-    r_max = (0.5 - margin) * min(
-        L - 2.0 * abs(c) for L, c in zip(grid.extent, center)
-    )
-    r0 = 3.0 * max(grid.deltas)
-    edges = [r0]
-    while edges[-1] * 2.0 <= r_max:
-        edges.append(edges[-1] * 2.0)
-    masses, rads = [], []
-    dens = np.abs(vals) ** 2 * np.where(r > 0, r, 1.0) ** (-n) * grid.cell_volume
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (r >= lo) & (r < hi)
-        m2 = float(np.sum(dens[sel]))
-        if m2 > 1e-280:
-            masses.append(np.sqrt(m2))
-            rads.append(np.sqrt(lo * hi))
-    if len(masses) < 3:
-        raise InsufficientDataError(
-            f"only {len(masses)} usable dyadic shells (need >= 3); "
-            "grid too small or field too localized"
-        )
-    log_rho = -np.log(np.array(rads))
-    log_m = np.log(np.array(masses))
-    slope = float(np.polyfit(log_rho, log_m, 1)[0])
-    if detail:
-        return slope, {
-            "radii": [float(x) for x in rads],
-            "shell_norms": [float(x) for x in masses],
-            "margin": margin,
-        }
-    return slope
 
 
 def random_band_limited(
@@ -348,40 +232,3 @@ def gaussian_source(
         phase = sum(modulation[j] * mesh[j] for j in range(n))
         vals = vals * np.exp(1j * phase)
     return SpectralField(grid, vals, {"width": float(width)})
-
-
-_DUMP_FORMAT = "feynlab-field-1"
-
-
-def write_field(path, u: SpectralField) -> None:
-    """Dump format: one JSON header line, then raw little-endian complex128
-    (re, im float64 pairs) in row-major axis order."""
-    header = {
-        "format": _DUMP_FORMAT,
-        "grid": u.grid.to_dict(),
-        "axis_order": "row-major",
-        "endian": "little",
-        "seed": u.meta.get("seed"),
-        "meta": {
-            k: v
-            for k, v in u.meta.items()
-            if isinstance(v, (int, float, str, bool)) or v is None
-        },
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(u.values).astype("<c16").tobytes())
-
-
-def read_field(path) -> SpectralField:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        header = json.loads(header_line.decode("utf-8"))
-        if header.get("format") != _DUMP_FORMAT:
-            raise ValueError(f"unrecognized field dump format: {header.get('format')}")
-        grid = GridSpec.from_dict(header["grid"])
-        raw = fh.read()
-    vals = np.frombuffer(raw, dtype="<c16").reshape(grid.points)
-    meta = dict(header.get("meta") or {})
-    return SpectralField(grid, vals.astype(np.complex128), meta)

@@ -1,16 +1,16 @@
-"""Boundary (normal) operator family in diagonal spherical-harmonic form.
+"""Spectral data of the boundary (normal) operator family.
 
 Everything here is exact where it can be: sphere eigenvalues, shifted values
 and indicial roots are rational-arithmetic objects (fractions.Fraction), and
 pole tests compare against the closed-form root set rather than root-finding.
-The only floating-point pieces are the log-radius Fourier transform and the
-diagonal family application.
+The only floating-point piece is the distance from a weight line to the
+nearest root.
 
 Conventions.  Sphere dimension parameter n means S^{n-1} inside R^n, n >= 2.
 Degree-k eigenvalue of the (nonnegative) sphere Laplacian is k(k+n-2); the
-shifted family adds (n-2)^2/4, giving exactly (k+(n-2)/2)^2.  The transform
-in x = log(rho) uses e^{-i xi x} analysis and the dxi/(2 pi) line measure, so
-Plancherel holds with constant one.
+shifted family adds (n-2)^2/4, giving exactly (k+(n-2)/2)^2, so the indicial
+roots are +-(k+(n-2)/2).  The weight-l line is invertible when |l| misses
+them, and its index counts the shifted eigenvalues below l^2.
 """
 
 from __future__ import annotations
@@ -32,15 +32,9 @@ __all__ = [
     "harmonic_multiplicity",
     "IndicialSet",
     "indicial_roots",
-    "MellinLine",
     "LineVerdict",
     "weight_line_invertible",
     "index_count",
-    "mellin",
-    "mellin_line_norm",
-    "weighted_log_norm",
-    "hat_normal_apply",
-    "hat_normal_solve",
     "normal_report",
 ]
 
@@ -147,13 +141,6 @@ def indicial_roots(n: int, K: int) -> IndicialSet:
     return IndicialSet(n=n, K=K, roots=tuple(roots), degenerate=(n == 2))
 
 
-@dataclass(frozen=True)
-class MellinLine:
-    """Horizontal line Im sigma = -l parameterized by the weight l."""
-
-    l: float
-
-
 class LineVerdict(NamedTuple):
     invertible: bool
     distance: float
@@ -169,7 +156,7 @@ def _nearest_root_distance(n: int, l: float) -> float:
     return min(abs(a - (half + k)), abs(half + k + 1 - a))
 
 
-def weight_line_invertible(n: int, l) -> LineVerdict:
+def weight_line_invertible(n: int, l: float) -> LineVerdict:
     """Whether the weight-l line misses every indicial root, plus the margin.
 
     A pole on the line kills invertibility outright; off poles the line is at
@@ -177,8 +164,7 @@ def weight_line_invertible(n: int, l) -> LineVerdict:
     """
     if n < 2:
         raise DimensionError("need n >= 2")
-    lv = float(l.l if isinstance(l, MellinLine) else l)
-    d = _nearest_root_distance(n, lv)
+    d = _nearest_root_distance(n, float(l))
     if d < 1e-12:
         return LineVerdict(False, 0.0)
     return LineVerdict(True, d)
@@ -206,80 +192,6 @@ def index_count(n: int, l: float, with_multiplicity: bool = True) -> int:
         count += harmonic_multiplicity(n, k) if with_multiplicity else 1
         k += 1
     return -count if lv > 0 else count
-
-
-def mellin(u: np.ndarray, x: np.ndarray, l: float, xi: np.ndarray) -> np.ndarray:
-    """Transform on the line Im sigma = -l: integral of e^{-i xi x} e^{-l x} u dx.
-
-    `x` is a uniform log-radius grid; `u` must be windowed (decayed) at both
-    ends after the e^{-l x} weighting, otherwise a warning is emitted and the
-    truncated integral is returned as-is.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if u.shape != x.shape or u.ndim != 1:
-        raise ValueError("u and x must be matching 1D arrays")
-    if x.size < 2:
-        raise ValueError("need at least two samples")
-    w = np.exp(-float(l) * x) * u
-    amax = np.max(np.abs(w))
-    if amax > 0:
-        edge = max(abs(w[0]), abs(w[-1]))
-        if edge > 1e-8 * amax:
-            warnings.warn(
-                "weighted samples do not decay at the grid ends; transform is truncated",
-                stacklevel=2,
-            )
-    dx = x[1] - x[0]
-    phase = np.exp(-1j * np.outer(xi, x))
-    return phase @ w * dx
-
-
-def mellin_line_norm(values: np.ndarray, xi: np.ndarray) -> float:
-    """L^2 norm on the line with the dxi/(2 pi) measure (trapezoid)."""
-    values = np.asarray(values)
-    xi = np.asarray(xi, dtype=float)
-    return float(np.sqrt(np.trapezoid(np.abs(values) ** 2, xi) / (2.0 * np.pi)))
-
-
-def weighted_log_norm(u: np.ndarray, x: np.ndarray, l: float) -> float:
-    """L^2(dx) norm of e^{-l x} u; at l = 0 this is the L^2(d rho / rho) norm."""
-    u = np.asarray(u)
-    x = np.asarray(x, dtype=float)
-    w = np.abs(np.exp(-float(l) * x) * u) ** 2
-    return float(np.sqrt(np.trapezoid(w, x)))
-
-
-def _diag_factor(n: int, k: int, sigma: complex) -> complex:
-    root = k + 0.5 * (n - 2)
-    return root * root + sigma * sigma
-
-
-def hat_normal_apply(sigma: complex, blocks: list, n: int) -> list:
-    """Apply the diagonal family: degree-k block scaled by (k+(n-2)/2)^2 + sigma^2.
-
-    `blocks[k]` holds the degree-k coefficients (any shape); sigma = i(k+(n-2)/2)
-    annihilates degree k exactly.
-    """
-    if n < 2:
-        raise DimensionError("need n >= 2")
-    sigma = complex(sigma)
-    return [np.asarray(b) * _diag_factor(n, k, sigma) for k, b in enumerate(blocks)]
-
-
-def hat_normal_solve(sigma: complex, blocks: list, n: int) -> list:
-    """Invert the diagonal family; PoleError when a needed factor vanishes."""
-    if n < 2:
-        raise DimensionError("need n >= 2")
-    sigma = complex(sigma)
-    out = []
-    for k, b in enumerate(blocks):
-        f = _diag_factor(n, k, sigma)
-        if abs(f) < 1e-13 * max(1.0, abs(sigma) ** 2):
-            raise PoleError(f"sigma = {sigma} is a pole at degree {k}")
-        out.append(np.asarray(b) / f)
-    return out
 
 
 def normal_report(n: int, K: int, l_samples) -> dict:

@@ -72,26 +72,6 @@ _LOW_SETS = {
 }
 
 
-def radial_bridge(n: int) -> dict:
-    """Geometric description of the four symbolic radial-set labels.
-
-    Records, once per dimension, which boundary cap and which fiber pole each
-    label lives at: ``cap`` is the sign of the time component of the base
-    point, ``gamma_sign`` the sign of the gamma fiber coordinate there, and
-    ``fiber_axis`` the unit fiber direction (sigma, gamma, eta...) of the
-    component.
-    """
-    if n < 2:
-        raise DimensionError("need ambient dimension n >= 2")
-    pole = lambda sg: (0.0, float(sg)) + (0.0,) * (n - 2)
-    return {
-        RadialSet.SINK_FUTURE: {"cap": 1, "gamma_sign": 1, "fiber_axis": pole(+1)},
-        RadialSet.SINK_PAST: {"cap": -1, "gamma_sign": 1, "fiber_axis": pole(+1)},
-        RadialSet.SOURCE_FUTURE: {"cap": 1, "gamma_sign": -1, "fiber_axis": pole(-1)},
-        RadialSet.SOURCE_PAST: {"cap": -1, "gamma_sign": -1, "fiber_axis": pole(-1)},
-    }
-
-
 @dataclass(frozen=True)
 class ProblemSignature:
     """An (prescription, n, l, m, k) tuple entering the admissibility tables.
@@ -271,14 +251,6 @@ def construct_feynman_order(
         convex_sublevels=True,
         min_components=(RadialSet.SINK_FUTURE, RadialSet.SINK_PAST),
     )
-
-
-def order_along_trace(order: OrderFunction, trace) -> np.ndarray:
-    """Sample an order function along a ray trace's unit fiber directions."""
-    dirs = np.array(
-        [(p.sigma, p.gamma) + tuple(p.eta) for p in trace.points], dtype=float
-    ).T
-    return order(dirs)
 
 
 def semilinear_weights(n: int, p: int, mu: float = 0.0) -> dict:

@@ -24,6 +24,10 @@ These orientations are fixed by the validated targets (forward support for
 Retarded, the e^{-i omega |t|} phase signature for Feynman), not asserted a
 priori; adjointness pairs Retarded with Advanced and Feynman with AntiFeynman
 because the multipliers are pointwise conjugates on the real lattice.
+
+The symbol, its regularized multipliers and the zero-mode rule are built
+only here; other modules read ``zero_mode_projected`` from a solution's
+metadata and mask the cone through ``near_cone``.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ __all__ = [
     "residual",
     "prescription_residual",
     "mode_profile",
-    "scaling_conjugate",
+    "near_cone",
     "wick_continuation_study",
     "characteristic_energy_fraction",
 ]
@@ -111,15 +115,23 @@ def default_epsilon(grid: GridSpec) -> float:
     return 10.0 * (2.0 * np.pi / min(grid.extent)) ** 2
 
 
-def _plain_symbol(grid: GridSpec) -> np.ndarray:
+def _eps(prescription: Prescription, grid: GridSpec) -> float:
+    return prescription.eps if prescription.eps is not None else default_epsilon(grid)
+
+
+def _lattice(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Time frequency zeta_n and |zeta'|^2 over the grid's frequency lattice."""
     zeta = grid.freq_mesh()
-    return zeta[-1] ** 2 - np.sum(zeta[:-1] ** 2, axis=0)
+    return zeta[-1], np.sum(zeta[:-1] ** 2, axis=0)
+
+
+def _plain_symbol(grid: GridSpec) -> np.ndarray:
+    zt, sp = _lattice(grid)
+    return zt**2 - sp
 
 
 def _multiplier(grid: GridSpec, kind: Kind, eps: float) -> np.ndarray:
-    zeta = grid.freq_mesh()
-    zt = zeta[-1]
-    sp = np.sum(zeta[:-1] ** 2, axis=0)
+    zt, sp = _lattice(grid)
     if kind is Kind.FEYNMAN:
         return np.exp(2j * eps) * zt**2 - sp
     if kind is Kind.ANTIFEYNMAN:
@@ -138,6 +150,11 @@ def _symbol_gap(grid: GridSpec) -> float:
     return float(nz.min()) if nz.size else 0.0
 
 
+def near_cone(grid: GridSpec, delta: float) -> np.ndarray:
+    """Mask of the lattice points with |p(zeta)| < delta (zero mode included)."""
+    return np.abs(_plain_symbol(grid)) < delta
+
+
 def propagate(f: SpectralField, prescription: Prescription) -> SpectralField:
     """Apply the regularized inverse multiplier for the given prescription.
 
@@ -153,7 +170,7 @@ def propagate(f: SpectralField, prescription: Prescription) -> SpectralField:
     grid = f.grid
     if grid.dim < 2:
         raise DimensionError("propagation needs at least one space and one time axis")
-    eps = prescription.eps if prescription.eps is not None else default_epsilon(grid)
+    eps = _eps(prescription, grid)
     m = _multiplier(grid, prescription.kind, eps)
     origin = (0,) * grid.dim
     c = f.coeffs.copy()
@@ -164,12 +181,11 @@ def propagate(f: SpectralField, prescription: Prescription) -> SpectralField:
                 f"source has zero-mode content {abs(c[origin]):.3e} "
                 "under policy 'exclude'"
             )
-    m_safe = m.copy()
     projected = abs(m[origin]) == 0.0 or prescription.zero_mode == "exclude"
     if projected:
         c[origin] = 0.0
-        m_safe[origin] = 1.0  # mode removed; avoid 0/0
-    u = c / m_safe
+        m[origin] = 1.0  # mode removed; avoid 0/0
+    u = c / m
     gap = _symbol_gap(grid)
     meta = {
         "kind": prescription.kind.value,
@@ -192,7 +208,7 @@ def apply_box(u: SpectralField, prescription: Prescription) -> SpectralField:
     grid = u.grid
     if grid.dim < 2:
         raise DimensionError("need at least one space and one time axis")
-    eps = prescription.eps if prescription.eps is not None else default_epsilon(grid)
+    eps = _eps(prescription, grid)
     m = _multiplier(grid, prescription.kind, eps)
     return SpectralField.from_coeffs(
         grid, u.coeffs * m, {"kind": prescription.kind.value, "eps": float(eps)}
@@ -241,10 +257,7 @@ def prescription_residual(
     """
     if u.grid != f.grid:
         raise DimensionError("fields on different grids")
-    eps = prescription.eps
-    if eps is None:
-        eps = default_epsilon(f.grid)
-    m = _multiplier(f.grid, prescription.kind, eps)
+    m = _multiplier(f.grid, prescription.kind, _eps(prescription, f.grid))
     return _residual_from_multiplier(f, u, m, detail)
 
 
@@ -316,55 +329,14 @@ def mode_profile(
     return out
 
 
-def scaling_conjugate(f: SpectralField, theta: float) -> SpectralField:
-    """Unitary dilation of the time axis: (U_theta f)(z'', z_n) =
-    e^{theta/2} f(z'', e^theta z_n), by trigonometric interpolation.
-
-    The factor e^{theta/2} is the Jacobian half-power that makes the map
-    unitary on L^2.  Raises SupportError when the dilated reads leave the box
-    with non-negligible field mass.
-    """
-    from .errors import SupportError
-
-    theta = float(theta)
-    grid = f.grid
-    L = grid.extent[-1]
-    N = grid.points[-1]
-    axis = grid.axes()[-1]
-    read = np.exp(theta) * axis
-    # mass of f outside the safely readable time range
-    half = L / 2.0 - grid.deltas[-1]
-    safe = np.exp(-abs(theta)) * half if theta > 0 else half
-    tail_axis = np.abs(axis) > safe
-    if np.any(tail_axis):
-        total = np.sum(np.abs(f.values) ** 2)
-        tail = np.sum(np.abs(f.values[..., tail_axis]) ** 2)
-        if total > 0 and tail / total > 1e-8:
-            raise SupportError(
-                f"time support escapes the box under scaling e^{theta:.3f} "
-                f"(tail fraction {tail / total:.2e})"
-            )
-    # synthesis along the time axis at the dilated sample points
-    F = np.fft.fft(f.values, axis=-1) / N
-    xi = 2.0 * np.pi * np.fft.fftfreq(N, d=L / N)
-    # samples live at z_j = -L/2 + j*delta; coefficient phases are relative to
-    # index positions, shift to centered coordinates before evaluating
-    E = np.exp(1j * np.outer(read + L / 2.0, xi))
-    vals = np.exp(theta / 2.0) * np.einsum("...k,jk->...j", F, E)
-    meta = dict(f.meta)
-    meta["scaling_theta"] = theta
-    return SpectralField(grid, vals, meta)
-
-
 def characteristic_energy_fraction(u: SpectralField, delta: float) -> float:
     """Fraction of spectral energy within |p(zeta)| < delta of the
     characteristic cone (zero mode excluded from the band)."""
-    p = _plain_symbol(u.grid)
     c2 = np.abs(u.coeffs) ** 2
     total = float(np.sum(c2))
     if total == 0.0:
         return 0.0
-    band = np.abs(p) < delta
+    band = near_cone(u.grid, delta)
     band[(0,) * u.grid.dim] = False
     return float(np.sum(c2[band]) / total)
 
@@ -400,7 +372,6 @@ def wick_continuation_study(
     values = []
     for t in thetas:
         m = wick_symbol(zeta, t)
-        m = m.copy()
         m[origin] = 1.0
         values.append(complex(np.sum((fc / m) * np.conj(gc))))
     diffs = [abs(values[j + 1] - values[j]) for j in range(len(values) - 1)]

@@ -185,8 +185,8 @@ def _projected_residual(
         rc = rc + prob.lam * power.coeffs
     rc = rc - prob.f.coeffs
     fc = np.array(prob.f.coeffs)
-    probe = propagate(prob.f, prob.prescription)
-    if probe.meta.get("zero_mode_projected"):
+    # u is the last propagate output: same prescription and grid, same policy
+    if u.meta["zero_mode_projected"]:
         origin = (0,) * prob.f.grid.dim
         rc[origin] = 0.0
         fc[origin] = 0.0

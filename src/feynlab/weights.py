@@ -18,7 +18,7 @@ function on rescaled fiber directions near the radial sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -242,56 +242,3 @@ class SumWeight(WeightFunction):
         for p in self.parts[1:]:
             out = out + p(xi)
         return out
-
-
-@dataclass(frozen=True)
-class Sector:
-    """A cone of directions represented by its center axis."""
-
-    label: str
-    axis: tuple[float, ...] = field(default=())
-
-
-def sector_partition(dim: int, refine: int = 1) -> list[Sector]:
-    """Axis-aligned cone partition of the direction sphere.
-
-    refine=1 gives the 2*dim signed-axis cones; refine=2 adds the two-axis
-    diagonal cones.  Directions are assigned to the sector whose axis has the
-    largest inner product, ties going to the lowest index, and the zero mode
-    by convention to the first sector.
-    """
-    if dim < 1:
-        raise DimensionError("dimension must be >= 1")
-    if refine not in (1, 2):
-        raise ValueError("refine must be 1 or 2")
-    sectors: list[Sector] = []
-    for j in range(dim):
-        for sg in (+1, -1):
-            ax = np.zeros(dim)
-            ax[j] = sg
-            sectors.append(Sector(f"{'+' if sg > 0 else '-'}e{j + 1}", tuple(ax)))
-    if refine == 2:
-        for j in range(dim):
-            for k in range(j + 1, dim):
-                for sj in (+1, -1):
-                    for sk in (+1, -1):
-                        ax = np.zeros(dim)
-                        ax[j] = sj / np.sqrt(2.0)
-                        ax[k] = sk / np.sqrt(2.0)
-                        lbl = (
-                            f"{'+' if sj > 0 else '-'}e{j + 1}"
-                            f"{'+' if sk > 0 else '-'}e{k + 1}"
-                        )
-                        sectors.append(Sector(lbl, tuple(ax)))
-    return sectors
-
-
-def assign_sectors(xi: np.ndarray, sectors: list[Sector]) -> np.ndarray:
-    """Index of the owning sector for each stacked frequency vector."""
-    dim = len(sectors[0].axis)
-    xi = _check_stacked(xi, dim)
-    axes = np.array([s.axis for s in sectors])  # (nsec, dim)
-    dots = np.einsum("sd,d...->s...", axes, xi)
-    idx = np.argmax(dots, axis=0)
-    zero = np.sum(xi**2, axis=0) == 0.0
-    return np.where(zero, 0, idx)

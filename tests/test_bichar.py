@@ -240,6 +240,17 @@ def test_forward_flows_hit_sinks_backward_flows_hit_sources():
     assert RadialSet.SINK_PAST in fwd_labels
 
 
+def test_classify_limit_matches_end_cap_and_gamma_sign():
+    # future components sit over cap +1, past over cap -1; sinks at the
+    # +gamma fiber pole, sources at -gamma
+    for c in random_null_rays(4, 4, seed=3):
+        tr = flow(c, 40.0, tol=1e-10)
+        end = tr.end_point()
+        label = classify_limit(tr)
+        assert end.cap == (1 if label.is_future else -1)
+        assert (end.gamma > 0) == label.is_sink
+
+
 def test_classify_short_trace_returns_none():
     c = random_null_rays(4, 1, seed=1)[0]
     tr = flow(c, 0.05, tol=1e-10)

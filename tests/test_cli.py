@@ -370,6 +370,52 @@ def test_field_csv_golden_bytes(tmp_path, data, name, digest):
     assert dict(manifest.files)[name] == digest
 
 
+# sha256 of the JSON reports: the zero-mode and cone-mask paths behind them
+# (the cone mask, the projected and the full Picard residual) must not move
+GOLDEN_REPORTS = [
+    (GOLDEN_FIELDS[0][0], "propagate.json",
+     "1649d037393eba4b7a7462eb3d5084a781107751da04226e0000a817b3c5e262"),
+    (
+        {
+            "subcommand": "wick",
+            "seed": 5,
+            "grid": {"extent": [12.0, 12.0], "points": [32, 32]},
+            "params": {"steps": 6, "eps": 0.01, "cone_gap": 4.0},
+        },
+        "wick.json",
+        "7de0964ca649db942dcb8f40d4f2b3d0456daeceb7dfb296beeb9ac94a55504e",
+    ),
+    (
+        {
+            "subcommand": "wick",
+            "seed": 1,
+            "grid": {"extent": [12.0, 12.0], "points": [32, 32]},
+            "params": {"steps": 4, "eps": 0.01},
+        },
+        "wick.json",
+        "501dddf604f29925d0de2ce94ed2cc810a762f08168d40218e133c2b187bd9c4",
+    ),
+    (PICARD, "picard.json",
+     "1c3b62797c3796fae75018f23e5f3ef01b8b83034c1ab8ee2b632ee5f47355af"),
+    (
+        dict(PICARD, params=dict(PICARD["params"], kind="retarded", eps=0.5)),
+        "picard.json",
+        "a8df23c729b7ebba9baa80a5e794eb844f33c53b00c38270002b7601cac70b02",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "data,name,digest",
+    GOLDEN_REPORTS,
+    ids=["propagate", "wick-cone-gap", "wick", "picard", "picard-retarded"],
+)
+def test_json_report_golden_bytes(tmp_path, data, name, digest):
+    out, manifest = run_dict(tmp_path, data)
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert dict(manifest.files)[name] == digest
+
+
 def reference_field_csv(field) -> str:
     """The per-element writer the streamed one replaced: one list of
     np.float64 per grid point, formatted by csv.writer."""

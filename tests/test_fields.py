@@ -3,28 +3,16 @@
 import numpy as np
 import pytest
 
-from feynlab.errors import DimensionError, InsufficientDataError
+from feynlab.errors import DimensionError
 from feynlab.fields import (
     GridSpec,
     SpectralField,
-    decay_rate,
     gaussian_source,
     random_band_limited,
-    read_field,
-    sector_energies,
     weighted_norm,
-    window_array,
-    write_field,
 )
 from feynlab.propagators import Kind, Prescription, propagate
-from feynlab.weights import (
-    IsoWeight,
-    OrderFunction,
-    SplitWeight,
-    VariableWeight,
-    bracket,
-    sector_partition,
-)
+from feynlab.weights import IsoWeight, SplitWeight
 
 
 def test_grid_frequency_lattice():
@@ -129,47 +117,7 @@ def test_duality_surrogate(seed):
         assert lhs <= rhs * (1.0 + 1e-12)
 
 
-def test_sector_energies_single_mode():
-    grid = GridSpec((2.0 * np.pi, 2.0 * np.pi), (16, 16))
-    c = np.zeros((16, 16), dtype=complex)
-    c[4, 0] = 1.0  # frequency (4, 0): the +e1 sector
-    u = SpectralField.from_coeffs(grid, c)
-    sectors = sector_partition(2)
-    en = sector_energies(u, None, sectors)
-    assert en["+e1"] > 0
-    for lbl, val in en.items():
-        if lbl != "+e1":
-            assert val == 0.0
-
-
-def test_sector_energies_sum_matches_variable_norm():
-    grid = GridSpec((6.0, 6.0), (24, 24))
-    u = random_band_limited(grid, seed=9)
-    order = OrderFunction(dim=2, base=0.7)
-    sectors = sector_partition(2, refine=2)
-    en = sector_energies(u, order, sectors)
-    total = sum(en.values())
-    norm2 = weighted_norm(u, VariableWeight(order)) ** 2
-    np.testing.assert_allclose(total, norm2, rtol=1e-10)
-
-
-def test_sector_energies_resolution_stability():
-    # band-limited Gaussian: energies move < 10% when resolution doubles
-    sectors = sector_partition(2, refine=2)
-    results = []
-    for npts in (64, 128):
-        grid = GridSpec((12.0, 12.0), (npts, npts))
-        u = gaussian_source(grid, width=2.0, modulation=(3.0, 1.0))
-        en = sector_energies(u, None, sectors)
-        tot = sum(en.values())
-        results.append({k: v / tot for k, v in en.items()})
-    for k in results[0]:
-        a, b = results[0][k], results[1][k]
-        if max(a, b) > 1e-6:
-            assert abs(a - b) <= 0.10 * max(a, b)
-
-
-def test_sector_energies_retarded_null_directions():
+def test_retarded_energy_rides_null_diagonals():
     # 1+1 retarded solution of a point-like source: spectral energy rides the
     # characteristic diagonals zeta_t = +-zeta_x.  Mean-free source: the
     # shift-kind inverse scales the constant mode by -1/eps^2, which would
@@ -180,53 +128,15 @@ def test_sector_energies_retarded_null_directions():
     c[0, 0] = 0.0
     f = SpectralField.from_coeffs(grid, c, dict(f.meta))
     u = propagate(f, Prescription(Kind.RETARDED, eps=0.4))
-    sectors = sector_partition(2, refine=2)
-    en = sector_energies(u, None, sectors)
-    diag = {k: v for k, v in en.items() if k.count("e") == 2}
-    axis = {k: v for k, v in en.items() if k.count("e") == 1}
-    assert max(diag.values()) > max(axis.values())
-    top = max(en, key=en.get)
-    assert top in diag
-
-
-def test_sector_energies_empty_partition():
-    grid = GridSpec((4.0, 4.0), (8, 8))
-    u = random_band_limited(grid, seed=1)
-    with pytest.raises(IndexError):
-        sector_energies(u, None, [])
-
-
-@pytest.mark.parametrize("power,slope", [(2.0, 2.0), (1.0, 1.0)])
-def test_decay_rate_synthetic_power_law(power, slope):
-    grid = GridSpec((160.0, 160.0), (256, 256))
-    mesh = grid.mesh()
-    vals = bracket(mesh) ** (-power)
-    u = SpectralField(grid, vals)
-    got = decay_rate(u)
-    assert abs(got - slope) <= 0.2
-
-
-def test_decay_rate_zero_field():
-    grid = GridSpec((40.0, 40.0), (64, 64))
-    u = SpectralField(grid, np.zeros((64, 64)))
-    with pytest.raises(InsufficientDataError):
-        decay_rate(u)
-
-
-def test_window_array_profile():
-    grid = GridSpec((10.0, 10.0), (64, 64))
-    w = window_array(grid, margin=0.2)
-    assert w[32, 32] == 1.0  # center untouched
-    assert w[0, 0] == 0.0  # corner zeroed
-    assert np.all((0.0 <= w) & (w <= 1.0))
-
-
-def test_field_dump_round_trip(tmp_path):
-    grid = GridSpec((6.0, 4.0), (16, 12))
-    u = random_band_limited(grid, seed=21)
-    path = tmp_path / "u.field"
-    write_field(path, u)
-    v = read_field(path)
-    assert v.grid == grid
-    np.testing.assert_array_equal(v.values, u.values)
-    assert v.meta["seed"] == 21
+    # each frequency goes to the nearest of the four axis and four diagonal
+    # directions (ties to the lower index, the zero mode to +e1)
+    r = 1.0 / np.sqrt(2.0)
+    axes = np.array(
+        [(1, 0), (-1, 0), (0, 1), (0, -1), (r, r), (r, -r), (-r, r), (-r, -r)]
+    )
+    xi = grid.freq_mesh()
+    owner = np.argmax(np.einsum("sd,d...->s...", axes, xi), axis=0)
+    energy = np.abs(u.coeffs) ** 2
+    en = np.array([np.sum(energy[owner == k]) for k in range(len(axes))])
+    assert max(en[4:]) > max(en[:4])
+    assert np.argmax(en) >= 4

@@ -1,4 +1,4 @@
-"""Sphere spectrum, indicial roots, weight lines, and the log-radius transform."""
+"""Sphere spectrum, indicial roots, weight lines and the index report."""
 
 import itertools
 import json
@@ -10,18 +10,12 @@ import pytest
 
 from feynlab.errors import DimensionError, PoleError
 from feynlab.normal_op import (
-    MellinLine,
     harmonic_multiplicity,
-    hat_normal_apply,
-    hat_normal_solve,
     index_count,
     indicial_roots,
-    mellin,
-    mellin_line_norm,
     normal_report,
     sphere_spectrum,
     weight_line_invertible,
-    weighted_log_norm,
 )
 
 
@@ -136,8 +130,8 @@ def test_line_verdicts_for_four_dimensions():
     assert weight_line_invertible(4, 2.5) == (True, pytest.approx(0.5))
 
 
-def test_line_verdict_accepts_line_object_and_sign_symmetry():
-    assert weight_line_invertible(4, MellinLine(l=-1.5)) == (True, pytest.approx(0.5))
+def test_line_verdict_sign_symmetry():
+    assert weight_line_invertible(4, -1.5) == (True, pytest.approx(0.5))
     for l in (0.3, 1.2, 2.7):
         assert weight_line_invertible(5, l) == weight_line_invertible(5, -l)
 
@@ -191,73 +185,6 @@ def test_invertible_line_always_has_an_index():
             v = weight_line_invertible(n, float(l))
             if v.invertible:
                 index_count(n, float(l))  # must not raise
-
-
-# --- log-radius transform -------------------------------------------------
-
-def test_mellin_of_zero():
-    x = np.linspace(-6.0, 6.0, 256)
-    xi = np.linspace(-4.0, 4.0, 31)
-    assert np.max(np.abs(mellin(np.zeros_like(x), x, 0.0, xi))) == 0.0
-
-
-def test_mellin_gaussian_closed_form():
-    x = np.linspace(-8.0, 8.0, 1024)
-    u = np.exp(-(x**2))
-    xi = np.linspace(-6.0, 6.0, 121)
-    got = mellin(u, x, 0.0, xi)
-    want = np.sqrt(np.pi) * np.exp(-(xi**2) / 4.0)
-    assert np.max(np.abs(got - want)) <= 1e-8
-
-
-def test_mellin_plancherel():
-    x = np.linspace(-8.0, 8.0, 1024)
-    u = np.exp(-(x**2)) * (1.0 + 0.5 * np.sin(3.0 * x))
-    for l in (0.0, 0.3):
-        xi = np.linspace(-40.0, 40.0, 4001)
-        line = mellin_line_norm(mellin(u, x, l, xi), xi)
-        direct = weighted_log_norm(u, x, l)
-        assert line == pytest.approx(direct, rel=1e-8)
-
-
-def test_mellin_warns_on_truncated_tails():
-    x = np.linspace(-4.0, 4.0, 128)
-    with pytest.warns(UserWarning):
-        mellin(np.ones_like(x), x, 0.0, np.array([0.0, 1.0]))
-
-
-def test_mellin_validation():
-    with pytest.raises(ValueError):
-        mellin(np.zeros(4), np.zeros(5), 0.0, np.zeros(3))
-
-
-# --- diagonal family ------------------------------------------------------
-
-def test_family_annihilates_matching_degree():
-    blocks = [np.ones(1), np.ones(4), np.ones(9)]
-    out = hat_normal_apply(2j, blocks, 4)  # i(k + 1) with k = 1
-    assert np.max(np.abs(out[1])) == 0.0
-    assert np.max(np.abs(out[0])) > 0.0
-    assert np.max(np.abs(out[2])) > 0.0
-
-
-def test_family_multiplier_at_origin():
-    out = hat_normal_apply(0.0, [np.zeros(1), np.ones(4)], 4)
-    assert np.allclose(out[1], 4.0)
-
-
-def test_family_solve_round_trip():
-    rng = np.random.default_rng(9)
-    blocks = [rng.standard_normal(size=harmonic_multiplicity(4, k)) for k in range(4)]
-    sigma = 0.37 + 0.21j
-    back = hat_normal_solve(sigma, hat_normal_apply(sigma, blocks, 4), 4)
-    for b, g in zip(blocks, back):
-        assert np.max(np.abs(b - g)) <= 1e-14 * max(1.0, np.max(np.abs(b)))
-
-
-def test_family_solve_pole_raises():
-    with pytest.raises(PoleError):
-        hat_normal_solve(2j, [np.ones(1), np.ones(4)], 4)
 
 
 # --- report ---------------------------------------------------------------

@@ -16,10 +16,8 @@ from feynlab.orders import (
     ProblemSignature,
     check_orders,
     construct_feynman_order,
-    order_along_trace,
     product_integral,
     product_rule_predict,
-    radial_bridge,
     rule_flat_model,
     rule_sweep,
     semilinear_weights,
@@ -131,26 +129,6 @@ def test_check_orders_unknown_rule():
         check_orders(ProblemSignature(Kind.FEYNMAN, 4, 0.0, 0.4), rule="fancy")
 
 
-# --- radial bridge --------------------------------------------------------
-
-def test_radial_bridge_matches_flow_classifier():
-    bridge = radial_bridge(4)
-    assert set(bridge) == set(RadialSet)
-    for c in random_null_rays(4, 4, seed=3):
-        tr = flow(c, 40.0, tol=1e-10)
-        end = tr.end_point()
-        from feynlab.bichar import classify_limit
-
-        label = classify_limit(tr)
-        assert bridge[label]["cap"] == end.cap
-        assert bridge[label]["gamma_sign"] == (1 if end.gamma > 0 else -1)
-
-
-def test_radial_bridge_validation():
-    with pytest.raises(DimensionError):
-        radial_bridge(1)
-
-
 # --- order-function construction -----------------------------------------
 
 def test_constructed_order_shape():
@@ -195,7 +173,8 @@ def test_constructed_order_monotone_on_terminal_approach():
     dip = order.bounds()[0]
     for c in random_null_rays(4, 50, seed=13):
         tr = flow(c, 40.0, tol=1e-10)
-        vals = order_along_trace(order, tr)
+        dirs = np.array([(p.sigma, p.gamma) + tuple(p.eta) for p in tr.points]).T
+        vals = order(dirs)
         rhos = np.array([p.rho for p in tr.points])
         idx = np.where(rhos >= 0.1)[0]
         seg = vals[(idx[-1] + 1) if idx.size else 0 :]

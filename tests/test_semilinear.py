@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from feynlab import semilinear
 from feynlab.errors import DimensionError
 from feynlab.fields import GridSpec, SpectralField, gaussian_source
 from feynlab.propagators import Kind, Prescription, apply_box, propagate
@@ -186,6 +187,24 @@ def test_shift_prescription_keeps_full_residual():
     r = apply_box(u, prob.prescription) + prob.lam * dealiased_power(u, 3) - prob.f
     manual = r.norm() / prob.f.norm()
     assert abs(manual - rep.residual) <= 1e-12 * max(1.0, manual)
+
+
+@pytest.mark.parametrize(
+    "pres", [Prescription(Kind.FEYNMAN), Prescription(Kind.RETARDED, eps=0.5)]
+)
+def test_solve_runs_one_propagate_per_iteration(monkeypatch, pres):
+    # the residual reads the zero-mode policy off the last iterate; it must
+    # not pay for one more solve
+    calls = []
+
+    def counted(f, prescription):
+        calls.append(prescription)
+        return propagate(f, prescription)
+
+    monkeypatch.setattr(semilinear, "propagate", counted)
+    _, rep = picard_solve(SemilinearProblem(f=source(), p=3, lam=0.1, prescription=pres))
+    assert rep.converged
+    assert len(calls) == rep.iterations
 
 
 # --- the report ----------------------------------------------------------
