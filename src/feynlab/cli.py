@@ -50,6 +50,7 @@ from .orders import rule_sweep, sweep_plan
 from .propagators import (
     Kind,
     Prescription,
+    _eps,
     _symbol_gap,
     default_epsilon,
     near_cone,
@@ -442,8 +443,7 @@ def _cmd_picard(cfg):
     grid = _require_grid(cfg)
     p = cfg.params
     kind = Kind(p.get("kind", "feynman"))
-    eps = p.get("eps")
-    pres = Prescription(kind, eps=eps)
+    pres = Prescription(kind, eps=p.get("eps"))
     f = _build_source(cfg, grid)
     prob = SemilinearProblem(f=f, p=p["p"], lam=p["lam"], prescription=pres)
     u, report = picard_solve(
@@ -458,7 +458,7 @@ def _cmd_picard(cfg):
             "p": prob.p,
             "lam": prob.lam,
             "kind": kind.value,
-            "eps": eps if eps is not None else default_epsilon(grid),
+            "eps": _eps(pres, grid),
             "norm_u": u.norm(),
             "solution_file": "solution.csv",
         }

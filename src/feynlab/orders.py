@@ -427,6 +427,15 @@ def product_integral(
     fit of the max.  The reported exponent is the smaller of the two
     quantities' exponents, since one finite quantity suffices for the
     product estimate.
+
+    Each probe ``s`` needs ``w2(s - pts)`` for M+ and ``w2(pts - s)`` for
+    M-.  When ``w2`` is an :class:`IsoWeight` or a :class:`SplitWeight` it is
+    evaluated once per probe and the array serves both sums.  That is exact,
+    not approximate: IEEE subtraction gives ``pts - s == -(s - pts)`` bit for
+    bit, and both weights read their argument only through squared
+    coordinates, so the two arrays are bitwise equal.  Any other weight (a
+    direction-dependent ``VariableWeight``, a ``SumWeight``) is evaluated
+    twice.
     """
     if step >= 1.0:
         raise ResolutionError(f"quadrature step must be < 1, got {step}")
@@ -446,6 +455,7 @@ def product_integral(
             "smallest dyadic cutoff under 8 steps; lower `levels` or `step`"
         )
     radii = [cutoff / 2**j for j in range(levels)][::-1]
+    even_w2 = isinstance(w2, (IsoWeight, SplitWeight))
     vals_p, vals_m = [], []
     samples = None
     for r in radii:
@@ -459,10 +469,14 @@ def product_integral(
         row_m = np.empty(samples.shape[1])
         for j in range(samples.shape[1]):
             s = samples[:, j : j + 1]
-            row_p[j] = cell * float(np.sum((w_samp[j] * inv1 / w2(s - pts)) ** 2))
+            w2_lat = w2(s - pts)
+            row_p[j] = cell * float(np.sum((w_samp[j] * inv1 / w2_lat) ** 2))
+            if not even_w2:
+                w2_lat = w2(pts - s)
             row_m[j] = (
-                cell * float(np.sum((wlat / w2(pts - s)) ** 2)) / w1_samp[j] ** 2
+                cell * float(np.sum((wlat / w2_lat) ** 2)) / w1_samp[j] ** 2
             )
+            del w2_lat  # freed before the next probe's w2 call, the memory peak
         vals_p.append(row_p)
         vals_m.append(row_m)
     if len({len(row) for row in vals_p}) != 1:  # pragma: no cover

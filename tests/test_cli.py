@@ -416,6 +416,22 @@ def test_json_report_golden_bytes(tmp_path, data, name, digest):
     assert dict(manifest.files)[name] == digest
 
 
+# sha256 of the 1-D product-check artifacts (the sweep workload's first
+# config): the lattice sums behind every growth exponent must not move
+SWEEP_1D = {"subcommand": "product-check", "params": {"dims": [1]}}
+GOLDEN_SWEEP = {
+    "product-check.json": "e150313aa2e0230da9a4a6ae8aa1abd3c25dbc06cc68ff314d9d115080d0ce40",
+    "product_check.csv": "31a17507240cac4a60fea3a95f31a4d258689d0b92b6a2c093a7220bab3da585",
+}
+
+
+def test_product_check_golden_bytes(tmp_path):
+    out, manifest = run_dict(tmp_path, SWEEP_1D)
+    for name, digest in GOLDEN_SWEEP.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert dict(manifest.files) == GOLDEN_SWEEP
+
+
 def reference_field_csv(field) -> str:
     """The per-element writer the streamed one replaced: one list of
     np.float64 per grid point, formatted by csv.writer."""
@@ -600,6 +616,26 @@ def test_main_batch_mode(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "root" / "one" / "roots.json").exists()
     assert (tmp_path / "root" / "two" / "spectrum.json").exists()
+
+
+def test_main_batch_threads_match_serial(tmp_path):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_config(batch / "roots.json", ROOTS)
+    write_config(batch / "spectrum.json", {"subcommand": "spectrum", "params": {"n": 3, "K": 2}})
+    grid = {"extent": [8.0, 8.0], "points": [32, 32]}
+    write_config(batch / "propagate.json", dict(GOLDEN_FIELDS[0][0], grid=grid))
+    write_config(batch / "sweep.json", SWEEP_1D)
+    digests = {}
+    for threads in ("1", "2"):
+        root = tmp_path / f"threads-{threads}"
+        assert main(["--config", str(batch), "--out", str(root), "--threads", threads]) == 0
+        digests[threads] = {
+            run.name: json.loads((run / "manifest.json").read_text())["files"]
+            for run in root.iterdir()
+        }
+    assert len(digests["1"]) == 4
+    assert digests["2"] == digests["1"]
 
 
 def test_main_batch_reports_worst_code(tmp_path):

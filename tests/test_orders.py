@@ -1,5 +1,7 @@
 """Admissibility tables, order construction, product rules, and Schur measurements."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from feynlab.orders import (
     PRODUCT_RULES,
     AdmissibilityReport,
     ProblemSignature,
+    _midpoint_lattice,
+    _sup_samples,
+    _sweep_params,
     check_orders,
     construct_feynman_order,
     product_integral,
@@ -25,7 +30,7 @@ from feynlab.orders import (
 )
 from feynlab.propagators import Kind
 from feynlab.radial import SINKS, RadialSet
-from feynlab.weights import IsoWeight, OrderFunction
+from feynlab.weights import Cone, IsoWeight, OrderFunction, VariableWeight
 
 
 def iso1(s):
@@ -364,12 +369,101 @@ def test_schur_validation():
         product_integral(IsoWeight(2, 1.0), w, w, 1, 100.0)
 
 
+def reference_schur_levels(w, w1, w2, dim, cutoff, step, levels, seed):
+    """The probe loop as it was before w2 was shared between the two sums:
+    w2(s - pts) for M+ and a second call w2(pts - s) for M-, per probe.
+    Returns the M+ and M- level rows, shape (levels, probes)."""
+    radii = [cutoff / 2**j for j in range(levels)][::-1]
+    vals_p, vals_m = [], []
+    for r in radii:
+        pts, cell = _midpoint_lattice(dim, r, step)
+        samples = _sup_samples(dim, r, (w, w1, w2), seed)
+        w_samp = np.asarray(w(samples), dtype=float)
+        w1_samp = np.asarray(w1(samples), dtype=float)
+        inv1 = 1.0 / w1(pts)
+        wlat = w(pts)
+        row_p = np.empty(samples.shape[1])
+        row_m = np.empty(samples.shape[1])
+        for j in range(samples.shape[1]):
+            s = samples[:, j : j + 1]
+            row_p[j] = cell * float(np.sum((w_samp[j] * inv1 / w2(s - pts)) ** 2))
+            row_m[j] = (
+                cell * float(np.sum((wlat / w2(pts - s)) ** 2)) / w1_samp[j] ** 2
+            )
+        vals_p.append(row_p)
+        vals_m.append(row_m)
+    return np.array(vals_p), np.array(vals_m)
+
+
+def coned_weight(dim, base=0.6, peak=1.4):
+    """A one-sided cone about +e0, so w(xi) != w(-xi) inside it."""
+    cone = Cone(tuple(np.eye(dim)[0]), peak - base, 0.3, 0.7)
+    return VariableWeight(OrderFunction(dim=dim, base=base, cones=(cone,)))
+
+
+def assert_matches_reference(w, w1, w2, dim, cutoff=32.0, levels=3, seed=0):
+    res = product_integral(w, w1, w2, dim, cutoff, step=0.5, levels=levels, seed=seed)
+    ref_p, ref_m = reference_schur_levels(w, w1, w2, dim, cutoff, 0.5, levels, seed)
+    assert np.array_equal(res.M_plus_levels, ref_p.max(axis=1))
+    assert np.array_equal(res.M_minus_levels, ref_m.max(axis=1))
+    return res
+
+
+@pytest.mark.parametrize("offset", [0.1, -0.1])
+def test_schur_levels_match_two_call_reference_on_flat_models(offset):
+    # M+ and M- are maxima over probes; bitwise equal maxima over the whole
+    # plan, with the offsets crossing every threshold, pin the shared w2
+    plan = [t for t in sweep_plan() if t[1] == 2]
+    for rule, dim, threshold in plan:
+        params = _sweep_params(rule, dim, threshold, offset, 0.35)
+        assert_matches_reference(*rule_flat_model(rule, params, dim), dim)
+
+
+def test_schur_levels_match_two_call_reference_on_odd_weight():
+    w2 = coned_weight(2)
+    xi = np.array([[5.0], [1.0]])
+    assert w2(xi)[0] != w2(-xi)[0]  # one call could not serve both sums
+    assert_matches_reference(IsoWeight(2, 1.2), IsoWeight(2, 0.8), w2, 2)
+
+
+class _Counting:
+    """Counts __call__ on a weight; the list field survives a frozen class."""
+
+    def __call__(self, xi):
+        self.calls.append(np.shape(xi))
+        return super().__call__(xi)
+
+
+@dataclass(frozen=True)
+class CountingIso(_Counting, IsoWeight):
+    calls: list = field(default_factory=list, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class CountingVariable(_Counting, VariableWeight):
+    calls: list = field(default_factory=list, compare=False, repr=False)
+
+
+@pytest.mark.parametrize(
+    "w2,per_probe",
+    [
+        (CountingIso(2, 1.1), 1),
+        (CountingVariable(coned_weight(2).order), 2),
+    ],
+    ids=["iso", "coned-variable"],
+)
+def test_schur_w2_calls_per_probe(w2, per_probe):
+    levels = 3
+    res = product_integral(
+        IsoWeight(2, 1.2), IsoWeight(2, 0.8), w2, 2, 32.0, step=0.5, levels=levels
+    )
+    assert len(w2.calls) == per_probe * levels * len(res.sup_samples)
+
+
 # --- predicate vs measurement sweep --------------------------------------
 
 def test_flat_models_exist_for_planned_rules():
     for rule, dim, threshold in sweep_plan():
-        from feynlab.orders import _sweep_params
-
         params = _sweep_params(rule, dim, threshold, 0.1, 0.35)
         w, w1, w2 = rule_flat_model(rule, params, dim)
         assert w.dim == w1.dim == w2.dim == dim
