@@ -208,14 +208,23 @@ class RayTrace:
 def compactify(c: InteriorCovector) -> BCotangentPoint:
     """Push (z, zeta) to the b-frame; z = 0 is outside every chart.
 
+    So is any z whose |z|^2 falls below the smallest normal float (|z| under
+    about 1.5e-154): the frame squares the coordinates, and subnormal squares
+    would lose precision without a flag.
+
     The fiber is returned unit-normalized times its scale folded back in,
     i.e. raw; use flow() for long rays where the raw fiber overflows.
     """
     z = c.z
     zeta = c.zeta
     r = float(np.linalg.norm(z))
-    if r == 0.0:
-        raise ChartError("z = 0 has no compactified chart")
+    if r * r < np.finfo(float).tiny:
+        if not np.any(z):
+            raise ChartError("z = 0 has no compactified chart")
+        raise ChartError(
+            f"|z| = {math.hypot(*z):.3g} is too small for the compactified "
+            "chart: |z|^2 underflows"
+        )
     zpp = z[:-1]
     a = float(np.linalg.norm(zpp))
     w = float(z[-1] / r)

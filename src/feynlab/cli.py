@@ -162,12 +162,9 @@ class ExperimentConfig:
         validate_against_schema(data, "config")
         grid = None
         if "grid" in data:
-            g = data["grid"]
-            if len(g["extent"]) != len(g["points"]):
-                raise ConfigError("grid extent and points must have equal length")
             try:
-                grid = GridSpec(tuple(g["extent"]), tuple(g["points"]))
-            except (ValueError, DimensionError) as exc:
+                grid = GridSpec.from_dict(data["grid"])
+            except ValueError as exc:  # DimensionError included
                 raise ConfigError(f"bad grid: {exc}") from exc
         return cls(
             subcommand=data["subcommand"],
@@ -184,10 +181,7 @@ class ExperimentConfig:
             "seed": self.seed,
         }
         if self.grid is not None:
-            data["grid"] = {
-                "extent": list(self.grid.extent),
-                "points": list(self.grid.points),
-            }
+            data["grid"] = self.grid.to_dict()
         if self.out is not None:
             data["out"] = self.out
         return data

@@ -21,10 +21,6 @@ class PoleError(FeynlabError, ValueError):
     """A weight line passes through an indicial root."""
 
 
-class InfeasibleParameterError(FeynlabError, ValueError):
-    """Requested order/weight parameters admit no valid construction."""
-
-
 class ZeroModeError(FeynlabError, ValueError):
     """Zero-frequency content present while the policy excludes it."""
 

@@ -1,4 +1,4 @@
-"""Periodic grids, spectral fields and weighted-norm diagnostics.
+"""Periodic grids, spectral fields and seeded sources.
 
 Conventions, used consistently across the package:
 
@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .weights import WeightFunction, bracket
+from .weights import bracket
 
 __all__ = [
     "GridSpec",
     "SpectralField",
-    "weighted_norm",
     "random_band_limited",
     "gaussian_source",
 ]
@@ -171,13 +170,6 @@ class SpectralField:
 
     def __neg__(self) -> "SpectralField":
         return SpectralField(self.grid, -self.values)
-
-
-def weighted_norm(u: SpectralField, w: WeightFunction) -> float:
-    """Weighted spectral norm sqrt(sum w(xi)^2 |c_xi|^2)."""
-    xi = u.grid.freq_mesh()
-    wv = w(xi)
-    return float(np.sqrt(np.sum((wv * np.abs(u.coeffs)) ** 2)))
 
 
 def random_band_limited(

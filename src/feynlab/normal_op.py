@@ -65,9 +65,6 @@ class SphereSpectrum:
     n: int
     entries: tuple[SpectrumEntry, ...]
 
-    def total_dimension(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,

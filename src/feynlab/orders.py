@@ -1,15 +1,6 @@
-"""Order/weight admissibility calculus and convolution product criteria.
+"""Semilinear weight arithmetic and convolution product criteria.
 
-Three groups of tools share this module.
-
-* Admissibility tables: each propagator prescription imposes a low-regularity
-  condition ``m + l < 1/2`` on two of the four radial-set components and a
-  high-regularity condition on the other two.  Three rule sets differ only in
-  the high condition: ``basic`` demands ``m + l > 1/2``, ``strengthened``
-  demands ``m + l > 3/2``, and ``module`` relaxes that to
-  ``m + l + k > 3/2`` using k extra module derivatives.  ``check_orders``
-  evaluates the table for a signature; ``construct_feynman_order`` builds a
-  variable order function realizing the Feynman column.
+Two groups of tools share this module.
 
 * Semilinear weight arithmetic (``semilinear_weights``): the power/dimension
   admissibility rule, the open weight interval, and the affine map sending a
@@ -27,12 +18,6 @@ Three groups of tools share this module.
   the named product rules; ``rule_flat_model`` realizes each rule's weights
   on flat frequency space; ``rule_sweep`` straddles the scaling-visible
   thresholds and compares predicate against measurement.
-
-Fiber convention: the boundary cotangent fiber is coordinatized by
-``(sigma, gamma, eta_1, ..., eta_{n-2})`` in this order.  The sink
-components sit at the +gamma pole of the fiber sphere over either cap, the
-sources at the -gamma pole; an order function built here is a function of
-the fiber direction alone and is shared by the two caps.
 """
 
 from __future__ import annotations
@@ -42,9 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InfeasibleParameterError, ResolutionError
-from .propagators import Kind
-from .radial import RadialSet
+from .errors import DimensionError, ResolutionError
 from .weights import (
     Cone,
     IsoWeight,
@@ -55,202 +38,9 @@ from .weights import (
     WeightFunction,
 )
 
-RULE_SETS = ("basic", "strengthened", "module")
-
 # Verdict threshold on the fitted growth exponent: at or below counts as a
 # finite (bounded) Schur quantity.
 GROWTH_THRESHOLD = 0.1
-
-# Radial sets carrying the low-regularity condition, per prescription.  The
-# first pair are the flow sinks, reached forward; the retarded problem
-# instead allows low regularity at the two future-cap components.
-_LOW_SETS = {
-    Kind.FEYNMAN: frozenset({RadialSet.SINK_FUTURE, RadialSet.SINK_PAST}),
-    Kind.ANTIFEYNMAN: frozenset({RadialSet.SOURCE_FUTURE, RadialSet.SOURCE_PAST}),
-    Kind.RETARDED: frozenset({RadialSet.SINK_FUTURE, RadialSet.SOURCE_FUTURE}),
-    Kind.ADVANCED: frozenset({RadialSet.SINK_PAST, RadialSet.SOURCE_PAST}),
-}
-
-
-@dataclass(frozen=True)
-class ProblemSignature:
-    """An (prescription, n, l, m, k) tuple entering the admissibility tables.
-
-    ``m`` may be given as a plain number and is promoted to a constant
-    :class:`OrderFunction`; ``k`` counts module derivatives and must be a
-    nonnegative integer.
-    """
-
-    prescription: Kind
-    n: int
-    l: float
-    m: OrderFunction
-    k: int = 0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 0:
-            raise ValueError(f"module order k must be an integer >= 0, got {self.k}")
-        if self.n < 2:
-            raise DimensionError("need ambient dimension n >= 2")
-        if not isinstance(self.m, OrderFunction):
-            object.__setattr__(
-                self, "m", OrderFunction.constant(self.n, float(self.m))
-            )
-
-
-@dataclass(frozen=True)
-class SetVerdict:
-    radial_set: RadialSet
-    inequality: str
-    value: float
-    margin: float
-    ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "radial_set": self.radial_set.name,
-            "inequality": self.inequality,
-            "value": self.value,
-            "margin": self.margin,
-            "ok": self.ok,
-        }
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Per-radial-set verdicts plus their conjunction."""
-
-    signature: ProblemSignature
-    rule: str
-    verdicts: tuple
-    admissible: bool
-    diagnosis: str | None = None
-
-    def verdict_at(self, component: RadialSet) -> SetVerdict:
-        for v in self.verdicts:
-            if v.radial_set is component:
-                return v
-        raise KeyError(component)
-
-    def to_dict(self) -> dict:
-        return {
-            "prescription": self.signature.prescription.name,
-            "n": self.signature.n,
-            "l": self.signature.l,
-            "k": self.signature.k,
-            "constant_order": self.signature.m.is_constant,
-            "rule": self.rule,
-            "admissible": self.admissible,
-            "diagnosis": self.diagnosis,
-            "verdicts": [v.to_dict() for v in self.verdicts],
-        }
-
-
-def check_orders(sig: ProblemSignature, rule: str = "module") -> AdmissibilityReport:
-    """Evaluate the admissibility table column for ``sig.prescription``.
-
-    All inequalities are strict; a zero margin fails.  When a constant order
-    function fails and no constant could satisfy the rule at the given
-    (l, k), the report carries the diagnosis "requires variable order".
-    """
-    if rule not in RULE_SETS:
-        raise ValueError(f"unknown rule set {rule!r}; choose from {RULE_SETS}")
-    low = _LOW_SETS[sig.prescription]
-    verdicts = []
-    for rs in RadialSet:
-        mv = sig.m.value_at(rs)
-        if rs in low:
-            value = mv + sig.l
-            verdicts.append(
-                SetVerdict(rs, "m + l < 1/2", value, 0.5 - value, value < 0.5)
-            )
-        elif rule == "basic":
-            value = mv + sig.l
-            verdicts.append(
-                SetVerdict(rs, "m + l > 1/2", value, value - 0.5, value > 0.5)
-            )
-        elif rule == "strengthened":
-            value = mv + sig.l
-            verdicts.append(
-                SetVerdict(rs, "m + l > 3/2", value, value - 1.5, value > 1.5)
-            )
-        else:
-            value = mv + sig.l + sig.k
-            verdicts.append(
-                SetVerdict(rs, "m + l + k > 3/2", value, value - 1.5, value > 1.5)
-            )
-    admissible = all(v.ok for v in verdicts)
-    diagnosis = None
-    if not admissible and sig.m.is_constant:
-        # Constant orders satisfy the table iff some value of m + l lies both
-        # below 1/2 and above the rule's high bound; the bound is 1/2 (basic),
-        # 3/2 (strengthened) or 3/2 - k (module).
-        high_floor = {"basic": 0.5, "strengthened": 1.5, "module": 1.5 - sig.k}[rule]
-        if high_floor >= 0.5:
-            diagnosis = "requires variable order"
-    return AdmissibilityReport(sig, rule, tuple(verdicts), admissible, diagnosis)
-
-
-def construct_feynman_order(
-    l: float,
-    m_plus: float,
-    c: float | None = None,
-    sizes: tuple[float, float] = (0.15, 0.4),
-    n: int = 4,
-) -> OrderFunction:
-    """Order function for the Feynman column: m_plus with a dip at the sinks.
-
-    Returns the function equal to ``m_plus`` outside a fiber-sphere
-    neighborhood of the +gamma pole and dipping smoothly to ``m_plus - c``
-    inside it.  ``sizes = (inner, outer)`` are the angular radii of the full
-    dip and of the transition support; keeping ``outer`` under pi/2 makes
-    every sublevel set a round convex cone.  The dip depth must satisfy
-
-        m_plus + l - 1/2 < c < m_plus - 1/2,
-
-    so the dipped value meets the low condition while the function stays
-    above 1/2 everywhere; the interval is nonempty only for l < 0.  With
-    ``c=None`` the midpoint of the interval is used.
-    """
-    c_lo = m_plus + l - 0.5
-    c_hi = m_plus - 0.5
-    if not c_lo < c_hi:
-        raise InfeasibleParameterError(
-            f"empty dip interval ({c_lo}, {c_hi}); needs l < 0"
-        )
-    if m_plus + l <= 0.5:
-        raise InfeasibleParameterError(
-            f"m_plus={m_plus} too small: need m_plus + l > 1/2 away from the dip"
-        )
-    if c is None:
-        c = 0.5 * (c_lo + c_hi)
-    if not c_lo < c < c_hi:
-        raise InfeasibleParameterError(
-            f"dip depth c={c} outside the admissible interval ({c_lo}, {c_hi})"
-        )
-    inner, outer = sizes
-    if not 0.0 < inner < outer <= 1.5:
-        raise InfeasibleParameterError(
-            f"need 0 < inner < outer <= 1.5 rad for convex sublevels, got {sizes}"
-        )
-    if n < 3:
-        raise DimensionError("order construction needs ambient dimension n >= 3")
-    axis = (0.0, 1.0) + (0.0,) * (n - 2)  # +gamma pole of the (sigma, gamma, eta) fiber
-    dip = Cone(axis=axis, delta=-float(c), inner=float(inner), outer=float(outer))
-    values = {
-        RadialSet.SINK_FUTURE: m_plus - c,
-        RadialSet.SINK_PAST: m_plus - c,
-        RadialSet.SOURCE_FUTURE: m_plus,
-        RadialSet.SOURCE_PAST: m_plus,
-    }
-    return OrderFunction(
-        dim=n,
-        base=float(m_plus),
-        cones=(dip,),
-        radial_values=values,
-        convex_sublevels=True,
-        min_components=(RadialSet.SINK_FUTURE, RadialSet.SINK_PAST),
-    )
 
 
 def semilinear_weights(n: int, p: int, mu: float = 0.0) -> dict:
@@ -567,14 +357,6 @@ def _checks_split_cone_product(q):
     ]
 
 
-def _checks_module_algebra(q):
-    n, m, k = q["n"], q["m"], q["k"]
-    return [
-        ("m", "m > 1/2", m - 0.5, True),
-        ("k", "k > (n-1)/2", k - (n - 1) / 2.0, True),
-    ]
-
-
 def _checks_low_reg_cone_product(q):
     n, s, sp, s0 = q["n"], q["s"], q["s_prime"], q["s0"]
     return [
@@ -594,16 +376,6 @@ def _checks_split_low_reg(q):
     ]
 
 
-def _checks_near_half_algebra(q):
-    n, m, k, delta = q["n"], q["m"], q["k"], q["delta"]
-    return [
-        ("delta_lo", "delta > 0", delta, True),
-        ("delta_hi", "delta < 1/2", 0.5 - delta, True),
-        ("m", "m >= 1/2 - delta", m - (0.5 - delta), False),
-        ("k", "k > (n-1)/2", k - (n - 1) / 2.0, True),
-    ]
-
-
 _RULES = {
     "cone-product": (("n", "r", "s", "s0"), _checks_cone_product),
     "split-algebra": (("n", "d", "m", "a"), _checks_split_algebra),
@@ -611,7 +383,6 @@ _RULES = {
         ("n", "d", "r", "s", "m", "a"),
         _checks_split_cone_product,
     ),
-    "module-algebra": (("n", "m", "k"), _checks_module_algebra),
     "low-reg-cone-product": (
         ("n", "s", "s_prime", "s0"),
         _checks_low_reg_cone_product,
@@ -620,7 +391,6 @@ _RULES = {
         ("n", "d", "m", "m_prime", "m0", "a"),
         _checks_split_low_reg,
     ),
-    "near-half-algebra": (("n", "m", "k", "delta"), _checks_near_half_algebra),
 }
 
 PRODUCT_RULES = tuple(_RULES)
@@ -630,9 +400,7 @@ def product_rule_predict(rule: str, params: dict) -> dict:
     """Evaluate the hypotheses of a named product rule with exact margins.
 
     Returns the conjunction verdict, the per-inequality margins, and the
-    hypothesis texts.  ``module-algebra`` additionally reports whether the
-    zero-loss form applies (constant order; pass ``constant_m=False`` to
-    mark a genuinely variable order, which incurs an epsilon loss).
+    hypothesis texts.
     """
     if rule not in _RULES:
         raise ValueError(f"unknown product rule {rule!r}; known: {PRODUCT_RULES}")
@@ -641,7 +409,7 @@ def product_rule_predict(rule: str, params: dict) -> dict:
     if missing:
         raise ValueError(f"rule {rule!r} missing parameters {missing}")
     checks = builder(params)
-    result = {
+    return {
         "rule": rule,
         "holds": all(
             (margin > 0 if strict else margin >= 0) for _, _, margin, strict in checks
@@ -649,9 +417,6 @@ def product_rule_predict(rule: str, params: dict) -> dict:
         "margins": {label: margin for label, _, margin, _ in checks},
         "hypotheses": tuple(text for _, text, _, _ in checks),
     }
-    if rule == "module-algebra":
-        result["epsilon_zero"] = bool(params.get("constant_m", True))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -686,12 +451,8 @@ def rule_flat_model(rule: str, params: dict, dim: int):
         w2 = IsoWeight(dim, q["r"])
         w = _cone_weight(dim, q["s0"], q["s"], _K_ANGLES)
         return w, w1, w2
-    if rule in ("split-algebra", "module-algebra"):
-        if rule == "module-algebra":
-            d, m, a = 1, q["m"], q["k"]
-        else:
-            d, m, a = q["d"], q["m"], q["a"]
-        sw = SplitWeight(dim, d, m, a)
+    if rule == "split-algebra":
+        sw = SplitWeight(dim, q["d"], q["m"], q["a"])
         return sw, sw, sw
     if rule == "split-cone-product":
         split = SplitWeight(dim, q["d"], q["m"], q["a"])

@@ -11,9 +11,8 @@ multipliers of weighted Sobolev norms:
 * ``SumWeight([...])``: pointwise sum of weights.
 
 An :class:`OrderFunction` is a smooth function on the sphere of directions,
-written as a constant plus finitely many smooth conical bumps.  The same class
-serves as a variable Sobolev exponent on frequency directions and as an order
-function on rescaled fiber directions near the radial sets.
+written as a constant plus finitely many smooth conical bumps.  It serves as a
+variable Sobolev exponent on frequency directions.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .radial import RadialSet
 
 
 def smooth_step(t: np.ndarray | float) -> np.ndarray | float:
@@ -121,29 +119,11 @@ class Cone:
 
 @dataclass(frozen=True)
 class OrderFunction:
-    """Direction-dependent order m(xi/|xi|) = base + sum of conical bumps.
-
-    `radial_values` carries the symbolic values attached to the four radial-set
-    labels; for order functions realized purely in the fiber these are the
-    intended values used by the admissibility calculus, which may be finer than
-    what a function of the direction alone can distinguish.
-    """
+    """Direction-dependent order m(xi/|xi|) = base + sum of conical bumps."""
 
     dim: int
     base: float
     cones: tuple[Cone, ...] = ()
-    radial_values: dict[RadialSet, float] | None = None
-    convex_sublevels: bool = False
-    min_components: tuple[RadialSet, ...] = ()
-
-    @classmethod
-    def constant(cls, dim: int, value: float) -> "OrderFunction":
-        rv = {r: float(value) for r in RadialSet}
-        return cls(dim=dim, base=float(value), radial_values=rv)
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.cones
 
     def __call__(self, dirs: np.ndarray) -> np.ndarray:
         """Evaluate on stacked direction vectors of shape (dim, ...).
@@ -163,48 +143,6 @@ class OrderFunction:
             ang = np.arccos(cosang)
             out = out + cone.delta * cone.profile(ang)
         return np.where(norms == 0.0, self.base, out)
-
-    def value_at(self, component: RadialSet) -> float:
-        if self.radial_values is not None and component in self.radial_values:
-            return float(self.radial_values[component])
-        return float(self.base)
-
-    def bounds(self) -> tuple[float, float]:
-        lo = self.base + sum(min(c.delta, 0.0) for c in self.cones)
-        hi = self.base + sum(max(c.delta, 0.0) for c in self.cones)
-        return lo, hi
-
-    def check_convex_sublevels(
-        self, seed: int = 0, samples: int = 2000, tol: float = 1e-9
-    ) -> bool:
-        """Sample pairs inside a sublevel set and test spherical midpoints.
-
-        A nontrivial sublevel set {m <= s} is checked to be a convex cone by
-        drawing pairs of directions inside it and verifying the normalized
-        midpoint stays inside (up to `tol`).
-        """
-        rng = np.random.default_rng(seed)
-        lo, hi = self.bounds()
-        if hi - lo < 1e-14:
-            return True
-        levels = lo + np.array([0.25, 0.5, 0.75]) * (hi - lo)
-        pts = rng.standard_normal((self.dim, samples))
-        pts /= np.linalg.norm(pts, axis=0, keepdims=True)
-        vals = self(pts)
-        for s in levels:
-            inside = pts[:, vals <= s]
-            k = inside.shape[1]
-            if k < 2:
-                continue
-            i = rng.integers(0, k, size=4 * k)
-            j = rng.integers(0, k, size=4 * k)
-            mids = inside[:, i] + inside[:, j]
-            nrm = np.linalg.norm(mids, axis=0)
-            ok = nrm > 1e-9  # antipodal pairs have no defined midpoint
-            mvals = self(mids[:, ok] / nrm[ok])
-            if np.any(mvals > s + tol):
-                return False
-        return True
 
 
 @dataclass(frozen=True)

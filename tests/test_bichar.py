@@ -78,9 +78,28 @@ def test_compactify_midslice_point():
 
 
 def test_compactify_rejects_origin():
-    with pytest.raises(ChartError):
+    with pytest.raises(ChartError, match="z = 0"):
         compactify(InteriorCovector(np.array([0.0, 0.0, 0.0, 0.0]),
                                     np.array([1.0, 0.0, 0.0, 0.0])))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200])
+def test_compactify_rejects_underflowing_radius(scale):
+    # |z|^2 is subnormal at 1e-160 (the chart would read ok and return zeta
+    # off by 5e-6) and 0 at 1e-200; neither point is z = 0
+    with pytest.raises(ChartError) as info:
+        compactify(InteriorCovector([scale, 2.0 * scale], [1.0, 2.0]))
+    assert f"|z| = {np.sqrt(5.0) * scale:.3g}" in str(info.value)
+    assert "z = 0" not in str(info.value)
+
+
+def test_compactify_round_trip_just_above_underflow():
+    c = InteriorCovector([1e-150, 2e-150], [1.0, 2.0])
+    pt = compactify(c)
+    assert pt.chart_ok
+    back = decompactify(pt)
+    assert np.max(np.abs(back.z - c.z)) <= 1e-15 * np.linalg.norm(c.z)
+    assert np.max(np.abs(back.zeta - c.zeta)) <= 1e-15 * np.linalg.norm(c.zeta)
 
 
 def test_chart_round_trip_random_points():
@@ -100,8 +119,8 @@ def test_chart_round_trip_random_points():
         done += 1
 
 
-# Components of size 0 or in [1e-6, 1e6]: |z|^2 is then a normal float (far
-# below 1e-154 it underflows and the chart loses precision without a flag).
+# Components of size 0 or in [1e-6, 1e6]: |z|^2 is then a normal float (below
+# about 1.5e-154 it underflows and compactify raises ChartError).
 _COMPONENT = st.floats(-1e6, 1e6).map(lambda x: 0.0 if abs(x) < 1e-6 else x)
 
 

@@ -154,6 +154,14 @@ def test_content_hash_ignores_output_location():
     assert a.content_hash() != c.content_hash()
 
 
+def test_content_hash_golden():
+    # the canonical form of a config with a grid, which every manifest records
+    cfg = ExperimentConfig.from_dict(PICARD)
+    assert cfg.content_hash() == (
+        "77971163c63ba89ce47418aebd5672123fe8da4a73c9e298e508a93aaa0c60d1"
+    )
+
+
 # --- running subcommands --------------------------------------------------
 
 def run_dict(tmp_path, data, name="cfg"):
@@ -370,8 +378,9 @@ def test_field_csv_golden_bytes(tmp_path, data, name, digest):
     assert dict(manifest.files)[name] == digest
 
 
-# sha256 of the JSON reports: the zero-mode and cone-mask paths behind them
+# sha256 of the reports: the zero-mode and cone-mask paths behind them
 # (the cone mask, the projected and the full Picard residual) must not move
+FLOW = {"subcommand": "flow", "seed": 0, "params": {"n": 4, "count": 2, "T": 30.0}}
 GOLDEN_REPORTS = [
     (GOLDEN_FIELDS[0][0], "propagate.json",
      "1649d037393eba4b7a7462eb3d5084a781107751da04226e0000a817b3c5e262"),
@@ -402,13 +411,31 @@ GOLDEN_REPORTS = [
         "picard.json",
         "a8df23c729b7ebba9baa80a5e794eb844f33c53b00c38270002b7601cac70b02",
     ),
+    # the compactified flow (bichar) behind the ray report and its trace, and
+    # the exact root and spectrum tables (normal_op)
+    (FLOW, "flow.json",
+     "e97b252432ca01c2cead59bdc1c30dfb78ff65c8ef62375fcbfbae2dff62db9e"),
+    (FLOW, "trace-000.csv",
+     "0ad06783b106a2c940ae24f859f88af0c6036a9f012ef21a228676f196ea0ce0"),
+    (ROOTS, "roots.json",
+     "cfed063bf9f588bb3d0135f17939d1dc3649d9bdf5ffa7a133fd0e66127fdaa3"),
+    ({"subcommand": "spectrum", "params": {"n": 4, "K": 3}}, "spectrum.json",
+     "33ca7b77f7c52f9a79b1cc3505ca6077779409651b2ac5dbe376181c540f09a2"),
+    (
+        {"subcommand": "weights", "params": {"n": 4, "l_samples": [0.5, 1.5, -1.5]}},
+        "weights.json",
+        "ea847984265c1c05d9301b44537bf3a063523131344a69883093095975bf754d",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "data,name,digest",
     GOLDEN_REPORTS,
-    ids=["propagate", "wick-cone-gap", "wick", "picard", "picard-retarded"],
+    ids=[
+        "propagate", "wick-cone-gap", "wick", "picard", "picard-retarded",
+        "flow", "flow-trace", "roots", "spectrum", "weights",
+    ],
 )
 def test_json_report_golden_bytes(tmp_path, data, name, digest):
     out, manifest = run_dict(tmp_path, data)

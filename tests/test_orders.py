@@ -1,4 +1,5 @@
-"""Admissibility tables, order construction, product rules, and Schur measurements."""
+"""Order functions along the flow, semilinear weights, product rules, and
+Schur measurements."""
 
 from dataclasses import dataclass, field
 
@@ -6,21 +7,13 @@ import numpy as np
 import pytest
 
 from feynlab.bichar import flow, random_null_rays
-from feynlab.errors import (
-    DimensionError,
-    InfeasibleParameterError,
-    ResolutionError,
-)
+from feynlab.errors import DimensionError, ResolutionError
 from feynlab.orders import (
     GROWTH_THRESHOLD,
     PRODUCT_RULES,
-    AdmissibilityReport,
-    ProblemSignature,
     _midpoint_lattice,
     _sup_samples,
     _sweep_params,
-    check_orders,
-    construct_feynman_order,
     product_integral,
     product_rule_predict,
     rule_flat_model,
@@ -28,8 +21,6 @@ from feynlab.orders import (
     semilinear_weights,
     sweep_plan,
 )
-from feynlab.propagators import Kind
-from feynlab.radial import SINKS, RadialSet
 from feynlab.weights import Cone, IsoWeight, OrderFunction, VariableWeight
 
 
@@ -37,145 +28,15 @@ def iso1(s):
     return IsoWeight(1, s)
 
 
-# --- signatures and the admissibility tables -----------------------------
-
-def test_signature_promotes_numeric_order():
-    sig = ProblemSignature(Kind.FEYNMAN, 4, 0.0, 0.4, 2)
-    assert isinstance(sig.m, OrderFunction)
-    assert sig.m.is_constant
-
-
-def test_signature_validation():
-    with pytest.raises(ValueError):
-        ProblemSignature(Kind.FEYNMAN, 4, 0.0, 0.4, -1)
-    with pytest.raises(ValueError):
-        ProblemSignature(Kind.FEYNMAN, 4, 0.0, 0.4, 1.5)
-    with pytest.raises(DimensionError):
-        ProblemSignature(Kind.FEYNMAN, 1, 0.0, 0.4, 0)
-
-
-def test_module_rule_admits_low_constant_with_module_orders():
-    rep = check_orders(ProblemSignature(Kind.FEYNMAN, 4, 0.0, 0.4, 2), rule="module")
-    assert rep.admissible
-    for rs in (RadialSet.SINK_FUTURE, RadialSet.SINK_PAST):
-        v = rep.verdict_at(rs)
-        assert v.inequality == "m + l < 1/2"
-        assert v.margin == pytest.approx(0.1)
-    for rs in (RadialSet.SOURCE_FUTURE, RadialSet.SOURCE_PAST):
-        v = rep.verdict_at(rs)
-        assert v.inequality == "m + l + k > 3/2"
-        assert v.margin == pytest.approx(0.9)
-
-
-def test_basic_rule_rejects_high_constant_at_the_sinks():
-    rep = check_orders(ProblemSignature(Kind.FEYNMAN, 4, 0.0, 1.0, 0), rule="basic")
-    assert not rep.admissible
-    assert not rep.verdict_at(RadialSet.SINK_FUTURE).ok
-    assert not rep.verdict_at(RadialSet.SINK_PAST).ok
-    assert rep.verdict_at(RadialSet.SOURCE_FUTURE).ok
-
-
-def test_retarded_constant_needs_variable_order():
-    for l in (-0.8, 0.0, 0.7):
-        rep = check_orders(
-            ProblemSignature(Kind.RETARDED, 4, l, 1.0, 0), rule="strengthened"
-        )
-        assert not rep.admissible
-        assert rep.diagnosis == "requires variable order"
-
-
-def test_overall_verdict_is_conjunction():
-    for rule in ("basic", "strengthened", "module"):
-        for m in (0.2, 0.4, 1.0, 2.0):
-            rep = check_orders(
-                ProblemSignature(Kind.ANTIFEYNMAN, 4, 0.0, m, 1), rule=rule
-            )
-            assert rep.admissible == all(v.ok for v in rep.verdicts)
-
-
-def test_table_soundness_module_k0_matches_strengthened():
-    # module admissible at k = 0 implies strengthened admissible, and
-    # strengthened implies basic, over a parameter scan
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        kind = list(Kind)[rng.integers(4)]
-        l = float(rng.uniform(-2.0, 2.0))
-        order = construct_or_constant(rng)
-        sig = ProblemSignature(kind, 4, l, order, 0)
-        module = check_orders(sig, rule="module").admissible
-        strong = check_orders(sig, rule="strengthened").admissible
-        basic = check_orders(sig, rule="basic").admissible
-        assert module == strong  # k = 0 collapses the module bound
-        if strong:
-            assert basic
-
-
-def construct_or_constant(rng):
-    if rng.uniform() < 0.5:
-        return float(rng.uniform(-1.0, 3.0))
-    try:
-        return construct_feynman_order(
-            l=float(rng.uniform(-0.9, -0.2)), m_plus=float(rng.uniform(1.0, 2.0))
-        )
-    except InfeasibleParameterError:
-        return float(rng.uniform(-1.0, 3.0))
-
-
-def test_report_serializes():
-    rep = check_orders(ProblemSignature(Kind.ADVANCED, 4, 0.0, 0.3, 2))
-    d = rep.to_dict()
-    assert d["prescription"] == "ADVANCED"
-    assert len(d["verdicts"]) == 4
-    assert isinstance(rep, AdmissibilityReport)
-
-
-def test_check_orders_unknown_rule():
-    with pytest.raises(ValueError):
-        check_orders(ProblemSignature(Kind.FEYNMAN, 4, 0.0, 0.4), rule="fancy")
-
-
-# --- order-function construction -----------------------------------------
-
-def test_constructed_order_shape():
-    order = construct_feynman_order(l=-0.4, m_plus=1.2)
-    # midpoint dip of the interval (0.3, 0.7)
-    assert order.bounds() == (pytest.approx(0.7), pytest.approx(1.2))
-    assert order.value_at(RadialSet.SINK_FUTURE) == pytest.approx(0.7)
-    assert order.value_at(RadialSet.SOURCE_PAST) == pytest.approx(1.2)
-    assert set(order.min_components) == set(SINKS)
-    assert order.check_convex_sublevels(seed=0)
-
-    # constant away from the dip cone: directions orthogonal to the pole
-    far = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(order(far), 1.2)
-    # exact dip value at the pole itself
-    pole = np.array([[0.0], [1.0], [0.0], [0.0]])
-    assert order(pole) == pytest.approx(np.array([0.7]))
-
-
-def test_constructed_order_passes_module_table():
-    order = construct_feynman_order(l=-0.4, m_plus=1.2)
-    rep = check_orders(ProblemSignature(Kind.FEYNMAN, 4, -0.4, order, 2), rule="module")
-    assert rep.admissible
-
-
-def test_constructed_order_infeasible_parameters():
-    with pytest.raises(InfeasibleParameterError):
-        construct_feynman_order(l=0.0, m_plus=1.2)  # empty dip interval
-    with pytest.raises(InfeasibleParameterError):
-        construct_feynman_order(l=-0.4, m_plus=0.8)  # m_plus + l <= 1/2
-    with pytest.raises(InfeasibleParameterError):
-        construct_feynman_order(l=-0.4, m_plus=1.2, c=0.75)  # c above interval
-    with pytest.raises(InfeasibleParameterError):
-        construct_feynman_order(l=-0.4, m_plus=1.2, sizes=(0.4, 0.2))
-
+# --- order functions along the flow -------------------------------------
 
 def test_constructed_order_monotone_on_terminal_approach():
     # the flow drags the unit fiber to the +gamma pole; on the stretch below
     # rho = 0.1 the sampled order must never increase and must land exactly
-    # on the dip value
-    order = construct_feynman_order(l=-0.4, m_plus=1.2)
-    dip = order.bounds()[0]
+    # on the dip value.  The order is 1.2 with a dip of 0.5 about the +gamma
+    # pole of the (sigma, gamma, eta) fiber.
+    order = OrderFunction(4, 1.2, (Cone((0, 1, 0, 0), -0.5, 0.15, 0.4),))
+    dip = 0.7
     for c in random_null_rays(4, 50, seed=13):
         tr = flow(c, 40.0, tol=1e-10)
         dirs = np.array([(p.sigma, p.gamma) + tuple(p.eta) for p in tr.points]).T
@@ -251,16 +112,6 @@ def test_predicate_split_algebra_example():
     assert out["margins"]["a"] == pytest.approx(0.1)
 
 
-def test_predicate_module_algebra_example():
-    out = product_rule_predict("module-algebra", {"n": 4, "m": 0.6, "k": 2})
-    assert out["holds"]
-    assert out["epsilon_zero"] is True
-    out2 = product_rule_predict(
-        "module-algebra", {"n": 4, "m": 0.6, "k": 2, "constant_m": False}
-    )
-    assert out2["epsilon_zero"] is False
-
-
 def test_predicate_low_reg_example():
     out = product_rule_predict(
         "low-reg-cone-product", {"n": 1, "s": 2.0, "s_prime": 0.6, "s0": 0.6}
@@ -281,23 +132,12 @@ def test_predicate_strictness():
     assert out["holds"] and out["margins"]["order_rs"] == 0.0
 
 
-def test_predicate_near_half_algebra():
-    out = product_rule_predict(
-        "near-half-algebra", {"n": 4, "m": 0.45, "k": 2, "delta": 0.1}
-    )
-    assert out["holds"]
-    out = product_rule_predict(
-        "near-half-algebra", {"n": 4, "m": 0.3, "k": 2, "delta": 0.1}
-    )
-    assert not out["holds"]
-
-
 def test_predicate_validation():
     with pytest.raises(ValueError):
         product_rule_predict("no-such-rule", {})
     with pytest.raises(ValueError):
         product_rule_predict("split-algebra", {"n": 4, "d": 1, "m": 0.6})
-    assert set(PRODUCT_RULES) >= {"cone-product", "split-algebra", "module-algebra"}
+    assert set(PRODUCT_RULES) == {rule for rule, _, _ in sweep_plan()}
 
 
 # --- lattice Schur quantities --------------------------------------------
@@ -472,8 +312,14 @@ def test_flat_models_exist_for_planned_rules():
 def test_flat_model_split_rules_have_no_line_realization():
     with pytest.raises(ValueError):
         rule_flat_model("split-algebra", {"n": 1, "d": 1, "m": 0.8, "a": 0.8}, 1)
+    with pytest.raises(DimensionError):
+        rule_flat_model(
+            "split-low-reg-product",
+            {"n": 1, "d": 1, "m": 0.8, "m_prime": 0.6, "m0": 0.7, "a": 0.8},
+            1,
+        )
     with pytest.raises(ValueError):
-        rule_flat_model("near-half-algebra", {"n": 4, "m": 0.45, "k": 2, "delta": 0.1}, 2)
+        rule_flat_model("no-such-rule", {}, 2)
 
 
 def test_sweep_line_rules_agree():
