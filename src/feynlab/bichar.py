@@ -34,18 +34,21 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from enum import Enum
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ChartError, ClassificationError, StiffnessError
-from .radial import RadialSet
 
 __all__ = [
     "InteriorCovector",
     "BCotangentPoint",
     "RayTrace",
+    "RadialSet",
+    "SINKS",
+    "SOURCES",
     "compactify",
     "decompactify",
     "hamiltonian",
@@ -154,6 +157,28 @@ class BCotangentPoint:
         return np.concatenate(([self.sigma, self.gamma], np.asarray(self.eta)))
 
 
+class RadialSet(Enum):
+    """Radial-set component: sink or source of the rescaled Hamilton flow,
+    over the future or past boundary cap (light cone at infinity)."""
+
+    SINK_FUTURE = "sink-future"
+    SOURCE_FUTURE = "source-future"
+    SINK_PAST = "sink-past"
+    SOURCE_PAST = "source-past"
+
+    @property
+    def is_sink(self) -> bool:
+        return self in (RadialSet.SINK_FUTURE, RadialSet.SINK_PAST)
+
+    @property
+    def is_future(self) -> bool:
+        return self in (RadialSet.SINK_FUTURE, RadialSet.SOURCE_FUTURE)
+
+
+SINKS = (RadialSet.SINK_FUTURE, RadialSet.SINK_PAST)
+SOURCES = (RadialSet.SOURCE_FUTURE, RadialSet.SOURCE_PAST)
+
+
 @dataclass(frozen=True)
 class RayTrace:
     """Sampled flow line with scale-free symbol values and solver stats.
@@ -234,10 +259,9 @@ def compactify(c: InteriorCovector) -> BCotangentPoint:
     if a <= 1e-14 * r:
         ok = False
         chart, y = 0, np.zeros(c.n - 2)
-        omega = _sphere_point(chart, y)
     else:
         chart, y = _sphere_chart(zpp / a)
-        omega = _sphere_point(chart, y)
+    omega = _sphere_point(chart, y)
     qp = abs(w)
     qm = a / r
     if min(qp, qm) < 1e-7:
@@ -312,8 +336,9 @@ def _lam_w(w, y, s, cw, eta):
     )
 
 
-def _bd_rhs(state: np.ndarray, m: int) -> np.ndarray:
+def _bd_rhs(t, state: np.ndarray, n: int) -> np.ndarray:
     # state = [x, w, y(m), u(m+2), k]
+    m = n - 2
     w = state[1]
     y = state[2 : 2 + m]
     u = state[2 + m : 4 + 2 * m]
@@ -347,7 +372,8 @@ def _bd_rhs(state: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _int_rhs(state: np.ndarray, n: int) -> np.ndarray:
+def _int_rhs(t, state: np.ndarray, n: int) -> np.ndarray:
+    # state = [z(n), zeta(n)]
     z = state[:n]
     zeta = state[n:]
     r2 = float(z @ z)
@@ -359,9 +385,14 @@ def _int_rhs(state: np.ndarray, n: int) -> np.ndarray:
 
 # --- state packing -------------------------------------------------------
 
-def _interior_to_bd(z: np.ndarray, zeta: np.ndarray):
-    n = z.size
-    m = n - 2
+def _bd_state(x: float, w: float, y, fib: np.ndarray) -> np.ndarray:
+    """Latitude state [x, w, y, u, k] with the fiber split as u * e^k, |u| = 1."""
+    s = float(np.linalg.norm(fib))
+    return np.concatenate(([x, w], y, fib / s, [math.log(s)]))
+
+
+def _interior_to_bd(state: np.ndarray, n: int):
+    z, zeta = state[:n], state[n:]
     r = float(np.linalg.norm(z))
     zpp = z[:-1]
     a = float(np.linalg.norm(zpp))
@@ -373,18 +404,11 @@ def _interior_to_bd(z: np.ndarray, zeta: np.ndarray):
     cw = float(zeta[-1]) * r - float(zeta[:-1] @ omega) * r * w / sq
     Jw = _sphere_jacobian(chart, y)
     eta = r * sq * (Jw @ zeta[:-1])
-    fib = np.concatenate(([sigma, cw], eta))
-    scale = float(np.linalg.norm(fib))
-    state = np.empty(2 * m + 5)
-    state[0] = math.log(1.0 / r)
-    state[1] = w
-    state[2 : 2 + m] = y
-    state[2 + m : 4 + 2 * m] = fib / scale
-    state[-1] = math.log(scale)
-    return state, chart
+    return _bd_state(math.log(1.0 / r), w, y, np.concatenate(([sigma, cw], eta))), chart
 
 
-def _bd_to_interior(state: np.ndarray, chart: int, m: int):
+def _bd_to_interior(state: np.ndarray, chart: int, n: int) -> np.ndarray:
+    m = n - 2
     x, w = state[0], state[1]
     y = state[2 : 2 + m]
     u = state[2 + m : 4 + 2 * m]
@@ -394,7 +418,6 @@ def _bd_to_interior(state: np.ndarray, chart: int, m: int):
     sq = math.sqrt(1.0 - w * w)
     omega = _sphere_point(chart, y)
     z = np.concatenate((r * sq * omega, [r * w]))
-    n = m + 2
     Jt = np.zeros((n, n))
     Jt[0] = z
     Jt[1, :-1] = -r * w * omega / sq
@@ -404,11 +427,12 @@ def _bd_to_interior(state: np.ndarray, chart: int, m: int):
         Jt[2 + i, :-1] = r * sq * Jw[i]
     rhs = np.concatenate(([-u[0], u[1]], u[2:])) * math.exp(k)
     zeta = np.linalg.solve(Jt, rhs)
-    return z, zeta
+    return np.concatenate((z, zeta))
 
 
-def _bd_sample_point(state: np.ndarray, chart: int, m: int):
-    """Boundary state -> (BCotangentPoint with unit v-frame fiber, lam, k)."""
+def _bd_sample_point(state: np.ndarray, chart: int, n: int):
+    """Latitude state -> (BCotangentPoint with unit v-frame fiber, lam, k)."""
+    m = n - 2
     x, w = float(state[0]), float(state[1])
     y = state[2 : 2 + m]
     u = state[2 + m : 4 + 2 * m]
@@ -424,15 +448,16 @@ def _bd_sample_point(state: np.ndarray, chart: int, m: int):
     s = float(np.linalg.norm(fib))
     fib = fib / s
     pt = BCotangentPoint(
-        n=m + 2, rho=math.exp(x), v=v, y=tuple(y), sigma=float(fib[0]),
+        n=n, rho=math.exp(x), v=v, y=tuple(y), sigma=float(fib[0]),
         gamma=float(fib[1]), eta=tuple(fib[2:]), cap=cap, chart=chart, chart_ok=ok,
     )
     return pt, lam, k + math.log(s)
 
 
-def _interior_sample_point(z: np.ndarray, zeta: np.ndarray):
-    c = InteriorCovector(z=z, zeta=zeta)
-    pt = compactify(c)
+def _interior_sample_point(state: np.ndarray, chart: int, n: int):
+    """Interior state -> the triple of _bd_sample_point; chart is unused."""
+    z, zeta = state[:n], state[n:]
+    pt = compactify(InteriorCovector(z=z, zeta=zeta))
     fib = pt.fiber()
     s = float(np.linalg.norm(fib))
     unit = replace(
@@ -445,10 +470,8 @@ def _interior_sample_point(z: np.ndarray, zeta: np.ndarray):
         # symbol limit is 0
         return unit, 0.0, math.log(s)
     # scale-free symbol: the latitude-frame unit fiber value
-    st, chart = _interior_to_bd(z, zeta)
-    m = z.size - 2
-    u = st[2 + m : 4 + 2 * m]
-    lam = _lam_w(st[1], st[2 : 2 + m], u[0], u[1], u[2:])
+    st, _ = _interior_to_bd(state, n)
+    lam = _lam_w(st[1], st[2:n], st[n], st[n + 1], st[n + 2 : 2 * n])
     return unit, float(lam), math.log(s)
 
 
@@ -459,6 +482,68 @@ _RHO_BACK = 0.06
 _W_NULLBAND = 0.85
 _RHO_FLOOR = 1e-5
 _ESCAPE_R = 1.0e4
+_LIMIT_TOL = 1e-3
+
+
+def _terminal(direction: float = 0.0):
+    """Mark an event function as terminal for solve_ivp, in one crossing direction."""
+
+    def mark(ev):
+        ev.terminal = True
+        ev.direction = direction
+        return ev
+
+    return mark
+
+
+# Interior events; s = [z, zeta].
+
+@_terminal()
+def _ev_switch(t, s, n):
+    return float(np.linalg.norm(s[:n])) - 1.0 / _RHO_SWITCH
+
+
+@_terminal()
+def _ev_escape(t, s, n):
+    return float(np.linalg.norm(s[:n])) - _ESCAPE_R
+
+
+# Axis mode, outside the latitude band: wait for w^2 to enter the window
+# around the null asymptote 1/2.
+
+@_terminal(-1.0)
+def _ev_hi(t, s, n):
+    s2 = float(s[:n] @ s[:n])
+    return s[n - 1] ** 2 / s2 - 0.6
+
+
+@_terminal(1.0)
+def _ev_lo(t, s, n):
+    s2 = float(s[:n] @ s[:n])
+    return s[n - 1] ** 2 / s2 - 0.4
+
+
+# Boundary events; s = [x, w, y, u, k].
+
+@_terminal(1.0)
+def _ev_back(t, s, n):
+    return s[0] - math.log(_RHO_BACK)
+
+
+@_terminal(1.0)
+def _ev_wedge(t, s, n):
+    return s[1] ** 2 - 0.92
+
+
+@_terminal(1.0)
+def _ev_ychart(t, s, n):
+    y = s[2:n]
+    return float(y @ y) - 4.0
+
+
+@_terminal(-1.0)
+def _ev_floor(t, s, n):
+    return s[0] - math.log(_RHO_FLOOR)
 
 
 def flow(pt, T: float, tol: float = 1e-10, samples_per_unit: float = 6.0) -> RayTrace:
@@ -466,53 +551,38 @@ def flow(pt, T: float, tol: float = 1e-10, samples_per_unit: float = 6.0) -> Ray
 
     Accepts a BCotangentPoint or an InteriorCovector.  Interior stretches
     run in plain (z, zeta) coordinates; below rho ~ 0.05 the projectivized
-    latitude chart takes over.  The trace parameter is the rescaled one
-    (d tau = |fiber| dt) on boundary stretches and plain Hamilton time in
-    the interior; it is strictly monotone throughout.  Integration stops
-    early once rho falls below 1e-5 (radial convergence) or when a chart
-    degenerates (truncated flag).
+    latitude chart takes over.  One integration loop serves both charts:
+    each segment is one solve_ivp call, sampled and counted the same way;
+    the chart picks the right-hand side, sampler and event list, and the
+    hand-over after the segment.  The boundary events fire in the order
+    back, wedge, chart edge, floor; when several fire in one step the floor
+    wins, then the wedge, then the chart edge.  The trace parameter is the
+    rescaled one (d tau = |fiber| dt) on boundary stretches and plain
+    Hamilton time in the interior; it is strictly monotone throughout.
+    Integration stops early once rho falls below 1e-5 (radial convergence)
+    or when a chart degenerates (truncated flag).
     """
+    n = pt.n
     if isinstance(pt, BCotangentPoint):
-        start_bd = pt.rho < _RHO_SWITCH and abs(pt.v) < 2.0 * _W_NULLBAND**2 - 1.0
-        if start_bd:
-            # build latitude state directly
-            m = pt.n - 2
+        chart = pt.chart
+        bd = pt.rho < _RHO_SWITCH and abs(pt.v) < 2.0 * _W_NULLBAND**2 - 1.0
+        if bd:
             w = pt.cap * math.sqrt((1.0 + pt.v) / 2.0)
-            cw = 4.0 * w * pt.gamma
-            fib = np.concatenate(([pt.sigma, cw], np.asarray(pt.eta, dtype=float)))
-            s = float(np.linalg.norm(fib))
-            state = np.empty(2 * m + 5)
-            state[0] = math.log(max(pt.rho, 1e-300))
-            state[1] = w
-            state[2 : 2 + m] = np.asarray(pt.y, dtype=float)
-            state[2 + m : 4 + 2 * m] = fib / s
-            state[-1] = math.log(s)
-            mode, chart = "bd", pt.chart
-            z = zeta = None
+            fib = np.concatenate(([pt.sigma, 4.0 * w * pt.gamma], pt.eta))
+            state = _bd_state(math.log(max(pt.rho, 1e-300)), w, pt.y, fib)
         else:
             c = decompactify(pt)
-            z, zeta = c.z, c.zeta
-            mode, chart, state = "int", pt.chart, None
-        n = pt.n
+            state = np.concatenate((c.z, c.zeta))
     else:
-        c = pt
-        z, zeta = c.z.copy(), c.zeta.copy()
-        n = c.n
-        r0 = float(np.linalg.norm(z))
-        if 1.0 / r0 < _RHO_SWITCH and abs(z[-1]) / r0 < _W_NULLBAND:
-            state, chart = _interior_to_bd(z, zeta)
-            mode = "bd"
-        else:
-            mode, chart, state = "int", 0, None
-    m = n - 2
+        chart = 0
+        state = np.concatenate((pt.z, pt.zeta))
+        r0 = float(np.linalg.norm(pt.z))
+        bd = 1.0 / r0 < _RHO_SWITCH and abs(pt.z[-1]) / r0 < _W_NULLBAND
+        if bd:
+            state, chart = _interior_to_bd(state, n)
 
-    # start diagnostics
-    if mode == "bd":
-        u0 = state[2 + m : 4 + 2 * m]
-        lam0 = _lam_w(state[1], state[2 : 2 + m], u0[0], u0[1], u0[2:])
-    else:
-        _, lam0, _ = _interior_sample_point(z, zeta)
-    nonnull = abs(lam0) > _NULL_TOL
+    sample = _bd_sample_point if bd else _interior_sample_point
+    nonnull = abs(sample(state, chart, n)[1]) > _NULL_TOL
 
     sgn = 1.0 if T >= 0 else -1.0
     tau = 0.0
@@ -521,168 +591,74 @@ def flow(pt, T: float, tol: float = 1e-10, samples_per_unit: float = 6.0) -> Ray
     stats = {"steps": 0, "fevals": 0, "rejected_estimated": 0, "segments": 0}
     # interior starts already beyond the switch radius go through the
     # window-entry events rather than the radius event
-    axis_mode = mode == "int" and float(np.linalg.norm(z)) >= 0.99 / _RHO_SWITCH
-
-    def record_bd(ts, ys):
-        for tv, sv in zip(ts, ys.T):
-            if rows_t and sgn * (tv - rows_t[-1]) <= 0.0:
-                continue  # segment joins repeat the boundary sample
-            p, lamv, kv = _bd_sample_point(sv, chart, m)
-            rows_t.append(tv)
-            rows_pt.append(p)
-            rows_lam.append(lamv)
-            rows_k.append(kv)
-
-    def record_int(ts, ys):
-        for tv, sv in zip(ts, ys.T):
-            if rows_t and sgn * (tv - rows_t[-1]) <= 0.0:
-                continue
-            p, lamv, kv = _interior_sample_point(sv[:n], sv[n:])
-            rows_t.append(tv)
-            rows_pt.append(p)
-            rows_lam.append(lamv)
-            rows_k.append(kv)
+    axis_mode = not bd and float(np.linalg.norm(state[:n])) >= 0.99 / _RHO_SWITCH
 
     for _segment in range(200):
         if sgn * (T - tau) <= 1e-12:
             break
         stats["segments"] += 1
-        if mode == "int":
-            y0 = np.concatenate((z, zeta))
-
-            def ev_switch(t, s_, n=n):
-                return float(np.linalg.norm(s_[:n])) - 1.0 / _RHO_SWITCH
-
-            ev_switch.terminal = True
-
-            def ev_escape(t, s_, n=n):
-                return float(np.linalg.norm(s_[:n])) - _ESCAPE_R
-
-            ev_escape.terminal = True
-
-            def ev_hi(t, s_, n=n):
-                s2 = float(s_[:n] @ s_[:n])
-                return s_[n - 1] ** 2 / s2 - 0.6
-
-            ev_hi.terminal = True
-            ev_hi.direction = -1.0
-
-            def ev_lo(t, s_, n=n):
-                s2 = float(s_[:n] @ s_[:n])
-                return s_[n - 1] ** 2 / s2 - 0.4
-
-            ev_lo.terminal = True
-            ev_lo.direction = 1.0
-            # axis mode: outside the latitude band; wait for w^2 to enter
-            # the window around the null asymptote 1/2
-            events = [ev_escape, ev_hi, ev_lo] if axis_mode else [ev_switch, ev_escape]
-            sol = solve_ivp(
-                lambda t, s_: _int_rhs(s_, n), (tau, T), y0, method="DOP853",
-                rtol=tol, atol=tol * 1e-2, dense_output=True, events=events,
-            )
-            if not sol.success:
-                raise StiffnessError(f"interior integration failed: {sol.message}")
-            t_end = sol.t[-1]
-            npts = max(8, int(abs(t_end - tau) * samples_per_unit))
-            ts = np.linspace(tau, t_end, npts + 1)
-            record_int(ts, sol.sol(ts))
-            stats["steps"] += len(sol.t) - 1
-            stats["fevals"] += sol.nfev
-            stats["rejected_estimated"] += max(0, round(sol.nfev / 15) - (len(sol.t) - 1))
-            zf = sol.sol(t_end)
-            z, zeta = zf[:n], zf[n:]
-            tau = t_end
-            if sgn * (T - tau) <= 1e-12:
-                break
-            rnow = float(np.linalg.norm(z))
-            wnow = abs(z[-1]) / rnow
-            if rnow >= 0.99 * _ESCAPE_R:
-                truncated = "escaped"
-                break
-            if wnow < _W_NULLBAND and rnow >= 0.99 / _RHO_SWITCH:
-                state, chart = _interior_to_bd(z, zeta)
-                mode = "bd"
-                axis_mode = False
-            else:
-                axis_mode = rnow >= 0.99 / _RHO_SWITCH
-            continue
-
-        # boundary (latitude) segment
-        def ev_back(t, s_):
-            return s_[0] - math.log(_RHO_BACK)
-
-        ev_back.terminal = True
-        ev_back.direction = 1.0
-
-        def ev_wedge(t, s_):
-            return s_[1] ** 2 - 0.92
-
-        ev_wedge.terminal = True
-        ev_wedge.direction = 1.0
-
-        def ev_ychart(t, s_, m=m):
-            y_ = s_[2 : 2 + m]
-            return float(y_ @ y_) - 4.0
-
-        ev_ychart.terminal = True
-        ev_ychart.direction = 1.0
-
-        def ev_floor(t, s_):
-            return s_[0] - math.log(_RHO_FLOOR)
-
-        ev_floor.terminal = True
-        ev_floor.direction = -1.0
-
+        if bd:
+            rhs, sample = _bd_rhs, _bd_sample_point
+            events = (_ev_back, _ev_wedge, _ev_ychart, _ev_floor)
+        else:
+            rhs, sample = _int_rhs, _interior_sample_point
+            events = (_ev_escape, _ev_hi, _ev_lo) if axis_mode else (_ev_switch, _ev_escape)
         sol = solve_ivp(
-            lambda t, s_: _bd_rhs(s_, m), (tau, T), state, method="DOP853",
-            rtol=tol, atol=tol * 1e-2, dense_output=True,
-            events=[ev_back, ev_wedge, ev_ychart, ev_floor],
+            rhs, (tau, T), state, method="DOP853", rtol=tol, atol=tol * 1e-2,
+            dense_output=True, events=events, args=(n,),
         )
         if not sol.success:
-            raise StiffnessError(f"boundary integration failed: {sol.message}")
+            where = "boundary" if bd else "interior"
+            raise StiffnessError(f"{where} integration failed: {sol.message}")
         t_end = sol.t[-1]
         npts = max(8, int(abs(t_end - tau) * samples_per_unit))
         ts = np.linspace(tau, t_end, npts + 1)
-        record_bd(ts, sol.sol(ts))
+        for tv, sv in zip(ts, sol.sol(ts).T):
+            if rows_t and sgn * (tv - rows_t[-1]) <= 0.0:
+                continue  # segment joins repeat the boundary sample
+            p, lamv, kv = sample(sv, chart, n)
+            rows_t.append(tv)
+            rows_pt.append(p)
+            rows_lam.append(lamv)
+            rows_k.append(kv)
         stats["steps"] += len(sol.t) - 1
         stats["fevals"] += sol.nfev
         stats["rejected_estimated"] += max(0, round(sol.nfev / 15) - (len(sol.t) - 1))
         state = sol.sol(t_end)
-        u_ = state[2 + m : 4 + 2 * m]
-        state[2 + m : 4 + 2 * m] = u_ / np.linalg.norm(u_)
         tau = t_end
         if sgn * (T - tau) <= 1e-12:
             break
-        fired = [len(te) > 0 for te in sol.t_events]
-        if fired[3]:
-            break  # radial convergence floor; trace is long enough
-        if fired[1]:
-            # near-axis transit: hand back to interior coordinates, which
-            # stay smooth there, unless the point is too deep out
-            if state[0] < math.log(1e-3):
-                truncated = "chart"
+
+        if not bd:
+            rnow = float(np.linalg.norm(state[:n]))
+            if rnow >= 0.99 * _ESCAPE_R:
+                truncated = "escaped"
                 break
-            z, zeta = _bd_to_interior(state, chart, m)
-            mode = "int"
-            axis_mode = True
+            axis_mode = rnow >= 0.99 / _RHO_SWITCH
+            if axis_mode and abs(state[n - 1]) / rnow < _W_NULLBAND:
+                state, chart = _interior_to_bd(state, n)
+                bd = True
             continue
-        if fired[2]:
-            ynew, enew = _chart_transition(
-                state[2 : 2 + m], state[2 + m + 2 : 4 + 2 * m]
-            )
-            # renormalize the full fiber after the eta transition
-            fib = np.concatenate((state[2 + m : 2 + m + 2], enew))
-            s = float(np.linalg.norm(fib))
-            state[2 : 2 + m] = ynew
-            state[2 + m : 4 + 2 * m] = fib / s
-            state[-1] += math.log(s)
+
+        u = state[n : 2 * n]
+        state[n : 2 * n] = u / np.linalg.norm(u)
+        back, wedge, ychart, floor = (len(te) > 0 for te in sol.t_events)
+        if floor:
+            break  # radial convergence floor; trace is long enough
+        if wedge and state[0] < math.log(1e-3):
+            truncated = "chart"  # near-axis transit too deep out for the interior
+            break
+        if ychart and not wedge:
+            ynew, enew = _chart_transition(state[2:n], state[n + 2 : 2 * n])
+            k = state[-1]
+            fib = np.concatenate((state[n : n + 2], enew))
+            state = _bd_state(state[0], state[1], ynew, fib)
+            state[-1] += k
             chart = 1 - chart
-            continue
-        if fired[0]:
-            z, zeta = _bd_to_interior(state, chart, m)
-            mode = "int"
-            axis_mode = False
-            continue
+        elif back or wedge:
+            # the interior coordinates stay smooth through a near-axis transit
+            state = _bd_to_interior(state, chart, n)
+            bd, axis_mode = False, wedge
     else:
         truncated = "segment-limit"
 
@@ -697,11 +673,11 @@ def flow(pt, T: float, tol: float = 1e-10, samples_per_unit: float = 6.0) -> Ray
     )
 
 
-def classify_limit(tr: RayTrace, threshold: float = 1e-3):
+def classify_limit(tr: RayTrace):
     """Radial-set component reached by the trace end, or None.
 
-    The end point must satisfy rho + |v| + |sigma| + |eta| < threshold with
-    the fiber unit-normalized (the raw sigma is conserved, so only its
+    The end point must satisfy rho + |v| + |sigma| + |eta| < 1e-3 with the
+    fiber unit-normalized (the raw sigma is conserved, so only its
     projective size can decay).  gamma > 0 there is a sink, gamma < 0 a
     source; the cap sign picks the future or past component.  A trace
     flagged non-null that nevertheless meets the threshold is an error.
@@ -709,7 +685,7 @@ def classify_limit(tr: RayTrace, threshold: float = 1e-3):
     end = tr.end_point()
     eta = np.asarray(end.eta, dtype=float)
     miss = end.rho + abs(end.v) + abs(end.sigma) + float(np.linalg.norm(eta))
-    if miss >= threshold:
+    if miss >= _LIMIT_TOL:
         return None
     if tr.nonnull:
         raise ClassificationError(
@@ -722,31 +698,30 @@ def classify_limit(tr: RayTrace, threshold: float = 1e-3):
     return RadialSet.SOURCE_FUTURE if future else RadialSet.SOURCE_PAST
 
 
-def radial_flow_signature(
-    gamma: float, h: float = 0.02, delta: float = 1e-5, v: float = 0.0, sigma: float = 0.0
-) -> np.ndarray:
+def radial_flow_signature(gamma: float) -> np.ndarray:
     """Eigenvalues of the finite-difference flow map near the radial set.
 
-    Works in the reduced (rho, v, gamma) system at eta = 0 (an invariant
-    subsystem); sigma enters as a frozen parameter.  Near gamma > 0 the map
-    should contract in rho and v and expand in gamma, mirroring the linear
-    model -4 gamma (rho d_rho) - (8 v gamma + 4 sigma) d_v
+    Works in the reduced (rho, v, gamma) system at eta = sigma = 0 (an
+    invariant subsystem), over parameter length 0.02 from (0.01, 0, gamma).
+    Near gamma > 0 the map should contract in rho and v and expand in gamma,
+    mirroring the linear model -4 gamma (rho d_rho) - 8 v gamma d_v
     + 4 gamma^2 d_gamma; only the sign pattern is asserted by callers.
     """
 
     def rhs(t, s_):
         r_, v_, g_ = s_
         one = 1.0 - v_ * v_
-        drdt = r_ * (2.0 * v_ * sigma - 4.0 * one * g_)
-        dvdt = -4.0 * one * sigma - 8.0 * v_ * one * g_
-        dgdt = -(sigma * sigma + 8.0 * v_ * sigma * g_ - 4.0 * g_ * g_ * (1.0 - 3.0 * v_ * v_))
+        drdt = r_ * (-4.0 * one * g_)
+        dvdt = -8.0 * v_ * one * g_
+        dgdt = 4.0 * g_ * g_ * (1.0 - 3.0 * v_ * v_)
         return [drdt, dvdt, dgdt]
 
     def flow_map(s0):
-        sol = solve_ivp(rhs, (0.0, h), s0, method="DOP853", rtol=1e-12, atol=1e-14)
+        sol = solve_ivp(rhs, (0.0, 0.02), s0, method="DOP853", rtol=1e-12, atol=1e-14)
         return sol.y[:, -1]
 
-    base = np.array([0.01, v, gamma])
+    delta = 1e-5
+    base = np.array([0.01, 0.0, gamma])
     J = np.zeros((3, 3))
     for i in range(3):
         e = np.zeros(3)

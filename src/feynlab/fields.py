@@ -177,9 +177,8 @@ def random_band_limited(
     seed: int,
     band: float = 0.5,
     decay: float = 2.0,
-    zero_mean: bool = True,
 ) -> SpectralField:
-    """Seeded random field with spectrum confined to |xi| <= band * xi_nyq.
+    """Seeded zero-mean random field with spectrum confined to |xi| <= band * xi_nyq.
 
     Coefficients are complex Gaussian damped by <xi>^-decay.  The seed is
     recorded in the field metadata.
@@ -191,8 +190,7 @@ def random_band_limited(
     mask = absxi <= band * nyq
     c = rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points)
     c = c * mask / bracket(xi) ** decay
-    if zero_mean:
-        c[(0,) * grid.dim] = 0.0
+    c[(0,) * grid.dim] = 0.0
     return SpectralField.from_coeffs(
         grid, c, {"seed": int(seed), "band": float(band), "decay": float(decay)}
     )
@@ -202,11 +200,9 @@ def gaussian_source(
     grid: GridSpec,
     width: float,
     center: tuple[float, ...] | None = None,
-    modulation: tuple[float, ...] | None = None,
     amplitude: float = 1.0,
 ) -> SpectralField:
-    """Gaussian bump of full width ~ 4 sigma (width = 4 * sigma), optionally
-    modulated by a plane wave e^{i zeta0 . z}."""
+    """Gaussian bump of full width ~ 4 sigma (width = 4 * sigma)."""
     n = grid.dim
     if center is None:
         center = tuple(0.0 for _ in range(n))
@@ -218,9 +214,4 @@ def gaussian_source(
     mesh = grid.mesh()
     r2 = sum((mesh[j] - center[j]) ** 2 for j in range(n))
     vals = amplitude * np.exp(-r2 / (2.0 * sigma**2)).astype(np.complex128)
-    if modulation is not None:
-        if len(modulation) != n:
-            raise DimensionError("modulation dimension does not match grid")
-        phase = sum(modulation[j] * mesh[j] for j in range(n))
-        vals = vals * np.exp(1j * phase)
     return SpectralField(grid, vals, {"width": float(width)})

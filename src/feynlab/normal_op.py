@@ -194,11 +194,10 @@ def index_count(n: int, l: float, with_multiplicity: bool = True) -> int:
 def normal_report(n: int, K: int, l_samples) -> dict:
     """JSON-ready summary: spectrum, roots, gap and an index table."""
     spec = sphere_spectrum(n, K)
-    roots = indicial_roots(n, K) if n > 2 else None
-    if roots is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            roots = indicial_roots(n, K)
+    with warnings.catch_warnings():
+        # n = 2 warns that the gap degenerates; the report carries the flag
+        warnings.simplefilter("ignore")
+        roots = indicial_roots(n, K).to_dict()
     table = []
     for l in l_samples:
         verdict = weight_line_invertible(n, l)
@@ -217,7 +216,7 @@ def normal_report(n: int, K: int, l_samples) -> dict:
         "n": n,
         "K": K,
         "spectrum": spec.to_dict(),
-        "roots": roots.to_dict(),
-        "gap": roots.to_dict()["gap"],
+        "roots": roots,
+        "gap": roots["gap"],
         "index_table": table,
     }

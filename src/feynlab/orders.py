@@ -595,44 +595,37 @@ def sweep_plan() -> list[tuple[str, int, str]]:
 
 
 def rule_sweep(
-    margin: float = 0.1,
-    pin: float = 0.35,
-    repeats: int = 1,
-    seed: int = 7,
-    cutoff_1d: float = 4096.0,
-    cutoff_2d: float = 192.0,
-    step: float = 0.5,
-    plan=None,
+    margin: float = 0.1, repeats: int = 1, seed: int = 7, plan=None
 ) -> list[dict]:
     """Seeded straddle sweep comparing rule predicates with measurements.
 
     Each planned (rule, dim, threshold) is sampled at offsets +-margin (with
-    small seeded jitter on repeats beyond the first); the predicate is the
-    full hypothesis conjunction and the measurement is the growth-exponent
-    verdict of the flat model.  Returns one row per point with the margin
-    data and the agreement flag.
+    small seeded jitter on repeats beyond the first), the other thresholds
+    pinned 0.35 inside; the predicate is the full hypothesis conjunction and
+    the measurement is the growth-exponent verdict of the flat model, on a
+    step-0.5 lattice cut off at 4096 in 1-D and 192 in 2-D.  Returns one row
+    per point with the margin data and the agreement flag.
     """
     rng = np.random.default_rng(seed)
     rows = []
     for rule, dim, threshold in plan if plan is not None else sweep_plan():
-        cutoff = cutoff_1d if dim == 1 else cutoff_2d
+        cutoff = 4096.0 if dim == 1 else 192.0
         for rep in range(repeats):
             jitter = 0.0 if rep == 0 else float(rng.uniform(-0.02, 0.02))
             for sign in (+1.0, -1.0):
-                params = _sweep_params(
-                    rule, dim, threshold, sign * margin + jitter, pin
-                )
+                offset = sign * margin + jitter
+                params = _sweep_params(rule, dim, threshold, offset, 0.35)
                 pred = product_rule_predict(rule, params)
                 w, w1, w2 = rule_flat_model(rule, params, dim)
                 res = product_integral(
-                    w, w1, w2, dim, cutoff, step=step, levels=5, seed=seed
+                    w, w1, w2, dim, cutoff, step=0.5, levels=5, seed=seed
                 )
                 rows.append(
                     {
                         "rule": rule,
                         "dim": dim,
                         "threshold": threshold,
-                        "offset": sign * margin + jitter,
+                        "offset": offset,
                         "params": {k: float(v) for k, v in params.items()},
                         "predicted": pred["holds"],
                         "growth_exponent": res.growth_exponent,

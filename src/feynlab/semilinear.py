@@ -104,7 +104,6 @@ class SemilinearProblem:
     l: float | None = None
     m: float | None = None
     k: int | None = None
-    smallness_factor: float = 0.1
 
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or self.p < 2:
@@ -119,8 +118,9 @@ class SemilinearProblem:
         return self.f.grid.dim
 
     def smallness_bound(self) -> float:
+        """0.1 * sqrt(volume of the grid box)."""
         vol = float(np.prod(self.f.grid.extent))
-        return self.smallness_factor * np.sqrt(vol)
+        return 0.1 * np.sqrt(vol)
 
     def weights_verdict(self) -> dict | None:
         try:

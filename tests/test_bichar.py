@@ -1,15 +1,20 @@
 """Compactified Hamilton-flow traces, radial limits, and chart algebra."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from feynlab import bichar
 from feynlab.bichar import (
+    SINKS,
+    SOURCES,
     BCotangentPoint,
     InteriorCovector,
+    RadialSet,
     classify_limit,
     compactify,
     decompactify,
@@ -19,7 +24,6 @@ from feynlab.bichar import (
     random_null_rays,
 )
 from feynlab.errors import ChartError, ClassificationError
-from feynlab.radial import SINKS, SOURCES, RadialSet
 
 
 def interior_samples(tr, rho_min=0.1):
@@ -326,6 +330,66 @@ def test_radial_linearization_sign_pattern():
     ev = np.abs(radial_flow_signature(-0.5))
     assert np.sum(ev > 1.0) == 2
     assert np.sum(ev < 1.0) == 1
+
+
+# --- golden traces -------------------------------------------------------
+
+# sha256 over every RayTrace field of the starts below, pinned from the
+# per-chart integration loop that the shared loop replaced
+GOLDEN_FLOW = "eae23739056f120b73b5b14b6bb13148c7c737996effcfce91587409cb32b7d6"
+
+
+def golden_starts():
+    """(start, T) pairs that reach every hand-over branch of flow."""
+    starts = []
+    for n in (3, 4, 5):
+        for c in random_null_rays(n, 3, seed=n):
+            starts += [(c, 100.0), (c, -100.0)]
+    for c in random_null_rays(4, 2, seed=8, future=False):
+        starts += [(c, 7.5), (compactify(c), 7.5)]
+    # timelike and spacelike covectors
+    starts.append((InteriorCovector([1.0, 0.5, 0.2, 0.3], [0.1, 0.0, 0.0, 1.0]), 7.5))
+    starts.append((InteriorCovector([1.0, 0.5, 0.2], [1.0, 0.3, 0.2]), 7.5))
+    # boundary-chart starts; ray 0 crosses a stereographic chart edge and
+    # ray 5 hands back to the interior
+    for c in random_null_rays(4, 10, seed=99):
+        starts.append((compactify(InteriorCovector(40.0 * c.z, c.zeta)), 100.0))
+    # ends "escaped" (along the time axis) and "chart" (wedge too deep out)
+    starts.append((InteriorCovector([0.0, 0.0, 0.0, 5.0], [0.0, 0.0, 0.0, 1.0]), 1.0))
+    deep = InteriorCovector(2000.0 * np.array([0.57, -1.59, 1.54, 2.29]),
+                            [0.06, 1.4, -1.48, -1.99])
+    starts.append((compactify(deep), -100.0))
+    return starts
+
+
+def trace_digest(traces):
+    h = hashlib.sha256()
+    for tr in traces:
+        for a in (tr.times, tr.lam, tr.log_scale):
+            h.update(np.ascontiguousarray(a).tobytes())
+        h.update(repr(tr.points).encode())
+        h.update(repr((tr.nonnull, tr.truncated, sorted(tr.stats.items()))).encode())
+    return h.hexdigest()
+
+
+def test_flow_golden_digest_and_branch_coverage(monkeypatch):
+    hits = {"_chart_transition": [], "_bd_to_interior": []}
+    current = [None]
+    for name in hits:
+        def spy(*args, _name=name, _fn=getattr(bichar, name)):
+            hits[_name].append(current[0])
+            return _fn(*args)
+        monkeypatch.setattr(bichar, name, spy)
+    starts = golden_starts()
+    traces = []
+    for i, (start, T) in enumerate(starts):
+        current[0] = i
+        traces.append(flow(start, T))
+    first_bd = len(starts) - 12  # ten boundary starts, then the two truncated ones
+    assert first_bd in hits["_chart_transition"]
+    assert first_bd + 5 in hits["_bd_to_interior"]
+    assert [tr.truncated for tr in traces[-2:]] == ["escaped", "chart"]
+    assert trace_digest(traces) == GOLDEN_FLOW
 
 
 # --- export ---------------------------------------------------------------
