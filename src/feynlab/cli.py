@@ -35,15 +35,7 @@ import jsonschema
 import numpy as np
 
 from .bichar import classify_limit, flow, random_null_rays
-from .errors import (
-    ChartError,
-    ClassificationError,
-    DimensionError,
-    FeynlabError,
-    PoleError,
-    StiffnessError,
-    ZeroModeError,
-)
+from .errors import ClassificationError, FeynlabError, StiffnessError
 from .fields import GridSpec, SpectralField, gaussian_source, random_band_limited
 from .normal_op import normal_report
 from .orders import rule_sweep, sweep_plan
@@ -592,9 +584,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     start = time.monotonic()
     try:
         artifacts, status = _SUBCOMMANDS[cfg.subcommand](cfg)
-    except (ValueError, DimensionError, ChartError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # DimensionError, ChartError, PoleError
         raise ConfigError(f"invalid parameters for {cfg.subcommand}: {exc}") from exc
-    except (StiffnessError, PoleError, ZeroModeError) as exc:
+    except StiffnessError as exc:
         raise NumericDivergence(str(exc)) from exc
 
     _write_all(out_dir, artifacts)

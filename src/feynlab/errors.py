@@ -22,7 +22,7 @@ class PoleError(FeynlabError, ValueError):
 
 
 class ZeroModeError(FeynlabError, ValueError):
-    """Zero-frequency content present while the policy excludes it."""
+    """A rotated kind's mode profile asked for at omega = 0 (real double pole)."""
 
 
 class ResolutionError(FeynlabError, ValueError):

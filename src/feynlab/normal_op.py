@@ -15,7 +15,6 @@ them, and its index counts the shifted eigenvalues below l^2.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -130,8 +129,6 @@ def indicial_roots(n: int, K: int) -> IndicialSet:
         raise DimensionError("indicial roots need n >= 2")
     if K < 0:
         raise ValueError("K must be >= 0")
-    if n == 2:
-        warnings.warn("n = 2: indicial gap degenerates to 0", stacklevel=2)
     half = Fraction(n - 2, 2)
     pos = [half + k for k in range(K + 1)]
     roots = sorted({-r for r in pos} | set(pos))
@@ -194,10 +191,7 @@ def index_count(n: int, l: float, with_multiplicity: bool = True) -> int:
 def normal_report(n: int, K: int, l_samples) -> dict:
     """JSON-ready summary: spectrum, roots, gap and an index table."""
     spec = sphere_spectrum(n, K)
-    with warnings.catch_warnings():
-        # n = 2 warns that the gap degenerates; the report carries the flag
-        warnings.simplefilter("ignore")
-        roots = indicial_roots(n, K).to_dict()
+    roots = indicial_roots(n, K).to_dict()
     table = []
     for l in l_samples:
         verdict = weight_line_invertible(n, l)

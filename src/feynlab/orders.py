@@ -43,12 +43,12 @@ from .weights import (
 GROWTH_THRESHOLD = 0.1
 
 
-def semilinear_weights(n: int, p: int, mu: float = 0.0) -> dict:
+def semilinear_weights(n: int, p: int) -> dict:
     """Weight arithmetic for the semilinear problem with power p in dimension n.
 
     Returns the admissibility boolean of the power/dimension rule
     ``2/(p-1) < (n-2)/2``, the open weight interval
-    ``(2/(p-1) - (n-2)/2, 0)``, and the affine map
+    ``(2/(p-1) - (n-2)/2, 0)``, and the coefficients of the affine map
 
         l'' = -2 + (p-1)(n-2)/2 + p*l
 
@@ -57,20 +57,16 @@ def semilinear_weights(n: int, p: int, mu: float = 0.0) -> dict:
     reported separately: it admits weights l >= 0, taken small, capped by the
     invertibility bound (n-2)/2.
 
-    ``mu`` is a provisional slack on the contraction argument's order floor;
-    the solver order must exceed ``1/2 + (p-2)*mu``.  It defaults to 0,
-    appropriate for constant orders, and is reported as provisional because
-    its source fixes it only implicitly.
+    The solver order must exceed the contraction argument's order floor
+    ``1/2 + (p-2)*mu``, reported at the slack mu = 0 of constant orders and
+    flagged provisional because its source fixes mu only implicitly.
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"power p must be an integer >= 2, got {p}")
     if n < 3:
         raise DimensionError("need ambient dimension n >= 3")
-    if mu < 0:
-        raise ValueError("slack mu must be >= 0")
     lo = 2.0 / (p - 1) - (n - 2) / 2.0
     admissible = lo < 0.0
-    slope = float(p)
     intercept = -2.0 + (p - 1) * (n - 2) / 2.0
     cubic = p == 3 and n == 4
     return {
@@ -78,10 +74,9 @@ def semilinear_weights(n: int, p: int, mu: float = 0.0) -> dict:
         "p": p,
         "admissible": admissible,
         "l_interval": (lo, 0.0),
-        "l_map": lambda l: intercept + slope * l,
-        "l_map_coeffs": (intercept, slope),
-        "order_floor": 0.5 + max(p - 2, 0) * mu,
-        "mu": mu,
+        "l_map_coeffs": (intercept, float(p)),
+        "order_floor": 0.5,
+        "mu": 0.0,
         "mu_provisional": True,
         "cubic_admissible": cubic,
         "cubic_l_interval": (0.0, (n - 2) / 2.0) if cubic else None,
@@ -117,20 +112,6 @@ class ProductIntegralResult:
     def finite(self) -> bool:
         return bool(self.growth_exponent <= GROWTH_THRESHOLD)
 
-    def to_dict(self) -> dict:
-        return {
-            "M_plus": self.M_plus,
-            "M_minus": self.M_minus,
-            "growth_exponent": self.growth_exponent,
-            "exponent_plus": self.exponent_plus,
-            "exponent_minus": self.exponent_minus,
-            "cutoffs": list(self.cutoffs),
-            "M_plus_levels": list(self.M_plus_levels),
-            "M_minus_levels": list(self.M_minus_levels),
-            "step": self.step,
-            "finite": self.finite,
-        }
-
 
 def _midpoint_lattice(dim: int, cutoff: float, step: float) -> tuple[np.ndarray, float]:
     """Cell centers of a uniform midpoint lattice on [-cutoff, cutoff]^dim."""
@@ -143,23 +124,10 @@ def _midpoint_lattice(dim: int, cutoff: float, step: float) -> tuple[np.ndarray,
     return np.stack([g.reshape(-1) for g in grids]), cell
 
 
-def _cone_axes(w: WeightFunction) -> list[tuple]:
-    """Collect the cone axes declared by variable weights, recursively."""
-    if isinstance(w, VariableWeight):
-        return [c.axis for c in w.order.cones]
-    if isinstance(w, SumWeight):
-        out = []
-        for p in w.parts:
-            out.extend(_cone_axes(p))
-        return out
-    return []
-
-
-def _sup_samples(
-    dim: int, cutoff: float, weights, seed: int, extra=None
-) -> np.ndarray:
-    """Declared sample set for the sup: axis and cone-axis ladders plus a
-    seeded batch of random directions, all scaled to the cutoff.
+def _sup_samples(dim: int, cutoff: float, seed: int) -> np.ndarray:
+    """Declared sample set for the sup: axis and diagonal ladders plus a
+    seeded batch of random directions, all scaled to the cutoff.  The flat
+    models' cones sit on +e0, so the axis ladder covers their axes.
 
     The ladder is dyadic so that the sample sets of dyadic cutoffs nest,
     which keeps the level sequence of sup estimates monotone.
@@ -168,9 +136,6 @@ def _sup_samples(
     dirs = [np.eye(dim)[i] for i in range(dim)]
     dirs += [-np.eye(dim)[0]]
     dirs += [np.full(dim, 1.0 / math.sqrt(dim))]
-    for w in weights:
-        for ax in _cone_axes(w):
-            dirs.append(np.asarray(ax, dtype=float))
     rng = np.random.default_rng(seed)
     rnd = rng.standard_normal((4, dim))
     rnd /= np.linalg.norm(rnd, axis=1, keepdims=True)
@@ -184,9 +149,6 @@ def _sup_samples(
             if key not in seen:
                 seen.add(key)
                 pts.append(p)
-    if extra is not None:
-        for p in np.atleast_2d(np.asarray(extra, dtype=float)):
-            pts.append(p)
     return np.array(pts).T  # (dim, S)
 
 
@@ -199,13 +161,12 @@ def product_integral(
     step: float = 0.5,
     levels: int = 5,
     seed: int = 0,
-    xi_extra=None,
 ) -> ProductIntegralResult:
     """Measure the Schur quantities M+ and M- on truncated lattices.
 
     Midpoint quadrature over the lattice [-R, R]^dim with the sup taken over
-    a declared sample set (axis and cone-axis ladders, the origin, and a
-    seeded random batch; pass ``xi_extra`` to append further points).  The
+    a declared sample set (axis and diagonal ladders, the origin, and a
+    seeded random batch).  The
     computation is repeated on dyadic radii R = cutoff/2^j, j < levels, with
     the sample construction deterministic so each sample index is a probe
     whose point scales with the level radius.  The growth exponent of a
@@ -250,7 +211,7 @@ def product_integral(
     samples = None
     for r in radii:
         pts, cell = _midpoint_lattice(dim, r, step)
-        samples = _sup_samples(dim, r, (w, w1, w2), seed, xi_extra)
+        samples = _sup_samples(dim, r, seed)
         w_samp = np.asarray(w(samples), dtype=float)
         w1_samp = np.asarray(w1(samples), dtype=float)
         inv1 = 1.0 / w1(pts)
@@ -278,14 +239,11 @@ def product_integral(
 
     # Exponent probes: a probe whose point sits deep inside the lattice is
     # still climbing out of the <xi> ~ 1 core and carries a pure point-motion
-    # transient, so only the origin, caller extras, and the top three ladder
-    # octaves are eligible; a probe counts as a growth witness only while its
-    # recent increments are genuinely positive.
+    # transient, so only the origin and the top three ladder octaves are
+    # eligible; a probe counts as a growth witness only while its recent
+    # increments are genuinely positive.
     norms = np.sqrt(np.sum(samples**2, axis=0))
     eligible = (norms < 1e-9) | (norms >= cutoff / 8.0 - 1e-9)
-    if xi_extra is not None:
-        n_extra = np.atleast_2d(np.asarray(xi_extra, dtype=float)).shape[0]
-        eligible[-n_extra:] = True  # caller points are fixed, no motion transient
 
     def _probe_exponent(vals):
         inc = np.diff(vals, axis=0)

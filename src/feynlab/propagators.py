@@ -48,7 +48,6 @@ __all__ = [
     "default_epsilon",
     "propagate",
     "apply_box",
-    "residual",
     "prescription_residual",
     "mode_profile",
     "near_cone",
@@ -63,38 +62,17 @@ class Kind(Enum):
     FEYNMAN = "feynman"
     ANTIFEYNMAN = "antifeynman"
 
-    @property
-    def adjoint(self) -> "Kind":
-        return {
-            Kind.RETARDED: Kind.ADVANCED,
-            Kind.ADVANCED: Kind.RETARDED,
-            Kind.FEYNMAN: Kind.ANTIFEYNMAN,
-            Kind.ANTIFEYNMAN: Kind.FEYNMAN,
-        }[self]
-
 
 @dataclass(frozen=True)
 class Prescription:
-    """Which propagator to apply, its regularization and zero-mode policy."""
+    """Which propagator to apply and its regularization."""
 
     kind: Kind
     eps: float | None = None  # None: grid-scaled default
-    zero_mode: str = "project"  # or "exclude"
 
     def __post_init__(self) -> None:
         if self.eps is not None and not self.eps > 0.0:
             raise ValueError("eps must be positive")
-        if self.zero_mode not in ("project", "exclude"):
-            raise ValueError("zero_mode must be 'project' or 'exclude'")
-
-
-def _validate_theta(theta: complex, *, allow_real: bool = False) -> complex:
-    theta = complex(theta)
-    if not -np.pi <= theta.imag <= np.pi:
-        raise ValueError("Im theta must lie in [-pi, pi]")
-    if theta.imag == 0.0 and not allow_real:
-        raise ValueError("multiplier may vanish for real theta; regularize first")
-    return theta
 
 
 def wick_symbol(zeta: np.ndarray, theta: complex) -> np.ndarray:
@@ -144,9 +122,21 @@ def _multiplier(grid: GridSpec, kind: Kind, eps: float) -> np.ndarray:
 
 
 def _symbol_gap(grid: GridSpec) -> float:
-    """Smallest nonzero |p(zeta)| on the lattice."""
-    p = np.abs(_plain_symbol(grid))
-    nz = p[p > 0]
+    """Smallest nonzero |p(zeta)| on the lattice.
+
+    p = a - b with a = zeta_n^2 and b = |zeta'|^2 ranging independently, so
+    the lattice is never built: each a is checked against its neighbours in
+    the sorted set of b values.  Rounded subtraction is monotone and the
+    floats are those of the full lattice, so the minimum is the same bit for
+    bit.
+    """
+    *space, time = grid.freq_axes()
+    a = np.unique(time**2)
+    # summed axis by axis in order, as np.sum(..., axis=0) does on the mesh
+    b = np.unique(sum(x**2 for x in np.meshgrid(*space, indexing="ij", sparse=True)))
+    near = np.searchsorted(b, a)[:, None] + np.arange(-1, 2)
+    d = np.abs(a[:, None] - b[np.clip(near, 0, b.size - 1)])
+    nz = d[d > 0]
     return float(nz.min()) if nz.size else 0.0
 
 
@@ -159,13 +149,12 @@ def propagate(f: SpectralField, prescription: Prescription) -> SpectralField:
     """Apply the regularized inverse multiplier for the given prescription.
 
     Zero mode: the rotated multipliers vanish exactly at zeta = 0, so the
-    rotation kinds project the zero mode out of source and solution under the
-    default policy; the frequency-shift kinds have the nonvanishing value
-    -eps^2 there and invert it (this is what makes the retarded output
-    constant-free outside the forward cone).  Policy "exclude" raises on any
-    zero-mode content regardless of kind.  Metadata records the kind, eps,
-    policy, whether the mode was projected, and a coarse-grid warning when
-    eps is below half the smallest nonzero |p| on the lattice.
+    rotation kinds project the zero mode out of source and solution; the
+    frequency-shift kinds have the nonvanishing value -eps^2 there and invert
+    it (this is what makes the retarded output constant-free outside the
+    forward cone).  Metadata records the kind, eps, whether the mode was
+    projected, and a coarse-grid warning when eps is below half the smallest
+    nonzero |p| on the lattice.
     """
     grid = f.grid
     if grid.dim < 2:
@@ -174,14 +163,7 @@ def propagate(f: SpectralField, prescription: Prescription) -> SpectralField:
     m = _multiplier(grid, prescription.kind, eps)
     origin = (0,) * grid.dim
     c = f.coeffs.copy()
-    if prescription.zero_mode == "exclude":
-        total = np.sqrt(np.sum(np.abs(c) ** 2))
-        if abs(c[origin]) > 1e-12 * max(total, 1e-300):
-            raise ZeroModeError(
-                f"source has zero-mode content {abs(c[origin]):.3e} "
-                "under policy 'exclude'"
-            )
-    projected = abs(m[origin]) == 0.0 or prescription.zero_mode == "exclude"
+    projected = abs(m[origin]) == 0.0
     if projected:
         c[origin] = 0.0
         m[origin] = 1.0  # mode removed; avoid 0/0
@@ -190,7 +172,6 @@ def propagate(f: SpectralField, prescription: Prescription) -> SpectralField:
     meta = {
         "kind": prescription.kind.value,
         "eps": float(eps),
-        "zero_mode": prescription.zero_mode,
         "zero_mode_projected": bool(projected),
         "coarse_grid_warning": bool(eps < 0.5 * gap),
     }
@@ -215,9 +196,19 @@ def apply_box(u: SpectralField, prescription: Prescription) -> SpectralField:
     )
 
 
-def _residual_from_multiplier(
-    f: SpectralField, u: SpectralField, m: np.ndarray, detail: bool
-):
+def prescription_residual(
+    f: SpectralField, u: SpectralField, prescription: Prescription
+) -> float:
+    """Residual of a kind's own regularized multiplier: |m u - f| / |f|.
+
+    Evaluated on the lattice away from the zero mode, which the rotation
+    kinds project out.  A zero source makes the ratio undefined; the absolute
+    residual |m u| is returned instead.  Exact-inverse check: u = propagate(f, p)
+    gives 0 to rounding for every kind.
+    """
+    if u.grid != f.grid:
+        raise DimensionError("fields on different grids")
+    m = _multiplier(f.grid, prescription.kind, _eps(prescription, f.grid))
     origin = (0,) * f.grid.dim
     fc = f.coeffs.copy()
     uc = u.coeffs.copy()
@@ -225,40 +216,7 @@ def _residual_from_multiplier(
     uc[origin] = 0.0
     num = np.sqrt(np.sum(np.abs(m * uc - fc) ** 2))
     den = np.sqrt(np.sum(np.abs(fc) ** 2))
-    # zero source: relative residual undefined, fall back to the absolute one
-    absolute = bool(den == 0.0)
-    value = float(num) if absolute else float(num / den)
-    if detail:
-        return {"value": value, "absolute": absolute}
-    return value
-
-def residual(f: SpectralField, u: SpectralField, theta: complex, detail: bool = False):
-    """Residual of the rotated operator: |m_theta u - f| / |f|.
-
-    theta may be real; the operator is only measured, never inverted.
-    Evaluated on the lattice away from the zero mode (consistent with the
-    projection policy; the rotated multiplier always vanishes at zeta = 0).
-    A zero source makes the ratio undefined; the absolute residual |m u| is
-    returned instead, flagged when detail=True.
-    """
-    if u.grid != f.grid:
-        raise DimensionError("fields on different grids")
-    theta = _validate_theta(theta, allow_real=True)
-    m = wick_symbol(f.grid.freq_mesh(), theta)
-    return _residual_from_multiplier(f, u, m, detail)
-
-def prescription_residual(
-    f: SpectralField, u: SpectralField, prescription: Prescription, detail: bool = False
-):
-    """Same measurement against a kind's own regularized multiplier.
-
-    Exact-inverse check: u = propagate(f, p) gives 0 to rounding for every
-    kind, including the frequency-shift kinds that no Wick parameter matches.
-    """
-    if u.grid != f.grid:
-        raise DimensionError("fields on different grids")
-    m = _multiplier(f.grid, prescription.kind, _eps(prescription, f.grid))
-    return _residual_from_multiplier(f, u, m, detail)
+    return float(num / den) if den > 0.0 else float(num)
 
 
 def _profile_poly(kind: Kind, omega: float, eps: float) -> tuple[complex, complex, complex]:
@@ -290,13 +248,10 @@ def mode_profile(
     eps = prescription.eps
     if eps is None:
         raise ValueError("mode_profile needs an explicit eps")
-    if omega == 0.0:
-        if prescription.zero_mode == "exclude":
-            raise ZeroModeError("omega = 0 excluded by the zero-mode policy")
-        if prescription.kind in (Kind.FEYNMAN, Kind.ANTIFEYNMAN):
-            raise ZeroModeError(
-                "omega = 0 leaves a real double pole for the rotated multiplier"
-            )
+    if omega == 0.0 and prescription.kind in (Kind.FEYNMAN, Kind.ANTIFEYNMAN):
+        raise ZeroModeError(
+            "omega = 0 leaves a real double pole for the rotated multiplier"
+        )
     a, b, c = _profile_poly(prescription.kind, omega, eps)
     disc = cmath.sqrt(b * b - 4.0 * a * c)
     r1 = (-b + disc) / (2.0 * a)

@@ -91,19 +91,14 @@ def dealiased_power(u: SpectralField, p: int) -> SpectralField:
 class SemilinearProblem:
     """Box u + lam u^p = f with a chosen propagator prescription.
 
-    The optional (l, m, k) annotations are the weight/order parameters the
-    run is meant to exercise; they are copied into reports untouched.  The
-    continuum admissibility verdict for (n, p) is attached when it applies
-    (the weight arithmetic needs ambient dimension >= 3).
+    The continuum admissibility verdict for (n, p) is attached when it
+    applies (the weight arithmetic needs ambient dimension >= 3).
     """
 
     f: SpectralField
     p: int
     lam: float
     prescription: Prescription = Prescription(Kind.FEYNMAN)
-    l: float | None = None
-    m: float | None = None
-    k: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or self.p < 2:
@@ -127,8 +122,8 @@ class SemilinearProblem:
             out = semilinear_weights(self.n, self.p)
         except DimensionError:
             return None
-        out.pop("l_map")  # keep the report JSON-ready
-        out["annotations"] = {"l": self.l, "m": self.m, "k": self.k}
+        # no weight annotations are set; the key keeps picard.json's bytes
+        out["annotations"] = {"l": None, "m": None, "k": None}
         return out
 
 
@@ -185,7 +180,7 @@ def _projected_residual(
         rc = rc + prob.lam * power.coeffs
     rc = rc - prob.f.coeffs
     fc = np.array(prob.f.coeffs)
-    # u is the last propagate output: same prescription and grid, same policy
+    # u is the last propagate output: same prescription, grid and zero-mode rule
     if u.meta["zero_mode_projected"]:
         origin = (0,) * prob.f.grid.dim
         rc[origin] = 0.0

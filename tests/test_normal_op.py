@@ -114,9 +114,8 @@ def test_roots_negation_symmetry_and_gap():
         assert not s.degenerate
 
 
-def test_roots_degenerate_plane_warns():
-    with pytest.warns(UserWarning):
-        s = indicial_roots(2, 3)
+def test_roots_degenerate_plane_flagged():
+    s = indicial_roots(2, 3)
     assert s.degenerate
     assert s.gap == 0
 

@@ -71,8 +71,9 @@ def test_semilinear_cubic_five_dimensions():
     sw = semilinear_weights(5, 3)
     assert sw["admissible"]
     assert sw["l_interval"] == (pytest.approx(-0.5), 0.0)
-    assert sw["l_map_coeffs"] == (pytest.approx(1.0), pytest.approx(3.0))
-    assert sw["l_map"](-0.25) == pytest.approx(0.25)
+    intercept, slope = sw["l_map_coeffs"]
+    assert (intercept, slope) == (pytest.approx(1.0), pytest.approx(3.0))
+    assert intercept + slope * -0.25 == pytest.approx(0.25)
 
 
 def test_semilinear_map_never_lowers_the_weight():
@@ -81,15 +82,16 @@ def test_semilinear_map_never_lowers_the_weight():
         if not sw["admissible"]:
             continue
         lo, hi = sw["l_interval"]
+        intercept, slope = sw["l_map_coeffs"]
         for l in np.linspace(lo + 1e-9, hi - 1e-9, 9):
-            assert sw["l_map"](l) >= l - 1e-12
+            assert intercept + slope * l >= l - 1e-12
 
 
 def test_semilinear_order_floor_slack():
-    assert semilinear_weights(5, 3)["order_floor"] == pytest.approx(0.5)
-    sw = semilinear_weights(5, 4, mu=0.1)
-    assert sw["order_floor"] == pytest.approx(0.7)
-    assert sw["mu_provisional"] is True
+    for p in (3, 4):
+        sw = semilinear_weights(5, p)
+        assert sw["order_floor"] == 0.5 and sw["mu"] == 0.0
+        assert sw["mu_provisional"] is True
 
 
 def test_semilinear_validation():
@@ -99,8 +101,6 @@ def test_semilinear_validation():
         semilinear_weights(5, 3.0)
     with pytest.raises(DimensionError):
         semilinear_weights(2, 3)
-    with pytest.raises(ValueError):
-        semilinear_weights(5, 3, mu=-0.1)
 
 
 # --- product-rule predicates ---------------------------------------------
@@ -179,17 +179,10 @@ def test_schur_levels_monotone_and_samples_recorded():
     assert res.cutoffs == (128.0, 256.0, 512.0, 1024.0, 2048.0)
 
 
-def test_schur_extra_sample_points_are_used():
-    res = product_integral(
-        iso1(0.3), iso1(0.3), iso1(0.3), 1, 2048.0, step=0.5, xi_extra=[[3.25]]
-    )
-    assert (3.25,) in res.sup_samples
-
-
 def test_schur_deterministic():
     a = product_integral(iso1(0.7), iso1(0.7), iso1(0.7), 1, 2048.0, step=0.5, seed=2)
     b = product_integral(iso1(0.7), iso1(0.7), iso1(0.7), 1, 2048.0, step=0.5, seed=2)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_schur_validation():
@@ -217,7 +210,7 @@ def reference_schur_levels(w, w1, w2, dim, cutoff, step, levels, seed):
     vals_p, vals_m = [], []
     for r in radii:
         pts, cell = _midpoint_lattice(dim, r, step)
-        samples = _sup_samples(dim, r, (w, w1, w2), seed)
+        samples = _sup_samples(dim, r, seed)
         w_samp = np.asarray(w(samples), dtype=float)
         w1_samp = np.asarray(w1(samples), dtype=float)
         inv1 = 1.0 / w1(pts)

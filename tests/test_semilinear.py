@@ -229,12 +229,12 @@ def test_large_data_flagged():
 def test_weights_verdict_in_four_dimensions():
     grid = GridSpec((4.0,) * 4, (8,) * 4)
     f = SpectralField(grid, np.zeros(grid.points))
-    prob = SemilinearProblem(f=f, p=3, lam=0.1, l=0.05, m=1.0, k=0)
+    prob = SemilinearProblem(f=f, p=3, lam=0.1)
     v = prob.weights_verdict()
     assert v is not None
     assert v["admissible"] is False
     assert v["cubic_admissible"] is True
-    assert v["annotations"] == {"l": 0.05, "m": 1.0, "k": 0}
+    assert v["annotations"] == {"l": None, "m": None, "k": None}
     json.dumps(v)
 
 
