@@ -20,14 +20,18 @@ eta = 0, gamma != 0; gamma > 0 there is a sink for the forward flow,
 gamma < 0 a source.
 
 Numerics.  The v-chart degenerates where dv vanishes (the zero-time slice
-and the time axis), so the integrator works in the smooth latitude
-w = z_n/|z| (v = 2w^2 - 1, cap = sign w) with its own fiber frame
-gamma_w = gamma dv/dw = 4 w gamma, and in plain interior coordinates
-(z, zeta) while rho is large.  The fiber is integrated projectivized
-(unit vector u plus log-scale k) in a rescaled parameter d tau = |fiber| dt,
-which turns the finite-time fiber blow-up at the radial set into an
-exponential approach.  Recorded symbol values are taken at the unit fiber,
-hence scale-free and exactly zero on null rays in exact arithmetic.
+and the time axis), so the chart map is implemented once, in the smooth
+latitude w = z_n/|z| with its own fiber frame gamma_w = gamma dv/dw =
+4 w gamma: _to_latitude takes (z, zeta) there and _from_latitude takes it
+back.  The v-frame of BCotangentPoint is read off the latitude frame
+(v = 2w^2 - 1, cap = sign w, gamma = gamma_w/(4w)) and converted back the
+same way.  The flow runs in plain interior coordinates (z, zeta) while rho
+is large and in the latitude chart near the boundary.  The fiber is
+integrated projectivized (unit vector u plus log-scale k) in a rescaled
+parameter d tau = |fiber| dt, which turns the finite-time fiber blow-up at
+the radial set into an exponential approach.  Recorded symbol values are
+taken at the unit fiber, hence scale-free and exactly zero on null rays in
+exact arithmetic.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ __all__ = [
     "SOURCES",
     "compactify",
     "decompactify",
-    "hamiltonian",
     "flow",
     "classify_limit",
     "radial_flow_signature",
@@ -124,13 +127,6 @@ class InteriorCovector:
     @property
     def n(self) -> int:
         return self.z.size
-
-    def symbol(self) -> float:
-        """zeta_n^2 - |zeta''|^2."""
-        return float(self.zeta[-1] ** 2 - self.zeta[:-1] @ self.zeta[:-1])
-
-    def is_null(self, tol: float = _NULL_TOL) -> bool:
-        return abs(self.symbol()) <= tol * float(self.zeta @ self.zeta)
 
 
 @dataclass(frozen=True)
@@ -228,20 +224,19 @@ class RayTrace:
                 )
 
 
-# --- conversions ---------------------------------------------------------
+# --- the chart map -------------------------------------------------------
 
-def compactify(c: InteriorCovector) -> BCotangentPoint:
-    """Push (z, zeta) to the b-frame; z = 0 is outside every chart.
+def _to_latitude(z: np.ndarray, zeta: np.ndarray):
+    """(z, zeta) -> (r, w, sq, chart, y, fib) in the latitude frame.
 
-    So is any z whose |z|^2 falls below the smallest normal float (|z| under
-    about 1.5e-154): the frame squares the coordinates, and subnormal squares
-    would lose precision without a flag.
-
-    The fiber is returned unit-normalized times its scale folded back in,
-    i.e. raw; use flow() for long rays where the raw fiber overflows.
+    r = |z|, w = z_n/r, sq = |z''|/r (sqrt(1 - w^2) cancels near the time
+    axis), y the stereographic point of z''/|z''| in the chart its
+    hemisphere picks (chart 0, y = 0 on the axis) and fib = (sigma, gamma_w,
+    eta) the raw fiber.  z = 0 is outside every chart, and so is any z whose
+    |z|^2 falls below the smallest normal float (|z| under about 1.5e-154):
+    the frame squares the coordinates, and subnormal squares would lose
+    precision without a flag.
     """
-    z = c.z
-    zeta = c.zeta
     r = float(np.linalg.norm(z))
     if r * r < np.finfo(float).tiny:
         if not np.any(z):
@@ -253,74 +248,72 @@ def compactify(c: InteriorCovector) -> BCotangentPoint:
     zpp = z[:-1]
     a = float(np.linalg.norm(zpp))
     w = float(z[-1] / r)
-    v = float((z[-1] ** 2 - a * a) / (r * r))
-    cap = 1 if w >= 0.0 else -1
-    ok = True
+    sq = a / r
     if a <= 1e-14 * r:
-        ok = False
-        chart, y = 0, np.zeros(c.n - 2)
+        chart, y = 0, np.zeros(z.size - 2)
     else:
         chart, y = _sphere_chart(zpp / a)
     omega = _sphere_point(chart, y)
-    qp = abs(w)
-    qm = a / r
-    if min(qp, qm) < 1e-7:
-        ok = False
     sigma = -float(zeta @ z)
-    gp = max(qp, 1e-300)
-    gm = max(qm, 1e-300)
-    gamma = float(zeta[-1]) * cap * r / (4.0 * gp) - float(zeta[:-1] @ omega) * r / (4.0 * gm)
-    Jw = _sphere_jacobian(chart, y)
-    eta = r * qm * (Jw @ zeta[:-1])
+    cw = float(zeta[-1]) * r - float(zeta[:-1] @ omega) * r * w / max(sq, 1e-300)
+    eta = r * sq * (_sphere_jacobian(chart, y) @ zeta[:-1])
+    return r, w, sq, chart, y, np.concatenate(([sigma, cw], eta))
+
+
+def _from_latitude(r: float, w: float, sq: float, chart: int, y: np.ndarray, fib: np.ndarray):
+    """Invert _to_latitude where sq > 0: (z, zeta) from the latitude point and raw fiber."""
+    n = y.size + 2
+    omega = _sphere_point(chart, y)
+    z = np.concatenate((r * sq * omega, [r * w]))
+    # rows of J^T: derivatives of z along (log r, w, y_i)
+    Jt = np.zeros((n, n))
+    Jt[0] = z
+    Jt[1, :-1] = -r * w * omega / sq
+    Jt[1, -1] = r
+    Jt[2:, :-1] = r * sq * _sphere_jacobian(chart, y)
+    rhs = np.concatenate(([-fib[0]], fib[1:]))
+    return z, np.linalg.solve(Jt, rhs)
+
+
+def _latitude(pt: BCotangentPoint):
+    """(w, sq, fib) of a b-point: w = cap sqrt((1+v)/2), sq = sqrt((1-v)/2), gamma_w = 4w gamma."""
+    if not pt.chart_ok or abs(pt.v) >= 1.0:
+        raise ChartError("degenerate b-frame; cannot invert")
+    w = pt.cap * math.sqrt((1.0 + pt.v) / 2.0)
+    sq = math.sqrt((1.0 - pt.v) / 2.0)
+    return w, sq, np.concatenate(([pt.sigma, 4.0 * w * pt.gamma], pt.eta))
+
+
+def _b_point(n: int, rho: float, w: float, sq: float, chart: int, y, fib) -> BCotangentPoint:
+    """Read the v-frame off the latitude frame: v = 2w^2 - 1, gamma = gamma_w/(4w).
+
+    chart_ok is cleared within 1e-7 of the zero-time slice and the time axis.
+    """
+    cap = 1 if w >= 0.0 else -1
+    gamma = float(fib[1]) / (4.0 * cap * max(abs(w), 1e-300))
     return BCotangentPoint(
-        n=c.n, rho=1.0 / r, v=v, y=tuple(y), sigma=sigma, gamma=gamma,
-        eta=tuple(eta), cap=cap, chart=chart, chart_ok=ok,
+        n=n, rho=rho, v=2.0 * w * w - 1.0, y=tuple(y), sigma=float(fib[0]),
+        gamma=float(gamma), eta=tuple(fib[2:]), cap=cap, chart=chart,
+        chart_ok=min(abs(w), sq) >= 1e-7,
     )
+
+
+def compactify(c: InteriorCovector) -> BCotangentPoint:
+    """Push (z, zeta) to the b-frame with its raw fiber; ChartError as in _to_latitude.
+
+    Use flow() for long rays, where the raw fiber overflows.
+    """
+    r, w, sq, chart, y, fib = _to_latitude(c.z, c.zeta)
+    return _b_point(c.n, 1.0 / r, w, sq, chart, y, fib)
 
 
 def decompactify(pt: BCotangentPoint) -> InteriorCovector:
     """Invert the chart; needs rho > 0 and a nondegenerate frame."""
     if pt.rho <= 0.0:
         raise ChartError("rho must be positive to return to the interior")
-    if not pt.chart_ok or abs(pt.v) >= 1.0:
-        raise ChartError("degenerate b-frame; cannot invert")
-    n = pt.n
-    r = 1.0 / pt.rho
-    qp = math.sqrt((1.0 + pt.v) / 2.0)
-    qm = math.sqrt((1.0 - pt.v) / 2.0)
-    y = np.asarray(pt.y, dtype=float)
-    omega = _sphere_point(pt.chart, y)
-    z = np.concatenate((r * qm * omega, [pt.cap * r * qp]))
-    # rows of J^T: derivatives of z along (log r, v, y_i)
-    Jt = np.zeros((n, n))
-    Jt[0] = z
-    Jt[1, :-1] = -r * omega / (4.0 * qm)
-    Jt[1, -1] = pt.cap * r / (4.0 * qp)
-    Jw = _sphere_jacobian(pt.chart, y)
-    for i in range(n - 2):
-        Jt[2 + i, :-1] = r * qm * Jw[i]
-    rhs = np.concatenate(([-pt.sigma, pt.gamma], np.asarray(pt.eta, dtype=float)))
-    zeta = np.linalg.solve(Jt, rhs)
+    w, sq, fib = _latitude(pt)
+    z, zeta = _from_latitude(1.0 / pt.rho, w, sq, pt.chart, np.asarray(pt.y, dtype=float), fib)
     return InteriorCovector(z=z, zeta=zeta)
-
-
-def hamiltonian(pt: BCotangentPoint) -> float:
-    """Scale-invariant symbol at a b-point; valid at rho = 0 too."""
-    if not pt.chart_ok:
-        raise ChartError("chart degenerate at this point")
-    v = pt.v
-    if abs(v) >= 1.0 - 1e-12:
-        raise ChartError("v-frame degenerate at |v| = 1")
-    y = np.asarray(pt.y, dtype=float)
-    eta = np.asarray(pt.eta, dtype=float)
-    d = 1.0 + float(y @ y)
-    h_term = (d * d / 4.0) * float(eta @ eta)
-    return (
-        v * pt.sigma**2
-        - 4.0 * (1.0 - v * v) * pt.sigma * pt.gamma
-        - 4.0 * v * (1.0 - v * v) * pt.gamma**2
-        - 2.0 * h_term / (1.0 - v)
-    )
 
 
 # --- latitude-frame symbol and field ------------------------------------
@@ -392,87 +385,40 @@ def _bd_state(x: float, w: float, y, fib: np.ndarray) -> np.ndarray:
 
 
 def _interior_to_bd(state: np.ndarray, n: int):
-    z, zeta = state[:n], state[n:]
-    r = float(np.linalg.norm(z))
-    zpp = z[:-1]
-    a = float(np.linalg.norm(zpp))
-    w = float(z[-1] / r)
-    chart, y = _sphere_chart(zpp / a)
-    omega = _sphere_point(chart, y)
-    sigma = -float(zeta @ z)
-    sq = math.sqrt(max(1.0 - w * w, 1e-300))
-    cw = float(zeta[-1]) * r - float(zeta[:-1] @ omega) * r * w / sq
-    Jw = _sphere_jacobian(chart, y)
-    eta = r * sq * (Jw @ zeta[:-1])
-    return _bd_state(math.log(1.0 / r), w, y, np.concatenate(([sigma, cw], eta))), chart
+    r, w, _, chart, y, fib = _to_latitude(state[:n], state[n:])
+    return _bd_state(math.log(1.0 / r), w, y, fib), chart
 
 
 def _bd_to_interior(state: np.ndarray, chart: int, n: int) -> np.ndarray:
     m = n - 2
-    x, w = state[0], state[1]
-    y = state[2 : 2 + m]
+    w = state[1]
     u = state[2 + m : 4 + 2 * m]
-    u = u / np.linalg.norm(u)
-    k = state[-1]
-    r = math.exp(-x)
+    fib = u / np.linalg.norm(u) * math.exp(state[-1])
     sq = math.sqrt(1.0 - w * w)
-    omega = _sphere_point(chart, y)
-    z = np.concatenate((r * sq * omega, [r * w]))
-    Jt = np.zeros((n, n))
-    Jt[0] = z
-    Jt[1, :-1] = -r * w * omega / sq
-    Jt[1, -1] = r
-    Jw = _sphere_jacobian(chart, y)
-    for i in range(m):
-        Jt[2 + i, :-1] = r * sq * Jw[i]
-    rhs = np.concatenate(([-u[0], u[1]], u[2:])) * math.exp(k)
-    zeta = np.linalg.solve(Jt, rhs)
-    return np.concatenate((z, zeta))
+    return np.concatenate(_from_latitude(math.exp(-state[0]), w, sq, chart, state[2 : 2 + m], fib))
 
 
-def _bd_sample_point(state: np.ndarray, chart: int, n: int):
-    """Latitude state -> (BCotangentPoint with unit v-frame fiber, lam, k)."""
-    m = n - 2
-    x, w = float(state[0]), float(state[1])
-    y = state[2 : 2 + m]
-    u = state[2 + m : 4 + 2 * m]
-    u = u / np.linalg.norm(u)
-    k = float(state[-1])
-    lam = _lam_w(w, y, u[0], u[1], u[2:])
-    v = 2.0 * w * w - 1.0
-    cap = 1 if w >= 0.0 else -1
-    ok = abs(w) > 1e-7 and abs(w) < 1.0 - 1e-7
-    # v-frame fiber: gamma_v = gamma_w / (4 w), then renormalize
-    gw = u[1] / (4.0 * w) if abs(w) > 1e-300 else math.copysign(1e300, u[1])
-    fib = np.concatenate(([u[0], gw], u[2:]))
-    s = float(np.linalg.norm(fib))
-    fib = fib / s
-    pt = BCotangentPoint(
-        n=n, rho=math.exp(x), v=v, y=tuple(y), sigma=float(fib[0]),
-        gamma=float(fib[1]), eta=tuple(fib[2:]), cap=cap, chart=chart, chart_ok=ok,
-    )
-    return pt, lam, k + math.log(s)
-
-
-def _interior_sample_point(state: np.ndarray, chart: int, n: int):
-    """Interior state -> the triple of _bd_sample_point; chart is unused."""
-    z, zeta = state[:n], state[n:]
-    pt = compactify(InteriorCovector(z=z, zeta=zeta))
-    fib = pt.fiber()
-    s = float(np.linalg.norm(fib))
-    unit = replace(
-        pt, sigma=pt.sigma / s, gamma=pt.gamma / s,
-        eta=tuple(np.asarray(pt.eta) / s),
-    )
-    r = float(np.linalg.norm(z))
-    if float(np.linalg.norm(z[:-1])) <= 1e-12 * r:
-        # on the time axis the latitude frame blows up and the unit-fiber
-        # symbol limit is 0
-        return unit, 0.0, math.log(s)
-    # scale-free symbol: the latitude-frame unit fiber value
-    st, _ = _interior_to_bd(state, n)
-    lam = _lam_w(st[1], st[2:n], st[n], st[n + 1], st[n + 2 : 2 * n])
-    return unit, float(lam), math.log(s)
+def _sample_point(state: np.ndarray, chart: int, n: int, bd: bool):
+    """Flow state -> (BCotangentPoint with unit v-frame fiber, lam, log-scale)."""
+    if bd:
+        m = n - 2
+        w = float(state[1])
+        rho, sq, y = math.exp(state[0]), math.sqrt(1.0 - w * w), state[2 : 2 + m]
+        u, k = state[2 + m : 4 + 2 * m], float(state[-1])
+        u = u / math.hypot(*u)
+        lam = _lam_w(w, y, u[0], u[1], u[2:])
+    else:
+        z, zeta = state[:n], state[n:]
+        r, w, sq, chart, y, fib = _to_latitude(z, zeta)
+        s = math.hypot(*fib)  # the raw fiber is huge next to the time axis
+        rho, u, k = 1.0 / r, fib / s, math.log(s)
+        # the b-frame symbol is r^2 (zeta_n^2 - |zeta''|^2) in every frame;
+        # unlike _lam_w it has no 1/(1 - w^2), which blows up next to the axis
+        lam = (r / s) ** 2 * (zeta[-1] ** 2 - zeta[:-1] @ zeta[:-1])
+    pt = _b_point(n, rho, w, sq, chart, y, u)
+    s = math.hypot(*pt.fiber())
+    unit = replace(pt, sigma=pt.sigma / s, gamma=pt.gamma / s, eta=tuple(np.divide(pt.eta, s)))
+    return unit, float(lam), k + math.log(s)
 
 
 # --- the flow ------------------------------------------------------------
@@ -553,8 +499,8 @@ def flow(pt, T: float, tol: float = 1e-10, samples_per_unit: float = 6.0) -> Ray
     run in plain (z, zeta) coordinates; below rho ~ 0.05 the projectivized
     latitude chart takes over.  One integration loop serves both charts:
     each segment is one solve_ivp call, sampled and counted the same way;
-    the chart picks the right-hand side, sampler and event list, and the
-    hand-over after the segment.  The boundary events fire in the order
+    the chart picks the right-hand side, the event list and the hand-over
+    after the segment.  The boundary events fire in the order
     back, wedge, chart edge, floor; when several fire in one step the floor
     wins, then the wedge, then the chart edge.  The trace parameter is the
     rescaled one (d tau = |fiber| dt) on boundary stretches and plain
@@ -564,25 +510,19 @@ def flow(pt, T: float, tol: float = 1e-10, samples_per_unit: float = 6.0) -> Ray
     """
     n = pt.n
     if isinstance(pt, BCotangentPoint):
-        chart = pt.chart
-        bd = pt.rho < _RHO_SWITCH and abs(pt.v) < 2.0 * _W_NULLBAND**2 - 1.0
-        if bd:
-            w = pt.cap * math.sqrt((1.0 + pt.v) / 2.0)
-            fib = np.concatenate(([pt.sigma, 4.0 * w * pt.gamma], pt.eta))
-            state = _bd_state(math.log(max(pt.rho, 1e-300)), w, pt.y, fib)
-        else:
-            c = decompactify(pt)
-            state = np.concatenate((c.z, c.zeta))
+        rho, chart, y = pt.rho, pt.chart, pt.y
+        w, _, fib = _latitude(pt)
     else:
-        chart = 0
-        state = np.concatenate((pt.z, pt.zeta))
-        r0 = float(np.linalg.norm(pt.z))
-        bd = 1.0 / r0 < _RHO_SWITCH and abs(pt.z[-1]) / r0 < _W_NULLBAND
-        if bd:
-            state, chart = _interior_to_bd(state, n)
+        r, w, _, chart, y, fib = _to_latitude(pt.z, pt.zeta)
+        rho = 1.0 / r
+    bd = rho < _RHO_SWITCH and abs(w) < _W_NULLBAND
+    if bd:
+        state = _bd_state(math.log(max(rho, 1e-300)), w, y, fib)
+    else:
+        c = decompactify(pt) if isinstance(pt, BCotangentPoint) else pt
+        state = np.concatenate((c.z, c.zeta))
 
-    sample = _bd_sample_point if bd else _interior_sample_point
-    nonnull = abs(sample(state, chart, n)[1]) > _NULL_TOL
+    nonnull = abs(_sample_point(state, chart, n, bd)[1]) > _NULL_TOL
 
     sgn = 1.0 if T >= 0 else -1.0
     tau = 0.0
@@ -598,10 +538,9 @@ def flow(pt, T: float, tol: float = 1e-10, samples_per_unit: float = 6.0) -> Ray
             break
         stats["segments"] += 1
         if bd:
-            rhs, sample = _bd_rhs, _bd_sample_point
-            events = (_ev_back, _ev_wedge, _ev_ychart, _ev_floor)
+            rhs, events = _bd_rhs, (_ev_back, _ev_wedge, _ev_ychart, _ev_floor)
         else:
-            rhs, sample = _int_rhs, _interior_sample_point
+            rhs = _int_rhs
             events = (_ev_escape, _ev_hi, _ev_lo) if axis_mode else (_ev_switch, _ev_escape)
         sol = solve_ivp(
             rhs, (tau, T), state, method="DOP853", rtol=tol, atol=tol * 1e-2,
@@ -616,7 +555,7 @@ def flow(pt, T: float, tol: float = 1e-10, samples_per_unit: float = 6.0) -> Ray
         for tv, sv in zip(ts, sol.sol(ts).T):
             if rows_t and sgn * (tv - rows_t[-1]) <= 0.0:
                 continue  # segment joins repeat the boundary sample
-            p, lamv, kv = sample(sv, chart, n)
+            p, lamv, kv = _sample_point(sv, chart, n, bd)
             rows_t.append(tv)
             rows_pt.append(p)
             rows_lam.append(lamv)

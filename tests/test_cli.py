@@ -414,9 +414,9 @@ GOLDEN_REPORTS = [
     # the compactified flow (bichar) behind the ray report and its trace, and
     # the exact root and spectrum tables (normal_op)
     (FLOW, "flow.json",
-     "e97b252432ca01c2cead59bdc1c30dfb78ff65c8ef62375fcbfbae2dff62db9e"),
+     "6196561582bebdc36ff2d9cf51e3cd14f116f234cc7d8f610829558fa55f79ea"),
     (FLOW, "trace-000.csv",
-     "0ad06783b106a2c940ae24f859f88af0c6036a9f012ef21a228676f196ea0ce0"),
+     "697baa2f5b2acd2177da4411c7f28d9095e7918ea20e9ec6c2f414e31d9be68f"),
     (ROOTS, "roots.json",
      "cfed063bf9f588bb3d0135f17939d1dc3649d9bdf5ffa7a133fd0e66127fdaa3"),
     ({"subcommand": "spectrum", "params": {"n": 4, "K": 3}}, "spectrum.json",
