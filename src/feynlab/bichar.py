@@ -202,26 +202,28 @@ class RayTrace:
 
     def to_csv(self, path) -> None:
         m = self.points[0].n - 2
-        header = (
-            ["t", "rho", "v"]
-            + [f"y{i}" for i in range(m)]
-            + ["sigma", "gamma"]
-            + [f"eta{i}" for i in range(m)]
-            + ["lambda", "chart", "log_scale"]
-        )
+        ys, etas = [f"y{i}" for i in range(m)], [f"eta{i}" for i in range(m)]
+        header = ["t", "rho", "v", *ys, "sigma", "gamma", *etas, "lambda", "chart", "log_scale"]
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(header)
             for t, pt, lam, k in zip(self.times, self.points, self.lam, self.log_scale):
-                scale = math.exp(k) if k < 700.0 else math.inf
                 chart_col = pt.chart if pt.chart_ok else -1
                 wr.writerow(
                     [t, pt.rho, pt.v]
                     + list(pt.y)
-                    + [pt.sigma * scale, pt.gamma * scale]
-                    + [e * scale for e in pt.eta]
+                    + [_raw(c, k) for c in (pt.sigma, pt.gamma, *pt.eta)]
                     + [lam, chart_col, k]
                 )
+
+
+def _raw(c: float, k: float) -> float:
+    """Raw fiber component c e^k from a unit one: a zero c stays zero (with
+    its sign), and +-inf stands only where |c| e^k passes the largest float."""
+    if k < 700.0 or c == 0.0:
+        return c * math.exp(min(k, 700.0))
+    e = k + math.log(abs(c))
+    return math.copysign(math.exp(e) if e <= 709.782712893384 else math.inf, c)
 
 
 # --- the chart map -------------------------------------------------------
@@ -431,54 +433,48 @@ _ESCAPE_R = 1.0e4
 _LIMIT_TOL = 1e-3
 
 
+def _entry(r: float, w: float) -> float:
+    """Positive exactly where a state at |z| = r = 1/rho belongs to the
+    latitude chart: rho < _RHO_SWITCH and |w| < _W_NULLBAND."""
+    return min(r - 1.0 / _RHO_SWITCH, _W_NULLBAND**2 - w * w)
+
+
 def _terminal(direction: float = 0.0):
     """Mark an event function as terminal for solve_ivp, in one crossing direction."""
 
     def mark(ev):
-        ev.terminal = True
-        ev.direction = direction
+        ev.terminal, ev.direction = True, direction
         return ev
 
     return mark
 
 
-# Interior events; s = [z, zeta].
-
-@_terminal()
-def _ev_switch(t, s, n):
-    return float(np.linalg.norm(s[:n])) - 1.0 / _RHO_SWITCH
-
+# Interior events, s = [z, zeta]: leaving the trusted region along the time
+# axis, and entering the latitude chart (_entry turning positive).
 
 @_terminal()
 def _ev_escape(t, s, n):
     return float(np.linalg.norm(s[:n])) - _ESCAPE_R
 
 
-# Axis mode, outside the latitude band: wait for w^2 to enter the window
-# around the null asymptote 1/2.
+@_terminal(1.0)
+def _ev_enter(t, s, n):
+    r = float(np.linalg.norm(s[:n]))
+    return _entry(r, s[n - 1] / r)
+
+
+# Latitude-chart events, s = [x, w, y, u, k]: the radial convergence floor; the
+# exit to the interior at rho > _RHO_BACK or w^2 > 0.92, past _entry's edges so
+# that a ray does not bounce between the charts; the stereographic chart edge.
 
 @_terminal(-1.0)
-def _ev_hi(t, s, n):
-    s2 = float(s[:n] @ s[:n])
-    return s[n - 1] ** 2 / s2 - 0.6
+def _ev_floor(t, s, n):
+    return s[0] - math.log(_RHO_FLOOR)
 
 
 @_terminal(1.0)
-def _ev_lo(t, s, n):
-    s2 = float(s[:n] @ s[:n])
-    return s[n - 1] ** 2 / s2 - 0.4
-
-
-# Boundary events; s = [x, w, y, u, k].
-
-@_terminal(1.0)
-def _ev_back(t, s, n):
-    return s[0] - math.log(_RHO_BACK)
-
-
-@_terminal(1.0)
-def _ev_wedge(t, s, n):
-    return s[1] ** 2 - 0.92
+def _ev_exit(t, s, n):
+    return max(s[0] - math.log(_RHO_BACK), s[1] ** 2 - 0.92)
 
 
 @_terminal(1.0)
@@ -487,35 +483,32 @@ def _ev_ychart(t, s, n):
     return float(y @ y) - 4.0
 
 
-@_terminal(-1.0)
-def _ev_floor(t, s, n):
-    return s[0] - math.log(_RHO_FLOOR)
-
-
 def flow(pt, T: float, tol: float = 1e-10, samples_per_unit: float = 6.0) -> RayTrace:
     """Integrate the b-Hamilton flow for parameter length T (signed).
 
     Accepts a BCotangentPoint or an InteriorCovector.  Interior stretches
-    run in plain (z, zeta) coordinates; below rho ~ 0.05 the projectivized
-    latitude chart takes over.  One integration loop serves both charts:
-    each segment is one solve_ivp call, sampled and counted the same way;
-    the chart picks the right-hand side, the event list and the hand-over
-    after the segment.  The boundary events fire in the order
-    back, wedge, chart edge, floor; when several fire in one step the floor
-    wins, then the wedge, then the chart edge.  The trace parameter is the
-    rescaled one (d tau = |fiber| dt) on boundary stretches and plain
-    Hamilton time in the interior; it is strictly monotone throughout.
-    Integration stops early once rho falls below 1e-5 (radial convergence)
-    or when a chart degenerates (truncated flag).
+    run in plain (z, zeta) coordinates, latitude stretches in the
+    projectivized latitude chart; one loop serves both, one solve_ivp call
+    per segment.  A state starts in the latitude chart where _entry is
+    positive (rho < 0.05, |w| < 0.85), and the interior enters it where
+    _entry turns positive.  The events, in the order they take effect when
+    several fire in one step: in the interior, escape past |z| = 1e4
+    (truncated "escaped"), then entry; in the latitude chart, the radial
+    convergence floor rho = 1e-5, then the exit to the interior at
+    rho > 0.06 or w^2 > 0.92 (truncated "chart" below rho = 1e-3), then the
+    stereographic chart edge.  The trace parameter is the rescaled one
+    (d tau = |fiber| dt) on latitude stretches and plain Hamilton time in
+    the interior; it is strictly monotone throughout.
     """
     n = pt.n
     if isinstance(pt, BCotangentPoint):
         rho, chart, y = pt.rho, pt.chart, pt.y
+        r = 1.0 / rho if rho > 0.0 else math.inf
         w, _, fib = _latitude(pt)
     else:
         r, w, _, chart, y, fib = _to_latitude(pt.z, pt.zeta)
         rho = 1.0 / r
-    bd = rho < _RHO_SWITCH and abs(w) < _W_NULLBAND
+    bd = _entry(r, w) > 0.0
     if bd:
         state = _bd_state(math.log(max(rho, 1e-300)), w, y, fib)
     else:
@@ -529,19 +522,15 @@ def flow(pt, T: float, tol: float = 1e-10, samples_per_unit: float = 6.0) -> Ray
     rows_t, rows_pt, rows_lam, rows_k = [], [], [], []
     truncated = None
     stats = {"steps": 0, "fevals": 0, "rejected_estimated": 0, "segments": 0}
-    # interior starts already beyond the switch radius go through the
-    # window-entry events rather than the radius event
-    axis_mode = not bd and float(np.linalg.norm(state[:n])) >= 0.99 / _RHO_SWITCH
 
     for _segment in range(200):
         if sgn * (T - tau) <= 1e-12:
             break
         stats["segments"] += 1
         if bd:
-            rhs, events = _bd_rhs, (_ev_back, _ev_wedge, _ev_ychart, _ev_floor)
+            rhs, events = _bd_rhs, (_ev_floor, _ev_exit, _ev_ychart)
         else:
-            rhs = _int_rhs
-            events = (_ev_escape, _ev_hi, _ev_lo) if axis_mode else (_ev_switch, _ev_escape)
+            rhs, events = _int_rhs, (_ev_escape, _ev_enter)
         sol = solve_ivp(
             rhs, (tau, T), state, method="DOP853", rtol=tol, atol=tol * 1e-2,
             dense_output=True, events=events, args=(n,),
@@ -568,36 +557,28 @@ def flow(pt, T: float, tol: float = 1e-10, samples_per_unit: float = 6.0) -> Ray
         if sgn * (T - tau) <= 1e-12:
             break
 
+        stop, hand_over = (len(te) > 0 for te in sol.t_events[:2])
+        if stop:
+            truncated = None if bd else "escaped"
+            break
         if not bd:
-            rnow = float(np.linalg.norm(state[:n]))
-            if rnow >= 0.99 * _ESCAPE_R:
-                truncated = "escaped"
-                break
-            axis_mode = rnow >= 0.99 / _RHO_SWITCH
-            if axis_mode and abs(state[n - 1]) / rnow < _W_NULLBAND:
-                state, chart = _interior_to_bd(state, n)
-                bd = True
+            state, chart = _interior_to_bd(state, n)
+            bd = True
             continue
-
-        u = state[n : 2 * n]
-        state[n : 2 * n] = u / np.linalg.norm(u)
-        back, wedge, ychart, floor = (len(te) > 0 for te in sol.t_events)
-        if floor:
-            break  # radial convergence floor; trace is long enough
-        if wedge and state[0] < math.log(1e-3):
+        state[n : 2 * n] /= np.linalg.norm(state[n : 2 * n])
+        if hand_over and state[0] < math.log(1e-3):
             truncated = "chart"  # near-axis transit too deep out for the interior
             break
-        if ychart and not wedge:
-            ynew, enew = _chart_transition(state[2:n], state[n + 2 : 2 * n])
-            k = state[-1]
-            fib = np.concatenate((state[n : n + 2], enew))
-            state = _bd_state(state[0], state[1], ynew, fib)
-            state[-1] += k
-            chart = 1 - chart
-        elif back or wedge:
+        if hand_over:
             # the interior coordinates stay smooth through a near-axis transit
             state = _bd_to_interior(state, chart, n)
-            bd, axis_mode = False, wedge
+            bd = False
+        else:  # _ev_ychart: move y to the other stereographic chart
+            ynew, enew = _chart_transition(state[2:n], state[n + 2 : 2 * n])
+            k = state[-1]
+            state = _bd_state(state[0], state[1], ynew, np.concatenate((state[n : n + 2], enew)))
+            state[-1] += k
+            chart = 1 - chart
     else:
         truncated = "segment-limit"
 

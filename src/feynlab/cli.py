@@ -470,29 +470,10 @@ def _cmd_product_check(cfg):
     if not plan:
         raise ConfigError("product-check plan is empty (no rule matches the filter)")
     rows = rule_sweep(margin=margin, repeats=repeats, seed=cfg.seed, plan=plan)
-    header = [
-        "rule",
-        "dim",
-        "threshold",
-        "offset",
-        "params",
-        "predicted",
-        "growth_exponent",
-        "measured_finite",
-        "agree",
-    ]
+    # one column per rule_sweep key, in its order; params as sorted JSON
+    header = list(rows[0])
     csv_rows = [
-        [
-            r["rule"],
-            r["dim"],
-            r["threshold"],
-            r["offset"],
-            json.dumps(r["params"], sort_keys=True),
-            r["predicted"],
-            r["growth_exponent"],
-            r["measured_finite"],
-            r["agree"],
-        ]
+        [json.dumps(v, sort_keys=True) if k == "params" else v for k, v in r.items()]
         for r in rows
     ]
     agreeing = sum(1 for r in rows if r["agree"])

@@ -562,7 +562,8 @@ def rule_sweep(
     pinned 0.35 inside; the predicate is the full hypothesis conjunction and
     the measurement is the growth-exponent verdict of the flat model, on a
     step-0.5 lattice cut off at 4096 in 1-D and 192 in 2-D.  Returns one row
-    per point with the margin data and the agreement flag.
+    per point with the margin data and the agreement flag; the row keys, in
+    order, are the columns of the product-check CSV.
     """
     rng = np.random.default_rng(seed)
     rows = []

@@ -63,16 +63,21 @@ class Kind(Enum):
     ANTIFEYNMAN = "antifeynman"
 
 
+_ROTATIONS = (Kind.FEYNMAN, Kind.ANTIFEYNMAN)  # eps is the angle of e^{+-2i eps}
+
+
 @dataclass(frozen=True)
 class Prescription:
     """Which propagator to apply and its regularization."""
 
     kind: Kind
-    eps: float | None = None  # None: grid-scaled default
+    eps: float | None = None  # None: the kind's grid-scaled default
 
     def __post_init__(self) -> None:
         if self.eps is not None and not self.eps > 0.0:
             raise ValueError("eps must be positive")
+        if self.eps is not None and self.kind in _ROTATIONS and not self.eps < np.pi / 2:
+            raise ValueError("a Feynman or anti-Feynman eps is an angle in (0, pi/2)")
 
 
 def wick_symbol(zeta: np.ndarray, theta: complex) -> np.ndarray:
@@ -94,7 +99,12 @@ def default_epsilon(grid: GridSpec) -> float:
 
 
 def _eps(prescription: Prescription, grid: GridSpec) -> float:
-    return prescription.eps if prescription.eps is not None else default_epsilon(grid)
+    """The prescription's eps, or its kind's default: the frequency shift
+    default_epsilon, which the rotation kinds cap at the angle pi/4."""
+    if prescription.eps is not None:
+        return prescription.eps
+    cap = np.pi / 4 if prescription.kind in _ROTATIONS else np.inf
+    return min(default_epsilon(grid), cap)
 
 
 def _lattice(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -443,7 +443,7 @@ def test_radial_linearization_sign_pattern():
 
 # sha256 over every RayTrace field of the starts below, recorded after the
 # traces matched GOLDEN_ENDS
-GOLDEN_FLOW = "e814e30d056047419cb083d6d8834dbaafb6b5b1b87ce72a7edc858b59ddfa6a"
+GOLDEN_FLOW = "4e32ae57c9b1e60c3410e5bf2028d637824cfb95d63f7b13a206631801ce46c8"
 
 # Per golden start: the limit label, the truncated flag and the end point
 # (rho, v, sigma, gamma), which a change of the arithmetic must reproduce
@@ -558,6 +558,56 @@ def test_flow_golden_digest_and_branch_coverage(monkeypatch):
     assert trace_digest(traces) == GOLDEN_FLOW
 
 
+# --- hand-over branches ---------------------------------------------------
+
+_C97 = math.sqrt(1.0 - 0.97**2)
+HAND_OVERS = [
+    # crosses |z| = 20 next to the time axis (w = 0.97), outside the band, and
+    # enters the latitude chart far out once w^2 falls to 0.85^2
+    (InteriorCovector(19.0 * np.array([_C97, 0.0, 0.0, 0.97]), [-1.0, 0.0, 0.0, 1.0]),
+     2, "band", 0),
+    # starts just inside |z| = 20 next to the zero-time slice and enters at
+    # |z| = 20
+    (InteriorCovector(19.9 * np.array([math.sqrt(0.99), 0.0, 0.0, 0.1]),
+                      [-1.0, 0.0, 0.0, 1.0]), 2, "radius", 0),
+    # starts in the latitude chart (|z| = 25, w = -0.7) heading inward, exits
+    # at rho = 0.06, passes by the origin and enters again at |z| = 20
+    (InteriorCovector(25.0 * np.array([math.sqrt(0.51), 0.0, 0.0, -0.7]),
+                      [1.0, -0.1, 0.0, math.sqrt(1.01)]), 3, "radius", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "start,segments,edge,exits", HAND_OVERS, ids=["axis-approach", "zero-time-slice", "inward"]
+)
+def test_flow_hand_over_branches(monkeypatch, start, segments, edge, exits):
+    entries, exits_at = [], []
+
+    def spy_enter(state, n, _fn=bichar._interior_to_bd):
+        z = state[:n]
+        entries.append((float(np.linalg.norm(z)), float(z[-1] ** 2 / (z @ z))))
+        return _fn(state, n)
+
+    def spy_exit(state, chart, n, _fn=bichar._bd_to_interior):
+        exits_at.append((float(state[0]), float(state[1] ** 2)))
+        return _fn(state, chart, n)
+
+    monkeypatch.setattr(bichar, "_interior_to_bd", spy_enter)
+    monkeypatch.setattr(bichar, "_bd_to_interior", spy_exit)
+    tr = flow(start, 100.0)
+    assert (classify_limit(tr), tr.truncated) == (RadialSet.SINK_FUTURE, None)
+    assert tr.stats["segments"] == segments
+    assert len(entries) == 1
+    (r, w2), = entries
+    if edge == "band":
+        assert r > 20.0 and w2 == pytest.approx(0.85**2, abs=1e-9)
+    else:
+        assert r == pytest.approx(20.0, abs=1e-9) and w2 < 0.85**2
+    assert len(exits_at) == exits
+    for x, w2 in exits_at:
+        assert x == pytest.approx(math.log(0.06), abs=1e-9) and w2 < 0.92
+
+
 # --- export ---------------------------------------------------------------
 
 def test_trace_csv_round_trip(tmp_path):
@@ -576,3 +626,23 @@ def test_trace_csv_round_trip(tmp_path):
     assert np.max(np.abs(lam_col - lam_col[0])) <= 1e-8
     charts = {int(r[10]) for r in body}
     assert charts <= {-1, 0, 1}
+
+
+def test_trace_csv_huge_log_scale_writes_no_nan(tmp_path):
+    # on the time axis the raw fiber of the first sample is about e^700, and
+    # two of its unit components are zero
+    tr = flow(InteriorCovector([0.0, 0.0, 0.0, 5.0], [1e4, 0.0, 0.0, 1e4]), 1.0)
+    assert tr.log_scale[0] >= 700.0
+    path = tmp_path / "trace.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr.to_csv(path)
+    with open(path, newline="") as fh:
+        body = list(csv.reader(fh))[1:]
+    for row, p, k in zip(body, tr.points, tr.log_scale):
+        raw, unit = np.array([float(x) for x in row[5:9]]), p.fiber()
+        assert np.all(np.isfinite(raw))
+        assert np.all((raw == 0.0) == (unit == 0.0))
+        assert np.all(np.signbit(raw) == np.signbit(unit))
+        nz = unit != 0.0
+        assert np.allclose(np.log(np.abs(raw[nz])), k + np.log(np.abs(unit[nz])), rtol=1e-13)

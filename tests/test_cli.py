@@ -364,7 +364,7 @@ GOLDEN_FIELDS = [
     (
         PICARD,
         "solution.csv",
-        "4fd0079090cf6ed276cd006ddf630483bcde2c283cf0cdc80b0392237becf23c",
+        "a63dc9fd5c660a5c6cdf34d201f49c06c7c36d26c0066d510a3f21abb7ad9702",
     ),
 ]
 
@@ -381,6 +381,28 @@ def test_field_csv_golden_bytes(tmp_path, data, name, digest):
 # sha256 of the reports: the zero-mode and cone-mask paths behind them
 # (the cone mask, the projected and the full Picard residual) must not move
 FLOW = {"subcommand": "flow", "seed": 0, "params": {"n": 4, "count": 2, "T": 30.0}}
+# Per leg of FLOW: (ray, leg, classification, truncated, rho_end, gamma_end),
+# which a change of the flow arithmetic must reproduce within FLOW_TOL before
+# the flow.json digest is recorded again; taken from the flow with the
+# interior axis mode, before one entry and one exit event replaced it.
+FLOW_TOL = 1e-9
+FLOW_LEGS = [
+    (0, "forward", "sink_future", None, 1e-05, 0.999999999707),
+    (0, "backward", "source_past", None, 1e-05, -0.999999999707),
+    (1, "forward", "sink_past", None, 1e-05, 0.999999998263),
+    (1, "backward", "source_future", None, 1e-05, -0.999999998198),
+]
+
+
+def check_flow_legs(report):
+    legs = [(r["index"], leg, r[leg]) for r in report["rays"] for leg in ("forward", "backward")]
+    assert len(legs) == len(FLOW_LEGS)
+    for (i, leg, got), (*head, rho, gamma) in zip(legs, FLOW_LEGS):
+        assert [i, leg, got["classification"], got["truncated"]] == head
+        assert abs(got["rho_end"] - rho) <= FLOW_TOL
+        assert abs(got["gamma_end"] - gamma) <= FLOW_TOL
+
+
 GOLDEN_REPORTS = [
     (GOLDEN_FIELDS[0][0], "propagate.json",
      "1649d037393eba4b7a7462eb3d5084a781107751da04226e0000a817b3c5e262"),
@@ -405,7 +427,7 @@ GOLDEN_REPORTS = [
         "501dddf604f29925d0de2ce94ed2cc810a762f08168d40218e133c2b187bd9c4",
     ),
     (PICARD, "picard.json",
-     "1c3b62797c3796fae75018f23e5f3ef01b8b83034c1ab8ee2b632ee5f47355af"),
+     "e5c0db0bb41d78ff53209e2058e8a42989f69543782cc35a5e48556cedbfb175"),
     (
         dict(PICARD, params=dict(PICARD["params"], kind="retarded", eps=0.5)),
         "picard.json",
@@ -414,7 +436,7 @@ GOLDEN_REPORTS = [
     # the compactified flow (bichar) behind the ray report and its trace, and
     # the exact root and spectrum tables (normal_op)
     (FLOW, "flow.json",
-     "6196561582bebdc36ff2d9cf51e3cd14f116f234cc7d8f610829558fa55f79ea"),
+     "9e108974495e8b5bef618a5f4cfb5ffff7954b4dc38b582af27ab6b03a5028eb"),
     (FLOW, "trace-000.csv",
      "697baa2f5b2acd2177da4411c7f28d9095e7918ea20e9ec6c2f414e31d9be68f"),
     (ROOTS, "roots.json",
@@ -439,6 +461,8 @@ GOLDEN_REPORTS = [
 )
 def test_json_report_golden_bytes(tmp_path, data, name, digest):
     out, manifest = run_dict(tmp_path, data)
+    if name == "flow.json":
+        check_flow_legs(json.loads((out / name).read_text()))
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert dict(manifest.files)[name] == digest
 
@@ -586,6 +610,13 @@ def test_main_config_error_exit_two(tmp_path, capsys):
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_rotation_eps_outside_the_angle_range_exits_two(tmp_path, capsys):
+    data = dict(PICARD, params=dict(PICARD["params"], kind="antifeynman", eps=2.0))
+    p = write_config(tmp_path / "bad.json", data)
+    assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "angle in (0, pi/2)" in capsys.readouterr().err
 
 
 def test_main_missing_config_exit_two(tmp_path):

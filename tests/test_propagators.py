@@ -125,6 +125,34 @@ def test_propagate_rejects_bad_eps():
         Prescription(Kind.FEYNMAN, eps=-1.0)
 
 
+def test_rotation_eps_outside_the_angle_range_rejected():
+    for kind in (Kind.FEYNMAN, Kind.ANTIFEYNMAN):
+        for eps in (np.pi / 2, 2.74):
+            with pytest.raises(ValueError, match="angle"):
+                Prescription(kind, eps=eps)
+    # a frequency shift has no upper end
+    assert Prescription(Kind.RETARDED, eps=2.74).eps == 2.74
+
+
+@pytest.mark.parametrize("extent", [11.21, 12.0, 16.0])
+def test_rotation_default_is_an_angle_with_the_kind_sign(extent):
+    # default_epsilon is 3.1416, 2.74 and 1.54 rad here: read as an angle it
+    # would make the multiplier almost real, give Feynman the anti-Feynman
+    # sign, or sit next to the Euclidean end
+    grid = GridSpec((extent, extent), (16, 16))
+    f = random_band_limited(grid, seed=0)
+    xi, zt = grid.freq_mesh()
+    pure_time = (xi == 0.0) & (zt != 0.0)
+    for kind, sign in ((Kind.FEYNMAN, 1.0), (Kind.ANTIFEYNMAN, -1.0)):
+        eps = propagate(f, Prescription(kind)).meta["eps"]
+        assert 0.0 < eps < np.pi / 2
+        assert eps == min(default_epsilon(grid), np.pi / 4)
+        # Im e^{2i eps} > 0 for Feynman, Im e^{-2i eps} < 0 for anti-Feynman
+        assert np.all(sign * _multiplier(grid, kind, eps)[pure_time].imag > 0.0)
+    for kind in (Kind.RETARDED, Kind.ADVANCED):
+        assert propagate(f, Prescription(kind)).meta["eps"] == default_epsilon(grid)
+
+
 def test_propagate_coarse_grid_warning():
     grid = GridSpec((8.0, 8.0), (16, 16))
     f = random_band_limited(grid, seed=0)
