@@ -289,10 +289,11 @@ def _latitude(pt: BCotangentPoint):
 def _b_point(n: int, rho: float, w: float, sq: float, chart: int, y, fib) -> BCotangentPoint:
     """Read the v-frame off the latitude frame: v = 2w^2 - 1, gamma = gamma_w/(4w).
 
-    chart_ok is cleared within 1e-7 of the zero-time slice and the time axis.
+    chart_ok is cleared within 1e-7 of the zero-time slice and the time axis;
+    on the slice itself dv/dw = 4w vanishes and gamma is NaN.
     """
     cap = 1 if w >= 0.0 else -1
-    gamma = float(fib[1]) / (4.0 * cap * max(abs(w), 1e-300))
+    gamma = float(fib[1]) / (4.0 * w) if w else math.nan
     return BCotangentPoint(
         n=n, rho=rho, v=2.0 * w * w - 1.0, y=tuple(y), sigma=float(fib[0]),
         gamma=float(gamma), eta=tuple(fib[2:]), cap=cap, chart=chart,
@@ -619,35 +620,24 @@ def classify_limit(tr: RayTrace):
 
 
 def radial_flow_signature(gamma: float) -> np.ndarray:
-    """Eigenvalues of the finite-difference flow map near the radial set.
+    """Eigenvalues of the linearized flow map near the radial set.
 
     Works in the reduced (rho, v, gamma) system at eta = sigma = 0 (an
-    invariant subsystem), over parameter length 0.02 from (0.01, 0, gamma).
-    Near gamma > 0 the map should contract in rho and v and expand in gamma,
-    mirroring the linear model -4 gamma (rho d_rho) - 8 v gamma d_v
-    + 4 gamma^2 d_gamma; only the sign pattern is asserted by callers.
+    invariant subsystem),
+
+        rho' = -4(1-v^2) gamma rho,  v' = -8v(1-v^2) gamma,
+        gamma' = 4 gamma^2 (1-3v^2),
+
+    over parameter length 0.02 from (0.01, 0, gamma).  On v = 0 it solves to
+    gamma(t) = gamma/(1 - 4 gamma t) and rho(t) = rho(0)(1 - 4 gamma t), and
+    the linearized map is triangular with diagonal (a, a^2, a^-2), where
+    a = 1 - 0.08 gamma.  Near gamma > 0 the map contracts in rho and v and
+    expands in gamma; only the sign pattern is asserted by callers.
     """
-
-    def rhs(t, s_):
-        r_, v_, g_ = s_
-        one = 1.0 - v_ * v_
-        drdt = r_ * (-4.0 * one * g_)
-        dvdt = -8.0 * v_ * one * g_
-        dgdt = 4.0 * g_ * g_ * (1.0 - 3.0 * v_ * v_)
-        return [drdt, dvdt, dgdt]
-
-    def flow_map(s0):
-        sol = solve_ivp(rhs, (0.0, 0.02), s0, method="DOP853", rtol=1e-12, atol=1e-14)
-        return sol.y[:, -1]
-
-    delta = 1e-5
-    base = np.array([0.01, 0.0, gamma])
-    J = np.zeros((3, 3))
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = delta
-        J[:, i] = (flow_map(base + e) - flow_map(base - e)) / (2.0 * delta)
-    return np.linalg.eigvals(J)
+    a = 1.0 - 0.08 * gamma
+    if a <= 0.0:
+        raise ValueError(f"gamma = {gamma} blows up before parameter 0.02")
+    return np.array([a, a * a, 1.0 / (a * a)])
 
 
 def random_null_rays(

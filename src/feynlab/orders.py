@@ -28,15 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ResolutionError
-from .weights import (
-    Cone,
-    IsoWeight,
-    OrderFunction,
-    SplitWeight,
-    SumWeight,
-    VariableWeight,
-    WeightFunction,
-)
+from .weights import ConeWeight, IsoWeight, SplitWeight, SumWeight, WeightFunction
 
 # Verdict threshold on the fitted growth exponent: at or below counts as a
 # finite (bounded) Schur quantity.
@@ -185,7 +177,7 @@ def product_integral(
     not approximate: IEEE subtraction gives ``pts - s == -(s - pts)`` bit for
     bit, and both weights read their argument only through squared
     coordinates, so the two arrays are bitwise equal.  Any other weight (a
-    direction-dependent ``VariableWeight``, a ``SumWeight``) is evaluated
+    direction-dependent ``ConeWeight``, a ``SumWeight``) is evaluated
     twice.
     """
     if step >= 1.0:
@@ -388,14 +380,6 @@ _C_ANGLES = (0.45, 0.75)
 _OFF_CONE_FLOOR = 0.05  # small positive exponent off the cone, per the models
 
 
-def _cone_weight(dim: int, base: float, peak: float, angles) -> VariableWeight:
-    axis = tuple(np.eye(dim)[0])
-    order = OrderFunction(
-        dim=dim, base=base, cones=(Cone(axis, peak - base, angles[0], angles[1]),)
-    )
-    return VariableWeight(order)
-
-
 def rule_flat_model(rule: str, params: dict, dim: int):
     """Weights (w, w1, w2) realizing a product rule on flat frequency space.
 
@@ -405,23 +389,23 @@ def rule_flat_model(rule: str, params: dict, dim: int):
     """
     q = params
     if rule == "cone-product":
-        w1 = _cone_weight(dim, q["s0"], q["s"], _C_ANGLES)
+        w1 = ConeWeight(dim, q["s0"], q["s"], *_C_ANGLES)
         w2 = IsoWeight(dim, q["r"])
-        w = _cone_weight(dim, q["s0"], q["s"], _K_ANGLES)
+        w = ConeWeight(dim, q["s0"], q["s"], *_K_ANGLES)
         return w, w1, w2
     if rule == "split-algebra":
         sw = SplitWeight(dim, q["d"], q["m"], q["a"])
         return sw, sw, sw
     if rule == "split-cone-product":
         split = SplitWeight(dim, q["d"], q["m"], q["a"])
-        w1 = SumWeight((split, _cone_weight(dim, _OFF_CONE_FLOOR, q["s"], _C_ANGLES)))
+        w1 = SumWeight((split, ConeWeight(dim, _OFF_CONE_FLOOR, q["s"], *_C_ANGLES)))
         w2 = IsoWeight(dim, q["r"])
-        w = _cone_weight(dim, _OFF_CONE_FLOOR, q["s"], _K_ANGLES)
+        w = ConeWeight(dim, _OFF_CONE_FLOOR, q["s"], *_K_ANGLES)
         return w, w1, w2
     if rule == "low-reg-cone-product":
-        w1 = _cone_weight(dim, q["s0"], q["s"], _C_ANGLES)
+        w1 = ConeWeight(dim, q["s0"], q["s"], *_C_ANGLES)
         w2 = IsoWeight(dim, q["s0"])
-        w = _cone_weight(dim, q["s0"], q["s_prime"], _K_ANGLES)
+        w = ConeWeight(dim, q["s0"], q["s_prime"], *_K_ANGLES)
         return w, w1, w2
     if rule == "split-low-reg-product":
         w1 = SplitWeight(dim, q["d"], q["m"], q["a"])
@@ -443,9 +427,10 @@ _SWEEP_DIMS = {
     "low-reg-cone-product": (1, 2),
     "split-low-reg-product": (2,),
 }
+_PIN = 0.35  # margin kept by the thresholds a sweep point does not straddle
 
 
-def _sweep_params(rule: str, dim: int, threshold: str, offset: float, pin: float):
+def _sweep_params(rule: str, dim: int, threshold: str, offset: float):
     """Parameter point straddling one threshold with the others pinned."""
     n = dim
     if rule == "cone-product":
@@ -453,10 +438,10 @@ def _sweep_params(rule: str, dim: int, threshold: str, offset: float, pin: float
             # s0 just under n/2 keeps the off-cone mechanism's coefficient
             # large; r - s = n/2 - s0 + offset stays >= 0 on both sides
             s0 = n / 2.0 - 0.15
-            s = s0 + pin
+            s = s0 + _PIN
             r = n / 2.0 + s - s0 + offset
         elif threshold == "order_rs":
-            s0 = n / 2.0 + pin - offset  # keeps the sum margin at +pin
+            s0 = n / 2.0 + _PIN - offset  # keeps the sum margin at _PIN
             s = s0 + 0.3
             r = s + offset
         else:
@@ -465,7 +450,7 @@ def _sweep_params(rule: str, dim: int, threshold: str, offset: float, pin: float
     if rule == "split-algebra":
         d = 1
         if threshold == "m":
-            m, a = d / 2.0 + offset, (n - d) / 2.0 + pin
+            m, a = d / 2.0 + offset, (n - d) / 2.0 + _PIN
         elif threshold == "ma_joint":
             # crossing m and a together; the transverse threshold alone is
             # not scaling-visible with the isotropic factor pinned away
@@ -476,11 +461,11 @@ def _sweep_params(rule: str, dim: int, threshold: str, offset: float, pin: float
     if rule == "split-cone-product":
         d = 1
         if threshold == "m":
-            m, a = d / 2.0 + offset, (n - d) / 2.0 + pin
+            m, a = d / 2.0 + offset, (n - d) / 2.0 + _PIN
         elif threshold == "ma_joint":
             m, a = d / 2.0 + offset, (n - d) / 2.0 + offset
         elif threshold == "order_rs":
-            m, a = d / 2.0 + pin, (n - d) / 2.0 + pin
+            m, a = d / 2.0 + _PIN, (n - d) / 2.0 + _PIN
         else:
             raise KeyError(threshold)
         s = m + a + 0.05
@@ -503,7 +488,7 @@ def _sweep_params(rule: str, dim: int, threshold: str, offset: float, pin: float
         elif threshold == "order_s0sp":
             s0 = n / 2.0 + 0.15  # ambient block stays finite
             sp = s0 - offset
-            s = n / 2.0 + sp - s0 + pin  # keeps the sum margin at +pin
+            s = n / 2.0 + sp - s0 + _PIN  # keeps the sum margin at _PIN
         else:
             raise KeyError(threshold)
         return {"n": n, "s": s, "s_prime": sp, "s0": s0}
@@ -513,7 +498,7 @@ def _sweep_params(rule: str, dim: int, threshold: str, offset: float, pin: float
         if threshold == "msum":
             # m - m' + m0 - d/2 = m + g - d/2 once m0 = m, m' = m0 - g, so the
             # sum margin equals the offset with the orders intact
-            a = (n - d) / 2.0 + pin
+            a = (n - d) / 2.0 + _PIN
             m = d / 2.0 + offset - g
             m0 = m
             mp = m0 - g
@@ -525,9 +510,9 @@ def _sweep_params(rule: str, dim: int, threshold: str, offset: float, pin: float
             m0 = m
             mp = m0 - g
         elif threshold == "order_m0mp":
-            a = (n - d) / 2.0 + pin
+            a = (n - d) / 2.0 + _PIN
             m = d / 2.0 + 0.4
-            m0 = m - pin
+            m0 = m - _PIN
             mp = m0 - offset  # sum margin stays at 0.4 + offset
         else:
             raise KeyError(threshold)
@@ -573,7 +558,7 @@ def rule_sweep(
             jitter = 0.0 if rep == 0 else float(rng.uniform(-0.02, 0.02))
             for sign in (+1.0, -1.0):
                 offset = sign * margin + jitter
-                params = _sweep_params(rule, dim, threshold, offset, 0.35)
+                params = _sweep_params(rule, dim, threshold, offset)
                 pred = product_rule_predict(rule, params)
                 w, w1, w2 = rule_flat_model(rule, params, dim)
                 res = product_integral(

@@ -1,4 +1,4 @@
-"""Fourier weight functions and direction-dependent order functions.
+"""Fourier weight functions, one of them of direction-dependent order.
 
 Weights act on stacked frequency arrays of shape ``(dim, ...)`` and model the
 multipliers of weighted Sobolev norms:
@@ -6,13 +6,10 @@ multipliers of weighted Sobolev norms:
 * ``IsoWeight(s)``: ``<xi>^s`` with ``<xi> = (1 + |xi|^2)^(1/2)``.
 * ``SplitWeight(d, m, a)``: ``<xi>^m <xi''>^a`` where ``xi''`` collects the
   last ``dim - d`` coordinates.
-* ``VariableWeight(order)``: ``<xi>^(s(xi/|xi|))`` with a direction-dependent
-  exponent given by an :class:`OrderFunction`.
+* ``ConeWeight(dim, base, peak, inner, outer)``: ``<xi>^(m(xi))`` with a
+  variable Sobolev order m: ``peak`` on a cone of angle ``inner`` about +e0,
+  ``base`` outside angle ``outer``, and a C-infinity step between the two.
 * ``SumWeight([...])``: pointwise sum of weights.
-
-An :class:`OrderFunction` is a smooth function on the sphere of directions,
-written as a constant plus finitely many smooth conical bumps.  It serves as a
-variable Sobolev exponent on frequency directions.
 """
 
 from __future__ import annotations
@@ -95,65 +92,28 @@ class SplitWeight(WeightFunction):
 
 
 @dataclass(frozen=True)
-class Cone:
-    """A smooth conical bump: adds `delta` inside angle `inner` of `axis`,
-    fading to 0 at angle `outer`."""
+class ConeWeight(WeightFunction):
+    """<xi>^(m(xi)) with the order m equal to `peak` inside angle `inner` of
+    +e0, `base` outside angle `outer`, and a smooth step in between."""
 
-    axis: tuple[float, ...]
-    delta: float
+    dim: int
+    base: float
+    peak: float
     inner: float
     outer: float
 
     def __post_init__(self) -> None:
-        ax = np.asarray(self.axis, dtype=float)
-        n = float(np.linalg.norm(ax))
-        if n == 0.0:
-            raise ValueError("cone axis must be nonzero")
         if not 0.0 <= self.inner < self.outer <= np.pi:
             raise ValueError("need 0 <= inner < outer <= pi")
-        object.__setattr__(self, "axis", tuple(ax / n))
 
-    def profile(self, angles: np.ndarray) -> np.ndarray:
-        return smooth_step((angles - self.inner) / (self.outer - self.inner))
-
-
-@dataclass(frozen=True)
-class OrderFunction:
-    """Direction-dependent order m(xi/|xi|) = base + sum of conical bumps."""
-
-    dim: int
-    base: float
-    cones: tuple[Cone, ...] = ()
-
-    def __call__(self, dirs: np.ndarray) -> np.ndarray:
-        """Evaluate on stacked direction vectors of shape (dim, ...).
-
-        Vectors need not be normalized; the zero vector gets the base value.
-        """
-        dirs = _check_stacked(dirs, self.dim)
-        norms = np.sqrt(np.sum(dirs**2, axis=0))
-        out = np.full(norms.shape, self.base, dtype=float)
-        if not self.cones:
-            return out
-        safe = np.where(norms == 0.0, 1.0, norms)
-        unit = dirs / safe
-        for cone in self.cones:
-            ax = np.asarray(cone.axis, dtype=float)
-            cosang = np.clip(np.einsum("i,i...->...", ax, unit), -1.0, 1.0)
-            ang = np.arccos(cosang)
-            out = out + cone.delta * cone.profile(ang)
+    def order(self, xi: np.ndarray) -> np.ndarray:
+        """The exponent m on stacked frequencies; the zero vector gets `base`."""
+        xi = _check_stacked(xi, self.dim)
+        norms = np.sqrt(np.sum(xi**2, axis=0))
+        cos = np.clip(xi[0] / np.where(norms == 0.0, 1.0, norms), -1.0, 1.0)
+        t = (np.arccos(cos) - self.inner) / (self.outer - self.inner)
+        out = self.base + (self.peak - self.base) * smooth_step(t)
         return np.where(norms == 0.0, self.base, out)
-
-
-@dataclass(frozen=True)
-class VariableWeight(WeightFunction):
-    """<xi>^(m(xi/|xi|)) for an OrderFunction m."""
-
-    order: OrderFunction
-
-    @property
-    def dim(self) -> int:
-        return self.order.dim
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         xi = _check_stacked(xi, self.dim)

@@ -73,6 +73,15 @@ def test_compactify_midslice_point():
     assert pt.chart_ok
 
 
+def test_compactify_zero_time_slice_has_no_gamma():
+    # dv/dw = 4w vanishes on the slice z_n = 0, so the v-frame has no gamma
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pt = compactify(InteriorCovector([30.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]))
+    assert math.isnan(pt.gamma)
+    assert not pt.chart_ok
+
+
 def test_compactify_rejects_origin():
     with pytest.raises(ChartError, match="z = 0"):
         compactify(InteriorCovector(np.array([0.0, 0.0, 0.0, 0.0]),
@@ -437,6 +446,43 @@ def test_radial_linearization_sign_pattern():
     ev = np.abs(radial_flow_signature(-0.5))
     assert np.sum(ev > 1.0) == 2
     assert np.sum(ev < 1.0) == 1
+    # from gamma = 12.5 on, gamma(t) blows up before parameter 0.02
+    with pytest.raises(ValueError):
+        radial_flow_signature(12.5)
+
+
+def reduced_flow_map(starts, T=0.02, steps=200):
+    """Classical RK4 on the reduced (rho, v, gamma) system at eta = sigma = 0,
+    for starts stacked as columns."""
+
+    def rhs(s):
+        r, v, g = s
+        one = 1.0 - v * v
+        return np.array([-4.0 * one * g * r, -8.0 * v * one * g, 4.0 * g * g * (1.0 - 3.0 * v * v)])
+
+    h = T / steps
+    s = np.asarray(starts, dtype=float)
+    for _ in range(steps):
+        k1 = rhs(s)
+        k2 = rhs(s + 0.5 * h * k1)
+        k3 = rhs(s + 0.5 * h * k2)
+        k4 = rhs(s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return s
+
+
+@given(st.floats(-1.0, 1.0).filter(lambda g: g != 0.0))
+def test_radial_signature_matches_central_difference(gamma):
+    # the closed form against the eigenvalues of the flow map's central
+    # difference (delta = 1e-5) about (0.01, 0, gamma)
+    delta = 1e-5
+    base = np.array([0.01, 0.0, gamma])
+    e = delta * np.eye(3)
+    ends = reduced_flow_map(np.concatenate((base + e, base - e)).T)
+    eigs = np.linalg.eigvals((ends[:, :3] - ends[:, 3:]) / (2.0 * delta))
+    assert np.all(eigs.imag == 0.0)
+    want = np.sort(radial_flow_signature(gamma))
+    assert np.max(np.abs(np.sort(eigs.real) - want)) <= 1e-9
 
 
 # --- golden traces -------------------------------------------------------

@@ -1,6 +1,7 @@
 """Order functions along the flow, semilinear weights, product rules, and
 Schur measurements."""
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ from feynlab.orders import (
     semilinear_weights,
     sweep_plan,
 )
-from feynlab.weights import Cone, IsoWeight, OrderFunction, VariableWeight
+from feynlab.weights import ConeWeight, IsoWeight
 
 
 def iso1(s):
@@ -34,12 +35,13 @@ def test_constructed_order_monotone_on_terminal_approach():
     # the flow drags the unit fiber to the +gamma pole; on the stretch below
     # rho = 0.1 the sampled order must never increase and must land exactly
     # on the dip value.  The order is 1.2 with a dip of 0.5 about the +gamma
-    # pole of the (sigma, gamma, eta) fiber.
-    order = OrderFunction(4, 1.2, (Cone((0, 1, 0, 0), -0.5, 0.15, 0.4),))
+    # pole of the fiber, listed as (gamma, sigma, eta) to put gamma on the
+    # cone weight's axis +e0.
+    order = ConeWeight(4, 1.2, 0.7, 0.15, 0.4).order
     dip = 0.7
     for c in random_null_rays(4, 50, seed=13):
         tr = flow(c, 40.0, tol=1e-10)
-        dirs = np.array([(p.sigma, p.gamma) + tuple(p.eta) for p in tr.points]).T
+        dirs = np.array([(p.gamma, p.sigma) + tuple(p.eta) for p in tr.points]).T
         vals = order(dirs)
         rhos = np.array([p.rho for p in tr.points])
         idx = np.where(rhos >= 0.1)[0]
@@ -228,12 +230,6 @@ def reference_schur_levels(w, w1, w2, dim, cutoff, step, levels, seed):
     return np.array(vals_p), np.array(vals_m)
 
 
-def coned_weight(dim, base=0.6, peak=1.4):
-    """A one-sided cone about +e0, so w(xi) != w(-xi) inside it."""
-    cone = Cone(tuple(np.eye(dim)[0]), peak - base, 0.3, 0.7)
-    return VariableWeight(OrderFunction(dim=dim, base=base, cones=(cone,)))
-
-
 def assert_matches_reference(w, w1, w2, dim, cutoff=32.0, levels=3, seed=0):
     res = product_integral(w, w1, w2, dim, cutoff, step=0.5, levels=levels, seed=seed)
     ref_p, ref_m = reference_schur_levels(w, w1, w2, dim, cutoff, 0.5, levels, seed)
@@ -242,18 +238,31 @@ def assert_matches_reference(w, w1, w2, dim, cutoff=32.0, levels=3, seed=0):
     return res
 
 
+# sha256 over the little-endian float64 M+ levels, M- levels and growth
+# exponent of each 2-D plan row, in plan order, at cutoff 32 with 3 levels
+GOLDEN_FLAT_2D = {
+    0.1: "d4c31a136a73c661d63275b52ac915fde26315c21ef152ca1f9e80879c9dbc8b",
+    -0.1: "99fa43af171e1a25c0cd9138e15205bb551db03dffa0a598a3671b57e6db000f",
+}
+
+
 @pytest.mark.parametrize("offset", [0.1, -0.1])
 def test_schur_levels_match_two_call_reference_on_flat_models(offset):
     # M+ and M- are maxima over probes; bitwise equal maxima over the whole
-    # plan, with the offsets crossing every threshold, pin the shared w2
+    # plan, with the offsets crossing every threshold, pin the shared w2, and
+    # the digest pins the 2-D flat models themselves
     plan = [t for t in sweep_plan() if t[1] == 2]
+    digest = hashlib.sha256()
     for rule, dim, threshold in plan:
-        params = _sweep_params(rule, dim, threshold, offset, 0.35)
-        assert_matches_reference(*rule_flat_model(rule, params, dim), dim)
+        params = _sweep_params(rule, dim, threshold, offset)
+        res = assert_matches_reference(*rule_flat_model(rule, params, dim), dim)
+        vals = res.M_plus_levels + res.M_minus_levels + (res.growth_exponent,)
+        digest.update(np.array(vals, dtype="<f8").tobytes())
+    assert digest.hexdigest() == GOLDEN_FLAT_2D[offset]
 
 
 def test_schur_levels_match_two_call_reference_on_odd_weight():
-    w2 = coned_weight(2)
+    w2 = ConeWeight(2, 0.6, 1.4, 0.3, 0.7)  # one-sided cone about +e0
     xi = np.array([[5.0], [1.0]])
     assert w2(xi)[0] != w2(-xi)[0]  # one call could not serve both sums
     assert_matches_reference(IsoWeight(2, 1.2), IsoWeight(2, 0.8), w2, 2)
@@ -273,7 +282,7 @@ class CountingIso(_Counting, IsoWeight):
 
 
 @dataclass(frozen=True)
-class CountingVariable(_Counting, VariableWeight):
+class CountingCone(_Counting, ConeWeight):
     calls: list = field(default_factory=list, compare=False, repr=False)
 
 
@@ -281,7 +290,7 @@ class CountingVariable(_Counting, VariableWeight):
     "w2,per_probe",
     [
         (CountingIso(2, 1.1), 1),
-        (CountingVariable(coned_weight(2).order), 2),
+        (CountingCone(2, 0.6, 1.4, 0.3, 0.7), 2),
     ],
     ids=["iso", "coned-variable"],
 )
@@ -297,7 +306,7 @@ def test_schur_w2_calls_per_probe(w2, per_probe):
 
 def test_flat_models_exist_for_planned_rules():
     for rule, dim, threshold in sweep_plan():
-        params = _sweep_params(rule, dim, threshold, 0.1, 0.35)
+        params = _sweep_params(rule, dim, threshold, 0.1)
         w, w1, w2 = rule_flat_model(rule, params, dim)
         assert w.dim == w1.dim == w2.dim == dim
 
