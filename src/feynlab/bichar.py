@@ -432,6 +432,7 @@ _W_NULLBAND = 0.85
 _RHO_FLOOR = 1e-5
 _ESCAPE_R = 1.0e4
 _LIMIT_TOL = 1e-3
+_SAMPLES_PER_UNIT = 6.0  # trace samples per unit of the trace parameter
 
 
 def _entry(r: float, w: float) -> float:
@@ -484,7 +485,7 @@ def _ev_ychart(t, s, n):
     return float(y @ y) - 4.0
 
 
-def flow(pt, T: float, tol: float = 1e-10, samples_per_unit: float = 6.0) -> RayTrace:
+def flow(pt, T: float, tol: float = 1e-10) -> RayTrace:
     """Integrate the b-Hamilton flow for parameter length T (signed).
 
     Accepts a BCotangentPoint or an InteriorCovector.  Interior stretches
@@ -540,7 +541,7 @@ def flow(pt, T: float, tol: float = 1e-10, samples_per_unit: float = 6.0) -> Ray
             where = "boundary" if bd else "interior"
             raise StiffnessError(f"{where} integration failed: {sol.message}")
         t_end = sol.t[-1]
-        npts = max(8, int(abs(t_end - tau) * samples_per_unit))
+        npts = max(8, int(abs(t_end - tau) * _SAMPLES_PER_UNIT))
         ts = np.linspace(tau, t_end, npts + 1)
         for tv, sv in zip(ts, sol.sol(ts).T):
             if rows_t and sgn * (tv - rows_t[-1]) <= 0.0:

@@ -42,7 +42,6 @@ from .orders import rule_sweep, sweep_plan
 from .propagators import (
     Kind,
     Prescription,
-    _eps,
     _symbol_gap,
     default_epsilon,
     near_cone,
@@ -444,7 +443,7 @@ def _cmd_picard(cfg):
             "p": prob.p,
             "lam": prob.lam,
             "kind": kind.value,
-            "eps": _eps(pres, grid),
+            "eps": u.meta["eps"],
             "norm_u": u.norm(),
             "solution_file": "solution.csv",
         }

@@ -94,8 +94,9 @@ class GridSpec:
 class SpectralField:
     """An immutable complex field on a grid with a cached FFT.
 
-    `meta` carries provenance (seeds, regularization parameters, warnings);
-    it never affects numerics.
+    `meta` carries provenance (seeds, regularization parameters, warnings).
+    One entry feeds back into numerics: the Picard residual reads
+    ``zero_mode_projected`` from a propagate output to choose its domain.
     """
 
     grid: GridSpec
@@ -207,7 +208,7 @@ def gaussian_source(
     if center is None:
         center = tuple(0.0 for _ in range(n))
     # A short centre still ends in IndexError: perfbench's failure-accounting
-    # test uses it as its uncaught exception (ROADMAP 4b).
+    # test uses it as its uncaught exception (ROADMAP item 4).
     if len(center) > n:
         raise DimensionError("center dimension does not match grid")
     sigma = width / 4.0

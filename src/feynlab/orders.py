@@ -92,8 +92,6 @@ class ProductIntegralResult:
     M_plus: float
     M_minus: float
     growth_exponent: float
-    exponent_plus: float
-    exponent_minus: float
     cutoffs: tuple
     M_plus_levels: tuple
     M_minus_levels: tuple
@@ -110,8 +108,6 @@ def _midpoint_lattice(dim: int, cutoff: float, step: float) -> tuple[np.ndarray,
     count = max(int(round(2.0 * cutoff / step)), 2)
     axis = -cutoff + (np.arange(count) + 0.5) * (2.0 * cutoff / count)
     cell = (2.0 * cutoff / count) ** dim
-    if dim == 1:
-        return axis[np.newaxis, :], cell
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids]), cell
 
@@ -172,13 +168,12 @@ def product_integral(
     product estimate.
 
     Each probe ``s`` needs ``w2(s - pts)`` for M+ and ``w2(pts - s)`` for
-    M-.  When ``w2`` is an :class:`IsoWeight` or a :class:`SplitWeight` it is
-    evaluated once per probe and the array serves both sums.  That is exact,
-    not approximate: IEEE subtraction gives ``pts - s == -(s - pts)`` bit for
-    bit, and both weights read their argument only through squared
-    coordinates, so the two arrays are bitwise equal.  Any other weight (a
-    direction-dependent ``ConeWeight``, a ``SumWeight``) is evaluated
-    twice.
+    M-.  ``w2`` must be an even weight, an :class:`IsoWeight` or a
+    :class:`SplitWeight` (every ``w2`` of ``rule_flat_model`` is one), and is
+    evaluated once per probe for both sums.  That is exact, not approximate:
+    IEEE subtraction gives ``pts - s == -(s - pts)`` bit for bit, and both
+    weights read their argument only through squared coordinates, so the two
+    arrays are bitwise equal.  Any other ``w2`` raises ``ValueError``.
     """
     if step >= 1.0:
         raise ResolutionError(f"quadrature step must be < 1, got {step}")
@@ -188,6 +183,8 @@ def product_integral(
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     if levels < 1:
         raise ValueError("need at least one dyadic level")
+    if not isinstance(w2, (IsoWeight, SplitWeight)):
+        raise ValueError(f"w2 must be even (IsoWeight, SplitWeight): {type(w2).__name__}")
     for ww in (w, w1, w2):
         if ww.dim != dim:
             raise DimensionError(
@@ -198,7 +195,6 @@ def product_integral(
             "smallest dyadic cutoff under 8 steps; lower `levels` or `step`"
         )
     radii = [cutoff / 2**j for j in range(levels)][::-1]
-    even_w2 = isinstance(w2, (IsoWeight, SplitWeight))
     vals_p, vals_m = [], []
     samples = None
     for r in radii:
@@ -214,8 +210,6 @@ def product_integral(
             s = samples[:, j : j + 1]
             w2_lat = w2(s - pts)
             row_p[j] = cell * float(np.sum((w_samp[j] * inv1 / w2_lat) ** 2))
-            if not even_w2:
-                w2_lat = w2(pts - s)
             row_m[j] = (
                 cell * float(np.sum((wlat / w2_lat) ** 2)) / w1_samp[j] ** 2
             )
@@ -261,8 +255,6 @@ def product_integral(
         M_plus=float(mp_levels[-1]),
         M_minus=float(mm_levels[-1]),
         growth_exponent=min(ep, em),
-        exponent_plus=ep,
-        exponent_minus=em,
         cutoffs=tuple(radii),
         M_plus_levels=tuple(float(v) for v in mp_levels),
         M_minus_levels=tuple(float(v) for v in mm_levels),

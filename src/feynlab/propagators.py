@@ -11,14 +11,14 @@ Euclidean end of the rotation).
 
 Resolved sign convention (documented once, here).  With the grid's
 ``e^{+i xi.z}`` synthesis, the four propagators are realized by the
-multipliers
+multipliers m = a (zeta_n + beta)^2 - |zeta'|^2 with the pairs (a, beta) of
+``_FORMS``:
 
-    Retarded      (zeta_n - i eps)^2 - |zeta'|^2     poles in Im zeta_n > 0,
-                                                     support moves forward,
-    Advanced      (zeta_n + i eps)^2 - |zeta'|^2     time reflection of that,
-    Feynman       e^{+2 i eps} zeta_n^2 - |zeta'|^2  mode profile
-                                                     e^{-i omega |t|}/(2 i omega),
-    AntiFeynman   e^{-2 i eps} zeta_n^2 - |zeta'|^2  its conjugate.
+    Retarded      (1, -i eps)          poles in Im zeta_n > 0,
+                                       support moves forward,
+    Advanced      (1, +i eps)          time reflection of that,
+    Feynman       (e^{+2 i eps}, 0)    mode profile e^{-i omega |t|}/(2 i omega),
+    AntiFeynman   (e^{-2 i eps}, 0)    its conjugate.
 
 These orientations are fixed by the validated targets (forward support for
 Retarded, the e^{-i omega |t|} phase signature for Feynman), not asserted a
@@ -64,6 +64,14 @@ class Kind(Enum):
 
 
 _ROTATIONS = (Kind.FEYNMAN, Kind.ANTIFEYNMAN)  # eps is the angle of e^{+-2i eps}
+
+# (a, beta) of each kind's multiplier a (zeta_n + beta)^2 - |zeta'|^2
+_FORMS = {
+    Kind.RETARDED: lambda eps: (1.0, -1j * eps),
+    Kind.ADVANCED: lambda eps: (1.0, 1j * eps),
+    Kind.FEYNMAN: lambda eps: (np.exp(2j * eps), 0.0),
+    Kind.ANTIFEYNMAN: lambda eps: (np.exp(-2j * eps), 0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -119,16 +127,9 @@ def _plain_symbol(grid: GridSpec) -> np.ndarray:
 
 
 def _multiplier(grid: GridSpec, kind: Kind, eps: float) -> np.ndarray:
+    a, beta = _FORMS[kind](eps)
     zt, sp = _lattice(grid)
-    if kind is Kind.FEYNMAN:
-        return np.exp(2j * eps) * zt**2 - sp
-    if kind is Kind.ANTIFEYNMAN:
-        return np.exp(-2j * eps) * zt**2 - sp
-    if kind is Kind.RETARDED:
-        return (zt - 1j * eps) ** 2 - sp
-    if kind is Kind.ADVANCED:
-        return (zt + 1j * eps) ** 2 - sp
-    raise ValueError(f"unknown kind {kind}")
+    return a * (zt + beta) ** 2 - sp
 
 
 def _symbol_gap(grid: GridSpec) -> float:
@@ -229,68 +230,43 @@ def prescription_residual(
     return float(num / den) if den > 0.0 else float(num)
 
 
-def _profile_poly(kind: Kind, omega: float, eps: float) -> tuple[complex, complex, complex]:
-    if kind is Kind.FEYNMAN:
-        return cmath.exp(2j * eps), 0.0, -(omega**2)
-    if kind is Kind.ANTIFEYNMAN:
-        return cmath.exp(-2j * eps), 0.0, -(omega**2)
-    if kind is Kind.RETARDED:
-        return 1.0, -2j * eps, -(eps**2) - omega**2
-    if kind is Kind.ADVANCED:
-        return 1.0, 2j * eps, -(eps**2) - omega**2
-    raise ValueError(f"unknown kind {kind}")
-
-
 def mode_profile(
     omega: float, prescription: Prescription, tgrid: np.ndarray
 ) -> np.ndarray:
     """Time profile of the propagator for a unit impulse in a spatial mode.
 
     Evaluates G(t) = (1/2pi) integral e^{i zeta t} / m(zeta) d zeta for the
-    regularized quadratic multiplier m of the prescription, by exact residue
-    summation over its two poles: poles in the upper half plane contribute for
-    t > 0, lower half plane for t < 0.  For the Retarded kind this gives
-    -step(t) e^{-eps t} sin(omega t)/omega; for Feynman, the e^{-i omega |t|}
-    phase signature.
+    prescription's multiplier m = a (zeta + beta)^2 - omega^2, by exact
+    residue summation over its poles -beta +- omega/sqrt(a) (one double pole
+    at -beta when omega = 0): poles in the upper half plane contribute for
+    t >= 0, lower half plane for t < 0.  For the Retarded kind this gives
+    -step(t) e^{-eps t} sin(omega t)/omega; for Feynman, the
+    e^{-i omega |t|} phase signature.
     """
     if omega < 0:
         raise ValueError("omega must be >= 0")
     eps = prescription.eps
     if eps is None:
         raise ValueError("mode_profile needs an explicit eps")
-    if omega == 0.0 and prescription.kind in (Kind.FEYNMAN, Kind.ANTIFEYNMAN):
+    if omega == 0.0 and prescription.kind in _ROTATIONS:
         raise ZeroModeError(
             "omega = 0 leaves a real double pole for the rotated multiplier"
         )
-    a, b, c = _profile_poly(prescription.kind, omega, eps)
-    disc = cmath.sqrt(b * b - 4.0 * a * c)
-    r1 = (-b + disc) / (2.0 * a)
-    r2 = (-b - disc) / (2.0 * a)
+    a, beta = _FORMS[prescription.kind](eps)
     t = np.asarray(tgrid, dtype=float)
+    # (pole r, c) with residue c e^{i r t} of e^{i zeta t} / m(zeta) at r
+    if omega == 0.0:
+        poles = [(-beta, 1j * t / a)]
+    else:
+        root = omega / cmath.sqrt(a)
+        half = 1.0 / (2.0 * a * root)  # 1 / (a (r - other)) at -beta + root
+        poles = [(-beta + root, half), (-beta - root, -half)]
     out = np.zeros(t.shape, dtype=np.complex128)
-    scale = max(abs(r1), abs(r2), eps)
-    if abs(r1 - r2) <= 1e-12 * scale:
-        r = 0.5 * (r1 + r2)
-        if abs(r.imag) <= 1e-14 * scale:
-            raise ValueError("profile poles on the real axis; increase eps")
-        # 1/m = 1/(a (zeta - r)^2); residue of e^{i zeta t} is i t e^{i r t}
-        if r.imag > 0:
-            sel = t >= 0
-            out[sel] = 1j * (1j * t[sel]) * np.exp(1j * r * t[sel]) / a
-        else:
-            sel = t < 0
-            out[sel] = -1j * (1j * t[sel]) * np.exp(1j * r * t[sel]) / a
-        return out
-    for r, other in ((r1, r2), (r2, r1)):
-        if abs(r.imag) <= 1e-14 * scale:
-            raise ValueError("profile poles on the real axis; increase eps")
-        res_den = a * (r - other)
-        if r.imag > 0:
-            sel = t >= 0
-            out[sel] += 1j * np.exp(1j * r * t[sel]) / res_den
-        else:
-            sel = t < 0
-            out[sel] += -1j * np.exp(1j * r * t[sel]) / res_den
+    for r, res in poles:
+        if r.imag == 0.0:
+            raise ValueError("profile pole on the real axis; increase eps")
+        sel = t >= 0 if r.imag > 0 else t < 0
+        out[sel] += (1j if r.imag > 0 else -1j) * (res * np.exp(1j * r * t))[sel]
     return out
 
 

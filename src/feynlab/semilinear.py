@@ -14,7 +14,7 @@ prescriptions invert the full multiplier and get the full residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,26 +42,19 @@ def _fine_shape(points: tuple) -> tuple:
     return tuple(out)
 
 
-def _band(q: int, m: int) -> slice:
-    # align the zero-frequency slots of the shifted spectra
-    start = m // 2 - q // 2
-    return slice(start, start + q)
-
-
-def _embed(values: np.ndarray, fine: tuple) -> np.ndarray:
+def _resample(values: np.ndarray, shape: tuple) -> np.ndarray:
+    """Zero-pad or truncate the spectrum of `values` to `shape`, keeping the
+    zero-frequency slots of the shifted spectra aligned."""
     spec = np.fft.fftshift(np.fft.fftn(values))
-    out = np.zeros(fine, dtype=np.complex128)
-    sl = tuple(_band(q, m) for q, m in zip(values.shape, fine))
-    out[sl] = spec
-    ratio = np.prod(fine) / np.prod(values.shape)
+    out = np.zeros(shape, dtype=np.complex128)
+    src, dst = [], []
+    for m, q in zip(values.shape, shape):
+        k = min(m, q)
+        src.append(slice(m // 2 - k // 2, m // 2 - k // 2 + k))
+        dst.append(slice(q // 2 - k // 2, q // 2 - k // 2 + k))
+    out[tuple(dst)] = spec[tuple(src)]
+    ratio = np.prod(shape) / np.prod(values.shape)
     return np.fft.ifftn(np.fft.ifftshift(out)) * ratio
-
-
-def _restrict(values: np.ndarray, coarse: tuple) -> np.ndarray:
-    spec = np.fft.fftshift(np.fft.fftn(values))
-    sl = tuple(_band(q, m) for q, m in zip(coarse, values.shape))
-    ratio = np.prod(coarse) / np.prod(values.shape)
-    return np.fft.ifftn(np.fft.ifftshift(spec[sl])) * ratio
 
 
 def dealiased_product(a: SpectralField, b: SpectralField) -> SpectralField:
@@ -69,8 +62,8 @@ def dealiased_product(a: SpectralField, b: SpectralField) -> SpectralField:
     if a.grid != b.grid:
         raise DimensionError("fields on different grids")
     fine = _fine_shape(a.grid.points)
-    w = _embed(a.values, fine) * _embed(b.values, fine)
-    return SpectralField(a.grid, _restrict(w, a.grid.points))
+    w = _resample(a.values, fine) * _resample(b.values, fine)
+    return SpectralField(a.grid, _resample(w, a.grid.points))
 
 
 def dealiased_power(u: SpectralField, p: int) -> SpectralField:
@@ -148,22 +141,7 @@ class PicardReport:
         return self.ratios[-1] if self.ratios else None
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "diverged": self.diverged,
-            "norms": list(self.norms),
-            "diffs": list(self.diffs),
-            "ratios": list(self.ratios),
-            "final_ratio": self.final_ratio,
-            "residual": self.residual,
-            "tol": self.tol,
-            "residual_tol": self.residual_tol,
-            "norm_f": self.norm_f,
-            "smallness_bound": self.smallness_bound,
-            "small_data": self.small_data,
-            "weights": self.weights,
-        }
+        return dict(asdict(self), final_ratio=self.final_ratio)
 
 
 def _zero_field(grid) -> SpectralField:

@@ -284,10 +284,11 @@ def test_hamiltonian_unit_time_covector_value():
 
 # --- flow: interior geometry ---------------------------------------------
 
-def test_flow_interior_ray_is_straight_with_constant_frequency():
+def test_flow_interior_ray_is_straight_with_constant_frequency(monkeypatch):
     c = InteriorCovector(np.array([0.5, -0.3, 0.2, 0.1]),
                          np.array([0.6, 0.8, 0.0, 1.0]))
-    tr = flow(c, 0.6, tol=1e-10, samples_per_unit=40.0)
+    monkeypatch.setattr(bichar, "_SAMPLES_PER_UNIT", 40.0)
+    tr = flow(c, 0.6, tol=1e-10)
     rows = interior_samples(tr)
     assert len(rows) >= 10
     ts = np.array([r[0] for r in rows])

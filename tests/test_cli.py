@@ -340,6 +340,30 @@ def test_seed_changes_random_artifacts(tmp_path):
 
 # --- field CSV bytes ------------------------------------------------------
 
+# picard.json of PICARD (feynman) and of its retarded variant (eps 0.5): a
+# change of the Picard arithmetic must reproduce these within the stated
+# tolerances before the picard.json and solution.csv digests are recorded
+# again.  Ratios: relative 1e-3 (the last ratios divide successive
+# differences of 1e-11 and 1e-13); norm_u: relative 1e-10; residual: absolute
+# 1e-12 (it sits at rounding level).
+PICARD_RUNS = {
+    "feynman": (5, True, 0.424529994947, 2.08546548241e-13,
+                (0.00162459764695, 0.00414463773073, 0.00407108947666,
+                 0.00406583505804)),
+    "retarded": (5, True, 0.252582466889, 1.32991622313e-14,
+                 (0.000912314646727, 0.00131505664974, 0.000708261695336,
+                  0.000449156614553)),
+}
+
+
+def check_picard_run(payload):
+    iterations, converged, norm_u, residual, ratios = PICARD_RUNS[payload["kind"]]
+    assert (payload["iterations"], payload["converged"]) == (iterations, converged)
+    assert np.allclose(payload["ratios"], ratios, rtol=1e-3, atol=0.0)
+    assert abs(payload["norm_u"] - norm_u) <= 1e-10 * norm_u
+    assert abs(payload["residual"] - residual) <= 1e-12
+
+
 # sha256 of the field artifact, pinned from the per-element csv.writer output
 GOLDEN_FIELDS = [
     (
@@ -374,6 +398,8 @@ GOLDEN_FIELDS = [
 )
 def test_field_csv_golden_bytes(tmp_path, data, name, digest):
     out, manifest = run_dict(tmp_path, data)
+    if name == "solution.csv":
+        check_picard_run(json.loads((out / "picard.json").read_text()))
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert dict(manifest.files)[name] == digest
 
@@ -463,6 +489,8 @@ def test_json_report_golden_bytes(tmp_path, data, name, digest):
     out, manifest = run_dict(tmp_path, data)
     if name == "flow.json":
         check_flow_legs(json.loads((out / name).read_text()))
+    if name == "picard.json":
+        check_picard_run(json.loads((out / name).read_text()))
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert dict(manifest.files)[name] == digest
 
@@ -470,6 +498,20 @@ def test_json_report_golden_bytes(tmp_path, data, name, digest):
 # sha256 of the 1-D product-check artifacts (the sweep workload's first
 # config): the lattice sums behind every growth exponent must not move
 SWEEP_1D = {"subcommand": "product-check", "params": {"dims": [1]}}
+# Growth exponent of each row of SWEEP_1D, to 12 significant digits: a change
+# of the lattice arithmetic must reproduce them within SWEEP_TOL (absolute)
+# before the GOLDEN_SWEEP digests are recorded again.
+SWEEP_TOL = 1e-9
+SWEEP_ROWS = {
+    ("cone-product", "sum", 0.1): -1.60466790894,
+    ("cone-product", "sum", -0.1): 0.196743379549,
+    ("cone-product", "order_rs", 0.1): -2.80827249489,
+    ("cone-product", "order_rs", -0.1): 0.194569803853,
+    ("low-reg-cone-product", "sum", 0.1): -0.116259234806,
+    ("low-reg-cone-product", "sum", -0.1): 0.300015014152,
+    ("low-reg-cone-product", "order_s0sp", 0.1): -0.328464357713,
+    ("low-reg-cone-product", "order_s0sp", -0.1): 0.229998997868,
+}
 GOLDEN_SWEEP = {
     "product-check.json": "e150313aa2e0230da9a4a6ae8aa1abd3c25dbc06cc68ff314d9d115080d0ce40",
     "product_check.csv": "31a17507240cac4a60fea3a95f31a4d258689d0b92b6a2c093a7220bab3da585",
@@ -478,6 +520,15 @@ GOLDEN_SWEEP = {
 
 def test_product_check_golden_bytes(tmp_path):
     out, manifest = run_dict(tmp_path, SWEEP_1D)
+    with (out / "product_check.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    got = {
+        (r["rule"], r["threshold"], float(r["offset"])): float(r["growth_exponent"])
+        for r in rows
+    }
+    assert got.keys() == SWEEP_ROWS.keys() and len(rows) == len(SWEEP_ROWS)
+    for key, exponent in SWEEP_ROWS.items():
+        assert abs(got[key] - exponent) <= SWEEP_TOL, key
     for name, digest in GOLDEN_SWEEP.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert dict(manifest.files) == GOLDEN_SWEEP

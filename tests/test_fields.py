@@ -45,7 +45,7 @@ def test_gaussian_source_long_center_rejected():
         gaussian_source(grid, width=1.0, center=(0.5, 0.5, 0.5))
 
 
-@pytest.mark.xfail(raises=IndexError, strict=True, reason="ROADMAP 4b: short centre")
+@pytest.mark.xfail(raises=IndexError, strict=True, reason="ROADMAP item 4: short centre")
 def test_gaussian_source_short_center_rejected():
     grid = GridSpec((8.0, 8.0), (16, 16))
     with pytest.raises(DimensionError):

@@ -281,6 +281,9 @@ def test_mode_profile_zero_mode_errors():
             mode_profile(0.0, Prescription(kind, eps=0.1), t)
     for kind in (Kind.RETARDED, Kind.ADVANCED):
         assert np.all(np.isfinite(mode_profile(0.0, Prescription(kind, eps=0.1), t)))
+    # the retarded double pole at i eps: G(t) = -t e^{-eps t} for t >= 0
+    got = mode_profile(0.0, Prescription(Kind.RETARDED, eps=0.1), t)
+    assert np.array_equal(got, np.where(t >= 0, -t * np.exp(-0.1 * t), 0.0))
 
 
 def test_feynman_frequency_signature():

@@ -7,7 +7,7 @@ import pytest
 
 from feynlab import semilinear
 from feynlab.errors import DimensionError
-from feynlab.fields import GridSpec, SpectralField, gaussian_source
+from feynlab.fields import GridSpec, SpectralField, gaussian_source, random_band_limited
 from feynlab.propagators import Kind, Prescription, apply_box, propagate
 from feynlab.semilinear import (
     PicardReport,
@@ -130,6 +130,24 @@ def test_small_data_cubic_solve():
     # fixed point of the iteration map, checked through the map itself
     back = propagate(prob.f - prob.lam * dealiased_power(u, prob.p), prob.prescription)
     assert (u - back).norm() <= 2 * rep.tol
+
+
+MANUFACTURED_GRID = GridSpec((16.0, 16.0), (96, 96))
+
+
+@pytest.mark.parametrize("p,lam", [(3, 0.5), (5, 2.0)])
+@pytest.mark.parametrize("kind", [Kind.FEYNMAN, Kind.ANTIFEYNMAN, Kind.RETARDED])
+def test_picard_recovers_a_manufactured_solution(kind, p, lam):
+    # f is built from a known zero-mode-free, band-limited u*, so u* is the
+    # fixed point of the discrete map and Picard must return it to rounding
+    u_star = random_band_limited(MANUFACTURED_GRID, seed=3, band=0.3)
+    u_star = (0.2 / np.max(np.abs(u_star.values))) * u_star
+    pres = Prescription(kind, eps=0.3)
+    f = apply_box(u_star, pres) + lam * dealiased_power(u_star, p)
+    prob = SemilinearProblem(f=f, p=p, lam=lam, prescription=pres)
+    u, rep = picard_solve(prob, tol=1e-13)
+    assert rep.converged
+    assert (u - u_star).norm() <= 1e-12 * u_star.norm()
 
 
 def test_halving_source_does_not_worsen_contraction():
