@@ -517,11 +517,13 @@ def flow(pt, T: float, tol: float = 1e-10) -> RayTrace:
         c = decompactify(pt) if isinstance(pt, BCotangentPoint) else pt
         state = np.concatenate((c.z, c.zeta))
 
-    nonnull = abs(_sample_point(state, chart, n, bd)[1]) > _NULL_TOL
+    start, lam0, k0 = _sample_point(state, chart, n, bd)
+    nonnull = abs(lam0) > _NULL_TOL
 
     sgn = 1.0 if T >= 0 else -1.0
     tau = 0.0
-    rows_t, rows_pt, rows_lam, rows_k = [], [], [], []
+    # every trace starts with its start sample, so even |T| <= 1e-12 has one
+    rows_t, rows_pt, rows_lam, rows_k = [tau], [start], [lam0], [k0]
     truncated = None
     stats = {"steps": 0, "fevals": 0, "rejected_estimated": 0, "segments": 0}
 
@@ -544,8 +546,8 @@ def flow(pt, T: float, tol: float = 1e-10) -> RayTrace:
         npts = max(8, int(abs(t_end - tau) * _SAMPLES_PER_UNIT))
         ts = np.linspace(tau, t_end, npts + 1)
         for tv, sv in zip(ts, sol.sol(ts).T):
-            if rows_t and sgn * (tv - rows_t[-1]) <= 0.0:
-                continue  # segment joins repeat the boundary sample
+            if sgn * (tv - rows_t[-1]) <= 0.0:
+                continue  # the start and segment joins repeat the last sample
             p, lamv, kv = _sample_point(sv, chart, n, bd)
             rows_t.append(tv)
             rows_pt.append(p)

@@ -514,6 +514,15 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _remove_partial(paths) -> None:
+    """Remove what a failed write left behind, as far as the file system lets."""
+    for path in paths:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError:
+            pass
+
+
 def _write_all(out_dir: Path, artifacts: list) -> None:
     attempted = []
     try:
@@ -536,11 +545,7 @@ def _write_all(out_dir: Path, artifacts: list) -> None:
             else:
                 art.payload.to_csv(path)
     except OSError as exc:
-        for path in attempted:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
+        _remove_partial(attempted)
         raise ArtifactIOError(f"write failed, partial output removed: {exc}") from exc
 
 
@@ -577,16 +582,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         wall_time_s=time.monotonic() - start,
         files=files,
     )
+    manifest_path = out_dir / "manifest.json"
     try:
-        (out_dir / "manifest.json").write_text(
+        manifest_path.write_text(
             json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
         )
     except OSError as exc:
-        for name, _ in files:
-            try:
-                (out_dir / name).unlink(missing_ok=True)
-            except OSError:
-                pass
+        _remove_partial([out_dir / a.name for a in artifacts] + [manifest_path])
         raise ArtifactIOError(f"manifest write failed: {exc}") from exc
     if status == EXIT_DIVERGED:
         raise NumericDivergence("iteration diverged; see the written report", manifest)

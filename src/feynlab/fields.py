@@ -94,9 +94,9 @@ class GridSpec:
 class SpectralField:
     """An immutable complex field on a grid with a cached FFT.
 
-    `meta` carries provenance (seeds, regularization parameters, warnings).
-    One entry feeds back into numerics: the Picard residual reads
-    ``zero_mode_projected`` from a propagate output to choose its domain.
+    `meta` carries provenance only (seeds, regularization parameters,
+    whether propagate projected the zero mode, warnings); no computation
+    reads it back.
     """
 
     grid: GridSpec

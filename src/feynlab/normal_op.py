@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 from typing import NamedTuple
 
 import numpy as np
@@ -169,22 +169,20 @@ def index_count(n: int, l: float, with_multiplicity: bool = True) -> int:
 
     Returns -sgn(l) * #{k : (k+(n-2)/2)^2 < l^2}, each degree weighted by its
     harmonic multiplicity by default (the flag exposes the per-degree count).
-    Raises PoleError when |l| sits on a root.
+    The K degrees below |l| are k < K = ceil(|l| - (n-2)/2), and their
+    multiplicities sum to C(n+K-2, n-1) + C(n+K-3, n-1), so the cost does not
+    grow with |l|.  Raises PoleError when |l| sits on a root.
     """
     if n < 2:
         raise DimensionError("need n >= 2")
     lv = float(l)
     if _nearest_root_distance(n, lv) < 1e-12:
         raise PoleError(f"weight {lv} lies on an indicial root for n = {n}")
-    if lv == 0.0:
-        return 0
-    half = 0.5 * (n - 2)
-    a = abs(lv)
-    count = 0
-    k = 0
-    while half + k < a:
-        count += harmonic_multiplicity(n, k) if with_multiplicity else 1
-        k += 1
+    K = max(ceil(abs(lv) - 0.5 * (n - 2)), 0)
+    if K == 0 or not with_multiplicity:
+        count = K
+    else:
+        count = comb(n + K - 2, n - 1) + comb(n + K - 3, n - 1)
     return -count if lv > 0 else count
 
 

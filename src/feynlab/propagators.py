@@ -1,18 +1,18 @@
 """Regularized inverses of the constant-coefficient wave multiplier.
 
 The wave operator on the grid acts diagonally in frequency with symbol
-``p(zeta) = zeta_n^2 - |zeta'|^2`` (last axis = time, D = -i d/dz).  The
-rotated multiplier is
+``p(zeta) = zeta_n^2 - |zeta'|^2`` (last axis = time, D = -i d/dz).  Every
+multiplier here is one lattice form,
 
-    wick_symbol(zeta, theta) = e^{-2 theta} zeta_n^2 - |zeta'|^2,
+    m = a (zeta_n + beta)^2 - |zeta'|^2,
 
-which at theta = +-i pi/2 equals ``-|zeta|^2`` (negative definite; the
-Euclidean end of the rotation).
+built by ``_form``: the symbol p is a = 1, beta = 0; the Wick rotation by
+theta is a = e^{-2 theta}, beta = 0, which at theta = +-i pi/2 equals
+``-|zeta|^2`` (negative definite; the Euclidean end of the rotation).
 
 Resolved sign convention (documented once, here).  With the grid's
-``e^{+i xi.z}`` synthesis, the four propagators are realized by the
-multipliers m = a (zeta_n + beta)^2 - |zeta'|^2 with the pairs (a, beta) of
-``_FORMS``:
+``e^{+i xi.z}`` synthesis, the four propagators are realized by the pairs
+(a, beta) of ``_FORMS``:
 
     Retarded      (1, -i eps)          poles in Im zeta_n > 0,
                                        support moves forward,
@@ -25,9 +25,12 @@ Retarded, the e^{-i omega |t|} phase signature for Feynman), not asserted a
 priori; adjointness pairs Retarded with Advanced and Feynman with AntiFeynman
 because the multipliers are pointwise conjugates on the real lattice.
 
-The symbol, its regularized multipliers and the zero-mode rule are built
-only here; other modules read ``zero_mode_projected`` from a solution's
-metadata and mask the cone through ``near_cone``.
+Zero-mode rule (decided once, in ``_solve_modes``): a solve acts on every
+mode except zeta = 0 when its multiplier vanishes there.  The rotated forms
+do (Feynman, anti-Feynman and the Wick study); the shifts are -eps^2 there
+and invert it.  ``propagate``, ``prescription_residual`` (the Picard
+residual included) and the Wick study all use it; other modules build no
+multiplier and mask the cone through ``near_cone``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .fields import GridSpec, SpectralField
 __all__ = [
     "Kind",
     "Prescription",
-    "wick_symbol",
     "default_epsilon",
     "propagate",
     "apply_box",
@@ -88,19 +90,6 @@ class Prescription:
             raise ValueError("a Feynman or anti-Feynman eps is an angle in (0, pi/2)")
 
 
-def wick_symbol(zeta: np.ndarray, theta: complex) -> np.ndarray:
-    """e^{-2 theta} zeta_n^2 - (zeta_1^2 + ... + zeta_{n-1}^2).
-
-    `zeta` is stacked, shape (n, ...), last stacked entry = time frequency.
-    Nonvanishing away from zeta = 0 whenever 0 < |Im theta| < pi.
-    """
-    zeta = np.asarray(zeta, dtype=float)
-    if zeta.ndim < 1 or zeta.shape[0] < 2:
-        raise DimensionError("wick_symbol needs at least one space and one time axis")
-    theta = complex(theta)
-    return np.exp(-2.0 * theta) * zeta[-1] ** 2 - np.sum(zeta[:-1] ** 2, axis=0)
-
-
 def default_epsilon(grid: GridSpec) -> float:
     """Grid-scaled regularization heuristic: 10 * (2 pi / L_min)^2."""
     return 10.0 * (2.0 * np.pi / min(grid.extent)) ** 2
@@ -121,15 +110,22 @@ def _lattice(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return zeta[-1], np.sum(zeta[:-1] ** 2, axis=0)
 
 
-def _plain_symbol(grid: GridSpec) -> np.ndarray:
+def _form(grid: GridSpec, a: complex, beta: complex = 0.0) -> np.ndarray:
+    """a (zeta_n + beta)^2 - |zeta'|^2 over the grid's frequency lattice."""
     zt, sp = _lattice(grid)
-    return zt**2 - sp
+    return a * (zt + beta) ** 2 - sp
 
 
 def _multiplier(grid: GridSpec, kind: Kind, eps: float) -> np.ndarray:
-    a, beta = _FORMS[kind](eps)
-    zt, sp = _lattice(grid)
-    return a * (zt + beta) ** 2 - sp
+    return _form(grid, *_FORMS[kind](eps))
+
+
+def _solve_modes(m: np.ndarray) -> np.ndarray:
+    """The zero-mode rule: mask of the modes a solve with multiplier m acts
+    on, every mode except zeta = 0 when m vanishes there."""
+    keep = np.ones(m.shape, dtype=bool)
+    keep.flat[0] = m.flat[0] != 0.0
+    return keep
 
 
 def _symbol_gap(grid: GridSpec) -> float:
@@ -153,37 +149,35 @@ def _symbol_gap(grid: GridSpec) -> float:
 
 def near_cone(grid: GridSpec, delta: float) -> np.ndarray:
     """Mask of the lattice points with |p(zeta)| < delta (zero mode included)."""
-    return np.abs(_plain_symbol(grid)) < delta
+    return np.abs(_form(grid, 1.0)) < delta
 
 
 def propagate(f: SpectralField, prescription: Prescription) -> SpectralField:
     """Apply the regularized inverse multiplier for the given prescription.
 
-    Zero mode: the rotated multipliers vanish exactly at zeta = 0, so the
-    rotation kinds project the zero mode out of source and solution; the
-    frequency-shift kinds have the nonvanishing value -eps^2 there and invert
-    it (this is what makes the retarded output constant-free outside the
-    forward cone).  Metadata records the kind, eps, whether the mode was
-    projected, and a coarse-grid warning when eps is below half the smallest
-    nonzero |p| on the lattice.
+    Zero mode (``_solve_modes``): the rotated multipliers vanish exactly at
+    zeta = 0, so the rotation kinds project the zero mode out of the
+    solution; the frequency-shift kinds have the nonvanishing value -eps^2
+    there and invert it (this is what makes the retarded output
+    constant-free outside the forward cone).  Metadata records the kind,
+    eps, whether the mode was projected, and a coarse-grid warning when eps
+    is below half the smallest nonzero |p| on the lattice.
     """
     grid = f.grid
     if grid.dim < 2:
         raise DimensionError("propagation needs at least one space and one time axis")
     eps = _eps(prescription, grid)
     m = _multiplier(grid, prescription.kind, eps)
-    origin = (0,) * grid.dim
+    keep = _solve_modes(m)
     c = f.coeffs.copy()
-    projected = abs(m[origin]) == 0.0
-    if projected:
-        c[origin] = 0.0
-        m[origin] = 1.0  # mode removed; avoid 0/0
+    c[~keep] = 0.0
+    m[~keep] = 1.0  # mode removed; avoid 0/0
     u = c / m
     gap = _symbol_gap(grid)
     meta = {
         "kind": prescription.kind.value,
         "eps": float(eps),
-        "zero_mode_projected": bool(projected),
+        "zero_mode_projected": not keep.all(),
         "coarse_grid_warning": bool(eps < 0.5 * gap),
     }
     return SpectralField.from_coeffs(grid, u, meta)
@@ -208,25 +202,29 @@ def apply_box(u: SpectralField, prescription: Prescription) -> SpectralField:
 
 
 def prescription_residual(
-    f: SpectralField, u: SpectralField, prescription: Prescription
+    f: SpectralField,
+    u: SpectralField,
+    prescription: Prescription,
+    nonlinear: SpectralField | None = None,
 ) -> float:
-    """Residual of a kind's own regularized multiplier: |m u - f| / |f|.
+    """Residual of a kind's own regularized multiplier: |m u + N - f| / |f|.
 
-    Evaluated on the lattice away from the zero mode, which the rotation
-    kinds project out.  A zero source makes the ratio undefined; the absolute
-    residual |m u| is returned instead.  Exact-inverse check: u = propagate(f, p)
-    gives 0 to rounding for every kind.
+    N is an optional nonlinear term (Picard's lam u^p), zero when left out.
+    Evaluated on the modes the kind's propagate acts on (``_solve_modes``):
+    the rotation kinds leave out the zero mode, the shift kinds keep it.  A
+    zero source makes the ratio undefined; the absolute residual is
+    returned instead.  Exact-inverse check: u = propagate(f, p) gives 0 to
+    rounding for every kind.
     """
     if u.grid != f.grid:
         raise DimensionError("fields on different grids")
     m = _multiplier(f.grid, prescription.kind, _eps(prescription, f.grid))
-    origin = (0,) * f.grid.dim
-    fc = f.coeffs.copy()
-    uc = u.coeffs.copy()
-    fc[origin] = 0.0
-    uc[origin] = 0.0
-    num = np.sqrt(np.sum(np.abs(m * uc - fc) ** 2))
-    den = np.sqrt(np.sum(np.abs(fc) ** 2))
+    keep = _solve_modes(m)
+    lhs = m * u.coeffs
+    if nonlinear is not None:
+        lhs = lhs + nonlinear.coeffs
+    num = np.sqrt(np.sum(np.abs(np.where(keep, lhs - f.coeffs, 0.0)) ** 2))
+    den = np.sqrt(np.sum(np.abs(np.where(keep, f.coeffs, 0.0)) ** 2))
     return float(num / den) if den > 0.0 else float(num)
 
 
@@ -272,13 +270,14 @@ def mode_profile(
 
 def characteristic_energy_fraction(u: SpectralField, delta: float) -> float:
     """Fraction of spectral energy within |p(zeta)| < delta of the
-    characteristic cone (zero mode excluded from the band)."""
+    characteristic cone, over the modes a solve with p acts on (p vanishes
+    at zeta = 0, so that mode is left out of the band)."""
     c2 = np.abs(u.coeffs) ** 2
     total = float(np.sum(c2))
     if total == 0.0:
         return 0.0
-    band = near_cone(u.grid, delta)
-    band[(0,) * u.grid.dim] = False
+    p = _form(u.grid, 1.0)
+    band = (np.abs(p) < delta) & _solve_modes(p)
     return float(np.sum(c2[band]) / total)
 
 
@@ -287,10 +286,11 @@ def wick_continuation_study(
 ) -> dict:
     """Matrix elements <Box_theta^{-1} f, g> along a path of Wick parameters.
 
-    The path must stay in Im theta in (0, pi/2].  The zero mode is projected
-    (the rotated multiplier vanishes there for every theta).  Returns the
-    path, the complex values, successive differences and the characteristic
-    band energies of the inputs.
+    The path must stay in Im theta in (0, pi/2].  Box_theta is the form with
+    a = e^{-2 theta}, beta = 0; it vanishes at zeta = 0 for every theta, so
+    ``_solve_modes`` projects the zero mode.  Returns the path, the complex
+    values, successive differences and the characteristic band energies of
+    the inputs.
     """
     if g.grid != f.grid:
         raise DimensionError("fields on different grids")
@@ -304,17 +304,16 @@ def wick_continuation_study(
                 "(use propagate's eps limit on the real axis)"
             )
     grid = f.grid
-    zeta = grid.freq_mesh()
-    origin = (0,) * grid.dim
-    fc = f.coeffs.copy()
-    gc = g.coeffs.copy()
-    fc[origin] = 0.0
-    gc[origin] = 0.0
     values = []
     for t in thetas:
-        m = wick_symbol(zeta, t)
-        m[origin] = 1.0
-        values.append(complex(np.sum((fc / m) * np.conj(gc))))
+        m = _form(grid, np.exp(-2.0 * t))
+        # one expression: on large grids numpy writes the product into the
+        # quotient's temporary, and the in-place loop's rounding is the one
+        # the wick.json digests pin
+        inv_f_conj_g = np.divide(
+            f.coeffs, m, out=np.zeros_like(m), where=_solve_modes(m)
+        ) * np.conj(g.coeffs)
+        values.append(complex(np.sum(inv_f_conj_g)))
     diffs = [abs(values[j + 1] - values[j]) for j in range(len(values) - 1)]
     gap = _symbol_gap(grid)
     return {

@@ -6,10 +6,10 @@ a 3/2-rule zero-padded grid.  Dealiasing is not optional: the product
 estimates under study are exactly about how powers spread frequency content,
 and aliased energy would fold back onto the characteristic set.
 
-Zero-mode bookkeeping follows the propagator: rotation prescriptions solve
-the projected equation (their multiplier annihilates the constant mode), so
-the residual is likewise measured on the projected complement; the shift
-prescriptions invert the full multiplier and get the full residual.
+The residual is ``propagators.prescription_residual`` with the nonlinear
+term passed in, so it is measured on the modes the propagator solves for:
+rotation prescriptions leave out the constant mode (their multiplier
+annihilates it), the shift prescriptions keep it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionError
 from .fields import SpectralField
 from .orders import semilinear_weights
-from .propagators import Kind, Prescription, apply_box, propagate
+from .propagators import Kind, Prescription, prescription_residual, propagate
 
 __all__ = [
     "SemilinearProblem",
@@ -148,26 +148,6 @@ def _zero_field(grid) -> SpectralField:
     return SpectralField(grid, np.zeros(grid.points, dtype=np.complex128))
 
 
-def _projected_residual(
-    prob: SemilinearProblem, u: SpectralField, power: SpectralField
-) -> float:
-    """|Box u + lam u^p - f| / |f| on the domain the solve acted on."""
-    box_u = apply_box(u, prob.prescription)
-    rc = np.array(box_u.coeffs)
-    if prob.lam != 0.0:
-        rc = rc + prob.lam * power.coeffs
-    rc = rc - prob.f.coeffs
-    fc = np.array(prob.f.coeffs)
-    # u is the last propagate output: same prescription, grid and zero-mode rule
-    if u.meta["zero_mode_projected"]:
-        origin = (0,) * prob.f.grid.dim
-        rc[origin] = 0.0
-        fc[origin] = 0.0
-    num = float(np.sqrt(np.sum(np.abs(rc) ** 2)))
-    den = float(np.sqrt(np.sum(np.abs(fc) ** 2)))
-    return num / den if den > 0.0 else num
-
-
 def picard_solve(
     prob: SemilinearProblem,
     max_iter: int = 20,
@@ -208,8 +188,8 @@ def picard_solve(
             diverged = True
             break
 
-    power = dealiased_power(u, prob.p) if prob.lam != 0.0 else u
-    res = _projected_residual(prob, u, power)
+    nonlinear = prob.lam * dealiased_power(u, prob.p) if prob.lam != 0.0 else None
+    res = prescription_residual(f, u, prob.prescription, nonlinear)
     norm_f = f.norm()
     bound = prob.smallness_bound()
     report = PicardReport(

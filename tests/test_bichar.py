@@ -424,6 +424,19 @@ def test_classify_short_trace_returns_none():
     assert classify_limit(tr) is None
 
 
+@pytest.mark.parametrize("T", [1e-13, -1e-13, 0.0])
+def test_flow_too_short_to_step_keeps_its_start_sample(T):
+    # |T| <= 1e-12 runs no segment; the trace still has the start sample,
+    # the same one a longer flow begins with
+    c = random_null_rays(4, 1, seed=1)[0]
+    tr = flow(c, T, tol=1e-10)
+    longer = flow(c, 0.05, tol=1e-10)
+    assert list(tr.times) == [0.0] and tr.stats["segments"] == 0
+    assert tr.end_point() == longer.points[0]
+    assert (tr.lam[0], tr.log_scale[0]) == (longer.lam[0], longer.log_scale[0])
+    assert classify_limit(tr) is None and tr.symbol_drift() == 0.0
+
+
 def test_classify_flags_nonnull_and_rejects_converged_timelike():
     ct = InteriorCovector(np.array([1.0, 0.5, 0.2, 0.3]),
                           np.array([0.1, 0.0, 0.0, 1.0]))

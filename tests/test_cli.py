@@ -218,6 +218,16 @@ def test_flow_run_artifacts(tmp_path):
     assert "trace-000.csv" in names and "trace-001.csv" in names
 
 
+def test_flow_shorter_than_a_step_runs(tmp_path):
+    # |T| <= 1e-12 is schema-valid: every leg ends at its start sample
+    out, _ = run_dict(tmp_path, {"subcommand": "flow", "params": {"n": 4, "count": 1, "T": 1e-13}})
+    payload = json.loads((out / "flow.json").read_text())
+    check_schema(payload, "flow")
+    assert [ray["forward"]["truncated"] for ray in payload["rays"]] == [None]
+    rows = (out / "trace-000.csv").read_text().strip().splitlines()
+    assert len(rows) == 1 + 1
+
+
 def test_propagate_run_artifacts(tmp_path):
     data = {
         "subcommand": "propagate",
@@ -364,6 +374,25 @@ def check_picard_run(payload):
     assert abs(payload["residual"] - residual) <= 1e-12
 
 
+# propagate.json of the two propagate configs of GOLDEN_FIELDS, by kind: a
+# change of the propagate or residual arithmetic must reproduce these before
+# the propagate.json and field.csv digests are recorded again.  eps and the
+# zero-mode flag exact; norms relative 1e-12; residual absolute 1e-14 (it
+# sits at rounding level).
+PROPAGATE_RUNS = {
+    "retarded": (0.5, False, 0.5183157514239092, 0.2838991692025352, 1.95328732174e-15),
+    "feynman": (0.3, True, 2.386753235499524, 3.0085951835450033, 4.28659384644e-15),
+}
+
+
+def check_propagate_run(payload):
+    eps, projected, norm_f, norm_u, residual = PROPAGATE_RUNS[payload["kind"]]
+    assert (payload["eps"], payload["zero_mode_projected"]) == (eps, projected)
+    assert abs(payload["norm_f"] - norm_f) <= 1e-12 * norm_f
+    assert abs(payload["norm_u"] - norm_u) <= 1e-12 * norm_u
+    assert abs(payload["residual"] - residual) <= 1e-14
+
+
 # sha256 of the field artifact, pinned from the per-element csv.writer output
 GOLDEN_FIELDS = [
     (
@@ -400,12 +429,15 @@ def test_field_csv_golden_bytes(tmp_path, data, name, digest):
     out, manifest = run_dict(tmp_path, data)
     if name == "solution.csv":
         check_picard_run(json.loads((out / "picard.json").read_text()))
+    else:
+        check_propagate_run(json.loads((out / "propagate.json").read_text()))
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert dict(manifest.files)[name] == digest
 
 
 # sha256 of the reports: the zero-mode and cone-mask paths behind them
-# (the cone mask, the projected and the full Picard residual) must not move
+# (the cone mask, and the one residual with its zero-mode rule, projected for
+# Feynman and full for retarded) must not move
 FLOW = {"subcommand": "flow", "seed": 0, "params": {"n": 4, "count": 2, "T": 30.0}}
 # Per leg of FLOW: (ray, leg, classification, truncated, rho_end, gamma_end),
 # which a change of the flow arithmetic must reproduce within FLOW_TOL before
@@ -431,7 +463,7 @@ def check_flow_legs(report):
 
 GOLDEN_REPORTS = [
     (GOLDEN_FIELDS[0][0], "propagate.json",
-     "1649d037393eba4b7a7462eb3d5084a781107751da04226e0000a817b3c5e262"),
+     "de941fcff360e151c3baaad83c9b4270a0b02107047801eeb7faaeea5324407e"),
     (
         {
             "subcommand": "wick",
@@ -453,11 +485,11 @@ GOLDEN_REPORTS = [
         "501dddf604f29925d0de2ce94ed2cc810a762f08168d40218e133c2b187bd9c4",
     ),
     (PICARD, "picard.json",
-     "e5c0db0bb41d78ff53209e2058e8a42989f69543782cc35a5e48556cedbfb175"),
+     "40b1d48522540e8f76308fa46bcc6a96ff6638d070c6a6cb406133122d456023"),
     (
         dict(PICARD, params=dict(PICARD["params"], kind="retarded", eps=0.5)),
         "picard.json",
-        "a8df23c729b7ebba9baa80a5e794eb844f33c53b00c38270002b7601cac70b02",
+        "ae92e2f1bc01696fe1bd61d926b4859927346d9b4d7749e07a8ef651c3a2c643",
     ),
     # the compactified flow (bichar) behind the ray report and its trace, and
     # the exact root and spectrum tables (normal_op)
@@ -491,6 +523,8 @@ def test_json_report_golden_bytes(tmp_path, data, name, digest):
         check_flow_legs(json.loads((out / name).read_text()))
     if name == "picard.json":
         check_picard_run(json.loads((out / name).read_text()))
+    if name == "propagate.json":
+        check_propagate_run(json.loads((out / name).read_text()))
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert dict(manifest.files)[name] == digest
 
@@ -635,6 +669,15 @@ def test_field_write_failure_midway_cleans_up(tmp_path, monkeypatch):
         _write_all(tmp_path, artifacts)
     assert [f.slabs for f in opened] == [2]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_write_failure_leaves_no_artifact(tmp_path):
+    out = tmp_path / "run"
+    (out / "manifest.json").mkdir(parents=True)  # the manifest cannot be written
+    with pytest.raises(ArtifactIOError, match="manifest"):
+        run_experiment(ExperimentConfig.from_dict(dict(ROOTS, out=str(out))))
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert (out / "manifest.json").is_dir()
 
 
 def test_unwritable_output_is_io_error(tmp_path):

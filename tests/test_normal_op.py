@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 import warnings
 from fractions import Fraction
 
@@ -139,6 +140,29 @@ def test_index_values_in_four_dimensions():
     assert index_count(4, 0.5) == 0
     assert index_count(4, 1.5) == -1
     assert index_count(4, -1.5) == 1
+
+
+def test_index_matches_the_degree_by_degree_count():
+    # the definition: -sgn(l) times the multiplicities of the degrees k with
+    # k + (n-2)/2 < |l|, or the number of those degrees
+    for n in range(2, 8):
+        half = 0.5 * (n - 2)
+        for l in np.arange(-12.0, 12.0, 0.1):
+            if weight_line_invertible(n, l).distance < 1e-12:
+                continue
+            degrees = [k for k in range(30) if half + k < abs(l)]
+            sign = -1 if l > 0 else 1
+            assert index_count(n, l) == sign * sum(harmonic_multiplicity(n, k) for k in degrees)
+            assert index_count(n, l, with_multiplicity=False) == sign * len(degrees)
+
+
+def test_index_at_a_huge_weight_is_immediate():
+    # 1e12 degrees lie below l; sum_{k < K} (k+1)^2 = K(K+1)(2K+1)/6 in n = 4
+    K = 10**12
+    start = time.perf_counter()
+    got = index_count(4, 1e12 + 0.5)
+    assert time.perf_counter() - start < 1.0
+    assert got == -(K * (K + 1) * (2 * K + 1) // 6)
 
 
 def test_index_pole_raises():

@@ -15,8 +15,8 @@ from feynlab.fields import (
 from feynlab.propagators import (
     Kind,
     Prescription,
+    _form,
     _multiplier,
-    _plain_symbol,
     _symbol_gap,
     apply_box,
     characteristic_energy_fraction,
@@ -25,10 +25,10 @@ from feynlab.propagators import (
     prescription_residual,
     propagate,
     wick_continuation_study,
-    wick_symbol,
 )
 
 ALL_KINDS = list(Kind)
+ROTATIONS = (Kind.FEYNMAN, Kind.ANTIFEYNMAN)
 # <G f, g> = <f, G* g>: each kind's multiplier is the pointwise conjugate of
 # its partner's on the real lattice
 ADJOINT = {
@@ -51,19 +51,32 @@ def band_limited_off_characteristic(grid, seed, gap_frac=4.0):
     return SpectralField.from_coeffs(grid, c, dict(u.meta))
 
 
-def test_wick_symbol_substitutions():
-    assert wick_symbol(np.array([0.0, 1.0]), 0.0) == pytest.approx(1.0)
-    got = wick_symbol(np.array([0.0, 1.0]), 1j * np.pi / 2.0)
-    assert got == pytest.approx(-1.0, abs=1e-12)
-    zeta = np.array([1.0, 0.0, 0.0, 1.0])
-    assert wick_symbol(zeta, 0.0) == pytest.approx(0.0, abs=1e-15)
+def wick(theta):
+    """The form's a for the Wick rotation by theta: a = e^{-2 theta}."""
+    return np.exp(-2.0 * complex(theta))
 
 
-def test_wick_symbol_euclidean_point_negative_definite():
-    rng = np.random.default_rng(0)
-    zeta = rng.standard_normal((3, 50))
-    vals = wick_symbol(zeta, 1j * np.pi / 2.0)
-    assert np.all(vals.real < 0)
+def test_wick_form_substitutions():
+    # extent 2 pi: the lattice step is 1, so index k sits at frequency k
+    plane = GridSpec((2.0 * np.pi,) * 2, (4, 4))
+    assert _form(plane, wick(0.0))[0, 1] == pytest.approx(1.0)
+    assert _form(plane, wick(1j * np.pi / 2.0))[0, 1] == pytest.approx(-1.0, abs=1e-12)
+    space = GridSpec((2.0 * np.pi,) * 4, (4,) * 4)
+    assert _form(space, wick(0.0))[1, 0, 0, 1] == pytest.approx(0.0, abs=1e-15)
+    # theta = 0 is the plain symbol p, bit for bit
+    grid = GridSpec((5.0, 7.0, 3.0), (6, 8, 4))
+    zeta = grid.freq_mesh()
+    p = zeta[-1] ** 2 - np.sum(zeta[:-1] ** 2, axis=0)
+    assert np.array_equal(_form(grid, wick(0.0)), p)
+    assert np.array_equal(_form(grid, 1.0), p)
+
+
+def test_wick_form_euclidean_point_negative_definite():
+    grid = GridSpec((3.0, 5.0, 4.0), (8, 6, 10))
+    vals = _form(grid, wick(1j * np.pi / 2.0))
+    off = np.ones(grid.points, dtype=bool)
+    off[0, 0, 0] = False
+    assert np.all(vals.real[off] < 0)
     assert np.max(np.abs(vals.imag)) <= 1e-12 * np.max(np.abs(vals.real))
 
 
@@ -193,12 +206,11 @@ def test_residual_wick_parameter_match():
     # the rotation kinds are Wick parameters: Feynman <-> -i eps, anti-Feynman
     # <-> +i eps, so their residual is the rotated operator's, bit for bit
     grid = GridSpec((8.0, 8.0), (32, 32))
-    zeta = grid.freq_mesh()
     eps = 0.05
     feyn = _multiplier(grid, Kind.FEYNMAN, eps)
     anti = _multiplier(grid, Kind.ANTIFEYNMAN, eps)
-    assert np.array_equal(feyn, wick_symbol(zeta, -1j * eps))
-    assert np.array_equal(anti, wick_symbol(zeta, +1j * eps))
+    assert np.array_equal(feyn, _form(grid, wick(-1j * eps)))
+    assert np.array_equal(anti, _form(grid, wick(+1j * eps)))
 
 
 def test_residual_zero_solution_is_one():
@@ -210,7 +222,8 @@ def test_residual_zero_solution_is_one():
 
 
 def test_residual_zero_source_is_absolute():
-    # no source to divide by: the residual is |m u| off the zero mode
+    # no source to divide by: the residual is |m u| (u has no zero mode, so
+    # every kind's zero-mode rule gives the same sum)
     grid = GridSpec((8.0, 8.0), (16, 16))
     f = SpectralField(grid, np.zeros((16, 16)))
     u = random_band_limited(grid, seed=2)
@@ -226,7 +239,7 @@ def test_residual_eps_sweep_decreases():
     # |p u - f| / |f| against the unregularized symbol p shrinks with eps
     grid = GridSpec((12.0, 12.0), (64, 64))
     f = band_limited_off_characteristic(grid, seed=5)
-    p = _plain_symbol(grid)
+    p = _form(grid, 1.0)
     res = []
     for eps in (0.2, 0.05, 0.01):
         u = propagate(f, Prescription(Kind.FEYNMAN, eps=eps))
@@ -363,6 +376,32 @@ def test_adjoint_pairing_property(problem):
     assert abs(lhs - rhs) <= 1e-11 * f.norm() * g.norm()
 
 
+def with_coeffs(grid, coeffs):
+    """A field whose spectral coefficients are exactly `coeffs`: the cache
+    is filled, so no FFT round trip rounds the other modes."""
+    u = SpectralField.from_coeffs(grid, coeffs)
+    fixed = np.array(coeffs, dtype=np.complex128)
+    fixed.flags.writeable = False
+    object.__setattr__(u, "_coeffs", fixed)
+    return u
+
+
+@given(spectral_problems())
+def test_residual_counts_the_zero_mode_exactly_where_propagate_inverts_it(problem):
+    # one zero-mode rule for the solve and its residual: a zero-mode-only
+    # change of u moves the residual of the shift kinds (which invert -eps^2
+    # there) and leaves the rotation kinds' residual bit for bit
+    pres, f, _ = problem
+    c = np.array(propagate(f, pres).coeffs)
+    base = prescription_residual(f, with_coeffs(f.grid, c), pres)
+    c.flat[0] += 1.0
+    bumped = prescription_residual(f, with_coeffs(f.grid, c), pres)
+    if pres.kind in ROTATIONS:
+        assert bumped == base
+    else:
+        assert bumped > base
+
+
 def full_lattice_gap(grid):
     """Reference: smallest nonzero |p| by a scan of the whole lattice."""
     zeta = grid.freq_mesh()
@@ -424,7 +463,7 @@ def test_wick_study_single_mode_path():
     out = wick_continuation_study(f, f, path)
     norm2 = f.norm() ** 2
     for theta, val in zip(out["thetas"], out["values"]):
-        want = norm2 / wick_symbol(np.array(zeta0), theta)
+        want = norm2 / (wick(theta) * zeta0[1] ** 2 - zeta0[0] ** 2)
         np.testing.assert_allclose(val, want, rtol=1e-10)
 
 

@@ -8,7 +8,13 @@ import pytest
 from feynlab import semilinear
 from feynlab.errors import DimensionError
 from feynlab.fields import GridSpec, SpectralField, gaussian_source, random_band_limited
-from feynlab.propagators import Kind, Prescription, apply_box, propagate
+from feynlab.propagators import (
+    Kind,
+    Prescription,
+    apply_box,
+    prescription_residual,
+    propagate,
+)
 from feynlab.semilinear import (
     PicardReport,
     SemilinearProblem,
@@ -107,6 +113,14 @@ def test_zero_coupling_is_a_plain_solve():
     assert rep.iterations == 2
     assert rep.converged and not rep.diverged
     assert (u - propagate(prob.f, prob.prescription)).norm() == 0.0
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_zero_coupling_reports_the_propagate_residual(kind):
+    # one residual: with no nonlinear term Picard reports the linear one
+    pres = Prescription(kind, eps=0.3)
+    _, rep = picard_solve(SemilinearProblem(f=source(), p=3, lam=0.0, prescription=pres))
+    assert rep.residual == prescription_residual(source(), propagate(source(), pres), pres)
 
 
 def test_zero_source_converges_immediately():
@@ -211,8 +225,8 @@ def test_shift_prescription_keeps_full_residual():
     "pres", [Prescription(Kind.FEYNMAN), Prescription(Kind.RETARDED, eps=0.5)]
 )
 def test_solve_runs_one_propagate_per_iteration(monkeypatch, pres):
-    # the residual reads the zero-mode policy off the last iterate; it must
-    # not pay for one more solve
+    # the residual applies the multiplier and its zero-mode rule to the last
+    # iterate; it must not pay for one more solve
     calls = []
 
     def counted(f, prescription):
