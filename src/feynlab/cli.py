@@ -38,7 +38,7 @@ from .bichar import classify_limit, flow, random_null_rays
 from .errors import ClassificationError, FeynlabError, StiffnessError
 from .fields import GridSpec, SpectralField, gaussian_source, random_band_limited
 from .normal_op import normal_report
-from .orders import rule_sweep, sweep_plan
+from .orders import PRODUCT_RULES, rule_sweep, sweep_plan
 from .propagators import (
     Kind,
     Prescription,
@@ -461,6 +461,9 @@ def _cmd_product_check(cfg):
     rules = p.get("rules")
     margin = p.get("margin", 0.1)
     repeats = p.get("repeats", 1)
+    unknown = sorted(set(rules or ()) - set(PRODUCT_RULES))
+    if unknown:
+        raise ConfigError(f"unknown product rules {unknown}; known: {list(PRODUCT_RULES)}")
     plan = [
         row
         for row in sweep_plan()

@@ -174,6 +174,13 @@ def product_integral(
     IEEE subtraction gives ``pts - s == -(s - pts)`` bit for bit, and both
     weights read their argument only through squared coordinates, so the two
     arrays are bitwise equal.  Any other ``w2`` raises ``ValueError``.
+
+    The lattice is the dim-fold product of one axis, so ``w2.of_squares`` gets the
+    ``dim`` 1-D arrays ``(s_k - axis)**2`` broadcast against each other, not
+    the ``(dim, N^dim)`` difference array.  Each element is the same square,
+    and the squares are added in the order ``np.sum(axis=0)`` uses, so the
+    lattice of ``w2`` values, and every sum after it, is bitwise the one of
+    ``w2(s - pts)``.
     """
     if step >= 1.0:
         raise ResolutionError(f"quadrature step must be < 1, got {step}")
@@ -199,6 +206,7 @@ def product_integral(
     samples = None
     for r in radii:
         pts, cell = _midpoint_lattice(dim, r, step)
+        axis = pts[-1, : round(pts.shape[1] ** (1.0 / dim))]  # pts[-1] runs through it first
         samples = _sup_samples(dim, r, seed)
         w_samp = np.asarray(w(samples), dtype=float)
         w1_samp = np.asarray(w1(samples), dtype=float)
@@ -207,8 +215,9 @@ def product_integral(
         row_p = np.empty(samples.shape[1])
         row_m = np.empty(samples.shape[1])
         for j in range(samples.shape[1]):
-            s = samples[:, j : j + 1]
-            w2_lat = w2(s - pts)
+            sq = [(sk - axis) ** 2 for sk in samples[:, j]]
+            sq = np.meshgrid(*sq, indexing="ij", sparse=True, copy=False)
+            w2_lat = w2.of_squares(sq).reshape(-1)
             row_p[j] = cell * float(np.sum((w_samp[j] * inv1 / w2_lat) ** 2))
             row_m[j] = (
                 cell * float(np.sum((wlat / w2_lat) ** 2)) / w1_samp[j] ** 2

@@ -10,6 +10,15 @@ multipliers of weighted Sobolev norms:
   variable Sobolev order m: ``peak`` on a cone of angle ``inner`` about +e0,
   ``base`` outside angle ``outer``, and a C-infinity step between the two.
 * ``SumWeight([...])``: pointwise sum of weights.
+
+``IsoWeight`` and ``SplitWeight`` read their argument only through squared
+coordinates, so each also takes them directly: ``of_squares(sq)`` accepts the
+per-axis squares as a sequence of ``dim`` broadcastable arrays.  A lattice of
+points ``s - x`` then costs ``dim`` 1-D arrays ``(s_k - axis)**2`` instead of a
+``(dim, N^dim)`` difference array.  The squares are added first axis first,
+the order ``np.sum(axis=0)`` uses on a stacked array (its pairwise summation
+regroups only eight or more coordinates of a single point), so both routes
+give the same bits; ``__call__`` and ``bracket`` go through the same method.
 """
 
 from __future__ import annotations
@@ -39,8 +48,12 @@ def smooth_step(t: np.ndarray | float) -> np.ndarray | float:
 
 
 def bracket(xi: np.ndarray) -> np.ndarray:
-    """Japanese bracket <xi> over a stacked array of shape (dim, ...)."""
-    return np.sqrt(1.0 + np.sum(np.asarray(xi, dtype=float) ** 2, axis=0))
+    """Japanese bracket <xi> over a stacked array of shape (dim, ...).
+
+    It is the isotropic weight of order 1; numpy's power 1.0 is an exact copy.
+    """
+    xi = np.asarray(xi, dtype=float)
+    return IsoWeight(len(xi), 1.0).of_squares(xi**2)
 
 
 def _check_stacked(xi: np.ndarray, dim: int) -> np.ndarray:
@@ -67,8 +80,14 @@ class IsoWeight(WeightFunction):
     s: float
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
-        xi = _check_stacked(xi, self.dim)
-        return bracket(xi) ** self.s
+        return self.of_squares(_check_stacked(xi, self.dim) ** 2)
+
+    def of_squares(self, sq) -> np.ndarray:
+        """<xi>^s from the squared coordinates xi_k^2, k < dim."""
+        total = sq[0]
+        for q in sq[1:]:
+            total = total + q
+        return np.sqrt(1.0 + total) ** self.s
 
 
 @dataclass(frozen=True)
@@ -87,8 +106,12 @@ class SplitWeight(WeightFunction):
             )
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
-        xi = _check_stacked(xi, self.dim)
-        return bracket(xi) ** self.m * bracket(xi[self.d :]) ** self.a
+        return self.of_squares(_check_stacked(xi, self.dim) ** 2)
+
+    def of_squares(self, sq) -> np.ndarray:
+        """<xi>^m <xi''>^a from the squared coordinates xi_k^2, k < dim."""
+        iso = IsoWeight(self.dim, self.m).of_squares(sq)
+        return iso * IsoWeight(self.dim - self.d, self.a).of_squares(sq[self.d :])
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from feynlab.cli import (
     run_experiment,
 )
 from feynlab.fields import GridSpec, SpectralField
+from feynlab.orders import PRODUCT_RULES
 
 
 def write_config(path: Path, data: dict) -> Path:
@@ -311,6 +312,21 @@ def test_empty_product_plan_is_config_error(tmp_path):
         run_experiment(ExperimentConfig.from_dict(data))
 
 
+def test_product_check_unknown_rule_exits_two(tmp_path, capsys):
+    # a misspelled rule next to a known one must not be dropped silently
+    data = {
+        "subcommand": "product-check",
+        "params": {"dims": [1], "rules": ["cone-prodcut", "low-reg-cone-product"]},
+    }
+    p = write_config(tmp_path / "typo.json", data)
+    assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    unknown, known = err.split("known:")
+    assert "'cone-prodcut'" in unknown and "'low-reg-cone-product'" not in unknown
+    assert all(repr(rule) in known for rule in PRODUCT_RULES)
+    assert not (tmp_path / "o" / "product-check.json").exists()
+
+
 def test_run_experiment_needs_resolved_out():
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig.from_dict(ROOTS))
@@ -484,6 +500,19 @@ GOLDEN_REPORTS = [
         "wick.json",
         "501dddf604f29925d0de2ce94ed2cc810a762f08168d40218e133c2b187bd9c4",
     ),
+    # the wick config of the field-dump benchmark workload at seed 0: at
+    # 256^2 its arrays are past the 256 KiB at which numpy reuses a
+    # temporary's buffer, where a complex product can round differently
+    (
+        {
+            "subcommand": "wick",
+            "seed": 2126424205,
+            "grid": {"extent": [12.0, 12.0], "points": [256, 256]},
+            "params": {"eps": 0.05, "steps": 8},
+        },
+        "wick.json",
+        "bad6f7634c9a7c6e18a1090ee5da0fee7d2347007fdba676db416ec94089effc",
+    ),
     (PICARD, "picard.json",
      "40b1d48522540e8f76308fa46bcc6a96ff6638d070c6a6cb406133122d456023"),
     (
@@ -513,7 +542,7 @@ GOLDEN_REPORTS = [
     "data,name,digest",
     GOLDEN_REPORTS,
     ids=[
-        "propagate", "wick-cone-gap", "wick", "picard", "picard-retarded",
+        "propagate", "wick-cone-gap", "wick", "wick-256", "picard", "picard-retarded",
         "flow", "flow-trace", "roots", "spectrum", "weights",
     ],
 )
@@ -552,20 +581,48 @@ GOLDEN_SWEEP = {
 }
 
 
-def test_product_check_golden_bytes(tmp_path):
-    out, manifest = run_dict(tmp_path, SWEEP_1D)
+# The sweep workload's 2-D config at its real size: its top lattice is 768^2
+# (4.5 MiB per array), past the 256 KiB at which numpy reuses a temporary's
+# buffer, which the 128^2 lattices of GOLDEN_FLAT_2D stay under.  Exponents
+# within SWEEP_TOL first, then the digests of both artifacts.
+SWEEP_2D = {
+    "subcommand": "product-check",
+    "seed": 0,
+    "params": {"dims": [2], "rules": ["cone-product"]},
+}
+SWEEP_2D_ROWS = {
+    ("cone-product", "sum", 0.1): 0.0809774865756,
+    ("cone-product", "sum", -0.1): 0.154308999386,
+    ("cone-product", "order_rs", 0.1): -3.81393894021,
+    ("cone-product", "order_rs", -0.1): 0.258169122877,
+}
+GOLDEN_SWEEP_2D = {
+    "product-check.json": "772c1a640ae297a9fd8cbdd93466020e00028e67fdfe2610192fa01019b82feb",
+    "product_check.csv": "e485b91cbd50f511bff9681a6f115a92f93541f9c9e4f484079b911d5abe4118",
+}
+
+
+def check_sweep_run(out, manifest, exponents, digests):
     with (out / "product_check.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     got = {
         (r["rule"], r["threshold"], float(r["offset"])): float(r["growth_exponent"])
         for r in rows
     }
-    assert got.keys() == SWEEP_ROWS.keys() and len(rows) == len(SWEEP_ROWS)
-    for key, exponent in SWEEP_ROWS.items():
+    assert got.keys() == exponents.keys() and len(rows) == len(exponents)
+    for key, exponent in exponents.items():
         assert abs(got[key] - exponent) <= SWEEP_TOL, key
-    for name, digest in GOLDEN_SWEEP.items():
+    for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
-    assert dict(manifest.files) == GOLDEN_SWEEP
+    assert dict(manifest.files) == digests
+
+
+def test_product_check_golden_bytes(tmp_path):
+    check_sweep_run(*run_dict(tmp_path, SWEEP_1D), SWEEP_ROWS, GOLDEN_SWEEP)
+
+
+def test_product_check_2d_golden_bytes(tmp_path):
+    check_sweep_run(*run_dict(tmp_path, SWEEP_2D), SWEEP_2D_ROWS, GOLDEN_SWEEP_2D)
 
 
 def reference_field_csv(field) -> str:

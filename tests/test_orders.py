@@ -2,6 +2,7 @@
 Schur measurements."""
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -358,11 +359,16 @@ def test_schur_rejects_a_w2_that_is_not_iso_or_split(w2):
 
 
 class _Counting:
-    """Counts __call__ on a weight; the list field survives a frozen class."""
+    """Records the argument shapes of __call__ and of_squares on a weight;
+    the list field survives a frozen class."""
 
     def __call__(self, xi):
-        self.calls.append(np.shape(xi))
+        self.calls.append(("call", np.shape(xi)))
         return super().__call__(xi)
+
+    def of_squares(self, sq):
+        self.calls.append(("of_squares", tuple(np.shape(q) for q in sq)))
+        return super().of_squares(sq)
 
 
 @dataclass(frozen=True)
@@ -370,13 +376,30 @@ class CountingIso(_Counting, IsoWeight):
     calls: list = field(default_factory=list, compare=False, repr=False)
 
 
-@pytest.mark.parametrize("w2", [CountingIso(2, 1.1)], ids=["iso"])
+@dataclass(frozen=True)
+class CountingSplit(_Counting, SplitWeight):
+    calls: list = field(default_factory=list, compare=False, repr=False)
+
+
+@pytest.mark.parametrize(
+    "w2", [CountingIso(2, 1.1), CountingSplit(2, 1, 0.8, 0.7)], ids=["iso", "split"]
+)
 def test_schur_w2_calls_per_probe(w2):
-    levels = 3
+    # one w2 evaluation per probe and level serves both sums, and it is made
+    # from per-axis squares: no argument of w2 has the lattice's N^2 points
+    levels, cutoff, step = 3, 32.0, 0.5
     res = product_integral(
-        IsoWeight(2, 1.2), IsoWeight(2, 0.8), w2, 2, 32.0, step=0.5, levels=levels
+        IsoWeight(2, 1.2), IsoWeight(2, 0.8), w2, 2, cutoff, step=step, levels=levels
     )
-    assert len(w2.calls) == levels * len(res.sup_samples)
+    squares = [shapes for kind, shapes in w2.calls if kind == "of_squares"]
+    assert len(squares) == levels * len(res.sup_samples)
+    smallest = round(2.0 * res.cutoffs[0] / step)  # points an axis, lowest level
+    for kind, shapes in w2.calls:
+        if kind == "call":
+            assert math.prod(shapes[1:]) < smallest**2
+        else:
+            assert len(shapes) == 2
+            assert all(sum(n > 1 for n in shape) == 1 for shape in shapes)
 
 
 # --- predicate vs measurement sweep --------------------------------------

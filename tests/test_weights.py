@@ -1,12 +1,14 @@
 """Weight functions and the direction-dependent order of the cone weight."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from feynlab.errors import DimensionError
-from feynlab.orders import _C_ANGLES, _K_ANGLES, _OFF_CONE_FLOOR
+from feynlab.orders import _C_ANGLES, _K_ANGLES, _OFF_CONE_FLOOR, _midpoint_lattice
 from feynlab.weights import ConeWeight, IsoWeight, SplitWeight, bracket, smooth_step
 
 
@@ -80,3 +82,56 @@ def test_cone_weight_matches_the_folded_cone_formula(data):
     want = folded_cone_order(dim, base, peak, inner, outer, xi)
     assert np.array_equal(w.order(xi), want)
     assert np.array_equal(w(xi), bracket(xi) ** want)
+
+
+def inline_bracket(xi):
+    """<xi> as the weights computed it before ``of_squares``."""
+    return np.sqrt(1.0 + np.sum(xi**2, axis=0))
+
+
+@st.composite
+def _even_weights(draw):
+    dim = draw(st.integers(1, 4))
+    if dim == 1 or draw(st.booleans()):
+        return IsoWeight(dim, draw(_ORDERS))
+    d = draw(st.integers(1, dim - 1))
+    return SplitWeight(dim, d, draw(_ORDERS), draw(_ORDERS))
+
+
+def inline_weight(w, xi):
+    if isinstance(w, IsoWeight):
+        return inline_bracket(xi) ** w.s
+    return inline_bracket(xi) ** w.m * inline_bracket(xi[w.d :]) ** w.a
+
+
+_COORDS = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+
+
+@given(_even_weights(), st.data())
+def test_of_squares_on_per_axis_squares_is_the_lattice_weight(w, data):
+    # product_integral's route to w2(s - pts): one square per axis, broadcast
+    dim = w.dim
+    # at most 8 points an axis, 8^4 in all
+    cutoff = data.draw(st.sampled_from([1.0, 1.5, 2.0]))
+    pts, _ = _midpoint_lattice(dim, cutoff, data.draw(st.sampled_from([0.5, 0.7])))
+    count = round(pts.shape[1] ** (1.0 / dim))
+    axis = pts[-1, :count]
+    if data.draw(st.booleans()):  # a lattice point
+        s = pts[:, data.draw(st.integers(0, pts.shape[1] - 1))]
+    else:
+        s = np.array(data.draw(st.lists(_COORDS, min_size=dim, max_size=dim)))
+    sq = [((s[k] - axis) ** 2).reshape((-1,) + (1,) * (dim - 1 - k)) for k in range(dim)]
+    got = w.of_squares(sq)
+    assert got.shape == (count,) * dim
+    assert np.array_equal(got.reshape(-1), w(s[:, None] - pts))
+
+
+@given(_even_weights(), st.data())
+def test_call_and_bracket_match_the_inline_formula(w, data):
+    dim = w.dim
+    shape = data.draw(st.sampled_from([(), (5,), (1,), (3, 4), (1, 2)]))
+    size = math.prod(shape)
+    flat = data.draw(st.lists(_COORDS, min_size=dim * size, max_size=dim * size))
+    xi = np.array(flat).reshape((dim,) + shape)
+    assert np.array_equal(w(xi), inline_weight(w, xi))
+    assert np.array_equal(bracket(xi), inline_bracket(xi))
