@@ -38,7 +38,7 @@ from .bichar import classify_limit, flow, random_null_rays
 from .errors import ClassificationError, FeynlabError, StiffnessError
 from .fields import GridSpec, SpectralField, gaussian_source, random_band_limited
 from .normal_op import normal_report
-from .orders import PRODUCT_RULES, rule_sweep, sweep_plan
+from .orders import rule_sweep, sweep_plan
 from .propagators import (
     Kind,
     Prescription,
@@ -458,19 +458,12 @@ def _cmd_picard(cfg):
 def _cmd_product_check(cfg):
     p = cfg.params
     dims = p.get("dims", [1])
-    rules = p.get("rules")
     margin = p.get("margin", 0.1)
     repeats = p.get("repeats", 1)
-    unknown = sorted(set(rules or ()) - set(PRODUCT_RULES))
-    if unknown:
-        raise ConfigError(f"unknown product rules {unknown}; known: {list(PRODUCT_RULES)}")
-    plan = [
-        row
-        for row in sweep_plan()
-        if row[1] in dims and (rules is None or row[0] in rules)
-    ]
-    if not plan:
-        raise ConfigError("product-check plan is empty (no rule matches the filter)")
+    try:
+        plan = sweep_plan(dims, p.get("rules"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = rule_sweep(margin=margin, repeats=repeats, seed=cfg.seed, plan=plan)
     # one column per rule_sweep key, in its order; params as sorted JSON
     header = list(rows[0])
@@ -563,12 +556,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         raise ConfigError(f"unknown subcommand {cfg.subcommand!r}")
     if cfg.out is None:
         raise ConfigError("no output directory resolved")
-    out_dir = Path(cfg.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot create output directory {out_dir}: {exc}") from exc
-
     start = time.monotonic()
     try:
         artifacts, status = _SUBCOMMANDS[cfg.subcommand](cfg)
@@ -577,6 +564,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     except StiffnessError as exc:
         raise NumericDivergence(str(exc)) from exc
 
+    out_dir = Path(cfg.out)  # made only now, so a config error leaves no directory
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ArtifactIOError(f"cannot create output directory {out_dir}: {exc}") from exc
     _write_all(out_dir, artifacts)
     files = tuple((a.name, _sha256(out_dir / a.name)) for a in artifacts)
     manifest = RunManifest(

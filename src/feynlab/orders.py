@@ -14,15 +14,20 @@ Two groups of tools share this module.
 
   is finite.  ``product_integral`` measures both on truncated lattices and
   fits a growth exponent across dyadic cutoffs (near zero signals
-  finiteness); ``product_rule_predict`` evaluates the symbolic hypotheses of
-  the named product rules; ``rule_flat_model`` realizes each rule's weights
-  on flat frequency space; ``rule_sweep`` straddles the scaling-visible
-  thresholds and compares predicate against measurement.
+  finiteness).  Each named product rule is one ``_RULES`` entry: parameter
+  names, hypotheses, flat-model weights, sweep dims, swept thresholds and
+  straddle points.  ``product_rule_predict`` evaluates the hypotheses;
+  ``rule_flat_model`` realizes the weights on flat frequency space;
+  ``sweep_plan`` lists the straddle points and raises ValueError for an
+  unknown rule or a requested rule with no row in the requested dims (the
+  ``product-check`` exit 2); ``rule_sweep`` compares predicate against
+  measurement at each point.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,12 +109,11 @@ class ProductIntegralResult:
 
 
 def _midpoint_lattice(dim: int, cutoff: float, step: float) -> tuple[np.ndarray, float]:
-    """Cell centers of a uniform midpoint lattice on [-cutoff, cutoff]^dim."""
+    """Axis and cell volume of a uniform midpoint lattice on [-cutoff, cutoff]^dim,
+    the dim-fold product of the axis."""
     count = max(int(round(2.0 * cutoff / step)), 2)
     axis = -cutoff + (np.arange(count) + 0.5) * (2.0 * cutoff / count)
-    cell = (2.0 * cutoff / count) ** dim
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids]), cell
+    return axis, (2.0 * cutoff / count) ** dim
 
 
 def _sup_samples(dim: int, cutoff: float, seed: int) -> np.ndarray:
@@ -205,8 +209,8 @@ def product_integral(
     vals_p, vals_m = [], []
     samples = None
     for r in radii:
-        pts, cell = _midpoint_lattice(dim, r, step)
-        axis = pts[-1, : round(pts.shape[1] ** (1.0 / dim))]  # pts[-1] runs through it first
+        axis, cell = _midpoint_lattice(dim, r, step)
+        pts = np.stack([g.reshape(-1) for g in np.meshgrid(*[axis] * dim, indexing="ij")])
         samples = _sup_samples(dim, r, seed)
         w_samp = np.asarray(w(samples), dtype=float)
         w1_samp = np.asarray(w1(samples), dtype=float)
@@ -273,78 +277,188 @@ def product_integral(
 
 
 # ---------------------------------------------------------------------------
-# Symbolic product rules
+# Symbolic product rules, their flat models and the straddle sweep
+#
+# One ``_Rule`` per product rule.  Its hypotheses are (label, inequality
+# text, margin, strict) checks: a nonnegative margin satisfies a non-strict
+# inequality; a strict one needs margin > 0.  Its sweep straddles the
+# thresholds whose crossing is visible in the flat model's scaling (crossing
+# by delta makes the Schur quantity grow like R^(2 delta)).  Hypotheses
+# invisible to the model (for instance s0 > 0 in the cone product, whose
+# violation leaves the model integrals finite) are not swept; they are
+# sufficient-condition side constraints.
 
-# Each entry: required parameter names and a builder returning inequality
-# checks as (label, inequality text, margin, strict).  A nonnegative margin
-# satisfies a non-strict inequality; a strict one needs margin > 0.
-
-
-def _checks_cone_product(q):
-    n, r, s, s0 = q["n"], q["r"], q["s"], q["s0"]
-    return [
-        ("order_rs", "r >= s", r - s, False),
-        ("order_ss0", "s >= s0", s - s0, False),
-        ("positivity", "s0 > 0", s0, True),
-        ("sum", "r - s + s0 > n/2", r - s + s0 - n / 2.0, True),
-    ]
-
-
-def _checks_split_algebra(q):
-    n, d, m, a = q["n"], q["d"], q["m"], q["a"]
-    return [
-        ("m", "m > d/2", m - d / 2.0, True),
-        ("a", "a > (n-d)/2", a - (n - d) / 2.0, True),
-    ]
+# Nested cone angles on the direction sphere: the sup cone K sits strictly
+# inside the regularity cone C so that off-C frequencies are comparable to
+# the transfer xi - eta on K.
+_K_ANGLES = (0.15, 0.4)
+_C_ANGLES = (0.45, 0.75)
+_OFF_CONE_FLOOR = 0.05  # small positive exponent off the cone, per the models
+_PIN = 0.35  # margin kept by the thresholds a sweep point does not straddle
 
 
-def _checks_split_cone_product(q):
-    n, d, r, s, m, a = q["n"], q["d"], q["r"], q["s"], q["m"], q["a"]
-    return [
-        ("m", "m > d/2", m - d / 2.0, True),
-        ("a", "a > (n-d)/2", a - (n - d) / 2.0, True),
-        ("order_rs", "r >= s", r - s, False),
-        ("floor", "s >= m + a", s - m - a, False),
-    ]
+def _cone_point(n, threshold, offset):
+    if threshold == "sum":
+        # s0 just under n/2 keeps the off-cone mechanism's coefficient
+        # large; r - s = n/2 - s0 + offset stays >= 0 on both sides
+        s0 = n / 2.0 - 0.15
+        s = s0 + _PIN
+        r = n / 2.0 + s - s0 + offset
+    else:  # order_rs
+        s0 = n / 2.0 + _PIN - offset  # keeps the sum margin at _PIN
+        s = s0 + 0.3
+        r = s + offset
+    return {"n": n, "r": r, "s": s, "s0": s0}
 
 
-def _checks_low_reg_cone_product(q):
-    n, s, sp, s0 = q["n"], q["s"], q["s_prime"], q["s0"]
-    return [
-        ("order_ss0", "s >= s0", s - s0, False),
-        ("order_s0sp", "s0 >= s'", s0 - sp, False),
-        ("sum", "s - s' + s0 > n/2", s - sp + s0 - n / 2.0, True),
-    ]
+def _split_point(n, threshold, offset):
+    # ma_joint crosses m and a together; the transverse threshold alone is
+    # not scaling-visible with the isotropic factor pinned away
+    d = 1
+    a_offset = offset if threshold == "ma_joint" else _PIN
+    return {"n": n, "d": d, "m": d / 2.0 + offset, "a": (n - d) / 2.0 + a_offset}
 
 
-def _checks_split_low_reg(q):
-    n, d, m, mp, m0, a = q["n"], q["d"], q["m"], q["m_prime"], q["m0"], q["a"]
-    return [
-        ("msum", "m - m' + m0 > d/2", m - mp + m0 - d / 2.0, True),
-        ("a", "a > (n-d)/2", a - (n - d) / 2.0, True),
-        ("order_mm0", "m >= m0", m - m0, False),
-        ("order_m0mp", "m0 >= m'", m0 - mp, False),
-    ]
+def _split_cone_point(n, threshold, offset):
+    # the split-algebra point; order_rs pins both split margins at _PIN
+    rs = threshold == "order_rs"
+    q = _split_point(n, "m", _PIN) if rs else _split_point(n, threshold, offset)
+    s = q["m"] + q["a"] + 0.05
+    r = s + (offset if rs else 0.0)
+    return {"n": n, "d": q["d"], "r": r, "s": s, "m": q["m"], "a": q["a"]}
+
+
+def _low_reg_point(n, threshold, offset):
+    if threshold == "sum":
+        # The orders s >= s0 >= s' force s - s' + s0 >= s0, so the sum
+        # threshold is approached through s0 near n/2: on the good side a
+        # degenerate dip just above n/2, on the bad side all three just
+        # below n/2, failing only the sum.
+        if offset >= 0:
+            s0 = n / 2.0 + offset / 2.0
+            sp = s0
+            s = n / 2.0 + offset
+        else:
+            s0 = n / 2.0 + 1.5 * offset
+            sp = s0 + offset / 2.0
+            s = n / 2.0 + offset + sp - s0
+    else:  # order_s0sp
+        s0 = n / 2.0 + 0.15  # ambient block stays finite
+        sp = s0 - offset
+        s = n / 2.0 + sp - s0 + _PIN  # keeps the sum margin at _PIN
+    return {"n": n, "s": s, "s_prime": sp, "s0": s0}
+
+
+def _split_low_reg_point(n, threshold, offset):
+    d = 1
+    g = 0.05
+    if threshold == "order_m0mp":
+        a = (n - d) / 2.0 + _PIN
+        m = d / 2.0 + 0.4
+        m0 = m - _PIN
+        mp = m0 - offset  # sum margin stays at 0.4 + offset
+    else:
+        # m - m' + m0 - d/2 = m + g - d/2 once m0 = m, m' = m0 - g, so the
+        # sum margin equals the offset with the orders intact; msum_a_joint
+        # crosses the transverse threshold with it, which alone is not
+        # scaling-visible (every factor carries the same a)
+        a = (n - d) / 2.0 + (offset if threshold == "msum_a_joint" else _PIN)
+        m = d / 2.0 + offset - g
+        m0 = m
+        mp = m0 - g
+    return {"n": n, "d": d, "m": m, "m_prime": mp, "m0": m0, "a": a}
+
+
+@dataclass(frozen=True)
+class _Rule:
+    params: tuple  # parameter names
+    hypotheses: Callable  # (**params) -> checks
+    flat_model: Callable  # (dim, **params) -> (w, w1, w2)
+    dims: tuple  # lattice dims of the sweep
+    thresholds: tuple  # straddled thresholds
+    straddle: Callable  # (n, threshold, offset) -> params
 
 
 _RULES = {
-    "cone-product": (("n", "r", "s", "s0"), _checks_cone_product),
-    "split-algebra": (("n", "d", "m", "a"), _checks_split_algebra),
-    "split-cone-product": (
+    "cone-product": _Rule(
+        ("n", "r", "s", "s0"),
+        lambda n, r, s, s0: (
+            ("order_rs", "r >= s", r - s, False),
+            ("order_ss0", "s >= s0", s - s0, False),
+            ("positivity", "s0 > 0", s0, True),
+            ("sum", "r - s + s0 > n/2", r - s + s0 - n / 2.0, True),
+        ),
+        lambda dim, r, s, s0, **_: (
+            ConeWeight(dim, s0, s, *_K_ANGLES),
+            ConeWeight(dim, s0, s, *_C_ANGLES),
+            IsoWeight(dim, r),
+        ),
+        (1, 2), ("sum", "order_rs"), _cone_point,
+    ),
+    "split-algebra": _Rule(
+        ("n", "d", "m", "a"),
+        lambda n, d, m, a: (
+            ("m", "m > d/2", m - d / 2.0, True),
+            ("a", "a > (n-d)/2", a - (n - d) / 2.0, True),
+        ),
+        lambda dim, d, m, a, **_: (SplitWeight(dim, d, m, a),) * 3,
+        (2,), ("m", "ma_joint"), _split_point,
+    ),
+    "split-cone-product": _Rule(
         ("n", "d", "r", "s", "m", "a"),
-        _checks_split_cone_product,
+        lambda n, d, r, s, m, a: (
+            ("m", "m > d/2", m - d / 2.0, True),
+            ("a", "a > (n-d)/2", a - (n - d) / 2.0, True),
+            ("order_rs", "r >= s", r - s, False),
+            ("floor", "s >= m + a", s - m - a, False),
+        ),
+        lambda dim, d, r, s, m, a, **_: (
+            ConeWeight(dim, _OFF_CONE_FLOOR, s, *_K_ANGLES),
+            SumWeight(
+                (SplitWeight(dim, d, m, a), ConeWeight(dim, _OFF_CONE_FLOOR, s, *_C_ANGLES))
+            ),
+            IsoWeight(dim, r),
+        ),
+        (2,), ("m", "ma_joint", "order_rs"), _split_cone_point,
     ),
-    "low-reg-cone-product": (
+    "low-reg-cone-product": _Rule(
         ("n", "s", "s_prime", "s0"),
-        _checks_low_reg_cone_product,
+        lambda n, s, s_prime, s0: (
+            ("order_ss0", "s >= s0", s - s0, False),
+            ("order_s0sp", "s0 >= s'", s0 - s_prime, False),
+            ("sum", "s - s' + s0 > n/2", s - s_prime + s0 - n / 2.0, True),
+        ),
+        lambda dim, s, s_prime, s0, **_: (
+            ConeWeight(dim, s0, s_prime, *_K_ANGLES),
+            ConeWeight(dim, s0, s, *_C_ANGLES),
+            IsoWeight(dim, s0),
+        ),
+        (1, 2), ("sum", "order_s0sp"), _low_reg_point,
     ),
-    "split-low-reg-product": (
+    "split-low-reg-product": _Rule(
         ("n", "d", "m", "m_prime", "m0", "a"),
-        _checks_split_low_reg,
+        lambda n, d, m, m_prime, m0, a: (
+            ("msum", "m - m' + m0 > d/2", m - m_prime + m0 - d / 2.0, True),
+            ("a", "a > (n-d)/2", a - (n - d) / 2.0, True),
+            ("order_mm0", "m >= m0", m - m0, False),
+            ("order_m0mp", "m0 >= m'", m0 - m_prime, False),
+        ),
+        lambda dim, d, m, m_prime, m0, a, **_: (
+            SplitWeight(dim, d, m_prime, a),
+            SplitWeight(dim, d, m, a),
+            SplitWeight(dim, d, m0, a),
+        ),
+        (2,), ("msum", "msum_a_joint", "order_m0mp"), _split_low_reg_point,
     ),
 }
 
 PRODUCT_RULES = tuple(_RULES)
+
+
+def _rule(rule: str) -> _Rule:
+    if rule not in _RULES:
+        raise ValueError(f"unknown product rule {rule!r}; known: {PRODUCT_RULES}")
+    return _RULES[rule]
 
 
 def product_rule_predict(rule: str, params: dict) -> dict:
@@ -353,13 +467,11 @@ def product_rule_predict(rule: str, params: dict) -> dict:
     Returns the conjunction verdict, the per-inequality margins, and the
     hypothesis texts.
     """
-    if rule not in _RULES:
-        raise ValueError(f"unknown product rule {rule!r}; known: {PRODUCT_RULES}")
-    names, builder = _RULES[rule]
-    missing = [k for k in names if k not in params]
+    entry = _rule(rule)
+    missing = [k for k in entry.params if k not in params]
     if missing:
         raise ValueError(f"rule {rule!r} missing parameters {missing}")
-    checks = builder(params)
+    checks = entry.hypotheses(**{k: params[k] for k in entry.params})
     return {
         "rule": rule,
         "holds": all(
@@ -370,17 +482,6 @@ def product_rule_predict(rule: str, params: dict) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# Flat-model realizations and the straddle sweep
-
-# Nested cone angles on the direction sphere: the sup cone K sits strictly
-# inside the regularity cone C so that off-C frequencies are comparable to
-# the transfer xi - eta on K.
-_K_ANGLES = (0.15, 0.4)
-_C_ANGLES = (0.45, 0.75)
-_OFF_CONE_FLOOR = 0.05  # small positive exponent off the cone, per the models
-
-
 def rule_flat_model(rule: str, params: dict, dim: int):
     """Weights (w, w1, w2) realizing a product rule on flat frequency space.
 
@@ -388,153 +489,38 @@ def rule_flat_model(rule: str, params: dict, dim: int):
     ``n`` parameter should equal it); split-type rules need ``dim > d`` and
     therefore have no one-dimensional realization.
     """
-    q = params
-    if rule == "cone-product":
-        w1 = ConeWeight(dim, q["s0"], q["s"], *_C_ANGLES)
-        w2 = IsoWeight(dim, q["r"])
-        w = ConeWeight(dim, q["s0"], q["s"], *_K_ANGLES)
-        return w, w1, w2
-    if rule == "split-algebra":
-        sw = SplitWeight(dim, q["d"], q["m"], q["a"])
-        return sw, sw, sw
-    if rule == "split-cone-product":
-        split = SplitWeight(dim, q["d"], q["m"], q["a"])
-        w1 = SumWeight((split, ConeWeight(dim, _OFF_CONE_FLOOR, q["s"], *_C_ANGLES)))
-        w2 = IsoWeight(dim, q["r"])
-        w = ConeWeight(dim, _OFF_CONE_FLOOR, q["s"], *_K_ANGLES)
-        return w, w1, w2
-    if rule == "low-reg-cone-product":
-        w1 = ConeWeight(dim, q["s0"], q["s"], *_C_ANGLES)
-        w2 = IsoWeight(dim, q["s0"])
-        w = ConeWeight(dim, q["s0"], q["s_prime"], *_K_ANGLES)
-        return w, w1, w2
-    if rule == "split-low-reg-product":
-        w1 = SplitWeight(dim, q["d"], q["m"], q["a"])
-        w2 = SplitWeight(dim, q["d"], q["m0"], q["a"])
-        w = SplitWeight(dim, q["d"], q["m_prime"], q["a"])
-        return w, w1, w2
-    raise ValueError(f"rule {rule!r} has no flat-model realization")
-
-
-# Straddle plan: for each rule, the thresholds whose crossing is visible in
-# the flat model's scaling (crossing by delta makes the Schur quantity grow
-# like R^(2 delta)).  Hypotheses invisible to the model (for instance s0 > 0
-# in the cone product, whose violation leaves the model integrals finite)
-# are not swept; they are sufficient-condition side constraints.
-_SWEEP_DIMS = {
-    "cone-product": (1, 2),
-    "split-algebra": (2,),
-    "split-cone-product": (2,),
-    "low-reg-cone-product": (1, 2),
-    "split-low-reg-product": (2,),
-}
-_PIN = 0.35  # margin kept by the thresholds a sweep point does not straddle
+    return _rule(rule).flat_model(dim, **params)
 
 
 def _sweep_params(rule: str, dim: int, threshold: str, offset: float):
     """Parameter point straddling one threshold with the others pinned."""
-    n = dim
-    if rule == "cone-product":
-        if threshold == "sum":
-            # s0 just under n/2 keeps the off-cone mechanism's coefficient
-            # large; r - s = n/2 - s0 + offset stays >= 0 on both sides
-            s0 = n / 2.0 - 0.15
-            s = s0 + _PIN
-            r = n / 2.0 + s - s0 + offset
-        elif threshold == "order_rs":
-            s0 = n / 2.0 + _PIN - offset  # keeps the sum margin at _PIN
-            s = s0 + 0.3
-            r = s + offset
-        else:
-            raise KeyError(threshold)
-        return {"n": n, "r": r, "s": s, "s0": s0}
-    if rule == "split-algebra":
-        d = 1
-        if threshold == "m":
-            m, a = d / 2.0 + offset, (n - d) / 2.0 + _PIN
-        elif threshold == "ma_joint":
-            # crossing m and a together; the transverse threshold alone is
-            # not scaling-visible with the isotropic factor pinned away
-            m, a = d / 2.0 + offset, (n - d) / 2.0 + offset
-        else:
-            raise KeyError(threshold)
-        return {"n": n, "d": d, "m": m, "a": a}
-    if rule == "split-cone-product":
-        d = 1
-        if threshold == "m":
-            m, a = d / 2.0 + offset, (n - d) / 2.0 + _PIN
-        elif threshold == "ma_joint":
-            m, a = d / 2.0 + offset, (n - d) / 2.0 + offset
-        elif threshold == "order_rs":
-            m, a = d / 2.0 + _PIN, (n - d) / 2.0 + _PIN
-        else:
-            raise KeyError(threshold)
-        s = m + a + 0.05
-        r = s + (offset if threshold == "order_rs" else 0.0)
-        return {"n": n, "d": d, "r": r, "s": s, "m": m, "a": a}
-    if rule == "low-reg-cone-product":
-        if threshold == "sum":
-            # The orders s >= s0 >= s' force s - s' + s0 >= s0, so the sum
-            # threshold is approached through s0 near n/2: on the good side a
-            # degenerate dip just above n/2, on the bad side all three just
-            # below n/2, failing only the sum.
-            if offset >= 0:
-                s0 = n / 2.0 + offset / 2.0
-                sp = s0
-                s = n / 2.0 + offset
-            else:
-                s0 = n / 2.0 + 1.5 * offset
-                sp = s0 + offset / 2.0
-                s = n / 2.0 + offset + sp - s0
-        elif threshold == "order_s0sp":
-            s0 = n / 2.0 + 0.15  # ambient block stays finite
-            sp = s0 - offset
-            s = n / 2.0 + sp - s0 + _PIN  # keeps the sum margin at _PIN
-        else:
-            raise KeyError(threshold)
-        return {"n": n, "s": s, "s_prime": sp, "s0": s0}
-    if rule == "split-low-reg-product":
-        d = 1
-        g = 0.05
-        if threshold == "msum":
-            # m - m' + m0 - d/2 = m + g - d/2 once m0 = m, m' = m0 - g, so the
-            # sum margin equals the offset with the orders intact
-            a = (n - d) / 2.0 + _PIN
-            m = d / 2.0 + offset - g
-            m0 = m
-            mp = m0 - g
-        elif threshold == "msum_a_joint":
-            # transverse threshold crossed together with the sum; alone it is
-            # not scaling-visible (every factor carries the same a)
-            a = (n - d) / 2.0 + offset
-            m = d / 2.0 + offset - g
-            m0 = m
-            mp = m0 - g
-        elif threshold == "order_m0mp":
-            a = (n - d) / 2.0 + _PIN
-            m = d / 2.0 + 0.4
-            m0 = m - _PIN
-            mp = m0 - offset  # sum margin stays at 0.4 + offset
-        else:
-            raise KeyError(threshold)
-        return {"n": n, "d": d, "m": m, "m_prime": mp, "m0": m0, "a": a}
-    raise ValueError(f"rule {rule!r} is not in the sweep plan")
+    entry = _rule(rule)
+    if threshold not in entry.thresholds:
+        raise KeyError(threshold)
+    return entry.straddle(dim, threshold, offset)
 
 
-def sweep_plan() -> list[tuple[str, int, str]]:
-    """The declared (rule, dim, threshold) triples of the straddle sweep."""
+def sweep_plan(dims=None, rules=None) -> list[tuple[str, int, str]]:
+    """The declared (rule, dim, threshold) triples of the straddle sweep, in
+    table order, restricted to ``dims`` and ``rules`` when given.
+
+    Raises ValueError for an unknown rule and for a requested rule with no
+    row in the requested dims, so no requested rule is dropped unnoticed.
+    """
+    unknown = sorted(set(rules or ()) - set(_RULES))
+    if unknown:
+        raise ValueError(f"unknown product rules {unknown}; known: {list(_RULES)}")
     plan = []
-    thresholds = {
-        "cone-product": ("sum", "order_rs"),
-        "split-algebra": ("m", "ma_joint"),
-        "split-cone-product": ("m", "ma_joint", "order_rs"),
-        "low-reg-cone-product": ("sum", "order_s0sp"),
-        "split-low-reg-product": ("msum", "msum_a_joint", "order_m0mp"),
-    }
-    for rule, dims in _SWEEP_DIMS.items():
-        for dim in dims:
-            for th in thresholds[rule]:
-                plan.append((rule, dim, th))
+    for rule, entry in _RULES.items():
+        if rules is not None and rule not in rules:
+            continue
+        swept = [dim for dim in entry.dims if dims is None or dim in dims]
+        if rules is not None and not swept:
+            raise ValueError(
+                f"product rule {rule!r} has no row in dims {sorted(set(dims))}; "
+                f"it sweeps dims {list(entry.dims)}"
+            )
+        plan += [(rule, dim, th) for dim in swept for th in entry.thresholds]
     return plan
 
 

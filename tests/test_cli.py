@@ -28,7 +28,7 @@ from feynlab.cli import (
     run_experiment,
 )
 from feynlab.fields import GridSpec, SpectralField
-from feynlab.orders import PRODUCT_RULES
+from feynlab.orders import PRODUCT_RULES, sweep_plan
 
 
 def write_config(path: Path, data: dict) -> Path:
@@ -324,7 +324,28 @@ def test_product_check_unknown_rule_exits_two(tmp_path, capsys):
     unknown, known = err.split("known:")
     assert "'cone-prodcut'" in unknown and "'low-reg-cone-product'" not in unknown
     assert all(repr(rule) in known for rule in PRODUCT_RULES)
-    assert not (tmp_path / "o" / "product-check.json").exists()
+    assert not (tmp_path / "o").exists()
+
+
+def test_product_check_rule_without_a_row_in_the_dims_exits_two(tmp_path, capsys):
+    # split-algebra has no 1-D flat model; it must not vanish from the plan
+    data = {
+        "subcommand": "product-check",
+        "params": {"dims": [1], "rules": ["split-algebra", "cone-product"]},
+    }
+    p = write_config(tmp_path / "line.json", data)
+    assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'split-algebra'" in err and "[2]" in err and "'cone-product'" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_schema_dims_are_the_swept_dims():
+    # a dim the rule table sweeps must be reachable from a config, and no other
+    params = load_schema("config")["$defs"]["product_check_params"]
+    assert params["properties"]["dims"]["items"]["enum"] == sorted(
+        {dim for _, dim, _ in sweep_plan()}
+    )
 
 
 def test_run_experiment_needs_resolved_out():
@@ -768,6 +789,7 @@ def test_rotation_eps_outside_the_angle_range_exits_two(tmp_path, capsys):
     p = write_config(tmp_path / "bad.json", data)
     assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "angle in (0, pi/2)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_missing_config_exit_two(tmp_path):

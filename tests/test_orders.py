@@ -212,7 +212,8 @@ def reference_schur_levels(w, w1, w2, dim, cutoff, step, levels, seed):
     radii = [cutoff / 2**j for j in range(levels)][::-1]
     vals_p, vals_m = [], []
     for r in radii:
-        pts, cell = _midpoint_lattice(dim, r, step)
+        axis, cell = _midpoint_lattice(dim, r, step)
+        pts = np.stack([g.reshape(-1) for g in np.meshgrid(*[axis] * dim, indexing="ij")])
         samples = _sup_samples(dim, r, seed)
         w_samp = np.asarray(w(samples), dtype=float)
         w1_samp = np.asarray(w1(samples), dtype=float)
@@ -332,7 +333,7 @@ def test_schur_levels_match_two_call_reference_on_flat_models(offset):
     # M+ and M- are maxima over probes; bitwise equal maxima over the whole
     # plan, with the offsets crossing every threshold, pin the shared w2, and
     # the digest pins the 2-D flat models themselves
-    plan = [t for t in sweep_plan() if t[1] == 2]
+    plan = sweep_plan(dims=[2])
     digest = hashlib.sha256()
     for rule, dim, threshold in plan:
         weights = rule_flat_model(rule, _sweep_params(rule, dim, threshold, offset), dim)
@@ -426,13 +427,44 @@ def test_flat_model_split_rules_have_no_line_realization():
 
 
 def test_sweep_line_rules_agree():
-    plan = [t for t in sweep_plan() if t[1] == 1]
-    rows = rule_sweep(plan=plan)
+    rows = rule_sweep(plan=sweep_plan(dims=[1]))
     assert len(rows) == 8
     assert all(r["agree"] for r in rows)
     # both orientations are exercised
     assert any(r["predicted"] for r in rows)
     assert any(not r["predicted"] for r in rows)
+
+
+def test_sweep_plan_filters_by_dim_and_rule():
+    rules = ("split-algebra", "cone-product")
+    assert sweep_plan([2], rules) == [t for t in sweep_plan() if t[1] == 2 and t[0] in rules]
+    with pytest.raises(ValueError, match=r"'split-algebra'.*\[2\]"):
+        sweep_plan([1], rules)  # no 1-D realization
+    with pytest.raises(ValueError, match="'cone-prodcut'"):
+        sweep_plan(None, ["cone-prodcut"])
+
+
+# the hypotheses a joint threshold crosses together
+_CROSSED = {"ma_joint": ("m", "a"), "msum_a_joint": ("msum", "a")}
+
+
+@pytest.mark.parametrize("offset", [0.1, -0.1, 0.08, -0.12])
+def test_sweep_points_cross_exactly_their_threshold(offset):
+    # rule_sweep's straddle: the threshold's hypotheses have margin equal to
+    # the offset, and every other hypothesis holds
+    for rule, dim, threshold in sweep_plan():
+        pred = product_rule_predict(rule, _sweep_params(rule, dim, threshold, offset))
+        crossed = _CROSSED.get(threshold, (threshold,))
+        assert set(crossed) <= set(pred["margins"])
+        for (label, margin), text in zip(pred["margins"].items(), pred["hypotheses"]):
+            where = (rule, dim, threshold, label)
+            if label in crossed:
+                assert abs(margin - offset) <= 1e-12, where
+            elif ">=" in text:
+                assert margin >= 0, where
+            else:
+                assert margin > 0, where
+        assert pred["holds"] == (offset > 0)
 
 
 def test_sweep_deterministic():

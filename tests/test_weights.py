@@ -113,9 +113,9 @@ def test_of_squares_on_per_axis_squares_is_the_lattice_weight(w, data):
     dim = w.dim
     # at most 8 points an axis, 8^4 in all
     cutoff = data.draw(st.sampled_from([1.0, 1.5, 2.0]))
-    pts, _ = _midpoint_lattice(dim, cutoff, data.draw(st.sampled_from([0.5, 0.7])))
-    count = round(pts.shape[1] ** (1.0 / dim))
-    axis = pts[-1, :count]
+    axis, _ = _midpoint_lattice(dim, cutoff, data.draw(st.sampled_from([0.5, 0.7])))
+    count = axis.size
+    pts = np.stack([g.reshape(-1) for g in np.meshgrid(*[axis] * dim, indexing="ij")])
     if data.draw(st.booleans()):  # a lattice point
         s = pts[:, data.draw(st.integers(0, pts.shape[1] - 1))]
     else:
