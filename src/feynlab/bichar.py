@@ -42,8 +42,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import _dop853
 from .errors import ChartError, ClassificationError, StiffnessError
 
 __all__ = [
@@ -180,10 +180,12 @@ class RayTrace:
     """Sampled flow line with scale-free symbol values and solver stats.
 
     Fiber data per sample is the unit vector (v-frame) plus log-scale; the
-    raw fiber is unit * e^{log_scale}.  stats records accepted steps,
-    function evaluations and an estimated rejected-step count (the solver
-    does not expose rejects; the estimate divides leftover evaluations by
-    the stage count).
+    raw fiber is unit * e^{log_scale}.  stats records segments, accepted
+    steps, function evaluations and an estimated rejected-step count:
+    evaluations / 15 minus accepted steps, where 15 is the evaluations of
+    one accepted DOP853 step with its dense output (12 stages plus 3).  A
+    rejected step costs 12, so the estimate undercounts rejects; it is kept
+    as it is so that the counter keeps its meaning across versions.
     """
 
     times: np.ndarray
@@ -442,10 +444,11 @@ def _entry(r: float, w: float) -> float:
 
 
 def _terminal(direction: float = 0.0):
-    """Mark an event function as terminal for solve_ivp, in one crossing direction."""
+    """Mark an event function with the crossing direction in which it ends a
+    _dop853 segment (every _dop853 event is terminal)."""
 
     def mark(ev):
-        ev.terminal, ev.direction = True, direction
+        ev.direction = direction
         return ev
 
     return mark
@@ -490,15 +493,16 @@ def flow(pt, T: float, tol: float = 1e-10) -> RayTrace:
 
     Accepts a BCotangentPoint or an InteriorCovector.  Interior stretches
     run in plain (z, zeta) coordinates, latitude stretches in the
-    projectivized latitude chart; one loop serves both, one solve_ivp call
-    per segment.  A state starts in the latitude chart where _entry is
-    positive (rho < 0.05, |w| < 0.85), and the interior enters it where
-    _entry turns positive.  The events, in the order they take effect when
-    several fire in one step: in the interior, escape past |z| = 1e4
-    (truncated "escaped"), then entry; in the latitude chart, the radial
-    convergence floor rho = 1e-5, then the exit to the interior at
-    rho > 0.06 or w^2 > 0.92 (truncated "chart" below rho = 1e-3), then the
-    stereographic chart edge.  The trace parameter is the rescaled one
+    projectivized latitude chart; one loop serves both, with one
+    _dop853.solve call (DOP853 with dense output) per segment.  A state
+    starts in the latitude chart where _entry is positive (rho < 0.05,
+    |w| < 0.85), and the interior enters it where _entry turns positive.
+    Each event ends its segment; when several fire in one step the earliest
+    crossing wins, and on a tie the one listed first.  The events: in the
+    interior, escape past |z| = 1e4 (truncated "escaped"), then entry; in
+    the latitude chart, the radial convergence floor rho = 1e-5, then the
+    exit to the interior at rho > 0.06 or w^2 > 0.92 (truncated "chart"
+    below rho = 1e-3), then the stereographic chart edge.  The trace parameter is the rescaled one
     (d tau = |fiber| dt) on latitude stretches and plain Hamilton time in
     the interior; it is strictly monotone throughout.
     """
@@ -535,17 +539,15 @@ def flow(pt, T: float, tol: float = 1e-10) -> RayTrace:
             rhs, events = _bd_rhs, (_ev_floor, _ev_exit, _ev_ychart)
         else:
             rhs, events = _int_rhs, (_ev_escape, _ev_enter)
-        sol = solve_ivp(
-            rhs, (tau, T), state, method="DOP853", rtol=tol, atol=tol * 1e-2,
-            dense_output=True, events=events, args=(n,),
-        )
-        if not sol.success:
+        try:
+            sol = _dop853.solve(rhs, tau, T, state, tol, tol * 1e-2, events, (n,))
+        except StiffnessError as exc:
             where = "boundary" if bd else "interior"
-            raise StiffnessError(f"{where} integration failed: {sol.message}")
-        t_end = sol.t[-1]
+            raise StiffnessError(f"{where} integration failed: {exc}") from None
+        t_end = sol.ts[-1]
         npts = max(8, int(abs(t_end - tau) * _SAMPLES_PER_UNIT))
         ts = np.linspace(tau, t_end, npts + 1)
-        for tv, sv in zip(ts, sol.sol(ts).T):
+        for tv, sv in zip(ts, sol(ts)):
             if sgn * (tv - rows_t[-1]) <= 0.0:
                 continue  # the start and segment joins repeat the last sample
             p, lamv, kv = _sample_point(sv, chart, n, bd)
@@ -553,15 +555,15 @@ def flow(pt, T: float, tol: float = 1e-10) -> RayTrace:
             rows_pt.append(p)
             rows_lam.append(lamv)
             rows_k.append(kv)
-        stats["steps"] += len(sol.t) - 1
+        stats["steps"] += len(sol.ts) - 1
         stats["fevals"] += sol.nfev
-        stats["rejected_estimated"] += max(0, round(sol.nfev / 15) - (len(sol.t) - 1))
-        state = sol.sol(t_end)
+        stats["rejected_estimated"] += max(0, round(sol.nfev / 15) - (len(sol.ts) - 1))
+        state = sol(t_end)
         tau = t_end
         if sgn * (T - tau) <= 1e-12:
             break
 
-        stop, hand_over = (len(te) > 0 for te in sol.t_events[:2])
+        stop, hand_over = sol.event == 0, sol.event == 1
         if stop:
             truncated = None if bd else "escaped"
             break
