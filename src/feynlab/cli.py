@@ -11,6 +11,11 @@ batch concurrency.  Every run emits its artifacts plus ``manifest.json``
 listing each file with a sha256 checksum; identical config and seed give
 identical artifact checksums.
 
+Each subcommand is one ``_SUBCOMMANDS`` entry: its parameter defaults and
+the function that runs it.  ``run_experiment`` validates every config
+against the schema, so a directly built ``ExperimentConfig`` meets the same
+rules (a ``grid`` for ``propagate``, ``wick`` and ``picard``) as a file.
+
 Exit codes: 0 success, 2 config error, 3 numeric divergence, 4 I/O error.
 The default output root is ``$FEYNLAB_OUT`` (falling back to
 ``./feynlab-runs``) when neither the flag nor the config names a directory.
@@ -25,6 +30,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import metadata, resources
@@ -225,22 +231,9 @@ def load_config(path, seed: int | None = None, out: str | None = None) -> Experi
     return cfg
 
 
-# --- artifacts -----------------------------------------------------------
+# --- subcommands ---------------------------------------------------------
 
-class _Artifact(NamedTuple):
-    name: str
-    kind: str  # "json" | "csv" | "field" | "trace"
-    payload: object
-
-
-def _require_grid(cfg: ExperimentConfig) -> GridSpec:
-    if cfg.grid is None:
-        raise ConfigError(f"subcommand {cfg.subcommand!r} needs a grid")
-    return cfg.grid
-
-
-def _build_source(cfg: ExperimentConfig, grid: GridSpec):
-    spec = cfg.params.get("source", {"type": "gaussian"})
+def _build_source(spec: dict, grid: GridSpec, seed: int):
     if spec["type"] == "gaussian":
         center = tuple(spec["center"]) if "center" in spec else None
         return gaussian_source(
@@ -250,7 +243,7 @@ def _build_source(cfg: ExperimentConfig, grid: GridSpec):
             amplitude=spec.get("amplitude", 1.0),
         )
     return random_band_limited(
-        grid, cfg.seed, band=spec.get("band", 0.5), decay=spec.get("decay", 2.0)
+        grid, seed, band=spec.get("band", 0.5), decay=spec.get("decay", 2.0)
     )
 
 
@@ -276,8 +269,8 @@ def _write_field_csv(fh, field) -> None:
         fh.writelines(f"{x0},{p}{r},{i}\r\n" for p, r, i in zip(tail, re, im))
 
 
-def _cmd_roots(cfg):
-    n, K = cfg.params["n"], cfg.params["K"]
+def _cmd_roots(cfg, p):
+    n, K = p["n"], p["K"]
     rd = normal_report(n, K, [])["roots"]
     payload = {
         "n": n,
@@ -288,11 +281,11 @@ def _cmd_roots(cfg):
         "gap_exact": rd["gap"],
         "degenerate": rd["degenerate"],
     }
-    return [_Artifact("roots.json", "json", payload)], EXIT_OK
+    return {"roots.json": payload}, EXIT_OK
 
 
-def _cmd_spectrum(cfg):
-    n, K = cfg.params["n"], cfg.params["K"]
+def _cmd_spectrum(cfg, p):
+    n, K = p["n"], p["K"]
     entries = normal_report(n, K, [])["spectrum"]["entries"]
     payload = {"n": n, "K": K, "entries": entries, "rows_file": "spectrum.csv"}
     header = ["k", "eigenvalue", "shifted_num", "shifted_den", "multiplicity"]
@@ -300,17 +293,11 @@ def _cmd_spectrum(cfg):
         [e["k"], e["eigenvalue"], e["shifted"][0], e["shifted"][1], e["multiplicity"]]
         for e in entries
     ]
-    return [
-        _Artifact("spectrum.json", "json", payload),
-        _Artifact("spectrum.csv", "csv", (header, rows)),
-    ], EXIT_OK
+    return {"spectrum.json": payload, "spectrum.csv": (header, rows)}, EXIT_OK
 
 
-def _cmd_weights(cfg):
-    payload = normal_report(
-        cfg.params["n"], cfg.params.get("K", 10), cfg.params["l_samples"]
-    )
-    return [_Artifact("weights.json", "json", payload)], EXIT_OK
+def _cmd_weights(cfg, p):
+    return {"weights.json": normal_report(p["n"], p["K"], p["l_samples"])}, EXIT_OK
 
 
 def _leg_summary(trace):
@@ -328,25 +315,18 @@ def _leg_summary(trace):
     }
 
 
-def _cmd_flow(cfg):
-    p = cfg.params
-    n = p.get("n", 4)
-    count = p.get("count", 6)
-    T = p.get("T", 30.0)
-    future = p.get("future", True)
-    mixed = p.get("mixed", True)
-    tol = p.get("tol", 1e-10)
-    write_traces = p.get("write_traces", True)
-    rays = random_null_rays(n, count, cfg.seed, future=future, mixed_components=mixed)
-    artifacts = []
+def _cmd_flow(cfg, p):
+    rays = random_null_rays(
+        p["n"], p["count"], cfg.seed, future=p["future"], mixed_components=p["mixed"]
+    )
+    traces = {}
     summaries = []
     for i, ray in enumerate(rays):
-        fwd = flow(ray, T, tol=tol)
-        bwd = flow(ray, -T, tol=tol)
-        trace_file = None
-        if write_traces:
-            trace_file = f"trace-{i:03d}.csv"
-            artifacts.append(_Artifact(trace_file, "trace", fwd))
+        fwd = flow(ray, p["T"], tol=p["tol"])
+        bwd = flow(ray, -p["T"], tol=p["tol"])
+        trace_file = f"trace-{i:03d}.csv" if p["write_traces"] else None
+        if trace_file:
+            traces[trace_file] = fwd
         summaries.append(
             {
                 "index": i,
@@ -355,23 +335,15 @@ def _cmd_flow(cfg):
                 "trace_file": trace_file,
             }
         )
-    payload = {
-        "n": n,
-        "count": count,
-        "T": T,
-        "future": future,
-        "mixed": mixed,
-        "rays": summaries,
-    }
-    return [_Artifact("flow.json", "json", payload)] + artifacts, EXIT_OK
+    payload = {key: p[key] for key in ("n", "count", "T", "future", "mixed")}
+    payload["rays"] = summaries
+    return {"flow.json": payload, **traces}, EXIT_OK
 
 
-def _cmd_propagate(cfg):
-    grid = _require_grid(cfg)
-    kind = Kind(cfg.params["kind"])
-    eps = cfg.params.get("eps")
-    pres = Prescription(kind, eps=eps)
-    f = _build_source(cfg, grid)
+def _cmd_propagate(cfg, p):
+    kind = Kind(p["kind"])
+    pres = Prescription(kind, eps=p["eps"])
+    f = _build_source(p["source"], cfg.grid, cfg.seed)
     u = propagate(f, pres)
     payload = {
         "kind": kind.value,
@@ -382,20 +354,14 @@ def _cmd_propagate(cfg):
         "residual": prescription_residual(f, u, pres),
         "field_file": "field.csv",
     }
-    return [
-        _Artifact("propagate.json", "json", payload),
-        _Artifact("field.csv", "field", u),
-    ], EXIT_OK
+    return {"propagate.json": payload, "field.csv": u}, EXIT_OK
 
 
-def _cmd_wick(cfg):
-    grid = _require_grid(cfg)
-    p = cfg.params
+def _cmd_wick(cfg, p):
+    grid = cfg.grid
     # the straight path tops out at i*eps, which must stay below i*pi/2
-    eps = p.get("eps", min(default_epsilon(grid), 0.1))
-    steps = p.get("steps", 8)
-    band = p.get("band", 0.4)
-    cone_gap = p.get("cone_gap", 0.0)
+    eps = min(default_epsilon(grid), 0.1) if p["eps"] is None else p["eps"]
+    steps, band, cone_gap = p["steps"], p["band"], p["cone_gap"]
     f = random_band_limited(grid, cfg.seed, band=band)
     g = random_band_limited(grid, cfg.seed + 1, band=band)
     if cone_gap > 0.0:
@@ -421,21 +387,16 @@ def _cmd_wick(cfg):
         "straight_diffs": straight["diffs"],
         "diagonal_diffs": diagonal["diffs"],
     }
-    return [_Artifact("wick.json", "json", payload)], EXIT_OK
+    return {"wick.json": payload}, EXIT_OK
 
 
-def _cmd_picard(cfg):
-    grid = _require_grid(cfg)
-    p = cfg.params
-    kind = Kind(p.get("kind", "feynman"))
-    pres = Prescription(kind, eps=p.get("eps"))
-    f = _build_source(cfg, grid)
+def _cmd_picard(cfg, p):
+    kind = Kind(p["kind"])
+    pres = Prescription(kind, eps=p["eps"])
+    f = _build_source(p["source"], cfg.grid, cfg.seed)
     prob = SemilinearProblem(f=f, p=p["p"], lam=p["lam"], prescription=pres)
     u, report = picard_solve(
-        prob,
-        max_iter=p.get("max_iter", 20),
-        tol=p.get("tol", 1e-10),
-        residual_tol=p.get("residual_tol", 1e-6),
+        prob, max_iter=p["max_iter"], tol=p["tol"], residual_tol=p["residual_tol"]
     )
     payload = dict(report.to_dict())
     payload.update(
@@ -449,21 +410,12 @@ def _cmd_picard(cfg):
         }
     )
     status = EXIT_DIVERGED if report.diverged else EXIT_OK
-    return [
-        _Artifact("picard.json", "json", payload),
-        _Artifact("solution.csv", "field", u),
-    ], status
+    return {"picard.json": payload, "solution.csv": u}, status
 
 
-def _cmd_product_check(cfg):
-    p = cfg.params
-    dims = p.get("dims", [1])
-    margin = p.get("margin", 0.1)
-    repeats = p.get("repeats", 1)
-    try:
-        plan = sweep_plan(dims, p.get("rules"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _cmd_product_check(cfg, p):
+    dims, margin, repeats = p["dims"], p["margin"], p["repeats"]
+    plan = sweep_plan(dims, p["rules"])
     rows = rule_sweep(margin=margin, repeats=repeats, seed=cfg.seed, plan=plan)
     # one column per rule_sweep key, in its order; params as sorted JSON
     header = list(rows[0])
@@ -482,21 +434,40 @@ def _cmd_product_check(cfg):
         "fraction": agreeing / len(rows),
         "rows_file": "product_check.csv",
     }
-    return [
-        _Artifact("product-check.json", "json", payload),
-        _Artifact("product_check.csv", "csv", (header, csv_rows)),
-    ], EXIT_OK
+    return {"product-check.json": payload, "product_check.csv": (header, csv_rows)}, EXIT_OK
 
 
+class _Subcommand(NamedTuple):
+    """A subcommand: each optional parameter's default, and ``run(cfg,
+    params)``, which gets the params over the defaults and returns
+    ``({artifact name: payload}, exit status)``.  ``run`` calls the library
+    through this module's globals, which perfbench's tracer rebinds."""
+
+    defaults: dict
+    run: Callable
+
+
+# eps None: the kind's grid-scaled default (wick: capped at 0.1);
+# rules None: every rule with a row in dims
 _SUBCOMMANDS = {
-    "roots": _cmd_roots,
-    "spectrum": _cmd_spectrum,
-    "weights": _cmd_weights,
-    "flow": _cmd_flow,
-    "propagate": _cmd_propagate,
-    "wick": _cmd_wick,
-    "picard": _cmd_picard,
-    "product-check": _cmd_product_check,
+    "roots": _Subcommand({}, _cmd_roots),
+    "spectrum": _Subcommand({}, _cmd_spectrum),
+    "weights": _Subcommand({"K": 10}, _cmd_weights),
+    "flow": _Subcommand(
+        {"n": 4, "count": 6, "T": 30.0, "future": True, "mixed": True, "tol": 1e-10,
+         "write_traces": True},
+        _cmd_flow,
+    ),
+    "propagate": _Subcommand({"eps": None, "source": {"type": "gaussian"}}, _cmd_propagate),
+    "wick": _Subcommand({"eps": None, "steps": 8, "band": 0.4, "cone_gap": 0.0}, _cmd_wick),
+    "picard": _Subcommand(
+        {"kind": "feynman", "eps": None, "source": {"type": "gaussian"}, "max_iter": 20,
+         "tol": 1e-10, "residual_tol": 1e-6},
+        _cmd_picard,
+    ),
+    "product-check": _Subcommand(
+        {"dims": [1], "rules": None, "margin": 0.1, "repeats": 1}, _cmd_product_check
+    ),
 }
 
 
@@ -519,27 +490,27 @@ def _remove_partial(paths) -> None:
             pass
 
 
-def _write_all(out_dir: Path, artifacts: list) -> None:
+def _write_all(out_dir: Path, artifacts: dict) -> None:
+    """Write each ``{name: payload}`` by the payload's type: a dict as JSON,
+    ``(header, rows)`` as CSV, a field as field CSV, else its ``to_csv``."""
     attempted = []
     try:
-        for art in artifacts:
-            path = out_dir / art.name
+        for name, payload in artifacts.items():
+            path = out_dir / name
             attempted.append(path)
-            if art.kind == "json":
-                path.write_text(
-                    json.dumps(art.payload, indent=2, sort_keys=True) + "\n"
-                )
-            elif art.kind == "csv":
-                header, rows = art.payload
+            if isinstance(payload, dict):
+                path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            elif isinstance(payload, tuple):
+                header, rows = payload
                 with open(path, "w", newline="") as fh:
                     wr = csv.writer(fh)
                     wr.writerow(header)
                     wr.writerows(rows)
-            elif art.kind == "field":
+            elif isinstance(payload, SpectralField):
                 with open(path, "w", newline="") as fh:
-                    _write_field_csv(fh, art.payload)
+                    _write_field_csv(fh, payload)
             else:
-                art.payload.to_csv(path)
+                payload.to_csv(path)
     except OSError as exc:
         _remove_partial(attempted)
         raise ArtifactIOError(f"write failed, partial output removed: {exc}") from exc
@@ -552,13 +523,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     cannot be written (anything partial is removed first), and
     NumericDivergence after a complete write whose numerics diverged.
     """
-    if cfg.subcommand not in _SUBCOMMANDS:
-        raise ConfigError(f"unknown subcommand {cfg.subcommand!r}")
+    validate_against_schema(cfg.to_dict(), "config")
     if cfg.out is None:
         raise ConfigError("no output directory resolved")
+    entry = _SUBCOMMANDS[cfg.subcommand]
     start = time.monotonic()
     try:
-        artifacts, status = _SUBCOMMANDS[cfg.subcommand](cfg)
+        artifacts, status = entry.run(cfg, {**entry.defaults, **cfg.params})
     except (ValueError, KeyError) as exc:  # DimensionError, ChartError, PoleError
         raise ConfigError(f"invalid parameters for {cfg.subcommand}: {exc}") from exc
     except StiffnessError as exc:
@@ -570,7 +541,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     except OSError as exc:
         raise ArtifactIOError(f"cannot create output directory {out_dir}: {exc}") from exc
     _write_all(out_dir, artifacts)
-    files = tuple((a.name, _sha256(out_dir / a.name)) for a in artifacts)
+    files = tuple((name, _sha256(out_dir / name)) for name in artifacts)
     manifest = RunManifest(
         config_hash=cfg.content_hash(),
         tool_version=_tool_version(),
@@ -583,7 +554,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
             json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
         )
     except OSError as exc:
-        _remove_partial([out_dir / a.name for a in artifacts] + [manifest_path])
+        _remove_partial([out_dir / name for name in artifacts] + [manifest_path])
         raise ArtifactIOError(f"manifest write failed: {exc}") from exc
     if status == EXIT_DIVERGED:
         raise NumericDivergence("iteration diverged; see the written report", manifest)

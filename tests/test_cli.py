@@ -20,7 +20,6 @@ from feynlab.cli import (
     ConfigError,
     ExperimentConfig,
     NumericDivergence,
-    _Artifact,
     _write_all,
     _write_field_csv,
     load_config,
@@ -348,9 +347,84 @@ def test_schema_dims_are_the_swept_dims():
     )
 
 
+def test_subcommand_table_defaults_are_the_optional_params():
+    # the schema names the subcommands and their parameters; the table gives
+    # each optional parameter its default, and no required one a default
+    schema = load_schema("config")
+    assert sorted(cli._SUBCOMMANDS) == sorted(schema["properties"]["subcommand"]["enum"])
+    for rule in schema["allOf"]:
+        name = rule["if"]["properties"]["subcommand"]["const"]
+        ref = rule["then"]["properties"]["params"]["$ref"]
+        params = schema["$defs"][ref.rsplit("/", 1)[1]]
+        optional = set(params["properties"]) - set(params.get("required", []))
+        assert set(cli._SUBCOMMANDS[name].defaults) == optional, name
+
+
 def test_run_experiment_needs_resolved_out():
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig.from_dict(ROOTS))
+
+
+@pytest.mark.parametrize(
+    "subcommand,params",
+    [("propagate", {"kind": "retarded"}), ("wick", {}), ("picard", {"p": 3, "lam": 0.1})],
+)
+def test_directly_built_config_without_grid_is_config_error(tmp_path, subcommand, params):
+    # a library caller skips from_dict; the schema's grid rule still holds
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError):
+        run_experiment(ExperimentConfig(subcommand, params, out=str(out)))
+    assert not out.exists()
+
+
+def test_directly_built_config_with_unknown_subcommand_is_config_error(tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError):
+        run_experiment(ExperimentConfig("frobnicate", {}, out=str(out)))
+    assert not out.exists()
+
+
+# Per subcommand with optional parameters: its smallest schema-valid config,
+# and every parameter default written out.  The defaults are the literals the
+# subcommands have always used; an eps derived from the grid is written as the
+# first run echoes it (the uncapped 10 (2 pi / 8)^2 for retarded, the cap pi/4
+# for Feynman, 0.1 for the Wick path), and a gaussian source as its own
+# defaults.  Both runs must write the same bytes.
+GAUSSIAN = {"type": "gaussian", "width": 1.0, "amplitude": 1.0}
+DEFAULTS_PIN = {
+    "weights": ({"params": {"n": 4, "l_samples": [0.5]}}, {"K": 10}),
+    "flow": (
+        {"params": {}},
+        {"n": 4, "count": 6, "T": 30.0, "future": True, "mixed": True, "tol": 1e-10,
+         "write_traces": True},
+    ),
+    "propagate": (
+        {"grid": {"extent": [8.0, 8.0], "points": [16, 16]}, "params": {"kind": "retarded"}},
+        {"eps": 6.168502750680849, "source": GAUSSIAN},
+    ),
+    "wick": (
+        {"grid": {"extent": [12.0, 12.0], "points": [32, 32]}, "params": {}},
+        {"eps": 0.1, "steps": 8, "band": 0.4, "cone_gap": 0.0},
+    ),
+    "picard": (
+        {"grid": {"extent": [16.0, 16.0], "points": [32, 32]}, "params": {"p": 3, "lam": 0.1}},
+        {"kind": "feynman", "eps": 0.7853981633974483, "source": GAUSSIAN, "max_iter": 20,
+         "tol": 1e-10, "residual_tol": 1e-6},
+    ),
+    "product-check": ({"params": {}}, {"dims": [1], "margin": 0.1, "repeats": 1}),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(DEFAULTS_PIN))
+def test_written_out_defaults_write_the_same_bytes(tmp_path, subcommand):
+    base, defaults = DEFAULTS_PIN[subcommand]
+    minimal = dict(base, subcommand=subcommand)
+    written = dict(minimal, params=dict(base["params"], **defaults))
+    out, m_minimal = run_dict(tmp_path, minimal, name="minimal")
+    _, m_written = run_dict(tmp_path, written, name="written")
+    if "eps" in defaults:
+        assert json.loads((out / f"{subcommand}.json").read_text())["eps"] == defaults["eps"]
+    assert m_minimal.files == m_written.files
 
 
 # --- manifest and determinism --------------------------------------------
@@ -489,6 +563,53 @@ FLOW_LEGS = [
 ]
 
 
+# wick.json of the three wick configs of GOLDEN_REPORTS, by (eps, steps,
+# cone_gap): a change of the Wick arithmetic must reproduce these before the
+# wick.json digests are recorded again.  Terminal values (re, im), relative
+# difference and both diffs lists: relative 1e-10 (the sums round at 1e-14 of
+# their size); characteristic energies, fractions in [0, 1]: absolute 1e-12
+# (the cone-gap mask leaves them at rounding level).
+WICK_RUNS = {
+    (0.01, 6, 4.0): (
+        (-0.23724403147, 0.609346316871), (-0.233270644484, 0.608308393367),
+        0.00628031951475, 2.93371254589e-33, 2.93250919763e-33,
+        (0.000901946307482, 0.000899606722718, 0.00089728493296, 0.000894981250944,
+         0.00089269598073),
+        (0.000903613556873, 0.000902284619339, 0.000900891209241, 0.00089943397921,
+         0.000897913601034),
+    ),
+    (0.01, 4, 0.0): (
+        (-565.39354185, 74.0105840188), (-455.359307078, -348.151552892),
+        0.761102936397, 0.375711166222, 0.405363736412,
+        (1139.98559239, 380.005305814, 190.010260424),
+        (1139.96391731, 379.983571961, 189.988467713),
+    ),
+    (0.05, 8, 0.0): (
+        (61.1090495009, -14.9116153759), (47.0799915884, 21.7064132784),
+        0.623404586086, 0.254059308189, 0.0865803733018,
+        (207.785057339, 69.2472110274, 34.6138361445, 20.7613825041, 13.8359249019,
+         9.87919873953, 7.40685451417),
+        (207.702557421, 69.1621616071, 34.5261981687, 20.6711166456, 13.7429914359,
+         9.78355795753, 7.30846725893),
+    ),
+}
+
+
+def check_wick_run(payload):
+    straight, diagonal, rel, energy_f, energy_g, s_diffs, d_diffs = WICK_RUNS[
+        (payload["eps"], payload["steps"], payload["cone_gap"])
+    ]
+    assert np.allclose(payload["terminal_straight"], straight, rtol=1e-10, atol=0.0)
+    assert np.allclose(payload["terminal_diagonal"], diagonal, rtol=1e-10, atol=0.0)
+    assert abs(payload["rel_difference"] - rel) <= 1e-10 * rel
+    assert abs(payload["char_energy_f"] - energy_f) <= 1e-12
+    assert abs(payload["char_energy_g"] - energy_g) <= 1e-12
+    assert len(payload["straight_diffs"]) == len(s_diffs)
+    assert np.allclose(payload["straight_diffs"], s_diffs, rtol=1e-10, atol=0.0)
+    assert len(payload["diagonal_diffs"]) == len(d_diffs)
+    assert np.allclose(payload["diagonal_diffs"], d_diffs, rtol=1e-10, atol=0.0)
+
+
 def check_flow_legs(report):
     legs = [(r["index"], leg, r[leg]) for r in report["rays"] for leg in ("forward", "backward")]
     assert len(legs) == len(FLOW_LEGS)
@@ -575,6 +696,8 @@ def test_json_report_golden_bytes(tmp_path, data, name, digest):
         check_picard_run(json.loads((out / name).read_text()))
     if name == "propagate.json":
         check_propagate_run(json.loads((out / name).read_text()))
+    if name == "wick.json":
+        check_wick_run(json.loads((out / name).read_text()))
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert dict(manifest.files)[name] == digest
 
@@ -698,10 +821,7 @@ class _ExplodingRows:
 
 
 def test_partial_write_cleanup(tmp_path):
-    artifacts = [
-        _Artifact("good.json", "json", {"fine": True}),
-        _Artifact("bad.csv", "csv", (["col"], _ExplodingRows())),
-    ]
+    artifacts = {"good.json": {"fine": True}, "bad.csv": (["col"], _ExplodingRows())}
     with pytest.raises(ArtifactIOError):
         _write_all(tmp_path, artifacts)
     assert list(tmp_path.iterdir()) == []
@@ -739,10 +859,7 @@ def test_field_write_failure_midway_cleans_up(tmp_path, monkeypatch):
     grid = GridSpec((8.0, 8.0), (16, 16))
     field = SpectralField(grid, np.ones(grid.points))
     monkeypatch.setattr(cli, "open", failing_open, raising=False)
-    artifacts = [
-        _Artifact("good.json", "json", {"fine": True}),
-        _Artifact("field.csv", "field", field),
-    ]
+    artifacts = {"good.json": {"fine": True}, "field.csv": field}
     with pytest.raises(ArtifactIOError):
         _write_all(tmp_path, artifacts)
     assert [f.slabs for f in opened] == [2]

@@ -36,14 +36,14 @@ print(json.dumps({
 """
 
 
-def test_tracer_hooks_and_layer_helpers_resolve():
+def run_child(script: str) -> str:
     # install() patches modules and numpy's FFTs for the life of its process,
-    # so it runs in a child process of its own
+    # so each script runs in a child process of its own
     env = dict(os.environ)
     paths = [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -51,7 +51,11 @@ def test_tracer_hooks_and_layer_helpers_resolve():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
+    return proc.stdout
+
+
+def test_tracer_hooks_and_layer_helpers_resolve():
+    got = json.loads(run_child(SCRIPT))
     assert got["missing"] == []
     assert got["shape"] == [8, 8]
     # zeta = (0, 2 pi / 16): the Feynman multiplier is e^{0.6 i} zeta_n^2
@@ -59,3 +63,45 @@ def test_tracer_hooks_and_layer_helpers_resolve():
     want = np.exp(0.6j) * step2
     assert got["m01"] == [pytest.approx(want.real), pytest.approx(want.imag)]
     assert got["gap"] == pytest.approx(step2)
+
+
+# One tiny config per subcommand, run through the traced runner: the spans
+# only fire if each subcommand calls its entry points through cli's module
+# globals at call time, as install() rebinds them.
+RUN_SCRIPT = """
+import json
+import tempfile
+import feynlab.cli as cli
+from perfbench.tracing import Tracer, install
+
+tracer = Tracer()
+missing = install(tracer)
+grid = {"extent": [8.0, 8.0], "points": [8, 8]}
+configs = [
+    {"subcommand": "roots", "params": {"n": 4, "K": 2}},
+    {"subcommand": "spectrum", "params": {"n": 4, "K": 2}},
+    {"subcommand": "weights", "params": {"n": 4, "l_samples": [0.5]}},
+    {"subcommand": "flow", "params": {"n": 4, "count": 1, "T": 5.0}},
+    {"subcommand": "propagate", "grid": grid, "params": {"kind": "retarded"}},
+    {"subcommand": "wick", "grid": grid, "params": {"steps": 2}},
+    {"subcommand": "picard", "grid": grid, "params": {"p": 3, "lam": 0.1, "max_iter": 3}},
+    {"subcommand": "product-check", "params": {"rules": ["cone-product"]}},
+]
+with tempfile.TemporaryDirectory() as root:
+    for i, data in enumerate(configs):
+        cfg = cli.ExperimentConfig.from_dict(dict(data, out=f"{root}/{i}"))
+        cli.run_experiment(cfg)
+print(json.dumps({"missing": missing, "names": sorted({s[0] for s in tracer.spans})}))
+"""
+
+SUBCOMMAND_SPANS = {
+    "normal_op.report", "bichar.rays", "bichar.flow", "bichar.classify", "bichar.trace_csv",
+    "fields.source", "propagators.propagate", "propagators.residual", "propagators.wick",
+    "semilinear.picard", "orders.rule_sweep",
+}
+
+
+def test_every_subcommand_calls_its_traced_entry_points():
+    got = json.loads(run_child(RUN_SCRIPT))
+    assert got["missing"] == []
+    assert SUBCOMMAND_SPANS <= set(got["names"])
