@@ -4,27 +4,33 @@ The explicit Runge-Kutta pair of Dormand and Prince (1980) in the form of
 Hairer, Norsett and Wanner, *Solving Ordinary Differential Equations I*,
 sections II.4-II.6: twelve stages per step, an error estimate that blends
 the 5th- and 3rd-order embedded solutions, and a 7th-order interpolant from
-three extra stages per accepted step.  The step control and event location
-follow SciPy's ``solve_ivp(method="DOP853", dense_output=True)``
-expression by expression, so a segment reproduces its steps, samples and
-function-evaluation count bit for bit:
+three extra stages per accepted step.  The coefficients are those of
+Hairer's DOP853 as SciPy 1.17 carries them.  The rules:
 
 - the first step from the two-evaluation estimate of section II.4 (RMS
   norms, order 7);
 - the step factor 0.9 * err^(-1/8), clipped to [0.2, 10], and to at most 1
   right after a rejection;
 - a step shorter than ten spacings of t fails, and so does a step size that
-  is not a number (a right-hand side that returns NaN);
+  is not a number (a right-hand side that returns NaN); a non-finite start
+  is a ValueError;
 - rtol below 100 * EPS is raised to it, with a warning;
-- every event is terminal; an event fires where its value changes sign in
-  its direction over a step, is located on the dense output by Brent's
-  method (xtol = rtol = 4 * EPS), and the earliest root in the direction of
-  integration ends the segment.
+- a segment costs 2 evaluations for the first step, 15 per accepted step
+  (12 stages and 3 for the dense output) and 12 per rejected one, and it
+  counts both;
+- a time reads the step clip(searchsorted(d * ts, d * t, "left") - 1, 0,
+  steps - 1), d the sign of the integration: a step boundary reads the
+  earlier step, and the end steps extrapolate;
+- every event is terminal; it fires where its value changes sign in its
+  direction over a step, and is located on the step's interpolant by
+  regula falsi with the Illinois rule (Dowell and Jarratt 1971) to a
+  bracket of 4 * EPS * (1 + |t|); the earliest root in the direction of
+  integration ends the segment, the lower event index on a tie, and a root
+  on the previous step's end drops the last step.
 
-Where SciPy raised ValueError or RuntimeError inside an event search (a NaN
-event value, no sign change over the step, no convergence in 100
-iterations), this module raises StiffnessError: the integration failed, the
-input did not.
+An event search fails with StiffnessError on a NaN event value, on no sign
+change over the step and on no convergence in 100 iterations: the
+integration failed, the input did not.
 """
 
 from __future__ import annotations
@@ -170,102 +176,35 @@ def _rms(x: np.ndarray):
     return _norm(x) / x.size ** 0.5
 
 
-class _Step:
-    """The 7th-order interpolant of one accepted step from t_old to t."""
-
-    __slots__ = ("t_old", "h", "F", "y_old")
-
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old, self.h, self.y_old, self.F = t_old, t - t_old, y_old, F
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        """States at the times t, shape (len(t), n)."""
-        x = ((t - self.t_old) / self.h)[:, None]
-        y = np.zeros((len(x), len(self.y_old)))
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y
+def _interpolate(x, y_old, F) -> np.ndarray:
+    """The 7th-order interpolant at the step fractions x, in Horner form: F holds
+    the coefficients (..., 7, n), y_old the states at the steps' starts (..., n)."""
+    y = np.zeros(y_old.shape)
+    for i in range(6, -1, -1):
+        y += F[..., i, :]
+        y *= x if i % 2 == 0 else 1 - x
+    return y + y_old
 
 
 class Segment:
     """The result of solve: accepted step times ts (with the event root last
-    when an event ended it), the interpolants between them, the count of
-    right-hand-side evaluations nfev and the index of the terminal event
-    (None when the segment reached t_bound)."""
+    when an event ended it); the steps' lengths h, start states y_old and
+    interpolant coefficients F, stacked from one (h, y_old, F) per step; the
+    counts of right-hand-side evaluations nfev and of rejected steps; and the
+    index of the terminal event (None when the segment reached t_bound)."""
 
-    def __init__(self, ts: list, steps: list, nfev: int, event: int | None):
-        self.ts, self.steps, self.nfev, self.event = np.array(ts), steps, nfev, event
+    def __init__(self, ts: list, steps: list, nfev: int, rejected: int, event: int | None):
+        self.ts = np.array(ts)
+        self.h, self.y_old, self.F = (np.array(a) for a in zip(*steps))
+        self.nfev, self.rejected, self.event = nfev, rejected, event
 
     def __call__(self, t):
-        """The state at time t, or the states at an array of times, one row each.
-
-        A time on a step boundary reads the earlier step; outside [ts[0], ts[-1]]
-        the nearest step extrapolates.
-        """
+        """The state at time t, or at an array of times one row each, by the lookup rule."""
         if np.ndim(t) == 0:
             return self(np.array([t]))[0]
-        ascending = self.ts[-1] >= self.ts[0]
-        edges = self.ts if ascending else self.ts[::-1]
-        seg = np.searchsorted(edges, t, side="left" if ascending else "right") - 1
-        seg = np.clip(seg, 0, len(self.steps) - 1)
-        if not ascending:
-            seg = len(self.steps) - 1 - seg
-        out = np.empty((len(t), self.steps[0].y_old.size))
-        for k in np.unique(seg):
-            at = seg == k
-            out[at] = self.steps[k](t[at])
-        return out
-
-
-def _brentq(f, xa: float, xb: float) -> float:
-    """A root of f between xa and xb, where f changes sign: Brent's method as in
-    SciPy's C brentq, step for step, with xtol = rtol = 4 * EPS."""
-    xtol = rtol = 4 * EPS
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise StiffnessError("event value does not change sign over the step")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise StiffnessError("event location failed to converge after 100 iterations")
+        d = np.sign(self.h[0])
+        k = np.clip(np.searchsorted(d * self.ts, d * t, side="left") - 1, 0, len(self.h) - 1)
+        return _interpolate(((t - self.ts[k]) / self.h[k])[:, None], self.y_old[k], self.F[k])
 
 
 def _crossed(g: float, g_new: float, direction: float) -> bool:
@@ -280,9 +219,10 @@ def solve(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float, atol: flo
           events, args) -> Segment:
     """Integrate y' = fun(t, y, *args) from t0 towards t_bound, t_bound != t0.
 
-    Each event is a function event(t, y, *args) with a direction attribute.
-    Raises ValueError for a non-finite y0 or a negative atol and
-    StiffnessError when a step fails.
+    events holds (event, direction) pairs: event(t, y, *args) ends the segment
+    where it crosses zero upward (direction > 0), downward (< 0) or either way
+    (0).  Raises ValueError for a non-finite y0 or a negative atol and
+    StiffnessError when a step or an event search fails.
     """
     t0, t_bound = float(t0), float(t_bound)
     y = np.asarray(y0, dtype=float)
@@ -311,12 +251,12 @@ def solve(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float, atol: flo
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, interval)
-    nfev = 2
+    nfev, nrejected = 2, 0
 
     K_ext = np.empty((16, n))
     K = K_ext[: _STAGES + 1]
     t, ts, steps = t0, [t0], []
-    g = [ev(t0, y, *args) for ev in events]
+    g = [ev(t0, y, *args) for ev, _ in events]
     while True:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         if h_abs < min_step:
@@ -354,6 +294,7 @@ def solve(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float, atol: flo
                 break
             h_abs *= max(0.2, 0.9 * err**_EXPONENT)
             rejected = True
+            nrejected += 1
 
         # the dense output: three more stages, then the interpolant
         for s in range(_STAGES + 1, 16):
@@ -366,36 +307,64 @@ def solve(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float, atol: flo
         F[1] = h * K_ext[0] - delta_y
         F[2] = 2 * delta_y - h * (f_new + K_ext[0])
         F[3:] = h * np.dot(D, K_ext)
-        step = _Step(t, t_new, y, F)
-        steps.append(step)
-        t_old, t, y, f = t, t_new, y_new, f_new
+        steps.append((h, y, F))
 
-        g_new = [ev(t, y, *args) for ev in events]
-        active = [i for i, ev in enumerate(events) if _crossed(g[i], g_new[i], ev.direction)]
+        g_new = [ev(t_new, y_new, *args) for ev, _ in events]
+        active = [i for i, (_, d) in enumerate(events) if _crossed(g[i], g_new[i], d)]
         if active:
             # the earliest root in the direction of integration, the lower
             # index on a tie
-            key, event = min((direction * _locate(events[i], step, t_old, t, args), i)
+            key, event = min((direction * _locate(events[i][0], t, t_new, y, F, args), i)
                              for i in active)
             root = direction * key
             if len(ts) > 1 and ts[-1] == root:
                 steps.pop()  # the event sits on the previous step's end
             else:
                 ts.append(root)
-            return Segment(ts, steps, nfev, event)
-        g = g_new
+            return Segment(ts, steps, nfev, nrejected, event)
+        t, y, f, g = t_new, y_new, f_new, g_new
         ts.append(t)
         if direction * (t - t_bound) >= 0:
-            return Segment(ts, steps, nfev, None)
+            return Segment(ts, steps, nfev, nrejected, None)
 
 
-def _locate(ev, step: _Step, t_old, t, args) -> float:
-    """The time in [t_old, t] where ev crosses zero on the step's interpolant."""
+def _locate(ev, t_old: float, t_new: float, y_old: np.ndarray, F: np.ndarray, args) -> float:
+    """The time in the step from t_old to t_new where ev crosses zero on the
+    step's interpolant: regula falsi, where an end that two iterations in a
+    row keep has its value halved (the Illinois rule), until the bracket is
+    at most 4 * EPS * (1 + |t|) wide."""
+    h = t_new - t_old
 
     def value(t):
-        v = ev(t, step(np.array([t]))[0], *args)
+        v = ev(t, _interpolate((t - t_old) / h, y_old, F), *args)
         if math.isnan(v):
             raise StiffnessError(f"event value is NaN at t = {t}")
         return v
 
-    return _brentq(value, t_old, t)
+    a, b = t_old, t_new
+    ga, gb = value(a), value(b)
+    if ga == 0:
+        return a
+    if gb == 0:
+        return b
+    if (ga > 0) == (gb > 0):
+        raise StiffnessError("event value does not change sign over the step")
+    kept = 0  # +1 when the last iteration kept b, -1 when it kept a
+    for _ in range(100):
+        t = b - gb * (b - a) / (gb - ga)
+        g = value(t)
+        if g == 0:
+            return t
+        if (g > 0) == (gb > 0):
+            b, gb = t, g
+            if kept < 0:
+                ga /= 2
+            kept = -1
+        else:
+            a, ga = t, g
+            if kept > 0:
+                gb /= 2
+            kept = 1
+        if abs(b - a) <= 4 * EPS * (1 + abs(t)):
+            return t
+    raise StiffnessError("event location failed to converge after 100 iterations")

@@ -180,12 +180,9 @@ class RayTrace:
     """Sampled flow line with scale-free symbol values and solver stats.
 
     Fiber data per sample is the unit vector (v-frame) plus log-scale; the
-    raw fiber is unit * e^{log_scale}.  stats records segments, accepted
-    steps, function evaluations and an estimated rejected-step count:
-    evaluations / 15 minus accepted steps, where 15 is the evaluations of
-    one accepted DOP853 step with its dense output (12 stages plus 3).  A
-    rejected step costs 12, so the estimate undercounts rejects; it is kept
-    as it is so that the counter keeps its meaning across versions.
+    raw fiber is unit * e^{log_scale}.  stats counts segments, accepted
+    steps, function evaluations and rejected steps, the last under the key
+    "rejected_estimated", the name perfbench reads.
     """
 
     times: np.ndarray
@@ -443,26 +440,13 @@ def _entry(r: float, w: float) -> float:
     return min(r - 1.0 / _RHO_SWITCH, _W_NULLBAND**2 - w * w)
 
 
-def _terminal(direction: float = 0.0):
-    """Mark an event function with the crossing direction in which it ends a
-    _dop853 segment (every _dop853 event is terminal)."""
-
-    def mark(ev):
-        ev.direction = direction
-        return ev
-
-    return mark
-
-
 # Interior events, s = [z, zeta]: leaving the trusted region along the time
 # axis, and entering the latitude chart (_entry turning positive).
 
-@_terminal()
 def _ev_escape(t, s, n):
     return float(np.linalg.norm(s[:n])) - _ESCAPE_R
 
 
-@_terminal(1.0)
 def _ev_enter(t, s, n):
     r = float(np.linalg.norm(s[:n]))
     return _entry(r, s[n - 1] / r)
@@ -472,20 +456,22 @@ def _ev_enter(t, s, n):
 # exit to the interior at rho > _RHO_BACK or w^2 > 0.92, past _entry's edges so
 # that a ray does not bounce between the charts; the stereographic chart edge.
 
-@_terminal(-1.0)
 def _ev_floor(t, s, n):
     return s[0] - math.log(_RHO_FLOOR)
 
 
-@_terminal(1.0)
 def _ev_exit(t, s, n):
     return max(s[0] - math.log(_RHO_BACK), s[1] ** 2 - 0.92)
 
 
-@_terminal(1.0)
 def _ev_ychart(t, s, n):
     y = s[2:n]
     return float(y @ y) - 4.0
+
+
+# each with the crossing direction in which it ends a _dop853 segment
+_INTERIOR_EVENTS = ((_ev_escape, 0.0), (_ev_enter, 1.0))
+_LATITUDE_EVENTS = ((_ev_floor, -1.0), (_ev_exit, 1.0), (_ev_ychart, 1.0))
 
 
 def flow(pt, T: float, tol: float = 1e-10) -> RayTrace:
@@ -536,9 +522,9 @@ def flow(pt, T: float, tol: float = 1e-10) -> RayTrace:
             break
         stats["segments"] += 1
         if bd:
-            rhs, events = _bd_rhs, (_ev_floor, _ev_exit, _ev_ychart)
+            rhs, events = _bd_rhs, _LATITUDE_EVENTS
         else:
-            rhs, events = _int_rhs, (_ev_escape, _ev_enter)
+            rhs, events = _int_rhs, _INTERIOR_EVENTS
         try:
             sol = _dop853.solve(rhs, tau, T, state, tol, tol * 1e-2, events, (n,))
         except StiffnessError as exc:
@@ -557,7 +543,7 @@ def flow(pt, T: float, tol: float = 1e-10) -> RayTrace:
             rows_k.append(kv)
         stats["steps"] += len(sol.ts) - 1
         stats["fevals"] += sol.nfev
-        stats["rejected_estimated"] += max(0, round(sol.nfev / 15) - (len(sol.ts) - 1))
+        stats["rejected_estimated"] += sol.rejected
         state = sol(t_end)
         tau = t_end
         if sgn * (T - tau) <= 1e-12:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -104,10 +105,15 @@ def _schema(name: str) -> dict:
     return json.loads(path.read_text())
 
 
+@functools.cache
+def _validator(name: str) -> jsonschema.Draft202012Validator:
+    """The named schema's validator, read and built once per process."""
+    return jsonschema.Draft202012Validator(_schema(name))
+
+
 def validate_against_schema(payload: dict, name: str) -> None:
     """Raise ConfigError with the first violation, if any."""
-    validator = jsonschema.Draft202012Validator(_schema(name))
-    errors = sorted(validator.iter_errors(payload), key=lambda e: list(e.absolute_path))
+    errors = sorted(_validator(name).iter_errors(payload), key=lambda e: list(e.absolute_path))
     if errors:
         e = errors[0]
         where = "/".join(str(p) for p in e.absolute_path) or "(top level)"

@@ -503,7 +503,7 @@ def test_radial_signature_matches_central_difference(gamma):
 
 # sha256 over every RayTrace field of the starts below, recorded after the
 # traces matched GOLDEN_ENDS
-GOLDEN_FLOW = "4e32ae57c9b1e60c3410e5bf2028d637824cfb95d63f7b13a206631801ce46c8"
+GOLDEN_FLOW = "6b5990f3d072e1cd3011d9bb34e934dc06165af2517ab6d442c000841774f0e4"
 
 # Per golden start: the limit label, the truncated flag and the end point
 # (rho, v, sigma, gamma), which a change of the arithmetic must reproduce
@@ -616,6 +616,16 @@ def test_flow_golden_digest_and_branch_coverage(monkeypatch):
         assert (limit_label(tr), tr.truncated) == (label, truncated)
         assert np.max(np.abs(np.subtract([p.rho, p.v, p.sigma, p.gamma], end))) <= FLOW_TOL
     assert trace_digest(traces) == GOLDEN_FLOW
+
+
+def test_flow_stats_account_for_every_evaluation():
+    # a segment spends 2 evaluations on its first step, 15 on each accepted
+    # step (12 stages and 3 for the dense output) and 12 on each rejected one;
+    # a step dropped for an event on the previous step's end would spend 15
+    # uncounted, and no golden start drops one
+    for start, T in golden_starts():
+        s = flow(start, T).stats
+        assert s["fevals"] == 2 * s["segments"] + 15 * s["steps"] + 12 * s["rejected_estimated"]
 
 
 # --- hand-over branches ---------------------------------------------------

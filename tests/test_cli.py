@@ -429,6 +429,21 @@ def test_written_out_defaults_write_the_same_bytes(tmp_path, subcommand):
 
 # --- manifest and determinism --------------------------------------------
 
+def test_config_schema_is_read_once_per_process(tmp_path, monkeypatch):
+    # each run validates its config twice, in from_dict and in run_experiment
+    reads = []
+
+    def spy(name, _schema=cli._schema):
+        reads.append(name)
+        return _schema(name)
+
+    monkeypatch.setattr(cli, "_schema", spy)
+    cli._validator.cache_clear()
+    for name in ("first", "second"):
+        run_dict(tmp_path, ROOTS, name)
+    assert reads == ["config"]
+
+
 def test_manifest_checksums_and_schema(tmp_path):
     out, manifest = run_dict(tmp_path, dict(PICARD, seed=3))
     stored = json.loads((out / "manifest.json").read_text())
@@ -665,7 +680,7 @@ GOLDEN_REPORTS = [
     # the compactified flow (bichar) behind the ray report and its trace, and
     # the exact root and spectrum tables (normal_op)
     (FLOW, "flow.json",
-     "9e108974495e8b5bef618a5f4cfb5ffff7954b4dc38b582af27ab6b03a5028eb"),
+     "531b4cabfba7148c694aab2a5c42e1dbff7b18cd104436d18b8dc498ce650d3e"),
     (FLOW, "trace-000.csv",
      "697baa2f5b2acd2177da4411c7f28d9095e7918ea20e9ec6c2f414e31d9be68f"),
     (ROOTS, "roots.json",
