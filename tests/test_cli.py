@@ -543,7 +543,7 @@ GOLDEN_FIELDS = [
     (
         PICARD,
         "solution.csv",
-        "a63dc9fd5c660a5c6cdf34d201f49c06c7c36d26c0066d510a3f21abb7ad9702",
+        "66256db2c68c5d9ee6fd9f6e2339f205d6ab547bc36a537bdd6e76fa3faa4f5b",
     ),
 ]
 
@@ -671,11 +671,11 @@ GOLDEN_REPORTS = [
         "bad6f7634c9a7c6e18a1090ee5da0fee7d2347007fdba676db416ec94089effc",
     ),
     (PICARD, "picard.json",
-     "40b1d48522540e8f76308fa46bcc6a96ff6638d070c6a6cb406133122d456023"),
+     "cd693d977aaae725709e5fba78341d67b87e20d6a1f8aed266248a4a2b15b136"),
     (
         dict(PICARD, params=dict(PICARD["params"], kind="retarded", eps=0.5)),
         "picard.json",
-        "ae92e2f1bc01696fe1bd61d926b4859927346d9b4d7749e07a8ef651c3a2c643",
+        "a1bc8f839a866a9f5e1d7ecca722cf20aa07b7f9f230ae22d7a852ab889f8351",
     ),
     # the compactified flow (bichar) behind the ray report and its trace, and
     # the exact root and spectrum tables (normal_op)

@@ -1,5 +1,6 @@
 """Picard iteration, dealiased powers, and the coupling-series expansion."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -53,10 +54,90 @@ def test_dealiased_square_matches_naive_in_band():
     assert diff.norm() <= 1e-12
 
 
+GRID_3D = GridSpec((6.0, 5.0, 8.0), (6, 10, 12))
+
+
+def fold(u, p):
+    # the left fold of pairwise products: the power the series recursion forms
+    out = u
+    for _ in range(p - 1):
+        out = dealiased_product(out, u)
+    return out
+
+
+def test_product_golden_digest():
+    # sha256 of the pairwise product's values, recorded before the product
+    # moved onto the unshifted embed and restrict of the power
+    pins = [
+        (source(), random_band_limited(GRID, seed=5),
+         "820997a3ba50e91ec52c0ccf1055d0e6f8c101177e4776c50cfa9b6fc080a601"),
+        (random_band_limited(GRID_3D, seed=11), random_band_limited(GRID_3D, seed=12),
+         "38359323cd0afaead8d4332c2f66d8c3870db3f2af2d765889f7f01cdffc8c0c"),
+    ]
+    for a, b, digest in pins:
+        assert hashlib.sha256(dealiased_product(a, b).values.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("grid", [GRID, GRID_3D], ids=["2d", "3d"])
+def test_square_is_the_pairwise_product(grid):
+    u = random_band_limited(grid, seed=7, band=0.9)
+    assert np.array_equal(dealiased_power(u, 2).values, dealiased_product(u, u).values)
+
+
 def test_power_is_the_pairwise_fold():
+    # equal in exact arithmetic (a restriction then an embedding is the band
+    # projection the power applies on the fine grid); equal to rounding here
+    for u in (source(), random_band_limited(GRID_3D, seed=7, band=0.9)):
+        for p in (3, 4, 5):
+            ref = fold(u, p).values
+            err = np.max(np.abs(dealiased_power(u, p).values - ref))
+            assert err <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_power_projects_before_each_factor():
+    # u^2 = 1/2 + cos(40 k x)/2, and mode 40 is past the Nyquist slot 32: the
+    # fold drops it before the third factor, so u^3 comes out as u/2.  A cube
+    # taken on the fine grid without that projection keeps 3/4 of u.
+    x = np.meshgrid(*GRID.axes(), indexing="ij")[0]
+    u = SpectralField(GRID, np.cos(20 * (2 * np.pi / 16.0) * x))
+    assert (fold(u, 3) - 0.5 * u).norm() <= 1e-12
+    assert (dealiased_power(u, 3) - 0.5 * u).norm() <= 1e-12
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    # counted through the np.fft attributes, so this also pins that the
+    # products look the transforms up at call time
+    calls = []
+    for name in ("fftn", "ifftn"):
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_power_makes_2p_transforms(fft_calls):
     u = source()
-    fold = dealiased_product(dealiased_product(u, u), u)
-    assert np.array_equal(dealiased_power(u, 3).values, fold.values)
+    for p in (2, 3, 4, 5):
+        fft_calls.clear()
+        dealiased_power(u, p)
+        assert len(fft_calls) == 2 * p
+
+
+def test_picard_iteration_makes_8_transforms_at_p3(fft_calls):
+    # 6 for the cube and 2 in propagate; tol 0 keeps both runs going, and
+    # the residual after the loop costs the same in both (a fresh source
+    # each time, so neither run finds its spectrum cached)
+    counts = []
+    for max_iter in (3, 4):
+        fft_calls.clear()
+        picard_solve(SemilinearProblem(f=source(), p=3, lam=0.1), max_iter=max_iter, tol=0.0)
+        counts.append(len(fft_calls))
+    assert counts[1] - counts[0] == 8
 
 
 def test_power_one_is_identity_and_zero_rejected():
@@ -221,6 +302,17 @@ def test_shift_prescription_keeps_full_residual():
     assert abs(manual - rep.residual) <= 1e-12 * max(1.0, manual)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_residual_is_that_of_the_returned_iterate(p):
+    # the loop's last power belongs to the iterate before the returned one,
+    # so the residual forms the power of the returned u once more
+    pres = Prescription(Kind.FEYNMAN)
+    prob = SemilinearProblem(f=source(), p=p, lam=0.1, prescription=pres)
+    u, rep = picard_solve(prob)
+    nonlinear = prob.lam * dealiased_power(u, p)
+    assert rep.residual == prescription_residual(prob.f, u, pres, nonlinear)
+
+
 @pytest.mark.parametrize(
     "pres", [Prescription(Kind.FEYNMAN), Prescription(Kind.RETARDED, eps=0.5)]
 )
@@ -282,7 +374,8 @@ def test_series_order_zero_is_the_linear_solve():
 def test_series_first_correction():
     prob = SemilinearProblem(f=source(), p=3, lam=0.1)
     c = perturbation_series(prob, 1)
-    ref = -1.0 * propagate(dealiased_power(c[0], 3), prob.prescription)
+    # the series forms its powers from pairwise products, term by term
+    ref = -1.0 * propagate(fold(c[0], 3), prob.prescription)
     assert np.array_equal(c[1].values, ref.values)
 
 
