@@ -120,7 +120,8 @@ class SpectralField:
         cached = getattr(self, "_coeffs")
         if cached is None:
             scale = np.sqrt(self.grid.cell_volume / self.grid.total_points)
-            cached = np.fft.fftn(self.values) * scale
+            cached = np.fft.fftn(self.values)
+            cached *= scale
             cached.flags.writeable = False
             object.__setattr__(self, "_coeffs", cached)
         return cached
@@ -133,7 +134,8 @@ class SpectralField:
         if coeffs.shape != grid.points:
             raise DimensionError("coefficient shape does not match grid")
         scale = np.sqrt(grid.cell_volume / grid.total_points)
-        vals = np.fft.ifftn(coeffs / scale)
+        vals = coeffs / scale
+        np.fft.ifftn(vals, out=vals)
         return cls(grid, vals, meta or {})
 
     def norm(self) -> float:

@@ -163,24 +163,37 @@ def propagate(f: SpectralField, prescription: Prescription) -> SpectralField:
     eps, whether the mode was projected, and a coarse-grid warning when eps
     is below half the smallest nonzero |p| on the lattice.
     """
-    grid = f.grid
+    solve, meta = _inverse(f.grid, prescription)
+    return SpectralField.from_coeffs(f.grid, solve(f.coeffs.copy()), meta)
+
+
+def _inverse(grid: GridSpec, prescription: Prescription):
+    """The regularized inverse of ``propagate``, built once for a grid.
+
+    Returns (solve, meta): ``solve(c)`` maps the Parseval coefficients c of
+    a source to those of its solution, keep * c / m, zeroing the modes it
+    leaves out in c itself (so c must be a writable array of the caller's);
+    meta is the metadata ``propagate`` attaches.  The Picard loop applies
+    the same solve to every iterate.
+    """
     if grid.dim < 2:
         raise DimensionError("propagation needs at least one space and one time axis")
     eps = _eps(prescription, grid)
     m = _multiplier(grid, prescription.kind, eps)
-    keep = _solve_modes(m)
-    c = f.coeffs.copy()
-    c[~keep] = 0.0
-    m[~keep] = 1.0  # mode removed; avoid 0/0
-    u = c / m
-    gap = _symbol_gap(grid)
+    drop = ~_solve_modes(m)
+    m[drop] = 1.0  # mode removed; avoid 0/0
     meta = {
         "kind": prescription.kind.value,
         "eps": float(eps),
-        "zero_mode_projected": not keep.all(),
-        "coarse_grid_warning": bool(eps < 0.5 * gap),
+        "zero_mode_projected": bool(drop.any()),
+        "coarse_grid_warning": bool(eps < 0.5 * _symbol_gap(grid)),
     }
-    return SpectralField.from_coeffs(grid, u, meta)
+
+    def solve(c: np.ndarray) -> np.ndarray:
+        c[drop] = 0.0
+        return c / m
+
+    return solve, meta
 
 
 def apply_box(u: SpectralField, prescription: Prescription) -> SpectralField:

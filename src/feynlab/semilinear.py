@@ -8,9 +8,17 @@ and aliased energy would fold back onto the characteristic set.
 
 Both products work on unshifted spectra (``_fine_grid``).
 ``dealiased_product`` embeds both factors, multiplies and restricts (6 FFTs);
-``dealiased_power`` embeds once and projects in place (2p FFTs), which equals
-the fold of pairwise products in exact arithmetic and agrees with it to
-rounding.  The coupling series keeps the pairwise products, term by term.
+``dealiased_power`` embeds once and projects in place (2p FFTs, the fine-grid
+part in ``_fine_power``), which equals the fold of pairwise products in exact
+arithmetic and agrees with it to rounding.  The coupling series keeps the
+pairwise products, term by term.
+
+``picard_solve`` iterates on the Parseval coefficients of the iterate, with
+the inverse ``propagate`` applies (``propagators._inverse``) built once per
+solve: each step embeds the coefficients straight into the fine spectrum and
+runs the same ``_fine_power``, 2p - 2 fine-grid FFTs and no coarse one.
+Every transform writes with ``out=`` (numpy >= 2.0) into a buffer it owns,
+so the loop allocates no fine-grid array.
 
 The residual is ``propagators.prescription_residual`` with the nonlinear
 term passed in, so it is measured on the modes the propagator solves for:
@@ -27,7 +35,7 @@ import numpy as np
 from .errors import DimensionError
 from .fields import SpectralField
 from .orders import semilinear_weights
-from .propagators import Kind, Prescription, prescription_residual, propagate
+from .propagators import Kind, Prescription, _inverse, prescription_residual, propagate
 
 __all__ = [
     "SemilinearProblem",
@@ -53,30 +61,49 @@ def _fine_grid(points: tuple) -> tuple:
     return fine, band
 
 
-def _embed(values: np.ndarray, fine: tuple, band: tuple) -> np.ndarray:
-    """`values` resampled on the fine grid by zero-padding its spectrum."""
-    spec = np.zeros(fine, dtype=np.complex128)
-    spec[band] = np.fft.fftn(values)
-    return np.fft.ifftn(spec) * (np.prod(fine) / np.prod(values.shape))
+def _embed(spec: np.ndarray, band: tuple, scale: float, out: np.ndarray) -> np.ndarray:
+    """scale times the fine-grid field whose spectrum is the coarse `spec`
+    zero-padded, written into `out`.
+
+    With `spec` the ``fftn`` of coarse values and scale the ratio of fine to
+    coarse points, this resamples the values on the fine grid.
+    """
+    out.fill(0.0)
+    out[band] = spec
+    np.fft.ifftn(out, out=out)
+    out *= scale
+    return out
 
 
 def _restrict(values: np.ndarray, points: tuple, band: tuple) -> np.ndarray:
-    """The in-band part of the fine-grid `values`, sampled on the coarse grid."""
-    spec = np.fft.fftn(values)[band]
-    return np.fft.ifftn(spec) * (np.prod(points) / np.prod(values.shape))
+    """The in-band part of the fine-grid `values`, sampled on the coarse grid.
 
-
-def _project(values: np.ndarray, band: tuple) -> np.ndarray:
-    """The in-band part of the fine-grid `values`, kept on the fine grid.
-
-    Equal in exact arithmetic to a restriction followed by an embedding; it
-    skips their two coarse transforms and their scale factors, which cancel.
+    Transforms `values` in place.
     """
-    spec = np.fft.fftn(values)
-    kept = spec[band]
-    spec.fill(0.0)
-    spec[band] = kept
-    return np.fft.ifftn(spec)
+    spec = np.fft.fftn(values, out=values)[band]
+    np.fft.ifftn(spec, out=spec)
+    spec *= np.prod(points) / np.prod(values.shape)
+    return spec
+
+
+def _fine_power(base: np.ndarray, p: int, points: tuple, work: np.ndarray) -> np.ndarray:
+    """base^p on the fine grid, written into `work`, with the running product
+    projected onto the band of the coarse `points` before each further
+    factor (one ``fftn``, the out-of-band modes zeroed, one ``ifftn``).
+
+    Projecting in place equals, in exact arithmetic, a restriction followed
+    by an embedding; it skips their two coarse transforms and their scale
+    factors, which cancel.  2(p - 2) transforms, all written into `work`.
+    """
+    np.multiply(base, base, out=work)
+    for _ in range(p - 2):
+        np.fft.fftn(work, out=work)
+        # unshifted, the out-of-band slots of an axis of N points are N/2 ... M - N/2 - 1
+        for axis, N in enumerate(points):
+            work[(slice(None),) * axis + (slice(N // 2, work.shape[axis] - N // 2),)] = 0.0
+        np.fft.ifftn(work, out=work)
+        work *= base
+    return work
 
 
 def dealiased_product(a: SpectralField, b: SpectralField) -> SpectralField:
@@ -85,7 +112,9 @@ def dealiased_product(a: SpectralField, b: SpectralField) -> SpectralField:
         raise DimensionError("fields on different grids")
     points = a.grid.points
     fine, band = _fine_grid(points)
-    w = _embed(a.values, fine, band) * _embed(b.values, fine, band)
+    scale = np.prod(fine) / np.prod(points)
+    w = _embed(np.fft.fftn(a.values), band, scale, np.empty(fine, dtype=np.complex128))
+    w *= _embed(np.fft.fftn(b.values), band, scale, np.empty_like(w))
     return SpectralField(a.grid, _restrict(w, points, band))
 
 
@@ -93,11 +122,11 @@ def dealiased_power(u: SpectralField, p: int) -> SpectralField:
     """u^p at 2p FFTs.
 
     u is embedded on the 3/2-rule fine grid once, the running product is
-    projected onto the band before each further factor, and one restriction
-    ends the power.  In exact arithmetic this is the left fold
-    ``dealiased_product(... dealiased_product(u, u) ..., u)``, which costs
-    6(p - 1) FFTs; in floating point the two agree to rounding, and p = 2 is
-    ``dealiased_product(u, u)`` bit for bit.
+    projected onto the band before each further factor (``_fine_power``),
+    and one restriction ends the power.  In exact arithmetic this is the
+    left fold ``dealiased_product(... dealiased_product(u, u) ..., u)``,
+    which costs 6(p - 1) FFTs; in floating point the two agree to rounding,
+    and p = 2 is ``dealiased_product(u, u)`` bit for bit.
     """
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"power must be an integer >= 1, got {p}")
@@ -105,10 +134,9 @@ def dealiased_power(u: SpectralField, p: int) -> SpectralField:
         return u
     points = u.grid.points
     fine, band = _fine_grid(points)
-    base = _embed(u.values, fine, band)
-    acc = base * base
-    for _ in range(p - 2):
-        acc = _project(acc, band) * base
+    scale = np.prod(fine) / np.prod(points)
+    base = _embed(np.fft.fftn(u.values), band, scale, np.empty(fine, dtype=np.complex128))
+    acc = _fine_power(base, p, points, np.empty_like(base))
     return SpectralField(u.grid, _restrict(acc, points, band))
 
 
@@ -180,6 +208,11 @@ def _zero_field(grid) -> SpectralField:
     return SpectralField(grid, np.zeros(grid.points, dtype=np.complex128))
 
 
+def _norm(c: np.ndarray) -> float:
+    """The L^2 norm of the field with Parseval coefficients c."""
+    return float(np.sqrt(np.sum(c.real**2 + c.imag**2)))
+
+
 def picard_solve(
     prob: SemilinearProblem,
     max_iter: int = 20,
@@ -188,38 +221,63 @@ def picard_solve(
 ):
     """Iterate u_{j+1} = propagate(f - lam u_j^p) from u_1 = 0.
 
-    Returns (u, report).  Divergence (successive-difference ratio above 1 for
-    three consecutive steps) stops the run and is reported, never raised; the
-    partial iterate is returned as-is.
+    The loop runs on the Parseval coefficients c of the iterate,
+    c <- keep (f^ - lam P(c)) / m, where P zero-pads c into the 3/2-rule
+    spectrum, takes one ``ifftn``, forms the power as ``dealiased_power``
+    does and ends with one ``fftn``, all in two fine-grid buffers.  Norms
+    and differences come from the coefficients by Parseval; u is
+    synthesized once, at the end, and the residual forms its power anew.
+
+    Returns (u, report).  Divergence (a non-finite difference, or a
+    successive-difference ratio above 1 for three consecutive steps) stops
+    the run and is reported, never raised; the partial iterate is returned
+    as-is.
     """
     if max_iter < 1:
         raise ValueError("need at least one iteration")
     f = prob.f
-    u = _zero_field(f.grid)
+    grid = f.grid
+    solve, meta = _inverse(grid, prob.prescription)
+    f_hat = f.coeffs
+    c = np.zeros(grid.points, dtype=np.complex128)
+    if prob.lam != 0.0:
+        fine, band = _fine_grid(grid.points)
+        spec = np.empty(fine, dtype=np.complex128)
+        work = np.empty(fine, dtype=np.complex128)
+        # coefficients to fine-grid values, and a fine spectrum to -lam times
+        # coefficients: the embed and restrict scales with Parseval's
+        parseval = np.sqrt(grid.cell_volume / grid.total_points)
+        pad = np.prod(fine) / np.prod(grid.points)
+        up, down = pad / parseval, -prob.lam * parseval / pad
     norms: list[float] = []
     diffs: list[float] = []
     ratios: list[float] = []
     diverged = False
     iterations = 0
     for _ in range(max_iter):
-        if prob.lam == 0.0:
-            rhs = f
+        if prob.lam == 0.0 or iterations == 0:  # u_1 = 0 has no power
+            rhs = f_hat.copy()
         else:
-            rhs = f - prob.lam * dealiased_power(u, prob.p)
-        nxt = propagate(rhs, prob.prescription)
-        d = (nxt - u).norm()
+            _fine_power(_embed(c, band, up, spec), prob.p, grid.points, work)
+            rhs = np.fft.fftn(work, out=work)[band]
+            rhs *= down
+            rhs += f_hat
+        nxt = solve(rhs)
+        d = _norm(nxt - c)
         diffs.append(d)
-        norms.append(nxt.norm())
+        norms.append(_norm(nxt))
         if len(diffs) >= 2 and diffs[-2] > 0.0:
             ratios.append(d / diffs[-2])
-        u = nxt
+        c = nxt
         iterations += 1
         if d <= tol:
             break
-        if len(ratios) >= 3 and all(r > 1.0 for r in ratios[-3:]):
+        if not np.isfinite(d) or (len(ratios) >= 3 and all(r > 1.0 for r in ratios[-3:])):
             diverged = True
             break
 
+    spec = work = None  # the residual's power allocates its own
+    u = SpectralField.from_coeffs(grid, c, meta)
     nonlinear = prob.lam * dealiased_power(u, prob.p) if prob.lam != 0.0 else None
     res = prescription_residual(f, u, prob.prescription, nonlinear)
     norm_f = f.norm()

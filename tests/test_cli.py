@@ -543,7 +543,7 @@ GOLDEN_FIELDS = [
     (
         PICARD,
         "solution.csv",
-        "66256db2c68c5d9ee6fd9f6e2339f205d6ab547bc36a537bdd6e76fa3faa4f5b",
+        "157ffb68db5a0e677d485476871739db86548d5118f609cd501b63deb70348d6",
     ),
 ]
 
@@ -671,11 +671,11 @@ GOLDEN_REPORTS = [
         "bad6f7634c9a7c6e18a1090ee5da0fee7d2347007fdba676db416ec94089effc",
     ),
     (PICARD, "picard.json",
-     "cd693d977aaae725709e5fba78341d67b87e20d6a1f8aed266248a4a2b15b136"),
+     "085d906cdc7771121310eb93d9e4dd4badaa9f8708b186584e996803fa3d0c07"),
     (
         dict(PICARD, params=dict(PICARD["params"], kind="retarded", eps=0.5)),
         "picard.json",
-        "a1bc8f839a866a9f5e1d7ecca722cf20aa07b7f9f230ae22d7a852ab889f8351",
+        "f6d66f88f1b07c7333d14785c38beecd09ade182f535a0edb32a6cc4ec31f364",
     ),
     # the compactified flow (bichar) behind the ray report and its trace, and
     # the exact root and spectrum tables (normal_op)
@@ -942,6 +942,28 @@ def test_main_divergence_exit_three(tmp_path):
         },
     )
     assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_main_non_finite_iterate_exit_three(tmp_path):
+    # lam u^p overflows in the second iterate: a diverged run, not an "ok"
+    # one that writes NaN after max_iter iterations
+    p = write_config(
+        tmp_path / "nan.json",
+        {
+            "subcommand": "picard",
+            "grid": {"extent": [16.0, 16.0], "points": [32, 32]},
+            "params": {
+                "p": 5,
+                "lam": 1e300,
+                "max_iter": 40,
+                "source": {"type": "gaussian", "width": 1.0, "amplitude": 30.0},
+            },
+        },
+    )
+    with np.errstate(all="ignore"):
+        assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 3
+    payload = json.loads((tmp_path / "o" / "picard.json").read_text())
+    assert payload["diverged"] is True and payload["iterations"] == 2
 
 
 def test_main_long_source_center_exit_two(tmp_path, capsys):

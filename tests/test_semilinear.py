@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from feynlab import semilinear
+from feynlab import propagators, semilinear
 from feynlab.errors import DimensionError
 from feynlab.fields import GridSpec, SpectralField, gaussian_source, random_band_limited
 from feynlab.propagators import (
@@ -112,9 +114,9 @@ def fft_calls(monkeypatch):
     for name in ("fftn", "ifftn"):
         fn = getattr(np.fft, name)
 
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
+        def counted(a, *args, _fn=fn, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
@@ -128,16 +130,21 @@ def test_power_makes_2p_transforms(fft_calls):
         assert len(fft_calls) == 2 * p
 
 
-def test_picard_iteration_makes_8_transforms_at_p3(fft_calls):
-    # 6 for the cube and 2 in propagate; tol 0 keeps both runs going, and
-    # the residual after the loop costs the same in both (a fresh source
-    # each time, so neither run finds its spectrum cached)
-    counts = []
+@pytest.mark.parametrize("p", [3, 5])
+def test_picard_iteration_makes_2p_minus_2_fine_transforms(fft_calls, p):
+    # the loop runs on coefficients: the power's fine-grid transforms and no
+    # coarse one.  tol 0 keeps both runs going, and the residual after the
+    # loop costs the same in both (a fresh source each time, so neither run
+    # finds its spectrum cached)
+    fine = semilinear._fine_grid(GRID.points)[0]
+    runs = []
     for max_iter in (3, 4):
         fft_calls.clear()
-        picard_solve(SemilinearProblem(f=source(), p=3, lam=0.1), max_iter=max_iter, tol=0.0)
-        counts.append(len(fft_calls))
-    assert counts[1] - counts[0] == 8
+        picard_solve(SemilinearProblem(f=source(), p=p, lam=0.1), max_iter=max_iter, tol=0.0)
+        runs.append(Counter(shape for _, shape in fft_calls))
+    assert set(runs[1]) == {GRID.points, fine}
+    assert runs[1][GRID.points] == runs[0][GRID.points]
+    assert runs[1][fine] - runs[0][fine] == 2 * p - 2
 
 
 def test_power_one_is_identity_and_zero_rejected():
@@ -278,6 +285,18 @@ def test_divergence_is_flagged_not_raised():
     assert np.all(np.isfinite(u.values))  # partial iterate still usable
 
 
+def test_non_finite_iterate_is_divergence():
+    # lam u^p overflows in the second iterate; the loop must stop there and
+    # say so, not run to max_iter on NaN
+    grid = GridSpec((16.0, 16.0), (32, 32))
+    prob = SemilinearProblem(f=gaussian_source(grid, width=1.0, amplitude=30.0), p=5, lam=1e300)
+    with np.errstate(all="ignore"):
+        _, rep = picard_solve(prob, max_iter=40)
+    assert rep.diverged and not rep.converged
+    assert rep.iterations == 2
+    assert np.isfinite(rep.diffs[0]) and not np.isfinite(rep.diffs[-1])
+
+
 def test_residual_against_operator_route():
     # recompute the residual from the forward operator, independently
     prob = SemilinearProblem(f=source(), p=3, lam=0.1)
@@ -316,19 +335,70 @@ def test_residual_is_that_of_the_returned_iterate(p):
 @pytest.mark.parametrize(
     "pres", [Prescription(Kind.FEYNMAN), Prescription(Kind.RETARDED, eps=0.5)]
 )
-def test_solve_runs_one_propagate_per_iteration(monkeypatch, pres):
-    # the residual applies the multiplier and its zero-mode rule to the last
-    # iterate; it must not pay for one more solve
+def test_solve_builds_the_multiplier_once(monkeypatch, pres):
+    # the inverse is built once per solve and the residual applies the
+    # multiplier to the last iterate; no iteration builds one of its own
     calls = []
+    build = propagators._multiplier
 
-    def counted(f, prescription):
-        calls.append(prescription)
-        return propagate(f, prescription)
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
 
-    monkeypatch.setattr(semilinear, "propagate", counted)
-    _, rep = picard_solve(SemilinearProblem(f=source(), p=3, lam=0.1, prescription=pres))
+    monkeypatch.setattr(propagators, "_multiplier", counted)
+    counts = []
+    for max_iter in (3, 4):
+        calls.clear()
+        prob = SemilinearProblem(f=source(), p=3, lam=0.1, prescription=pres)
+        _, rep = picard_solve(prob, max_iter=max_iter, tol=0.0)
+        assert rep.iterations == max_iter
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+STEP_GRID = GridSpec((16.0, 16.0), (32, 32))
+
+
+@pytest.mark.parametrize("grid", [STEP_GRID, GRID_3D], ids=["2d", "3d"])
+@pytest.mark.parametrize("kind", list(Kind))
+def test_picard_step_is_the_propagate_of_the_power(grid, kind):
+    # the coefficient-space step against the map it implements, one iterate
+    # at a time: u_{k+1} = propagate(f - lam u_k^p) through dealiased_power
+    pres = Prescription(kind, eps=0.3)
+    f = random_band_limited(grid, seed=2)
+    f = (1.0 / np.max(np.abs(propagate(f, pres).values))) * f  # max |u_2| = 1
+    for p in (2, 3, 4, 5):
+        prob = SemilinearProblem(f=f, p=p, lam=0.1, prescription=pres)
+        iterates = [picard_solve(prob, max_iter=k, tol=0.0)[0] for k in (1, 2, 3, 4)]
+        for u_k, u_next in zip(iterates, iterates[1:]):
+            ref = propagate(f - prob.lam * dealiased_power(u_k, p), pres)
+            scale = np.max(np.abs(u_next.values))
+            assert np.max(np.abs(u_next.values - ref.values)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("p,lam", [(3, 0.5), (5, 2.0)])
+def test_solve_peak_memory(p, lam):
+    # peak traced allocation of a 192^2 solve, in fine-grid arrays (288^2
+    # complex): 6.79 at p = 3 and 5 while the loop ran on values through
+    # propagate and dealiased_power, 5.40 on coefficients and two buffers.
+    # One untraced solve first, so that first-use imports are not counted.
+    grid = GridSpec((16.0, 16.0), (192, 192))
+    pres = Prescription(Kind.FEYNMAN, eps=0.3)
+
+    def solve():
+        f = gaussian_source(grid, width=1.0)
+        return picard_solve(SemilinearProblem(f=f, p=p, lam=lam, prescription=pres),
+                            max_iter=40, tol=1e-12)
+
+    solve()
+    tracemalloc.start()
+    try:
+        _, rep = solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rep.converged
-    assert len(calls) == rep.iterations
+    assert peak < 6.0 * 288 * 288 * 16
 
 
 # --- the report ----------------------------------------------------------
