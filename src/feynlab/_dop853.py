@@ -31,6 +31,15 @@ Hairer's DOP853 as SciPy 1.17 carries them.  The rules:
 An event search fails with StiffnessError on a NaN event value, on no sign
 change over the step and on no convergence in 100 iterations: the
 integration failed, the input did not.
+
+The bit rule, which lets the per-step arithmetic here and in the right-hand
+sides of bichar be rewritten for speed without moving a digest: every dot
+product stays numpy's (``x.dot(y)``, BLAS ``ddot``/``dgemv``; a Python sum
+rounds differently, since BLAS uses FMA), scalar arithmetic runs on Python
+floats in the same order of operations as the numpy expression it replaces,
+and a square stays a power (``x ** 2`` is libm ``pow`` for a numpy scalar
+and a float alike, and it differs from ``x * x`` in the last place now and
+then).
 """
 
 from __future__ import annotations
@@ -166,10 +175,14 @@ D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
 
 _EXPONENT = -1 / 8  # -1/(error order + 1)
 
+# each row A[s, :s] as its own contiguous array, and the nodes as floats
+_ROWS = [A[s, :s].copy() for s in range(16)]
+_NODES = C.tolist()
 
-def _norm(x: np.ndarray):
+
+def _norm(x: np.ndarray) -> float:
     """np.linalg.norm of a real vector (the same dot and sqrt), without its dispatch."""
-    return np.sqrt(x.dot(x))
+    return math.sqrt(x.dot(x))
 
 
 def _rms(x: np.ndarray):
@@ -234,7 +247,7 @@ def solve(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float, atol: flo
         warnings.warn(f"rtol {rtol:g} is too small; using rtol = 100 EPS = {100 * EPS}",
                       stacklevel=3)
         rtol = np.maximum(rtol, 100 * EPS)
-    direction = np.sign(t_bound - t0)
+    direction = float(np.sign(t_bound - t0))
     n = y.size
     f = fun(t0, y, *args)
 
@@ -255,10 +268,11 @@ def solve(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float, atol: flo
 
     K_ext = np.empty((16, n))
     K = K_ext[: _STAGES + 1]
+    KT = [K_ext[:s].T for s in range(16)]  # the stages before stage s, one column each
     t, ts, steps = t0, [t0], []
     g = [ev(t0, y, *args) for ev, _ in events]
     while True:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -270,24 +284,26 @@ def solve(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float, atol: flo
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
             for s in range(1, _STAGES):
-                dy = np.dot(K[:s].T, A[s, :s]) * h
-                K[s] = fun(t + C[s] * h, y + dy, *args)
-            y_new = y + h * np.dot(K[:-1].T, B)
+                dy = KT[s].dot(_ROWS[s])
+                dy *= h
+                dy += y
+                K[s] = fun(t + _NODES[s] * h, dy, *args)
+            y_new = y + h * KT[_STAGES].dot(B)
             f_new = fun(t + h, y_new, *args)
             K[-1] = f_new
             nfev += _STAGES
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(K.T, E5) / scale
-            err3 = np.dot(K.T, E3) / scale
+            err5 = KT[_STAGES + 1].dot(E5) / scale
+            err3 = KT[_STAGES + 1].dot(E3) / scale
             err5_2 = _norm(err5) ** 2
             err3_2 = _norm(err3) ** 2
             if err5_2 == 0 and err3_2 == 0:
                 err = 0.0
             else:
-                err = np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
+                err = abs(h) * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * n)
             if err < 1:
                 factor = 10 if err == 0 else min(10, 0.9 * err**_EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
@@ -298,8 +314,10 @@ def solve(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float, atol: flo
 
         # the dense output: three more stages, then the interpolant
         for s in range(_STAGES + 1, 16):
-            dy = np.dot(K_ext[:s].T, A[s, :s]) * h
-            K_ext[s] = fun(t + C[s] * h, y + dy, *args)
+            dy = KT[s].dot(_ROWS[s])
+            dy *= h
+            dy += y
+            K_ext[s] = fun(t + _NODES[s] * h, dy, *args)
         nfev += 3
         F = np.empty((7, n))
         delta_y = y_new - y

@@ -28,6 +28,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -396,6 +397,11 @@ def _cmd_wick(cfg, p):
     return {"wick.json": payload}, EXIT_OK
 
 
+def _number(x: float | None) -> float | None:
+    """x, or None where x is NaN or infinite."""
+    return x if x is not None and math.isfinite(x) else None
+
+
 def _cmd_picard(cfg, p):
     kind = Kind(p["kind"])
     pres = Prescription(kind, eps=p["eps"])
@@ -415,6 +421,9 @@ def _cmd_picard(cfg, p):
             "solution_file": "solution.csv",
         }
     )
+    # a diverged run overflows: strict JSON has no NaN or Infinity, so null
+    payload.update({k: [_number(x) for x in payload[k]] for k in ("norms", "diffs", "ratios")})
+    payload.update({k: _number(payload[k]) for k in ("norm_u", "residual", "final_ratio")})
     status = EXIT_DIVERGED if report.diverged else EXIT_OK
     return {"picard.json": payload, "solution.csv": u}, status
 

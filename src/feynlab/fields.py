@@ -104,15 +104,27 @@ class SpectralField:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
+        # the caller keeps its array: the field holds a copy
+        self._hold(np.array(self.values, dtype=np.complex128, order="C"))
+
+    def _hold(self, vals: np.ndarray) -> None:
         if vals.shape != self.grid.points:
             raise DimensionError(
                 f"values shape {vals.shape} does not match grid {self.grid.points}"
             )
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_coeffs", None)
+
+    @classmethod
+    def _own(cls, grid: GridSpec, vals: np.ndarray, meta: dict | None = None) -> "SpectralField":
+        """A field on vals without a copy: vals is a fresh array that no one else
+        holds, or another field's values (read-only, so safe to share)."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "grid", grid)
+        object.__setattr__(new, "meta", meta or {})
+        new._hold(np.asarray(vals, dtype=np.complex128))
+        return new
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -136,7 +148,7 @@ class SpectralField:
         scale = np.sqrt(grid.cell_volume / grid.total_points)
         vals = coeffs / scale
         np.fft.ifftn(vals, out=vals)
-        return cls(grid, vals, meta or {})
+        return cls._own(grid, vals, meta)
 
     def norm(self) -> float:
         """Discrete L^2 norm, sqrt(sum |u|^2 * cell_volume)."""
@@ -154,25 +166,25 @@ class SpectralField:
     def with_meta(self, **extra) -> "SpectralField":
         meta = dict(self.meta)
         meta.update(extra)
-        return SpectralField(self.grid, self.values, meta)
+        return SpectralField._own(self.grid, self.values, meta)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         if other.grid != self.grid:
             raise DimensionError("fields on different grids")
-        return SpectralField(self.grid, self.values + other.values)
+        return SpectralField._own(self.grid, self.values + other.values)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         if other.grid != self.grid:
             raise DimensionError("fields on different grids")
-        return SpectralField(self.grid, self.values - other.values)
+        return SpectralField._own(self.grid, self.values - other.values)
 
     def __mul__(self, c: complex) -> "SpectralField":
-        return SpectralField(self.grid, self.values * c)
+        return SpectralField._own(self.grid, self.values * c)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.values)
+        return SpectralField._own(self.grid, -self.values)
 
 
 def random_band_limited(
@@ -217,4 +229,4 @@ def gaussian_source(
     mesh = grid.mesh()
     r2 = sum((mesh[j] - center[j]) ** 2 for j in range(n))
     vals = amplitude * np.exp(-r2 / (2.0 * sigma**2)).astype(np.complex128)
-    return SpectralField(grid, vals, {"width": float(width)})
+    return SpectralField._own(grid, vals, {"width": float(width)})

@@ -115,7 +115,7 @@ def dealiased_product(a: SpectralField, b: SpectralField) -> SpectralField:
     scale = np.prod(fine) / np.prod(points)
     w = _embed(np.fft.fftn(a.values), band, scale, np.empty(fine, dtype=np.complex128))
     w *= _embed(np.fft.fftn(b.values), band, scale, np.empty_like(w))
-    return SpectralField(a.grid, _restrict(w, points, band))
+    return SpectralField._own(a.grid, _restrict(w, points, band))
 
 
 def dealiased_power(u: SpectralField, p: int) -> SpectralField:
@@ -137,7 +137,7 @@ def dealiased_power(u: SpectralField, p: int) -> SpectralField:
     scale = np.prod(fine) / np.prod(points)
     base = _embed(np.fft.fftn(u.values), band, scale, np.empty(fine, dtype=np.complex128))
     acc = _fine_power(base, p, points, np.empty_like(base))
-    return SpectralField(u.grid, _restrict(acc, points, band))
+    return SpectralField._own(u.grid, _restrict(acc, points, band))
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ class PicardReport:
 
 
 def _zero_field(grid) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.points, dtype=np.complex128))
+    return SpectralField._own(grid, np.zeros(grid.points, dtype=np.complex128))
 
 
 def _norm(c: np.ndarray) -> float:

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from feynlab import bichar
@@ -497,6 +497,99 @@ def test_radial_signature_matches_central_difference(gamma):
     assert np.all(eigs.imag == 0.0)
     want = np.sort(radial_flow_signature(gamma))
     assert np.max(np.abs(np.sort(eigs.real) - want)) <= 1e-9
+
+
+# --- the float kernels against their numpy originals ---------------------
+# The right-hand sides and the interior events run on Python floats under the
+# bit rule of _dop853; these are the numpy expressions they replaced, and the
+# new kernels must give the same bits.
+
+def ref_bd_rhs(t, state, n):
+    m = n - 2
+    w = state[1]
+    y = state[2 : 2 + m]
+    u = state[2 + m : 4 + 2 * m]
+    nu = np.linalg.norm(u)
+    u = u / nu
+    s, cw = u[0], u[1]
+    eta = u[2:]
+    d = 1.0 + float(y @ y)
+    e2 = float(eta @ eta)
+    H = (d * d / 4.0) * e2
+    one = 1.0 - w * w
+    dl_ds = 2 * (2 * w * w - 1) * s - 4 * w * one * cw
+    dl_dc = -4 * w * one * s - 2 * (2 * w * w - 1) * one * cw
+    dl_de = -(d * d / 2.0) * eta / one
+    dl_dw = (
+        4 * w * s * s
+        - 4 * (1 - 3 * w * w) * s * cw
+        - 2 * w * (3 - 4 * w * w) * cw * cw
+        - 2 * w * H / (one * one)
+    )
+    dl_dy = -(d * y * e2) / one
+    F = np.concatenate(([0.0], [-dl_dw], -dl_dy))
+    kdot = float(u @ F)
+    du = F - kdot * u
+    out = np.empty(state.size)
+    out[0] = dl_ds
+    out[1] = dl_dc
+    out[2 : 2 + m] = dl_de
+    out[2 + m : 4 + 2 * m] = du
+    out[-1] = kdot
+    return out
+
+
+def ref_int_rhs(t, state, n):
+    z = state[:n]
+    zeta = state[n:]
+    r2 = float(z @ z)
+    p = zeta[-1] ** 2 - float(zeta[:-1] @ zeta[:-1])
+    dz = np.concatenate((-2.0 * zeta[:-1], [2.0 * zeta[-1]])) * r2
+    dzeta = -2.0 * p * z
+    return np.concatenate((dz, dzeta))
+
+
+def ref_ev_escape(t, s, n):
+    return float(np.linalg.norm(s[:n])) - bichar._ESCAPE_R
+
+
+def ref_ev_enter(t, s, n):
+    r = float(np.linalg.norm(s[:n]))
+    return bichar._entry(r, s[n - 1] / r)
+
+
+_MAGNITUDE = st.builds(lambda x, neg: -x if neg else x, st.floats(1e-3, 1e3), st.booleans())
+
+
+@st.composite
+def kernel_states(draw):
+    """(n, interior state [z, zeta], latitude state [x, w, y, u, k]) with every
+    component of magnitude 1e-3 to 1e3 and |w| <= 0.95."""
+    n = draw(st.sampled_from([3, 4, 5]))
+    interior = draw(st.lists(_MAGNITUDE, min_size=2 * n, max_size=2 * n))
+    latitude = draw(st.lists(_MAGNITUDE, min_size=2 * n + 1, max_size=2 * n + 1))
+    latitude[1] = draw(st.floats(-0.95, 0.95))
+    return n, np.array(interior), np.array(latitude)
+
+
+def _with_zeta_n(n, zn):
+    interior = np.full(2 * n, 0.5)
+    interior[-1] = zn
+    return n, interior, np.full(2 * n + 1, 0.5)
+
+
+# zeta_n values whose square by libm pow (numpy's scalar ** 2) and by a
+# product differ in the last place: a kernel that squares by a product fails here
+@example(_with_zeta_n(3, 34.640885754767474))
+@example(_with_zeta_n(4, 3.331768564474071))
+@example(_with_zeta_n(5, 0.9774943660281983))
+@given(kernel_states())
+def test_float_kernels_match_the_numpy_reference_bit_for_bit(case):
+    n, interior, latitude = case
+    assert np.array_equal(bichar._int_rhs(0.0, interior, n), ref_int_rhs(0.0, interior, n))
+    assert np.array_equal(bichar._bd_rhs(0.0, latitude, n), ref_bd_rhs(0.0, latitude, n))
+    assert bichar._ev_escape(0.0, interior, n) == ref_ev_escape(0.0, interior, n)
+    assert bichar._ev_enter(0.0, interior, n) == ref_ev_enter(0.0, interior, n)
 
 
 # --- golden traces -------------------------------------------------------

@@ -962,8 +962,16 @@ def test_main_non_finite_iterate_exit_three(tmp_path):
     )
     with np.errstate(all="ignore"):
         assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 3
-    payload = json.loads((tmp_path / "o" / "picard.json").read_text())
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    payload = json.loads((tmp_path / "o" / "picard.json").read_text(), parse_constant=reject)
+    check_schema(payload, "picard")
     assert payload["diverged"] is True and payload["iterations"] == 2
+    # the overflowed numbers are written as null
+    assert payload["norm_u"] is None and payload["residual"] is None
+    assert payload["final_ratio"] is None and payload["norms"][-1] is None
 
 
 def test_main_long_source_center_exit_two(tmp_path, capsys):

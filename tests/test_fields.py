@@ -1,5 +1,7 @@
 """Grids, spectral fields and seeded sources."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,32 @@ def test_fft_round_trip_and_parseval():
     assert err <= 1e-12
     spec_norm = float(np.sqrt(np.sum(np.abs(u.coeffs) ** 2)))
     assert abs(spec_norm - u.norm()) <= 1e-12 * u.norm()
+
+
+def peak_arrays(build, grid):
+    """Peak memory while build() runs, in arrays of the grid's complex shape."""
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * grid.total_points)
+
+
+def test_fields_own_fresh_arrays_and_copy_a_callers():
+    grid = GridSpec((8.0, 8.0), (256, 256))
+    c = np.ones(grid.points, dtype=np.complex128)
+    f = SpectralField(grid, c)
+    # a caller's array is copied and made read-only; the caller's stays writable
+    assert not np.shares_memory(f.values, c) and c.flags.writeable
+    assert not f.values.flags.writeable
+    # from_coeffs and the operators hand their fresh result over without a copy
+    assert peak_arrays(lambda: SpectralField.from_coeffs(grid, c), grid) < 1.1
+    assert peak_arrays(lambda: f + f, grid) < 1.1
+    g = f + f
+    assert not g.values.flags.writeable
+    assert np.array_equal(g.values, 2.0 * c)
 
 
 def test_gaussian_source_long_center_rejected():
