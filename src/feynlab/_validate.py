@@ -1,0 +1,217 @@
+"""JSON Schema validation for the keywords the config schema uses.
+
+The keywords have their Draft 2020-12 meaning: $ref (into #/$defs), type,
+enum, const, properties, required, additionalProperties (false), items,
+minItems, minLength, minimum, maximum, exclusiveMinimum, multipleOf (a
+positive integer), oneOf, allOf and if/then.  The annotations $schema, $id,
+title and description are ignored.  Loading a schema that uses anything
+else raises SchemaError, so a schema edit cannot slip past unchecked.
+
+Violations come as ``(path, message)`` with jsonschema's message texts and
+in its order (keywords in schema order, properties in schema order, items by
+index), then sorted by path.  A bool is neither an integer nor a number,
+1.0 is an integer, and enum and const tell true from 1.
+"""
+
+from __future__ import annotations
+
+import numbers
+import operator
+from collections.abc import Mapping, Sequence
+
+
+class SchemaError(ValueError):
+    """The schema uses a keyword, or a keyword form, this module lacks."""
+
+
+def _number(x) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": _number,
+    "integer": lambda x: _number(x) and (isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: true is not 1, 1.0 is 1, containers compare by item."""
+    if a is b:
+        return True
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, Sequence) and isinstance(b, Sequence):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
+    return not isinstance(a, bool) and not isinstance(b, bool) and a == b
+
+
+class Validator:
+    """A checked schema; ``errors(instance)`` lists every violation."""
+
+    def __init__(self, schema: dict):
+        self._defs = schema.get("$defs", {})
+        _load(schema, self._defs, top=True)
+        for sub in self._defs.values():
+            _load(sub, self._defs)
+        self._schema = schema
+
+    def errors(self, instance) -> list:
+        """Every violation as ``(path, message)``, the path a tuple of keys
+        and indices; sorted by path, ties in the order they were found."""
+        errors = []
+        self._check(self._schema, instance, (), errors)
+        return sorted(errors, key=operator.itemgetter(0))
+
+    def _check(self, schema, x, path, errors):
+        for k, v in schema.items():
+            keyword = _KEYWORDS.get(k)
+            if keyword:
+                keyword(self, v, schema, x, path, errors)
+
+    def _valid(self, schema, x, path) -> bool:
+        errors = []
+        self._check(schema, x, path, errors)
+        return not errors
+
+
+def _load(schema, defs, top=False):
+    """Raise SchemaError where schema, or a subschema, goes past this module;
+    only the top level may hold $defs."""
+    if not isinstance(schema, dict):
+        raise SchemaError(f"subschema {schema!r} is not an object")
+    unknown = schema.keys() - _KEYWORDS.keys() - _ANNOTATIONS - ({"$defs"} if top else set())
+    ref, step = schema.get("$ref"), schema.get("multipleOf", 1)
+    types = schema.get("type", ())
+    if unknown:
+        raise SchemaError(f"unsupported schema keyword(s): {', '.join(sorted(unknown))}")
+    if ref is not None and (not ref.startswith("#/$defs/") or ref[8:] not in defs):
+        raise SchemaError(f"unsupported $ref {ref!r}: only #/$defs/<name>")
+    if schema.get("additionalProperties", False) is not False:
+        raise SchemaError("additionalProperties must be false")
+    if type(step) is not int or step <= 0:
+        raise SchemaError("multipleOf must be a positive integer")
+    if not set([types] if isinstance(types, str) else types) <= _TYPES.keys():
+        raise SchemaError(f"unknown type in {types!r}")
+    for k, v in schema.items():
+        if k in _APPLICATORS:
+            for sub in v.values() if k == "properties" else v if k in ("allOf", "oneOf") else [v]:
+                _load(sub, defs)
+
+
+# --- keywords: (validator, value, schema, instance, path, errors) ----------
+
+def _ref(val, ref, s, x, path, errors):
+    val._check(val._defs[ref[8:]], x, path, errors)
+
+
+def _type(val, names, s, x, path, errors):
+    names = [names] if isinstance(names, str) else names
+    if not any(_TYPES[t](x) for t in names):
+        errors.append((path, f"{x!r} is not of type {', '.join(map(repr, names))}"))
+
+
+def _enum(val, values, s, x, path, errors):
+    if not any(_equal(e, x) for e in values):
+        errors.append((path, f"{x!r} is not one of {values!r}"))
+
+
+def _const(val, value, s, x, path, errors):
+    if not _equal(x, value):
+        errors.append((path, f"{value!r} was expected"))
+
+
+def _properties(val, props, s, x, path, errors):
+    if isinstance(x, dict):
+        for k, sub in props.items():
+            if k in x:
+                val._check(sub, x[k], path + (k,), errors)
+
+
+def _required(val, keys, s, x, path, errors):
+    if isinstance(x, dict):
+        errors.extend((path, f"{k!r} is a required property") for k in keys if k not in x)
+
+
+def _no_additional(val, _, s, x, path, errors):
+    if isinstance(x, dict):
+        extras = sorted((k for k in x if k not in s.get("properties", ())), key=str)
+        if extras:
+            listed = ", ".join(map(repr, extras))
+            verb = "was" if len(extras) == 1 else "were"
+            errors.append((path, f"Additional properties are not allowed ({listed} {verb} unexpected)"))
+
+
+def _items(val, sub, s, x, path, errors):
+    if isinstance(x, list):
+        for i, item in enumerate(x):
+            val._check(sub, item, path + (i,), errors)
+
+
+def _min_len(kind):
+    def keyword(val, least, s, x, path, errors):
+        if isinstance(x, kind) and len(x) < least:
+            errors.append((path, f"{x!r} {'should be non-empty' if least == 1 else 'is too short'}"))
+    return keyword
+
+
+def _bound(fails, text):
+    def keyword(val, limit, s, x, path, errors):
+        if _number(x) and fails(x, limit):
+            errors.append((path, f"{x!r} {text} {limit!r}"))
+    return keyword
+
+
+def _multiple_of(val, step, s, x, path, errors):
+    if _number(x) and x % step:
+        errors.append((path, f"{x!r} is not a multiple of {step}"))
+
+
+def _all_of(val, subs, s, x, path, errors):
+    for sub in subs:
+        val._check(sub, x, path, errors)
+
+
+def _one_of(val, subs, s, x, path, errors):
+    hits = [sub for sub in subs if val._valid(sub, x, path)]
+    if not hits:
+        errors.append((path, f"{x!r} is not valid under any of the given schemas"))
+    elif len(hits) > 1:
+        listed = ", ".join(map(repr, hits[1:] + hits[:1]))
+        errors.append((path, f"{x!r} is valid under each of {listed}"))
+
+
+def _if(val, cond, s, x, path, errors):
+    if "then" in s and val._valid(cond, x, path):
+        val._check(s["then"], x, path, errors)
+
+
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "description"})
+_APPLICATORS = frozenset({"properties", "items", "allOf", "oneOf", "if", "then"})
+# "then" is read by "if"
+_KEYWORDS = {
+    "$ref": _ref,
+    "type": _type,
+    "enum": _enum,
+    "const": _const,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _no_additional,
+    "items": _items,
+    "minItems": _min_len(list),
+    "minLength": _min_len(str),
+    "minimum": _bound(operator.lt, "is less than the minimum of"),
+    "maximum": _bound(operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.le, "is less than or equal to the minimum of"),
+    "multipleOf": _multiple_of,
+    "oneOf": _one_of,
+    "allOf": _all_of,
+    "if": _if,
+    "then": None,
+}

@@ -104,8 +104,9 @@ def _chart_transition(y: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.nd
     eta = np.asarray(eta, dtype=float)
     r2 = float(y @ y)
     ynew = y / r2
-    # eta transforms by the transpose Jacobian of y(y'): d y_i / d y'_j
-    J = np.eye(y.size) / r2 - 2.0 * np.outer(y, y) / (r2 * r2)
+    # eta transforms by the transpose Jacobian of y(y') = y'/|y'|^2:
+    # d y_i / d y'_j = r2 delta_ij - 2 y_i y_j, symmetric
+    J = r2 * np.eye(y.size) - 2.0 * np.outer(y, y)
     return ynew, J @ eta
 
 

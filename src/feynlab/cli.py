@@ -33,15 +33,14 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import metadata, resources
 from pathlib import Path
 from typing import NamedTuple
 
-import jsonschema
 import numpy as np
 
+from ._validate import Validator
 from .bichar import classify_limit, flow, random_null_rays
 from .errors import ClassificationError, FeynlabError, StiffnessError
 from .fields import GridSpec, SpectralField, gaussian_source, random_band_limited
@@ -107,18 +106,18 @@ def _schema(name: str) -> dict:
 
 
 @functools.cache
-def _validator(name: str) -> jsonschema.Draft202012Validator:
-    """The named schema's validator, read and built once per process."""
-    return jsonschema.Draft202012Validator(_schema(name))
+def _validator() -> Validator:
+    """The config schema's validator, read and built once per process."""
+    return Validator(_schema("config"))
 
 
-def validate_against_schema(payload: dict, name: str) -> None:
-    """Raise ConfigError with the first violation, if any."""
-    errors = sorted(_validator(name).iter_errors(payload), key=lambda e: list(e.absolute_path))
+def validate_against_schema(payload: dict) -> None:
+    """Raise ConfigError with the config's first violation (by path), if any."""
+    errors = _validator().errors(payload)
     if errors:
-        e = errors[0]
-        where = "/".join(str(p) for p in e.absolute_path) or "(top level)"
-        raise ConfigError(f"config invalid at {where}: {e.message}")
+        path, message = errors[0]
+        where = "/".join(map(str, path)) or "(top level)"
+        raise ConfigError(f"config invalid at {where}: {message}")
 
 
 def _strict_json(text: str, origin: str) -> dict:
@@ -163,7 +162,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        validate_against_schema(data, "config")
+        validate_against_schema(data)
         grid = None
         if "grid" in data:
             try:
@@ -538,7 +537,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     cannot be written (anything partial is removed first), and
     NumericDivergence after a complete write whose numerics diverged.
     """
-    validate_against_schema(cfg.to_dict(), "config")
+    validate_against_schema(cfg.to_dict())
     if cfg.out is None:
         raise ConfigError("no output directory resolved")
     entry = _SUBCOMMANDS[cfg.subcommand]
@@ -614,6 +613,8 @@ def main(argv=None) -> int:
             print(f"no *.json configs in {target}", file=sys.stderr)
             return EXIT_CONFIG
         root = args.out or os.environ.get(ENV_OUTPUT_ROOT, _DEFAULT_ROOT)
+        from concurrent.futures import ThreadPoolExecutor  # only batch mode pays for it
+
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             results = list(
                 pool.map(
