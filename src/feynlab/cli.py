@@ -34,7 +34,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from importlib import metadata, resources
+from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -68,6 +68,8 @@ __all__ = [
     "run_experiment",
     "main",
 ]
+
+__version__ = "0.1.0"
 
 ENV_OUTPUT_ROOT = "FEYNLAB_OUT"
 _DEFAULT_ROOT = "feynlab-runs"
@@ -212,13 +214,6 @@ class RunManifest(NamedTuple):
         }
 
 
-def _tool_version() -> str:
-    try:
-        return metadata.version("feynlab")
-    except metadata.PackageNotFoundError:
-        return "0.0.0+local"
-
-
 def load_config(path, seed: int | None = None, out: str | None = None) -> ExperimentConfig:
     """Read and validate a config file, applying command-line overrides."""
     path = Path(path)
@@ -360,7 +355,8 @@ def _cmd_propagate(cfg, p):
         "residual": prescription_residual(f, u, pres),
         "field_file": "field.csv",
     }
-    return {"propagate.json": payload, "field.csv": u}, EXIT_OK
+    finite = math.isfinite(payload["norm_u"]) and math.isfinite(payload["residual"])
+    return {"propagate.json": payload, "field.csv": u}, EXIT_OK if finite else EXIT_DIVERGED
 
 
 def _cmd_wick(cfg, p):
@@ -396,11 +392,6 @@ def _cmd_wick(cfg, p):
     return {"wick.json": payload}, EXIT_OK
 
 
-def _number(x: float | None) -> float | None:
-    """x, or None where x is NaN or infinite."""
-    return x if x is not None and math.isfinite(x) else None
-
-
 def _cmd_picard(cfg, p):
     kind = Kind(p["kind"])
     pres = Prescription(kind, eps=p["eps"])
@@ -420,9 +411,6 @@ def _cmd_picard(cfg, p):
             "solution_file": "solution.csv",
         }
     )
-    # a diverged run overflows: strict JSON has no NaN or Infinity, so null
-    payload.update({k: [_number(x) for x in payload[k]] for k in ("norms", "diffs", "ratios")})
-    payload.update({k: _number(payload[k]) for k in ("norm_u", "residual", "final_ratio")})
     status = EXIT_DIVERGED if report.diverged else EXIT_OK
     return {"picard.json": payload, "solution.csv": u}, status
 
@@ -504,16 +492,27 @@ def _remove_partial(paths) -> None:
             pass
 
 
+def _strict(x):
+    """x with every NaN or infinite float as None: a diverged run overflows,
+    and strict JSON has no NaN or Infinity."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    return {k: _strict(v) for k, v in x.items()} if isinstance(x, dict) else x
+
+
 def _write_all(out_dir: Path, artifacts: dict) -> None:
-    """Write each ``{name: payload}`` by the payload's type: a dict as JSON,
-    ``(header, rows)`` as CSV, a field as field CSV, else its ``to_csv``."""
+    """Write each ``{name: payload}`` by the payload's type: a dict as strict
+    JSON (non-finite numbers as null), ``(header, rows)`` as CSV, a field as
+    field CSV, else its ``to_csv``."""
     attempted = []
     try:
         for name, payload in artifacts.items():
             path = out_dir / name
             attempted.append(path)
             if isinstance(payload, dict):
-                path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                path.write_text(json.dumps(_strict(payload), indent=2, sort_keys=True) + "\n")
             elif isinstance(payload, tuple):
                 header, rows = payload
                 with open(path, "w", newline="") as fh:
@@ -558,7 +557,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     files = tuple((name, _sha256(out_dir / name)) for name in artifacts)
     manifest = RunManifest(
         config_hash=cfg.content_hash(),
-        tool_version=_tool_version(),
+        tool_version=__version__,
         wall_time_s=time.monotonic() - start,
         files=files,
     )
@@ -571,7 +570,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         _remove_partial([out_dir / name for name in artifacts] + [manifest_path])
         raise ArtifactIOError(f"manifest write failed: {exc}") from exc
     if status == EXIT_DIVERGED:
-        raise NumericDivergence("iteration diverged; see the written report", manifest)
+        raise NumericDivergence("numerics diverged; see the written report", manifest)
     return manifest
 
 

@@ -179,12 +179,11 @@ def product_integral(
     weights read their argument only through squared coordinates, so the two
     arrays are bitwise equal.  Any other ``w2`` raises ``ValueError``.
 
-    The lattice is the dim-fold product of one axis, so ``w2.of_squares`` gets the
-    ``dim`` 1-D arrays ``(s_k - axis)**2`` broadcast against each other, not
-    the ``(dim, N^dim)`` difference array.  Each element is the same square,
-    and the squares are added in the order ``np.sum(axis=0)`` uses, so the
-    lattice of ``w2`` values, and every sum after it, is bitwise the one of
-    ``w2(s - pts)``.
+    The lattice is the dim-fold product of one axis, so every weight gets
+    per-axis coordinates (see :mod:`feynlab.weights`): ``w`` and ``w1`` the
+    sparse mesh of the axis, ``w2`` the offsets ``s_k - axis``; no
+    ``(dim, N^dim)`` point stack is built.  A level sum that is not finite
+    raises ``ValueError``: the growth fit cannot read it.
     """
     if step >= 1.0:
         raise ResolutionError(f"quadrature step must be < 1, got {step}")
@@ -210,7 +209,7 @@ def product_integral(
     samples = None
     for r in radii:
         axis, cell = _midpoint_lattice(dim, r, step)
-        pts = np.stack([g.reshape(-1) for g in np.meshgrid(*[axis] * dim, indexing="ij")])
+        pts = np.meshgrid(*[axis] * dim, indexing="ij", sparse=True)
         samples = _sup_samples(dim, r, seed)
         w_samp = np.asarray(w(samples), dtype=float)
         w1_samp = np.asarray(w1(samples), dtype=float)
@@ -219,13 +218,9 @@ def product_integral(
         row_p = np.empty(samples.shape[1])
         row_m = np.empty(samples.shape[1])
         for j in range(samples.shape[1]):
-            sq = [(sk - axis) ** 2 for sk in samples[:, j]]
-            sq = np.meshgrid(*sq, indexing="ij", sparse=True, copy=False)
-            w2_lat = w2.of_squares(sq).reshape(-1)
+            w2_lat = w2(np.meshgrid(*(samples[:, j, None] - axis), indexing="ij", sparse=True))
             row_p[j] = cell * float(np.sum((w_samp[j] * inv1 / w2_lat) ** 2))
-            row_m[j] = (
-                cell * float(np.sum((wlat / w2_lat) ** 2)) / w1_samp[j] ** 2
-            )
+            row_m[j] = cell * float(np.sum((wlat / w2_lat) ** 2)) / w1_samp[j] ** 2
             del w2_lat  # freed before the next probe's w2 call, the memory peak
         vals_p.append(row_p)
         vals_m.append(row_m)
@@ -235,6 +230,11 @@ def product_integral(
     vals_m = np.array(vals_m)
     mp_levels = vals_p.max(axis=1)
     mm_levels = vals_m.max(axis=1)
+    if not (np.isfinite(mp_levels).all() and np.isfinite(mm_levels).all()):
+        raise ValueError(
+            f"Schur sums not finite on the lattice: M+ levels {mp_levels.tolist()}, "
+            f"M- levels {mm_levels.tolist()}"
+        )
 
     # Exponent probes: a probe whose point sits deep inside the lattice is
     # still climbing out of the <xi> ~ 1 core and carries a pure point-motion

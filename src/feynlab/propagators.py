@@ -105,9 +105,10 @@ def _eps(prescription: Prescription, grid: GridSpec) -> float:
 
 
 def _lattice(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Time frequency zeta_n and |zeta'|^2 over the grid's frequency lattice."""
-    zeta = grid.freq_mesh()
-    return zeta[-1], np.sum(zeta[:-1] ** 2, axis=0)
+    """Time frequency zeta_n and |zeta'|^2, its squares added first axis
+    first, as sparse arrays that broadcast to the grid's frequency lattice."""
+    *space, time = np.meshgrid(*grid.freq_axes(), indexing="ij", sparse=True)
+    return time, sum(x**2 for x in space)
 
 
 def _form(grid: GridSpec, a: complex, beta: complex = 0.0) -> np.ndarray:
@@ -137,10 +138,9 @@ def _symbol_gap(grid: GridSpec) -> float:
     floats are those of the full lattice, so the minimum is the same bit for
     bit.
     """
-    *space, time = grid.freq_axes()
-    a = np.unique(time**2)
-    # summed axis by axis in order, as np.sum(..., axis=0) does on the mesh
-    b = np.unique(sum(x**2 for x in np.meshgrid(*space, indexing="ij", sparse=True)))
+    zt, sp = _lattice(grid)
+    a = np.unique(zt**2)
+    b = np.unique(sp)
     near = np.searchsorted(b, a)[:, None] + np.arange(-1, 2)
     d = np.abs(a[:, None] - b[np.clip(near, 0, b.size - 1)])
     nz = d[d > 0]

@@ -1,7 +1,7 @@
 """Fourier weight functions, one of them of direction-dependent order.
 
-Weights act on stacked frequency arrays of shape ``(dim, ...)`` and model the
-multipliers of weighted Sobolev norms:
+Weights act on frequency coordinates and model the multipliers of weighted
+Sobolev norms:
 
 * ``IsoWeight(s)``: ``<xi>^s`` with ``<xi> = (1 + |xi|^2)^(1/2)``.
 * ``SplitWeight(d, m, a)``: ``<xi>^m <xi''>^a`` where ``xi''`` collects the
@@ -11,14 +11,14 @@ multipliers of weighted Sobolev norms:
   ``base`` outside angle ``outer``, and a C-infinity step between the two.
 * ``SumWeight([...])``: pointwise sum of weights.
 
-``IsoWeight`` and ``SplitWeight`` read their argument only through squared
-coordinates, so each also takes them directly: ``of_squares(sq)`` accepts the
-per-axis squares as a sequence of ``dim`` broadcastable arrays.  A lattice of
-points ``s - x`` then costs ``dim`` 1-D arrays ``(s_k - axis)**2`` instead of a
-``(dim, N^dim)`` difference array.  The squares are added first axis first,
-the order ``np.sum(axis=0)`` uses on a stacked array (its pairwise summation
-regroups only eight or more coordinates of a single point), so both routes
-give the same bits; ``__call__`` and ``bracket`` go through the same method.
+Each ``__call__`` takes ``dim`` coordinate arrays that broadcast against each
+other: a stacked array, which is the sequence of its rows, or per-axis arrays
+such as a sparse ``np.meshgrid``, so a lattice of points ``s - x`` costs
+``dim`` 1-D arrays ``s_k - axis`` instead of a ``(dim, N^dim)`` stack.  The
+squares are added once, first axis first (``_norm2``).  That is the order
+``np.sum(axis=0)`` uses on a stacked array, whose pairwise summation regroups
+only eight or more coordinates of a single point, so below that both inputs,
+and the in-order sum, give the same bits.
 """
 
 from __future__ import annotations
@@ -47,31 +47,33 @@ def smooth_step(t: np.ndarray | float) -> np.ndarray | float:
     return out
 
 
-def bracket(xi: np.ndarray) -> np.ndarray:
-    """Japanese bracket <xi> over a stacked array of shape (dim, ...).
-
-    It is the isotropic weight of order 1; numpy's power 1.0 is an exact copy.
-    """
-    xi = np.asarray(xi, dtype=float)
-    return IsoWeight(len(xi), 1.0).of_squares(xi**2)
+def bracket(xi) -> np.ndarray:
+    """Japanese bracket <xi>, the isotropic weight of order 1."""
+    return IsoWeight(len(xi), 1.0)(xi)
 
 
-def _check_stacked(xi: np.ndarray, dim: int) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim < 1 or xi.shape[0] != dim:
-        raise DimensionError(
-            f"expected stacked frequencies of shape ({dim}, ...), got {xi.shape}"
-        )
-    return xi
+def _coords(xi, dim: int) -> list[np.ndarray]:
+    """The dim coordinate arrays of xi: the rows of a stacked (dim, ...)
+    array, or a sequence of dim broadcastable per-axis arrays."""
+    x = [np.asarray(q, dtype=float) for q in xi]
+    if len(x) != dim:
+        raise DimensionError(f"expected {dim} frequency coordinate arrays, got {len(x)}")
+    return x
+
+
+def _norm2(x) -> np.ndarray:
+    """|x|^2 over coordinate arrays x, the squares added first axis first."""
+    total = x[0] ** 2
+    for q in x[1:]:
+        total = total + q**2
+    return total
 
 
 class WeightFunction:
-    """Base interface: callable on stacked frequencies."""
+    """Base of the weights; each class defines its own ``__call__`` on
+    frequency coordinates, where perfbench's tracer finds it."""
 
     dim: int
-
-    def __call__(self, xi: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -79,15 +81,8 @@ class IsoWeight(WeightFunction):
     dim: int
     s: float
 
-    def __call__(self, xi: np.ndarray) -> np.ndarray:
-        return self.of_squares(_check_stacked(xi, self.dim) ** 2)
-
-    def of_squares(self, sq) -> np.ndarray:
-        """<xi>^s from the squared coordinates xi_k^2, k < dim."""
-        total = sq[0]
-        for q in sq[1:]:
-            total = total + q
-        return np.sqrt(1.0 + total) ** self.s
+    def __call__(self, xi) -> np.ndarray:
+        return np.sqrt(1.0 + _norm2(_coords(xi, self.dim))) ** self.s
 
 
 @dataclass(frozen=True)
@@ -105,13 +100,10 @@ class SplitWeight(WeightFunction):
                 f"split weight needs 0 < d < dim, got d={self.d}, dim={self.dim}"
             )
 
-    def __call__(self, xi: np.ndarray) -> np.ndarray:
-        return self.of_squares(_check_stacked(xi, self.dim) ** 2)
-
-    def of_squares(self, sq) -> np.ndarray:
-        """<xi>^m <xi''>^a from the squared coordinates xi_k^2, k < dim."""
-        iso = IsoWeight(self.dim, self.m).of_squares(sq)
-        return iso * IsoWeight(self.dim - self.d, self.a).of_squares(sq[self.d :])
+    def __call__(self, xi) -> np.ndarray:
+        x = _coords(xi, self.dim)
+        iso = np.sqrt(1.0 + _norm2(x)) ** self.m
+        return iso * np.sqrt(1.0 + _norm2(x[self.d :])) ** self.a
 
 
 @dataclass(frozen=True)
@@ -129,18 +121,22 @@ class ConeWeight(WeightFunction):
         if not 0.0 <= self.inner < self.outer <= np.pi:
             raise ValueError("need 0 <= inner < outer <= pi")
 
-    def order(self, xi: np.ndarray) -> np.ndarray:
-        """The exponent m on stacked frequencies; the zero vector gets `base`."""
-        xi = _check_stacked(xi, self.dim)
-        norms = np.sqrt(np.sum(xi**2, axis=0))
-        cos = np.clip(xi[0] / np.where(norms == 0.0, 1.0, norms), -1.0, 1.0)
+    def order(self, xi) -> np.ndarray:
+        """The exponent m on frequency coordinates; the zero vector gets `base`."""
+        x = _coords(xi, self.dim)
+        return self._order(x[0], _norm2(x))
+
+    def _order(self, x0: np.ndarray, norm2: np.ndarray) -> np.ndarray:
+        norms = np.sqrt(norm2)
+        cos = np.clip(x0 / np.where(norms == 0.0, 1.0, norms), -1.0, 1.0)
         t = (np.arccos(cos) - self.inner) / (self.outer - self.inner)
         out = self.base + (self.peak - self.base) * smooth_step(t)
         return np.where(norms == 0.0, self.base, out)
 
-    def __call__(self, xi: np.ndarray) -> np.ndarray:
-        xi = _check_stacked(xi, self.dim)
-        return bracket(xi) ** self.order(xi)
+    def __call__(self, xi) -> np.ndarray:
+        x = _coords(xi, self.dim)
+        norm2 = _norm2(x)
+        return np.sqrt(1.0 + norm2) ** self._order(x[0], norm2)
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,7 @@ class SumWeight(WeightFunction):
     def dim(self) -> int:
         return self.parts[0].dim
 
-    def __call__(self, xi: np.ndarray) -> np.ndarray:
+    def __call__(self, xi) -> np.ndarray:
         out = self.parts[0](xi)
         for p in self.parts[1:]:
             out = out + p(xi)

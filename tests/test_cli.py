@@ -44,6 +44,15 @@ def check_schema(payload: dict, name: str) -> None:
     jsonschema.Draft202012Validator(load_schema(name)).validate(payload)
 
 
+def read_strict_json(path: Path):
+    """The JSON in path, rejecting NaN and Infinity as a strict parser does."""
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 ROOTS = {"subcommand": "roots", "params": {"n": 4, "K": 5}}
 PICARD = {
     "subcommand": "picard",
@@ -336,6 +345,20 @@ def test_product_check_rule_without_a_row_in_the_dims_exits_two(tmp_path, capsys
     assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "'split-algebra'" in err and "[2]" in err and "'cone-product'" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_product_check_with_non_finite_schur_sums_exits_two(tmp_path, capsys):
+    # margin 50 puts the weights' orders 50 past the threshold, and the
+    # weight quotients overflow: an infinite Schur sum is no "finite" verdict
+    data = {
+        "subcommand": "product-check",
+        "params": {"dims": [1], "rules": ["cone-product"], "margin": 50},
+    }
+    p = write_config(tmp_path / "far.json", data)
+    with np.errstate(all="ignore"):
+        assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "Schur sums not finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -963,15 +986,34 @@ def test_main_non_finite_iterate_exit_three(tmp_path):
     with np.errstate(all="ignore"):
         assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 3
 
-    def reject(token):
-        raise ValueError(f"non-strict JSON token {token}")
-
-    payload = json.loads((tmp_path / "o" / "picard.json").read_text(), parse_constant=reject)
+    payload = read_strict_json(tmp_path / "o" / "picard.json")
     check_schema(payload, "picard")
     assert payload["diverged"] is True and payload["iterations"] == 2
     # the overflowed numbers are written as null
     assert payload["norm_u"] is None and payload["residual"] is None
     assert payload["final_ratio"] is None and payload["norms"][-1] is None
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"kind": "retarded", "eps": 1e200},  # the multiplier overflows
+        {"kind": "retarded", "eps": 0.5, "source": {"type": "gaussian", "amplitude": 1e308}},
+    ],
+    ids=["eps", "amplitude"],
+)
+def test_main_non_finite_propagate_exit_three(tmp_path, params):
+    p = write_config(
+        tmp_path / "nan.json",
+        {"subcommand": "propagate", "grid": {"extent": [8.0, 8.0], "points": [16, 16]},
+         "params": params},
+    )
+    with np.errstate(all="ignore"):
+        assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 3
+
+    payload = read_strict_json(tmp_path / "o" / "propagate.json")
+    check_schema(payload, "propagate")
+    assert payload["norm_u"] is None and payload["residual"] is None
 
 
 def test_main_long_source_center_exit_two(tmp_path, capsys):

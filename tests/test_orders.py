@@ -359,17 +359,22 @@ def test_schur_rejects_a_w2_that_is_not_iso_or_split(w2):
         product_integral(IsoWeight(2, 1.2), IsoWeight(2, 0.8), w2, 2, 32.0, levels=3)
 
 
+def test_schur_rejects_non_finite_level_sums():
+    # 50 past the sum threshold the weight quotient overflows; a level of
+    # infinite sums has no growth increments to fit
+    params = _sweep_params("cone-product", 1, "sum", -50.0)
+    weights = rule_flat_model("cone-product", params, 1)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        product_integral(*weights, 1, 4096.0, step=0.5, levels=5)
+
+
 class _Counting:
-    """Records the argument shapes of __call__ and of_squares on a weight;
-    the list field survives a frozen class."""
+    """Records the shapes of the coordinate arrays each call of a weight gets
+    (the rows of a stacked array); the list field survives a frozen class."""
 
     def __call__(self, xi):
-        self.calls.append(("call", np.shape(xi)))
+        self.calls.append(tuple(np.shape(x) for x in xi))
         return super().__call__(xi)
-
-    def of_squares(self, sq):
-        self.calls.append(("of_squares", tuple(np.shape(q) for q in sq)))
-        return super().of_squares(sq)
 
 
 @dataclass(frozen=True)
@@ -382,25 +387,29 @@ class CountingSplit(_Counting, SplitWeight):
     calls: list = field(default_factory=list, compare=False, repr=False)
 
 
+@dataclass(frozen=True)
+class CountingCone(_Counting, ConeWeight):
+    calls: list = field(default_factory=list, compare=False, repr=False)
+
+
 @pytest.mark.parametrize(
     "w2", [CountingIso(2, 1.1), CountingSplit(2, 1, 0.8, 0.7)], ids=["iso", "split"]
 )
 def test_schur_w2_calls_per_probe(w2):
-    # one w2 evaluation per probe and level serves both sums, and it is made
-    # from per-axis squares: no argument of w2 has the lattice's N^2 points
+    # one w2 evaluation per probe and level serves both sums, and every
+    # weight gets per-axis coordinates: no argument of w, w1 or w2 is a
+    # dense stack whose rows hold the lattice's N^2 points
     levels, cutoff, step = 3, 32.0, 0.5
-    res = product_integral(
-        IsoWeight(2, 1.2), IsoWeight(2, 0.8), w2, 2, cutoff, step=step, levels=levels
-    )
-    squares = [shapes for kind, shapes in w2.calls if kind == "of_squares"]
-    assert len(squares) == levels * len(res.sup_samples)
+    w, w1 = CountingCone(2, 0.6, 1.4, 0.15, 0.4), CountingIso(2, 0.8)
+    res = product_integral(w, w1, w2, 2, cutoff, step=step, levels=levels)
+    assert len(w2.calls) == levels * len(res.sup_samples)
+    assert len(w.calls) == len(w1.calls) == 2 * levels  # the samples, the lattice
     smallest = round(2.0 * res.cutoffs[0] / step)  # points an axis, lowest level
-    for kind, shapes in w2.calls:
-        if kind == "call":
-            assert math.prod(shapes[1:]) < smallest**2
-        else:
-            assert len(shapes) == 2
-            assert all(sum(n > 1 for n in shape) == 1 for shape in shapes)
+    for shapes in w.calls + w1.calls + w2.calls:
+        assert len(shapes) == 2
+        assert all(math.prod(shape) < smallest**2 for shape in shapes)
+    for shapes in w2.calls:
+        assert all(sum(n > 1 for n in shape) == 1 for shape in shapes)
 
 
 # --- predicate vs measurement sweep --------------------------------------

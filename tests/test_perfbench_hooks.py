@@ -98,6 +98,8 @@ SUBCOMMAND_SPANS = {
     "normal_op.report", "bichar.rays", "bichar.flow", "bichar.classify", "bichar.trace_csv",
     "fields.source", "propagators.propagate", "propagators.residual", "propagators.wick",
     "semilinear.picard", "orders.rule_sweep",
+    # traced only on weight classes that define __call__ in their own body
+    "weights.call",
 }
 
 

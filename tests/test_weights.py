@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from feynlab.errors import DimensionError
 from feynlab.orders import _C_ANGLES, _K_ANGLES, _OFF_CONE_FLOOR, _midpoint_lattice
-from feynlab.weights import ConeWeight, IsoWeight, SplitWeight, bracket, smooth_step
+from feynlab.weights import (
+    ConeWeight,
+    IsoWeight,
+    SplitWeight,
+    SumWeight,
+    bracket,
+    smooth_step,
+)
 
 
 def test_order_function_base_off_the_cone_and_dip_at_the_axis():
@@ -27,6 +34,8 @@ def test_order_function_base_off_the_cone_and_dip_at_the_axis():
 def test_weights_reject_bad_dimensions():
     with pytest.raises(DimensionError):
         IsoWeight(2, 1.0)(np.zeros((1, 8)))  # frequencies stacked for dim 1
+    with pytest.raises(DimensionError):
+        IsoWeight(2, 1.0)([np.zeros(8)])  # one per-axis array for dim 2
     with pytest.raises(DimensionError):
         SplitWeight(1, 1, 0.5, 0.5)  # split needs d < dim
     with pytest.raises(DimensionError):
@@ -85,7 +94,7 @@ def test_cone_weight_matches_the_folded_cone_formula(data):
 
 
 def inline_bracket(xi):
-    """<xi> as the weights computed it before ``of_squares``."""
+    """<xi> with the squares summed by ``np.sum`` over the stacked axis."""
     return np.sqrt(1.0 + np.sum(xi**2, axis=0))
 
 
@@ -107,9 +116,29 @@ def inline_weight(w, xi):
 _COORDS = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
 
 
-@given(_even_weights(), st.data())
-def test_of_squares_on_per_axis_squares_is_the_lattice_weight(w, data):
-    # product_integral's route to w2(s - pts): one square per axis, broadcast
+def _part(draw, dim):
+    kind = draw(st.sampled_from(("iso", "cone", "split")[: 2 + (dim > 1)]))
+    if kind == "iso":
+        return IsoWeight(dim, draw(_ORDERS))
+    if kind == "cone":
+        inner, outer = draw(st.sampled_from([_K_ANGLES, _C_ANGLES]))
+        return ConeWeight(dim, draw(_ORDERS), draw(_ORDERS), inner, outer)
+    return SplitWeight(dim, draw(st.integers(1, dim - 1)), draw(_ORDERS), draw(_ORDERS))
+
+
+@st.composite
+def _weights(draw):
+    """A weight of any of the four classes."""
+    dim = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return SumWeight((_part(draw, dim), _part(draw, dim)))
+    return _part(draw, dim)
+
+
+@given(_weights(), st.data())
+def test_per_axis_coordinates_give_the_stacked_calls_bits(w, data):
+    # product_integral's lattice arguments: the sparse mesh of per-axis
+    # offsets s_k - axis in place of the (dim, N^dim) stack s - pts
     dim = w.dim
     # at most 8 points an axis, 8^4 in all
     cutoff = data.draw(st.sampled_from([1.0, 1.5, 2.0]))
@@ -120,8 +149,7 @@ def test_of_squares_on_per_axis_squares_is_the_lattice_weight(w, data):
         s = pts[:, data.draw(st.integers(0, pts.shape[1] - 1))]
     else:
         s = np.array(data.draw(st.lists(_COORDS, min_size=dim, max_size=dim)))
-    sq = [((s[k] - axis) ** 2).reshape((-1,) + (1,) * (dim - 1 - k)) for k in range(dim)]
-    got = w.of_squares(sq)
+    got = w(np.meshgrid(*[sk - axis for sk in s], indexing="ij", sparse=True))
     assert got.shape == (count,) * dim
     assert np.array_equal(got.reshape(-1), w(s[:, None] - pts))
 
