@@ -253,8 +253,12 @@ def _write_field_csv(fh, field) -> None:
     point in row-major order (last axis fastest), floats as shortest
     round-trip ``repr``, ``\\r\\n`` line ends: the bytes ``csv.writer`` gives.
 
-    Each axis is formatted once; the body streams one leading-axis slab at
-    a time, so only one slab of strings is held.
+    Each axis is formatted once.  The body is one ``write`` per leading-axis
+    slab, the join of one reused list of six slots per row (``x0,``, the
+    tail coordinates, ``re``, ``,``, ``im``, ``\\r\\n``): the constant slots
+    are filled once and each slab refills ``x0,`` and the values by slice
+    assignment.  So only one slab of strings is held, and the only
+    per-value work left is ``repr``.
     """
     grid = field.grid
     cols = [[repr(x) for x in ax.tolist()] for ax in grid.axes()]
@@ -264,10 +268,15 @@ def _write_field_csv(fh, field) -> None:
     tail = [""]
     for col in cols[1:]:
         tail = [f"{p}{c}," for p in tail for c in col]
+    rows = len(tail)
+    parts = [","] * (6 * rows)
+    parts[1::6] = tail
+    parts[5::6] = ["\r\n"] * rows
     for x0, slab in zip(cols[0], field.values.reshape(grid.points[0], -1)):
-        re = map(repr, slab.real.tolist())
-        im = map(repr, slab.imag.tolist())
-        fh.writelines(f"{x0},{p}{r},{i}\r\n" for p, r, i in zip(tail, re, im))
+        parts[0::6] = [x0 + ","] * rows
+        parts[2::6] = map(repr, slab.real.tolist())
+        parts[4::6] = map(repr, slab.imag.tolist())
+        fh.write("".join(parts))
 
 
 def _cmd_roots(cfg, p):

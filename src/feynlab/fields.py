@@ -199,8 +199,8 @@ def random_band_limited(
     recorded in the field metadata.
     """
     rng = np.random.default_rng(seed)
-    xi = grid.freq_mesh()
-    absxi = np.sqrt(np.sum(xi**2, axis=0))
+    xi = np.meshgrid(*grid.freq_axes(), indexing="ij", sparse=True)
+    absxi = np.sqrt(sum(x**2 for x in xi))
     nyq = min(np.pi * N / L for N, L in zip(grid.points, grid.extent))
     mask = absxi <= band * nyq
     c = rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points)
@@ -226,7 +226,7 @@ def gaussian_source(
     if len(center) > n:
         raise DimensionError("center dimension does not match grid")
     sigma = width / 4.0
-    mesh = grid.mesh()
-    r2 = sum((mesh[j] - center[j]) ** 2 for j in range(n))
+    z = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
+    r2 = sum((z[j] - center[j]) ** 2 for j in range(n))
     vals = amplitude * np.exp(-r2 / (2.0 * sigma**2)).astype(np.complex128)
     return SpectralField._own(grid, vals, {"width": float(width)})

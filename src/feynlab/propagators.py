@@ -118,7 +118,13 @@ def _form(grid: GridSpec, a: complex, beta: complex = 0.0) -> np.ndarray:
 
 
 def _multiplier(grid: GridSpec, kind: Kind, eps: float) -> np.ndarray:
-    return _form(grid, *_FORMS[kind](eps))
+    """The kind's multiplier at the resolved eps; ValueError if it is not
+    finite (a shift eps past about 1e154 squares to inf)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _form(grid, *_FORMS[kind](eps))
+    if not np.isfinite(m).all():
+        raise ValueError(f"eps = {eps!r} gives a non-finite multiplier")
+    return m
 
 
 def _solve_modes(m: np.ndarray) -> np.ndarray:

@@ -6,19 +6,28 @@ a 3/2-rule zero-padded grid.  Dealiasing is not optional: the product
 estimates under study are exactly about how powers spread frequency content,
 and aliased energy would fold back onto the characteristic set.
 
-Both products work on unshifted spectra (``_fine_grid``).
-``dealiased_product`` embeds both factors, multiplies and restricts (6 FFTs);
-``dealiased_power`` embeds once and projects in place (2p FFTs, the fine-grid
-part in ``_fine_power``), which equals the fold of pairwise products in exact
-arithmetic and agrees with it to rounding.  The coupling series keeps the
-pairwise products, term by term.
+Both products work on unshifted spectra (``_fine_grid``), where the band
+of each axis is its first and last N/2 slots, so a band moves between the
+grids as 2^dim block copies.  ``dealiased_product`` embeds both factors,
+multiplies and restricts (6 transforms); ``dealiased_power`` embeds once and
+projects in place (2p transforms, the fine-grid part in ``_fine_power``),
+which equals the fold of pairwise products in exact arithmetic and agrees
+with it to rounding.  The coupling series keeps the pairwise products, term
+by term.
+
+Every fine-grid transform is pruned (Markel 1971): ``_from_band`` runs an
+inverse pass only on the lines that can be nonzero, ``_to_band`` a forward
+pass only on the lines the band reads.  numpy transforms each line on its
+own, so the kept lines carry the full transform's bits.  In 2-D an inverse
+from the band of an N0 x N1 grid on its M0 x M1 fine grid transforms
+N0 + M1 lines, not M0 + M1, and a forward one to the band M0 + N1.
 
 ``picard_solve`` iterates on the Parseval coefficients of the iterate, with
 the inverse ``propagate`` applies (``propagators._inverse``) built once per
 solve: each step embeds the coefficients straight into the fine spectrum and
-runs the same ``_fine_power``, 2p - 2 fine-grid FFTs and no coarse one.
-Every transform writes with ``out=`` (numpy >= 2.0) into a buffer it owns,
-so the loop allocates no fine-grid array.
+runs the same ``_fine_power``, 2p - 2 fine-grid transforms and no coarse
+one.  Every transform writes with ``out=`` (numpy >= 2.0) into a buffer it
+owns, so the loop allocates no fine-grid array.
 
 The residual is ``propagators.prescription_residual`` with the nonlinear
 term passed in, so it is measured on the modes the propagator solves for:
@@ -28,6 +37,7 @@ annihilates it), the shift prescriptions keep it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,17 +58,57 @@ __all__ = [
 
 
 def _fine_grid(points: tuple) -> tuple:
-    """The 3/2-rule fine shape, and the index of the coarse modes in its
-    unshifted spectrum.
+    """The 3/2-rule fine shape, and the band of the coarse modes in its
+    unshifted spectrum: per axis, its low and its high half as slices.
 
     An axis of N points gets M = 3N/2 points, rounded up to even: where the
     fine grid aliases the product of two in-band modes, the alias lands
     outside the band and is dropped.  The coarse mode of frequency k (numpy
-    FFT order) sits at fine slot k mod M.
+    FFT order) sits at fine slot k mod M, so the first and the last N/2
+    slots of an axis hold the band on both grids, and the same slices index
+    it on either.
     """
     fine = tuple(m + m % 2 for m in ((3 * N + 1) // 2 for N in points))
-    band = np.ix_(*[np.r_[0 : N - N // 2, M - N // 2 : M] for N, M in zip(points, fine)])
+    band = tuple((slice(None, N // 2), slice(-(N // 2), None)) for N in points)
     return fine, band
+
+
+def _from_band(a: np.ndarray, band: tuple) -> np.ndarray:
+    """``ifftn`` of `a` in place, for an `a` that vanishes outside `band`.
+
+    The passes go in numpy's own order, last axis first, and the pass on
+    axis k runs only on the lines whose axes before k are in band: the
+    other lines are still zero.  Each line is transformed independently, so
+    the result is ``ifftn``'s bit for bit.
+    """
+    for k in reversed(range(a.ndim)):
+        for blk in itertools.product(*band[:k]):
+            view = a[blk]
+            np.fft.ifftn(view, axes=(k,), out=view)
+    return a
+
+
+def _to_band(a: np.ndarray, band: tuple) -> np.ndarray:
+    """``fftn`` of `a` in place, on the band only.
+
+    The passes go in numpy's own order, last axis first, and the pass on
+    axis k runs only on the lines whose axes after k are in band, the only
+    lines a band slot reads.  The band slots then hold ``fftn``'s bits;
+    the other slots hold partial transforms, so callers read only the band.
+    """
+    for k in reversed(range(a.ndim)):
+        for blk in itertools.product(*band[k + 1 :]):
+            view = a[(slice(None),) * (k + 1) + blk]
+            np.fft.fftn(view, axes=(k,), out=view)
+    return a
+
+
+def _gather(a: np.ndarray, band: tuple, points: tuple) -> np.ndarray:
+    """The band of the fine-grid `a` as a new array on the coarse `points`."""
+    out = np.empty(points, dtype=np.complex128)
+    for blk in itertools.product(*band):
+        out[blk] = a[blk]
+    return out
 
 
 def _embed(spec: np.ndarray, band: tuple, scale: float, out: np.ndarray) -> np.ndarray:
@@ -69,8 +119,9 @@ def _embed(spec: np.ndarray, band: tuple, scale: float, out: np.ndarray) -> np.n
     coarse points, this resamples the values on the fine grid.
     """
     out.fill(0.0)
-    out[band] = spec
-    np.fft.ifftn(out, out=out)
+    for blk in itertools.product(*band):
+        out[blk] = spec[blk]
+    _from_band(out, band)
     out *= scale
     return out
 
@@ -80,16 +131,16 @@ def _restrict(values: np.ndarray, points: tuple, band: tuple) -> np.ndarray:
 
     Transforms `values` in place.
     """
-    spec = np.fft.fftn(values, out=values)[band]
+    spec = _gather(_to_band(values, band), band, points)
     np.fft.ifftn(spec, out=spec)
     spec *= np.prod(points) / np.prod(values.shape)
     return spec
 
 
-def _fine_power(base: np.ndarray, p: int, points: tuple, work: np.ndarray) -> np.ndarray:
+def _fine_power(base: np.ndarray, p: int, band: tuple, work: np.ndarray) -> np.ndarray:
     """base^p on the fine grid, written into `work`, with the running product
-    projected onto the band of the coarse `points` before each further
-    factor (one ``fftn``, the out-of-band modes zeroed, one ``ifftn``).
+    projected onto `band` before each further factor (a transform to the
+    band, the out-of-band slots zeroed, a transform back from the band).
 
     Projecting in place equals, in exact arithmetic, a restriction followed
     by an embedding; it skips their two coarse transforms and their scale
@@ -97,11 +148,11 @@ def _fine_power(base: np.ndarray, p: int, points: tuple, work: np.ndarray) -> np
     """
     np.multiply(base, base, out=work)
     for _ in range(p - 2):
-        np.fft.fftn(work, out=work)
-        # unshifted, the out-of-band slots of an axis of N points are N/2 ... M - N/2 - 1
-        for axis, N in enumerate(points):
-            work[(slice(None),) * axis + (slice(N // 2, work.shape[axis] - N // 2),)] = 0.0
-        np.fft.ifftn(work, out=work)
+        _to_band(work, band)
+        # the out-of-band slots of an axis lie between its two halves
+        for axis, (low, high) in enumerate(band):
+            work[(slice(None),) * axis + (slice(low.stop, high.start),)] = 0.0
+        _from_band(work, band)
         work *= base
     return work
 
@@ -119,14 +170,14 @@ def dealiased_product(a: SpectralField, b: SpectralField) -> SpectralField:
 
 
 def dealiased_power(u: SpectralField, p: int) -> SpectralField:
-    """u^p at 2p FFTs.
+    """u^p at 2p transforms, the 2p - 2 fine-grid ones pruned.
 
     u is embedded on the 3/2-rule fine grid once, the running product is
     projected onto the band before each further factor (``_fine_power``),
     and one restriction ends the power.  In exact arithmetic this is the
     left fold ``dealiased_product(... dealiased_product(u, u) ..., u)``,
-    which costs 6(p - 1) FFTs; in floating point the two agree to rounding,
-    and p = 2 is ``dealiased_product(u, u)`` bit for bit.
+    which costs 6(p - 1) transforms; in floating point the two agree to
+    rounding, and p = 2 is ``dealiased_product(u, u)`` bit for bit.
     """
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"power must be an integer >= 1, got {p}")
@@ -136,7 +187,7 @@ def dealiased_power(u: SpectralField, p: int) -> SpectralField:
     fine, band = _fine_grid(points)
     scale = np.prod(fine) / np.prod(points)
     base = _embed(np.fft.fftn(u.values), band, scale, np.empty(fine, dtype=np.complex128))
-    acc = _fine_power(base, p, points, np.empty_like(base))
+    acc = _fine_power(base, p, band, np.empty_like(base))
     return SpectralField._own(u.grid, _restrict(acc, points, band))
 
 
@@ -223,10 +274,11 @@ def picard_solve(
 
     The loop runs on the Parseval coefficients c of the iterate,
     c <- keep (f^ - lam P(c)) / m, where P zero-pads c into the 3/2-rule
-    spectrum, takes one ``ifftn``, forms the power as ``dealiased_power``
-    does and ends with one ``fftn``, all in two fine-grid buffers.  Norms
-    and differences come from the coefficients by Parseval; u is
-    synthesized once, at the end, and the residual forms its power anew.
+    spectrum, transforms it from the band, forms the power as
+    ``dealiased_power`` does and ends with one transform to the band, all
+    in two fine-grid buffers.  Norms and differences come from the
+    coefficients by Parseval; u is synthesized once, at the end, and the
+    residual forms its power anew.
 
     Returns (u, report).  Divergence (a non-finite difference, or a
     successive-difference ratio above 1 for three consecutive steps) stops
@@ -258,8 +310,8 @@ def picard_solve(
         if prob.lam == 0.0 or iterations == 0:  # u_1 = 0 has no power
             rhs = f_hat.copy()
         else:
-            _fine_power(_embed(c, band, up, spec), prob.p, grid.points, work)
-            rhs = np.fft.fftn(work, out=work)[band]
+            _fine_power(_embed(c, band, up, spec), prob.p, band, work)
+            rhs = _gather(_to_band(work, band), band, grid.points)
             rhs *= down
             rhs += f_hat
         nxt = solve(rhs)

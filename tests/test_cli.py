@@ -523,19 +523,27 @@ def check_picard_run(payload):
     assert abs(payload["residual"] - residual) <= 1e-12
 
 
-# propagate.json of the two propagate configs of GOLDEN_FIELDS, by kind: a
-# change of the propagate or residual arithmetic must reproduce these before
-# the propagate.json and field.csv digests are recorded again.  eps and the
-# zero-mode flag exact; norms relative 1e-12; residual absolute 1e-14 (it
-# sits at rounding level).
+# propagate.json of the propagate configs of GOLDEN_FIELDS, by kind and grid
+# points: a change of the propagate or residual arithmetic must reproduce
+# these before the propagate.json and field.csv digests are recorded again.
+# eps and the zero-mode flag exact; norms relative 1e-12; residual absolute
+# 1e-14 (it sits at rounding level).
 PROPAGATE_RUNS = {
-    "retarded": (0.5, False, 0.5183157514239092, 0.2838991692025352, 1.95328732174e-15),
-    "feynman": (0.3, True, 2.386753235499524, 3.0085951835450033, 4.28659384644e-15),
+    ("retarded", (16, 16)): (
+        0.5, False, 0.5183157514239092, 0.2838991692025352, 1.95328732174e-15
+    ),
+    ("feynman", (6, 10, 12)): (
+        0.3, True, 2.386753235499524, 3.0085951835450033, 4.28659384644e-15
+    ),
+    ("retarded", (256, 256)): (
+        0.5, False, 0.11078105697341692, 0.016954215447928682, 6.182536953539166e-14
+    ),
 }
 
 
-def check_propagate_run(payload):
-    eps, projected, norm_f, norm_u, residual = PROPAGATE_RUNS[payload["kind"]]
+def check_propagate_run(payload, data):
+    key = (payload["kind"], tuple(data["grid"]["points"]))
+    eps, projected, norm_f, norm_u, residual = PROPAGATE_RUNS[key]
     assert (payload["eps"], payload["zero_mode_projected"]) == (eps, projected)
     assert abs(payload["norm_f"] - norm_f) <= 1e-12 * norm_f
     assert abs(payload["norm_u"] - norm_u) <= 1e-12 * norm_u
@@ -568,18 +576,36 @@ GOLDEN_FIELDS = [
         "solution.csv",
         "157ffb68db5a0e677d485476871739db86548d5118f609cd501b63deb70348d6",
     ),
+    # the first propagate config of the field-dump benchmark workload at seed
+    # 0: the writer at workload scale, 256 slabs of 256 rows
+    (
+        {
+            "subcommand": "propagate",
+            "seed": 1972736745,
+            "grid": {"extent": [16.0, 16.0], "points": [256, 256]},
+            "params": {
+                "kind": "retarded",
+                "eps": 0.5,
+                "source": {"type": "gaussian", "width": 0.25, "center": [-2.4208, -1.7595]},
+            },
+        },
+        "field.csv",
+        "b80b817c807d998583f281afa2879bb19cf335fd8ffaee00db38e3333c2ce944",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "data,name,digest", GOLDEN_FIELDS, ids=["propagate-2d", "propagate-3d", "picard"]
+    "data,name,digest",
+    GOLDEN_FIELDS,
+    ids=["propagate-2d", "propagate-3d", "picard", "propagate-256"],
 )
 def test_field_csv_golden_bytes(tmp_path, data, name, digest):
     out, manifest = run_dict(tmp_path, data)
     if name == "solution.csv":
         check_picard_run(json.loads((out / "picard.json").read_text()))
     else:
-        check_propagate_run(json.loads((out / "propagate.json").read_text()))
+        check_propagate_run(json.loads((out / "propagate.json").read_text()), data)
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert dict(manifest.files)[name] == digest
 
@@ -733,7 +759,7 @@ def test_json_report_golden_bytes(tmp_path, data, name, digest):
     if name == "picard.json":
         check_picard_run(json.loads((out / name).read_text()))
     if name == "propagate.json":
-        check_propagate_run(json.loads((out / name).read_text()))
+        check_propagate_run(json.loads((out / name).read_text()), data)
     if name == "wick.json":
         check_wick_run(json.loads((out / name).read_text()))
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
@@ -867,10 +893,12 @@ def test_partial_write_cleanup(tmp_path):
 
 def test_field_write_failure_midway_cleans_up(tmp_path, monkeypatch):
     class FailsOnSecondSlab:
-        """A text file whose second body slab cannot be written."""
+        """A text file whose second body slab cannot be written: the header
+        is the first write, and each slab one more."""
 
         def __init__(self, fh):
             self.fh = fh
+            self.writes = 0
             self.slabs = 0
 
         def __enter__(self):
@@ -880,13 +908,12 @@ def test_field_write_failure_midway_cleans_up(tmp_path, monkeypatch):
             self.fh.close()
 
         def write(self, text):
+            self.writes += 1
+            if self.writes > 1:
+                self.slabs += 1
+                if self.slabs == 2:
+                    raise OSError("disk full")
             self.fh.write(text)
-
-        def writelines(self, lines):
-            self.slabs += 1
-            if self.slabs == 2:
-                raise OSError("disk full")
-            self.fh.writelines(lines)
 
     opened = []
 
@@ -996,11 +1023,8 @@ def test_main_non_finite_iterate_exit_three(tmp_path):
 
 @pytest.mark.parametrize(
     "params",
-    [
-        {"kind": "retarded", "eps": 1e200},  # the multiplier overflows
-        {"kind": "retarded", "eps": 0.5, "source": {"type": "gaussian", "amplitude": 1e308}},
-    ],
-    ids=["eps", "amplitude"],
+    [{"kind": "retarded", "eps": 0.5, "source": {"type": "gaussian", "amplitude": 1e308}}],
+    ids=["amplitude"],
 )
 def test_main_non_finite_propagate_exit_three(tmp_path, params):
     p = write_config(
@@ -1014,6 +1038,35 @@ def test_main_non_finite_propagate_exit_three(tmp_path, params):
     payload = read_strict_json(tmp_path / "o" / "propagate.json")
     check_schema(payload, "propagate")
     assert payload["norm_u"] is None and payload["residual"] is None
+
+
+def eps_config(subcommand, eps):
+    params = {"p": 3, "lam": 0.1} if subcommand == "picard" else {}
+    return {
+        "subcommand": subcommand,
+        "grid": {"extent": [8.0, 8.0], "points": [16, 16]},
+        "params": dict(params, kind="retarded", eps=eps),
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("subcommand", ["propagate", "picard"])
+def test_main_non_finite_multiplier_exits_two(tmp_path, capsys, subcommand):
+    # eps^2 overflows, so no grid can use this shift: one line names the
+    # eps, no numpy warning is printed and no output directory is made
+    p = write_config(tmp_path / "eps.json", eps_config(subcommand, 1e200))
+    assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "config error" in err[0]
+    assert "eps = 1e+200 gives a non-finite multiplier" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["propagate", "picard"])
+def test_main_large_finite_eps_still_runs(tmp_path, subcommand):
+    # eps^2 = 1e300 is finite: the multiplier check leaves the run alone
+    p = write_config(tmp_path / "eps.json", eps_config(subcommand, 1e150))
+    assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_main_long_source_center_exit_two(tmp_path, capsys):

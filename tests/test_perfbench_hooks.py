@@ -107,3 +107,39 @@ def test_every_subcommand_calls_its_traced_entry_points():
     got = json.loads(run_child(RUN_SCRIPT))
     assert got["missing"] == []
     assert SUBCOMMAND_SPANS <= set(got["names"])
+
+
+# The same tiny picard config run for 3 and for 4 iterations under the
+# tracer: the difference is one iteration's fine-grid transforms, which
+# reach the FFT counter only if semilinear calls numpy's FFTs through np.fft
+# at call time, pass by pass.
+PICARD_SCRIPT = """
+import json
+import tempfile
+import feynlab.cli as cli
+from perfbench.tracing import Tracer, install
+
+tracer = Tracer()
+missing = install(tracer)
+counts = []
+with tempfile.TemporaryDirectory() as root:
+    for max_iter in (3, 4):
+        before = tracer.counts["fields.fft_calls"]
+        cfg = cli.ExperimentConfig.from_dict({
+            "subcommand": "picard",
+            "grid": {"extent": [8.0, 8.0], "points": [8, 8]},
+            "params": {"p": 3, "lam": 0.1, "max_iter": max_iter, "tol": 1e-300},
+            "out": f"{root}/{max_iter}",
+        })
+        cli.run_experiment(cfg)
+        counts.append(tracer.counts["fields.fft_calls"] - before)
+print(json.dumps({"missing": missing, "counts": counts}))
+"""
+
+
+def test_tracer_counts_the_fine_grid_passes():
+    got = json.loads(run_child(PICARD_SCRIPT))
+    assert got["missing"] == []
+    # p = 3: 2p - 2 = 4 fine transforms an iteration, each 3 calls on the
+    # 12^2 fine grid (one pass on every line, two on the band's halves)
+    assert got["counts"][1] - got["counts"][0] == 4 * 3

@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from feynlab import propagators, semilinear
 from feynlab.errors import DimensionError
@@ -108,26 +110,36 @@ def test_power_projects_before_each_factor():
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    # counted through the np.fft attributes, so this also pins that the
-    # products look the transforms up at call time
+    # (shape, transformed lines) per call, the lines size / shape[axis]
+    # summed over the axes the call runs on; counted through the np.fft
+    # attributes, so this also pins that the products look the transforms up
+    # at call time
     calls = []
     for name in ("fftn", "ifftn"):
         fn = getattr(np.fft, name)
 
-        def counted(a, *args, _fn=fn, _name=name, **kwargs):
-            calls.append((_name, np.shape(a)))
+        def counted(a, *args, _fn=fn, **kwargs):
+            shape = np.shape(a)
+            axes = kwargs.get("axes") or range(len(shape))
+            calls.append((shape, sum(int(np.prod(shape)) // shape[k] for k in axes)))
             return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
 
 
+# GRID is 64^2 on a 96^2 fine grid.  A coarse transform runs 64 + 64 lines;
+# a fine one, pruned to or from the band, 64 + 96 (a full one 96 + 96).
+COARSE_LINES, FINE_LINES = 64 + 64, 64 + 96
+
+
 def test_power_makes_2p_transforms(fft_calls):
+    # one coarse transform in, 2p - 2 pruned fine ones, one coarse out
     u = source()
     for p in (2, 3, 4, 5):
         fft_calls.clear()
         dealiased_power(u, p)
-        assert len(fft_calls) == 2 * p
+        assert sum(lines for _, lines in fft_calls) == 2 * COARSE_LINES + (2 * p - 2) * FINE_LINES
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -136,15 +148,31 @@ def test_picard_iteration_makes_2p_minus_2_fine_transforms(fft_calls, p):
     # coarse one.  tol 0 keeps both runs going, and the residual after the
     # loop costs the same in both (a fresh source each time, so neither run
     # finds its spectrum cached)
-    fine = semilinear._fine_grid(GRID.points)[0]
     runs = []
     for max_iter in (3, 4):
         fft_calls.clear()
         picard_solve(SemilinearProblem(f=source(), p=p, lam=0.1), max_iter=max_iter, tol=0.0)
-        runs.append(Counter(shape for _, shape in fft_calls))
-    assert set(runs[1]) == {GRID.points, fine}
-    assert runs[1][GRID.points] == runs[0][GRID.points]
-    assert runs[1][fine] - runs[0][fine] == 2 * p - 2
+        runs.append(Counter())
+        for shape, lines in fft_calls:
+            runs[-1]["coarse" if shape == GRID.points else "fine"] += lines
+    assert runs[1]["coarse"] == runs[0]["coarse"]
+    assert runs[1]["fine"] - runs[0]["fine"] == (2 * p - 2) * FINE_LINES
+
+
+@given(
+    st.lists(st.sampled_from([4, 6, 8, 10]), min_size=2, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_pruned_transforms_are_the_full_ones_on_the_band(points, seed):
+    fine, band = semilinear._fine_grid(tuple(points))
+    # the band as the integer index the products used before it was sliced
+    ix = np.ix_(*[np.r_[0 : N // 2, M - N // 2 : M] for N, M in zip(points, fine)])
+    rng = np.random.default_rng(seed)
+    full = rng.standard_normal(fine) + 1j * rng.standard_normal(fine)
+    assert np.array_equal(semilinear._to_band(full.copy(), band)[ix], np.fft.fftn(full)[ix])
+    padded = np.zeros(fine, dtype=np.complex128)
+    padded[ix] = full[ix]
+    assert np.array_equal(semilinear._from_band(padded.copy(), band), np.fft.ifftn(padded))
 
 
 def test_power_one_is_identity_and_zero_rejected():
