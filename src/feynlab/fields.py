@@ -13,6 +13,7 @@ Conventions, used consistently across the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,11 @@ class GridSpec:
             raise ValueError("extents must be positive")
         if any(N < 4 or N % 2 for N in pts):
             raise ValueError("point counts must be even and >= 4")
+        # (2 pi N / L)^2, four squared Nyquist frequencies, bounds the symbol's
+        # squares and (as N >= 4) default_epsilon's 10 (2 pi / L)^2
+        twice_nyquist = [2.0 * math.pi * N / L for L, N in zip(ext, pts)]
+        if not math.isfinite(sum(h * h for h in twice_nyquist)):
+            raise ValueError("extents too small: the squared frequencies overflow")
         object.__setattr__(self, "extent", ext)
         object.__setattr__(self, "points", pts)
 
@@ -62,6 +68,11 @@ class GridSpec:
     @property
     def total_points(self) -> int:
         return int(np.prod(self.points))
+
+    @property
+    def parseval(self) -> float:
+        """The factor from ``fftn`` coefficients to Parseval coefficients."""
+        return np.sqrt(self.cell_volume / self.total_points)
 
     def axes(self) -> list[np.ndarray]:
         return [
@@ -131,9 +142,8 @@ class SpectralField:
         """Parseval-normalized spectral coefficients (read-only, cached)."""
         cached = getattr(self, "_coeffs")
         if cached is None:
-            scale = np.sqrt(self.grid.cell_volume / self.grid.total_points)
             cached = np.fft.fftn(self.values)
-            cached *= scale
+            cached *= self.grid.parseval
             cached.flags.writeable = False
             object.__setattr__(self, "_coeffs", cached)
         return cached
@@ -145,8 +155,7 @@ class SpectralField:
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape != grid.points:
             raise DimensionError("coefficient shape does not match grid")
-        scale = np.sqrt(grid.cell_volume / grid.total_points)
-        vals = coeffs / scale
+        vals = coeffs / grid.parseval
         np.fft.ifftn(vals, out=vals)
         return cls._own(grid, vals, meta)
 
@@ -213,11 +222,13 @@ def random_band_limited(
 
 def gaussian_source(
     grid: GridSpec,
-    width: float,
+    width: float = 1.0,
     center: tuple[float, ...] | None = None,
     amplitude: float = 1.0,
 ) -> SpectralField:
-    """Gaussian bump of full width ~ 4 sigma (width = 4 * sigma)."""
+    """Gaussian bump of full width ~ 4 sigma (width = 4 * sigma), centred at
+    the origin by default.  Its defaults are the config's (``cli`` passes a
+    source spec's keys through), as ``random_band_limited``'s are."""
     n = grid.dim
     if center is None:
         center = tuple(0.0 for _ in range(n))

@@ -307,9 +307,10 @@ def wick_continuation_study(
 
     The path must stay in Im theta in (0, pi/2].  Box_theta is the form with
     a = e^{-2 theta}, beta = 0; it vanishes at zeta = 0 for every theta, so
-    ``_solve_modes`` projects the zero mode.  Returns the path, the complex
-    values, successive differences and the characteristic band energies of
-    the inputs.
+    ``_solve_modes`` projects the zero mode.  Returns what is measured along
+    the path: the path itself, the complex values and their successive
+    differences.  The inputs' band energies do not depend on the path; the
+    caller measures them once (``characteristic_energy_fraction``).
     """
     if g.grid != f.grid:
         raise DimensionError("fields on different grids")
@@ -322,10 +323,9 @@ def wick_continuation_study(
                 f"path must stay in Im theta in (0, pi/2]; got {t} "
                 "(use propagate's eps limit on the real axis)"
             )
-    grid = f.grid
     values = []
     for t in thetas:
-        m = _form(grid, np.exp(-2.0 * t))
+        m = _form(f.grid, np.exp(-2.0 * t))
         # one expression: on large grids numpy writes the product into the
         # quotient's temporary, and the in-place loop's rounding is the one
         # the wick.json digests pin
@@ -334,11 +334,4 @@ def wick_continuation_study(
         ) * np.conj(g.coeffs)
         values.append(complex(np.sum(inv_f_conj_g)))
     diffs = [abs(values[j + 1] - values[j]) for j in range(len(values) - 1)]
-    gap = _symbol_gap(grid)
-    return {
-        "thetas": thetas,
-        "values": values,
-        "diffs": diffs,
-        "char_energy_f": characteristic_energy_fraction(f, 0.5 * gap),
-        "char_energy_g": characteristic_energy_fraction(g, 0.5 * gap),
-    }
+    return {"thetas": thetas, "values": values, "diffs": diffs}

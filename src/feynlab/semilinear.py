@@ -6,14 +6,16 @@ a 3/2-rule zero-padded grid.  Dealiasing is not optional: the product
 estimates under study are exactly about how powers spread frequency content,
 and aliased energy would fold back onto the characteristic set.
 
-Both products work on unshifted spectra (``_fine_grid``), where the band
+One kernel, ``_band_product``, forms every product on the fine grid: it
+multiplies fine-grid factors in one buffer, projects the running product
+onto the band before each factor after the second, and gathers the band of
+the result.  It works on unshifted spectra (``_fine_grid``), where the band
 of each axis is its first and last N/2 slots, so a band moves between the
-grids as 2^dim block copies.  ``dealiased_product`` embeds both factors,
-multiplies and restricts (6 transforms); ``dealiased_power`` embeds once and
-projects in place (2p transforms, the fine-grid part in ``_fine_power``),
-which equals the fold of pairwise products in exact arithmetic and agrees
-with it to rounding.  The coupling series keeps the pairwise products, term
-by term.
+grids as 2^dim block copies.  ``dealiased_product`` passes two embedded
+factors (6 transforms); ``dealiased_power`` and the Picard step pass one
+embedded factor p times (2p transforms), which equals the fold of pairwise
+products in exact arithmetic and agrees with it to rounding.  The coupling
+series keeps the pairwise products, term by term.
 
 Every fine-grid transform is pruned (Markel 1971): ``_from_band`` runs an
 inverse pass only on the lines that can be nonzero, ``_to_band`` a forward
@@ -25,9 +27,9 @@ N0 + M1 lines, not M0 + M1, and a forward one to the band M0 + N1.
 ``picard_solve`` iterates on the Parseval coefficients of the iterate, with
 the inverse ``propagate`` applies (``propagators._inverse``) built once per
 solve: each step embeds the coefficients straight into the fine spectrum and
-runs the same ``_fine_power``, 2p - 2 fine-grid transforms and no coarse
-one.  Every transform writes with ``out=`` (numpy >= 2.0) into a buffer it
-owns, so the loop allocates no fine-grid array.
+runs the same kernel, 2p - 2 fine-grid transforms and no coarse one.  Every
+transform writes with ``out=`` (numpy >= 2.0) into a buffer it owns, so the
+loop allocates no fine-grid array.
 
 The residual is ``propagators.prescription_residual`` with the nonlinear
 term passed in, so it is measured on the modes the propagator solves for:
@@ -58,8 +60,9 @@ __all__ = [
 
 
 def _fine_grid(points: tuple) -> tuple:
-    """The 3/2-rule fine shape, and the band of the coarse modes in its
-    unshifted spectrum: per axis, its low and its high half as slices.
+    """The 3/2-rule fine shape, the band of the coarse modes in its unshifted
+    spectrum (per axis, its low and its high half as slices), and the pad
+    ratio of fine to coarse points.
 
     An axis of N points gets M = 3N/2 points, rounded up to even: where the
     fine grid aliases the product of two in-band modes, the alias lands
@@ -70,7 +73,7 @@ def _fine_grid(points: tuple) -> tuple:
     """
     fine = tuple(m + m % 2 for m in ((3 * N + 1) // 2 for N in points))
     band = tuple((slice(None, N // 2), slice(-(N // 2), None)) for N in points)
-    return fine, band
+    return fine, band, np.prod(fine) / np.prod(points)
 
 
 def _from_band(a: np.ndarray, band: tuple) -> np.ndarray:
@@ -126,35 +129,27 @@ def _embed(spec: np.ndarray, band: tuple, scale: float, out: np.ndarray) -> np.n
     return out
 
 
-def _restrict(values: np.ndarray, points: tuple, band: tuple) -> np.ndarray:
-    """The in-band part of the fine-grid `values`, sampled on the coarse grid.
+def _band_product(factors: tuple, band: tuple, points: tuple, work: np.ndarray) -> np.ndarray:
+    """The band spectrum, on the coarse `points`, of the product of the
+    fine-grid `factors` (two or more), formed in `work`.
 
-    Transforms `values` in place.
-    """
-    spec = _gather(_to_band(values, band), band, points)
-    np.fft.ifftn(spec, out=spec)
-    spec *= np.prod(points) / np.prod(values.shape)
-    return spec
-
-
-def _fine_power(base: np.ndarray, p: int, band: tuple, work: np.ndarray) -> np.ndarray:
-    """base^p on the fine grid, written into `work`, with the running product
-    projected onto `band` before each further factor (a transform to the
-    band, the out-of-band slots zeroed, a transform back from the band).
-
+    The running product is projected onto `band` before each factor after
+    the second (a transform to the band, the out-of-band slots zeroed, a
+    transform back from the band), and one transform to the band ends it.
     Projecting in place equals, in exact arithmetic, a restriction followed
     by an embedding; it skips their two coarse transforms and their scale
-    factors, which cancel.  2(p - 2) transforms, all written into `work`.
+    factors, which cancel.  With two factors, `work` may be the first one's
+    buffer.
     """
-    np.multiply(base, base, out=work)
-    for _ in range(p - 2):
+    np.multiply(factors[0], factors[1], out=work)
+    for x in factors[2:]:
         _to_band(work, band)
         # the out-of-band slots of an axis lie between its two halves
         for axis, (low, high) in enumerate(band):
             work[(slice(None),) * axis + (slice(low.stop, high.start),)] = 0.0
         _from_band(work, band)
-        work *= base
-    return work
+        work *= x
+    return _gather(_to_band(work, band), band, points)
 
 
 def dealiased_product(a: SpectralField, b: SpectralField) -> SpectralField:
@@ -162,33 +157,36 @@ def dealiased_product(a: SpectralField, b: SpectralField) -> SpectralField:
     if a.grid != b.grid:
         raise DimensionError("fields on different grids")
     points = a.grid.points
-    fine, band = _fine_grid(points)
-    scale = np.prod(fine) / np.prod(points)
-    w = _embed(np.fft.fftn(a.values), band, scale, np.empty(fine, dtype=np.complex128))
-    w *= _embed(np.fft.fftn(b.values), band, scale, np.empty_like(w))
-    return SpectralField._own(a.grid, _restrict(w, points, band))
+    fine, band, pad = _fine_grid(points)
+    w = _embed(np.fft.fftn(a.values), band, pad, np.empty(fine, dtype=np.complex128))
+    x = _embed(np.fft.fftn(b.values), band, pad, np.empty_like(w))
+    spec = _band_product((w, x), band, points, w)
+    np.fft.ifftn(spec, out=spec)
+    spec *= np.prod(points) / np.prod(fine)
+    return SpectralField._own(a.grid, spec)
 
 
 def dealiased_power(u: SpectralField, p: int) -> SpectralField:
     """u^p at 2p transforms, the 2p - 2 fine-grid ones pruned.
 
-    u is embedded on the 3/2-rule fine grid once, the running product is
-    projected onto the band before each further factor (``_fine_power``),
-    and one restriction ends the power.  In exact arithmetic this is the
-    left fold ``dealiased_product(... dealiased_product(u, u) ..., u)``,
-    which costs 6(p - 1) transforms; in floating point the two agree to
-    rounding, and p = 2 is ``dealiased_product(u, u)`` bit for bit.
+    u is embedded on the 3/2-rule fine grid once and passed to
+    ``_band_product`` as p factors, which projects the running product onto
+    the band before each factor after the second.  In exact arithmetic this
+    is the left fold ``dealiased_product(... dealiased_product(u, u) ...,
+    u)``, which costs 6(p - 1) transforms; in floating point the two agree
+    to rounding, and p = 2 is ``dealiased_product(u, u)`` bit for bit.
     """
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"power must be an integer >= 1, got {p}")
     if p == 1:
         return u
     points = u.grid.points
-    fine, band = _fine_grid(points)
-    scale = np.prod(fine) / np.prod(points)
-    base = _embed(np.fft.fftn(u.values), band, scale, np.empty(fine, dtype=np.complex128))
-    acc = _fine_power(base, p, band, np.empty_like(base))
-    return SpectralField._own(u.grid, _restrict(acc, points, band))
+    fine, band, pad = _fine_grid(points)
+    base = _embed(np.fft.fftn(u.values), band, pad, np.empty(fine, dtype=np.complex128))
+    spec = _band_product((base,) * p, band, points, np.empty_like(base))
+    np.fft.ifftn(spec, out=spec)
+    spec *= np.prod(points) / np.prod(fine)
+    return SpectralField._own(u.grid, spec)
 
 
 @dataclass(frozen=True)
@@ -255,10 +253,6 @@ class PicardReport:
         return dict(asdict(self), final_ratio=self.final_ratio)
 
 
-def _zero_field(grid) -> SpectralField:
-    return SpectralField._own(grid, np.zeros(grid.points, dtype=np.complex128))
-
-
 def _norm(c: np.ndarray) -> float:
     """The L^2 norm of the field with Parseval coefficients c."""
     return float(np.sqrt(np.sum(c.real**2 + c.imag**2)))
@@ -293,14 +287,12 @@ def picard_solve(
     f_hat = f.coeffs
     c = np.zeros(grid.points, dtype=np.complex128)
     if prob.lam != 0.0:
-        fine, band = _fine_grid(grid.points)
+        fine, band, pad = _fine_grid(grid.points)
         spec = np.empty(fine, dtype=np.complex128)
         work = np.empty(fine, dtype=np.complex128)
         # coefficients to fine-grid values, and a fine spectrum to -lam times
         # coefficients: the embed and restrict scales with Parseval's
-        parseval = np.sqrt(grid.cell_volume / grid.total_points)
-        pad = np.prod(fine) / np.prod(grid.points)
-        up, down = pad / parseval, -prob.lam * parseval / pad
+        up, down = pad / grid.parseval, -prob.lam * grid.parseval / pad
     norms: list[float] = []
     diffs: list[float] = []
     ratios: list[float] = []
@@ -310,8 +302,7 @@ def picard_solve(
         if prob.lam == 0.0 or iterations == 0:  # u_1 = 0 has no power
             rhs = f_hat.copy()
         else:
-            _fine_power(_embed(c, band, up, spec), prob.p, band, work)
-            rhs = _gather(_to_band(work, band), band, grid.points)
+            rhs = _band_product((_embed(c, band, up, spec),) * prob.p, band, grid.points, work)
             rhs *= down
             rhs += f_hat
         nxt = solve(rhs)
@@ -366,20 +357,14 @@ def perturbation_series(prob: SemilinearProblem, order: int) -> list[SpectralFie
     G = lambda g: propagate(g, prob.prescription)
     c = [G(prob.f)]
     for j in range(1, order + 1):
-        # lam^{j-1} coefficient of the p-th power of the truncated series
-        deg = j - 1
-        layer = {i: c[i] for i in range(min(j, deg + 1))}
-        power = layer  # degree-indexed coefficients of u^1
+        # the lam^m coefficients, m < j, of u, u^2, ..., u^p: each power is
+        # the Cauchy product of the last with c, its terms summed left to right
+        power = c[:j]
         for _ in range(prob.p - 1):
-            nxt: dict[int, SpectralField] = {}
-            for a_deg, a_val in power.items():
-                for b_deg, b_val in layer.items():
-                    m = a_deg + b_deg
-                    if m > deg:
-                        continue
-                    term = dealiased_product(a_val, b_val)
-                    nxt[m] = term if m not in nxt else nxt[m] + term
+            nxt = []
+            for m in range(j):
+                terms = [dealiased_product(power[a], c[m - a]) for a in range(m + 1)]
+                nxt.append(sum(terms[1:], terms[0]))
             power = nxt
-        target = power.get(deg, _zero_field(prob.f.grid))
-        c.append(-G(target))
+        c.append(-G(power[j - 1]))
     return c

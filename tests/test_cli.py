@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -14,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from feynlab import cli
+from feynlab import cli, propagators
 from feynlab.cli import (
     ArtifactIOError,
     ConfigError,
@@ -26,7 +29,7 @@ from feynlab.cli import (
     main,
     run_experiment,
 )
-from feynlab.fields import GridSpec, SpectralField
+from feynlab.fields import GridSpec, SpectralField, gaussian_source, random_band_limited
 from feynlab.orders import PRODUCT_RULES, sweep_plan
 
 
@@ -1067,6 +1070,106 @@ def test_main_large_finite_eps_still_runs(tmp_path, subcommand):
     # eps^2 = 1e300 is finite: the multiplier check leaves the run alone
     p = write_config(tmp_path / "eps.json", eps_config(subcommand, 1e150))
     assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 0
+
+
+def edge(code, subcommand, params, extent=(8.0, 8.0)):
+    data = {"subcommand": subcommand, "params": params}
+    if subcommand != "product-check":
+        data["grid"] = {"extent": list(extent), "points": [8, 8]}
+    return code, data
+
+
+# Configs at the edges of what the schema admits, with the exit code each
+# must end in: extents whose squared frequencies overflow (a bad grid) or
+# whose cell volume does (a diverged run), overflowing sources, couplings and
+# margins, and out-of-range eps values.
+TINY, HUGE = (1e-160, 8.0), (1e300, 1e300)
+EDGE_RUNS = {
+    "tiny-propagate-retarded": edge(2, "propagate", {"kind": "retarded"}, TINY),
+    "tiny-propagate-feynman": edge(2, "propagate", {"kind": "feynman"}, TINY),
+    "tiny-picard": edge(2, "picard", {"p": 3, "lam": 0.1}, (8.0, 1e-200)),
+    "tiny-wick": edge(2, "wick", {}, TINY),
+    "tiny-wick-eps": edge(2, "wick", {"eps": 0.05}, TINY),
+    "huge-propagate": edge(3, "propagate", {"kind": "retarded"}, HUGE),
+    "huge-picard": edge(3, "picard", {"p": 3, "lam": 0.1}, HUGE),
+    "huge-wick": edge(2, "wick", {}, HUGE),
+    "amplitude": edge(
+        3, "propagate", {"kind": "retarded", "source": {"type": "gaussian", "amplitude": 1e308}}
+    ),
+    "lam": edge(3, "picard", {"p": 3, "lam": 1e300}),
+    "width-retarded": edge(
+        3, "propagate", {"kind": "retarded", "source": {"type": "gaussian", "width": 1e-300}}
+    ),
+    "width-feynman": edge(
+        3, "propagate", {"kind": "feynman", "source": {"type": "gaussian", "width": 1e-300}}
+    ),
+    "margin": edge(2, "product-check", {"margin": 1e300}),
+    "eps": edge(2, "propagate", {"kind": "retarded", "eps": 1e200}),
+    "wick-eps": edge(2, "wick", {"eps": 1.6}),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(EDGE_RUNS))
+def test_edge_configs_end_in_one_verdict_line(tmp_path, capsys, name):
+    # no traceback and no numpy warning (an error here): one stderr line, and
+    # an output directory only for a run that diverged after writing
+    code, data = EDGE_RUNS[name]
+    p = write_config(tmp_path / "edge.json", data)
+    assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert (tmp_path / "o").exists() == (code == 3)
+    if name.startswith("tiny"):
+        assert "bad grid" in err
+
+
+def test_overflowing_run_prints_only_its_verdict(tmp_path):
+    # in a process of its own, with Python's default warning filters: numpy's
+    # overflow warnings would print source excerpts before the verdict
+    p = write_config(tmp_path / "amp.json", EDGE_RUNS["amplitude"][1])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "feynlab.cli", "--config", str(p), "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "amp.json: diverged: numerics diverged; see the written report"
+    ]
+
+
+def test_wick_measures_the_gap_and_the_energies_once(tmp_path, monkeypatch):
+    # counted through both modules' globals, so a call from either counts
+    calls = {"_symbol_gap": 0, "characteristic_energy_fraction": 0}
+    for module in (cli, propagators):
+        for name in calls:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    studies = []
+    study = cli.wick_continuation_study
+    monkeypatch.setattr(
+        cli, "wick_continuation_study", lambda *args: studies.append(study(*args)) or studies[-1]
+    )
+    run_dict(tmp_path, edge(0, "wick", {}, (12.0, 12.0))[1])
+    assert calls == {"_symbol_gap": 1, "characteristic_energy_fraction": 2}
+    assert [sorted(s) for s in studies] == [["diffs", "thetas", "values"]] * 2
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "random"])
+def test_bare_source_specs_use_the_library_defaults(kind):
+    # the builders hold the defaults; these are the values the CLI once
+    # wrote out itself
+    grid = GridSpec((8.0, 8.0), (16, 16))
+    got = cli._build_source({"type": kind}, grid, 3)
+    if kind == "gaussian":
+        want = gaussian_source(grid, width=1.0, center=None, amplitude=1.0)
+    else:
+        want = random_band_limited(grid, 3, band=0.5, decay=2.0)
+    assert got.values.tobytes() == want.values.tobytes() and got.meta == want.meta
 
 
 def test_main_long_source_center_exit_two(tmp_path, capsys):

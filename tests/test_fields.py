@@ -7,7 +7,7 @@ import pytest
 
 from feynlab.errors import DimensionError
 from feynlab.fields import GridSpec, SpectralField, gaussian_source, random_band_limited
-from feynlab.propagators import Kind, Prescription, propagate
+from feynlab.propagators import Kind, Prescription, _form, default_epsilon, propagate
 
 
 def test_grid_frequency_lattice():
@@ -24,11 +24,45 @@ def test_grid_serialization_round_trip():
 
 @pytest.mark.parametrize(
     "extent,points",
-    [((8.0,), (3,)), ((8.0,), (2,)), ((-1.0,), (8,)), ((8.0, 4.0), (8,))],
+    [
+        ((8.0,), (3,)), ((8.0,), (2,)), ((-1.0,), (8,)), ((8.0, 4.0), (8,)),
+        # 10 (2 pi / L)^2 overflows, though the squared Nyquist frequency does not
+        ((1.2e-153, 8.0), (4, 8)),
+    ],
 )
 def test_grid_rejects_bad_specs(extent, points):
     with pytest.raises((ValueError, DimensionError)):
         GridSpec(extent, points)
+
+
+def accepts(extent, points):
+    try:
+        GridSpec(extent, points)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("points", [4, 6, 8, 64])
+def test_smallest_accepted_extent_has_finite_squared_frequencies(points):
+    # bisect the float ordering for the smallest extent the grid accepts on
+    # its first axis; there default_epsilon (which at N = 4 overflows before
+    # the squared Nyquist frequency does) and the symbol are finite, and the
+    # next float down is rejected
+    shape = (points, 8)
+    lo = np.float64(1e-160).view(np.int64)
+    hi = np.float64(1.0).view(np.int64)
+    assert not accepts((float(lo.view(np.float64)), 8.0), shape)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if accepts((float(mid.view(np.float64)), 8.0), shape):
+            hi = mid
+        else:
+            lo = mid
+    grid = GridSpec((float(hi.view(np.float64)), 8.0), shape)
+    assert np.isfinite(default_epsilon(grid))
+    with np.errstate(all="raise"):
+        assert np.isfinite(_form(grid, 1.0)).all()
 
 
 def test_fft_round_trip_and_parseval():

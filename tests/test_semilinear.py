@@ -164,7 +164,7 @@ def test_picard_iteration_makes_2p_minus_2_fine_transforms(fft_calls, p):
     st.integers(0, 2**32 - 1),
 )
 def test_pruned_transforms_are_the_full_ones_on_the_band(points, seed):
-    fine, band = semilinear._fine_grid(tuple(points))
+    fine, band, _ = semilinear._fine_grid(tuple(points))
     # the band as the integer index the products used before it was sliced
     ix = np.ix_(*[np.r_[0 : N // 2, M - N // 2 : M] for N, M in zip(points, fine)])
     rng = np.random.default_rng(seed)
@@ -484,6 +484,45 @@ def test_series_second_correction_matches_multinomial():
     mixed = dealiased_product(dealiased_product(c[0], c[0]), c[1])
     ref = -3.0 * propagate(mixed, prob.prescription)
     assert (c[2] - ref).norm() <= 1e-6 * max(ref.norm(), 1.0)
+
+
+# sha256 of the values of c_0..c_3, joined, per (grid, kind, p); recorded
+# before the recursion moved from degree-indexed dicts to a Cauchy product
+SERIES_PINS = {
+    ("2d", "feynman"): (
+        "4e88a8bafaa7e1432d2d4f3561faba022d5ebdd268532852899377f6cc8954e5",
+        "2ac4bfe90acf0b0fa78453d58b70336322e7f53d5f2fb850e8993d1893cb6901",
+        "a714a6506a3416ab8f601f14ece825d3c1b2958cffee50914a4821996d636769",
+        "42faeb78f22820e197e2b005bba12af35b944346b2e23721c5fd0092b8f6b86d",
+    ),
+    ("2d", "retarded"): (
+        "513bd6d009f4cd8066055d1e7f0dffe16b4282ee37af1e947d494ef6f7409a3b",
+        "5307c78ec7c5925a13fe684a4fcab6f6b4d92995f6bbe539e6f1e6cd9bccbe31",
+        "f3def33fff5992acb9de29a3b5d2a0603c27361cd03460413afb52df61ddc53b",
+        "70fa1975f298280ffea091b33e0d926009d625ed2e32ad3cc00acc4c1c36e756",
+    ),
+    ("3d", "feynman"): (
+        "659bb33196aa9500a287ca0002bdf0ac9ca34ff1320eec86b0a01fb025a96778",
+        "66824bdb315200c898f82b9648336262c89cccaf0adf87919a7216617753e4e7",
+        "8b236bd4d2f2b8eb5de5e61a4f867f286bae24514f874f2100c632f62b8888dc",
+        "2391f687e243ac5f3d30f0aa41d3e6f627df4cd4f052feedad762987fae8394d",
+    ),
+    ("3d", "retarded"): (
+        "91253c986a2f59b786fccb81962603711d5af1536be8ea6cb92089fd86cd48d5",
+        "a8a94d76d74b22d2928e465873b2b2088b0df262b845e6faa8cd7fe7fee340e6",
+        "bcfb63540031733f22ef917860ab31591cf2b070dd2f093556948f71e310e728",
+        "8ece126689bab9027ac8bbc19243824c47ed37f77d0736313567ae5c2ab77356",
+    ),
+}
+
+
+@pytest.mark.parametrize("grid_id, kind", list(SERIES_PINS))
+def test_series_golden_digest(grid_id, kind):
+    f = source() if grid_id == "2d" else random_band_limited(GRID_3D, seed=7, band=0.9)
+    pres = Prescription(Kind(kind))
+    for p, digest in zip((2, 3, 4, 5), SERIES_PINS[grid_id, kind]):
+        c = perturbation_series(SemilinearProblem(f=f, p=p, lam=0.1, prescription=pres), 3)
+        assert hashlib.sha256(b"".join(x.values.tobytes() for x in c)).hexdigest() == digest
 
 
 def test_series_negative_order_rejected():
