@@ -320,11 +320,11 @@ def solve(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float, atol: flo
             K_ext[s] = fun(t + _NODES[s] * h, dy, *args)
         nfev += 3
         F = np.empty((7, n))
-        delta_y = y_new - y
-        F[0] = delta_y
+        delta_y = np.subtract(y_new, y, out=F[0])
         F[1] = h * K_ext[0] - delta_y
         F[2] = 2 * delta_y - h * (f_new + K_ext[0])
-        F[3:] = h * np.dot(D, K_ext)
+        np.dot(D, K_ext, out=F[3:])
+        F[3:] *= h
         steps.append((h, y, F))
 
         g_new = [ev(t_new, y_new, *args) for ev, _ in events]

@@ -55,8 +55,6 @@ __all__ = [
     "BCotangentPoint",
     "RayTrace",
     "RadialSet",
-    "SINKS",
-    "SOURCES",
     "compactify",
     "decompactify",
     "flow",
@@ -154,9 +152,6 @@ class BCotangentPoint:
     chart: int = 0
     chart_ok: bool = True
 
-    def fiber(self) -> np.ndarray:
-        return np.concatenate(([self.sigma, self.gamma], np.asarray(self.eta)))
-
 
 class RadialSet(Enum):
     """Radial-set component: sink or source of the rescaled Hamilton flow,
@@ -171,22 +166,17 @@ class RadialSet(Enum):
     def is_sink(self) -> bool:
         return self in (RadialSet.SINK_FUTURE, RadialSet.SINK_PAST)
 
-    @property
-    def is_future(self) -> bool:
-        return self in (RadialSet.SINK_FUTURE, RadialSet.SOURCE_FUTURE)
-
-
-SINKS = (RadialSet.SINK_FUTURE, RadialSet.SINK_PAST)
-SOURCES = (RadialSet.SOURCE_FUTURE, RadialSet.SOURCE_PAST)
-
 
 @dataclass(frozen=True)
 class RayTrace:
     """Sampled flow line with scale-free symbol values and solver stats.
 
     Fiber data per sample is the unit vector (v-frame) plus log-scale; the
-    raw fiber is unit * e^{log_scale}.  stats counts segments, accepted
-    steps, function evaluations and rejected steps, the last under the key
+    raw fiber is unit * e^{log_scale}.  truncated is None for a leg that ran
+    its length or reached the radial convergence floor, else why it stopped
+    early: "escaped", "chart", "segment-limit" or "stiff" (see flow).  stats
+    counts the completed segments, their accepted steps, function
+    evaluations and rejected steps, the last under the key
     "rejected_estimated", the name perfbench reads.
     """
 
@@ -492,7 +482,11 @@ def flow(pt, T: float, tol: float = 1e-10) -> RayTrace:
     interior, escape past |z| = 1e4 (truncated "escaped"), then entry; in
     the latitude chart, the radial convergence floor rho = 1e-5, then the
     exit to the interior at rho > 0.06 or w^2 > 0.92 (truncated "chart"
-    below rho = 1e-3), then the stereographic chart edge.  The trace parameter is the rescaled one
+    below rho = 1e-3), then the stereographic chart edge.  A segment whose
+    integration fails (StiffnessError from _dop853) ends the leg as
+    truncated "stiff": the trace keeps the samples of the segments before
+    it, and stats do not count it.  Past 200 segments the leg is truncated
+    "segment-limit".  The trace parameter is the rescaled one
     (d tau = |fiber| dt) on latitude stretches and plain Hamilton time in
     the interior; it is strictly monotone throughout.
     """
@@ -524,16 +518,16 @@ def flow(pt, T: float, tol: float = 1e-10) -> RayTrace:
     for _segment in range(200):
         if sgn * (T - tau) <= 1e-12:
             break
-        stats["segments"] += 1
         if bd:
             rhs, events = _bd_rhs, _LATITUDE_EVENTS
         else:
             rhs, events = _int_rhs, _INTERIOR_EVENTS
         try:
             sol = _dop853.solve(rhs, tau, T, state, tol, tol * 1e-2, events, (n,))
-        except StiffnessError as exc:
-            where = "boundary" if bd else "interior"
-            raise StiffnessError(f"{where} integration failed: {exc}") from None
+        except StiffnessError:
+            truncated = "stiff"
+            break
+        stats["segments"] += 1
         t_end = sol.ts[-1]
         npts = max(8, int(abs(t_end - tau) * _SAMPLES_PER_UNIT))
         ts = np.linspace(tau, t_end, npts + 1)

@@ -16,7 +16,9 @@ the function that runs it.  ``run_experiment`` validates every config
 against the schema, so a directly built ``ExperimentConfig`` meets the same
 rules (a ``grid`` for ``propagate``, ``wick`` and ``picard``) as a file.
 
-Exit codes: 0 success, 2 config error, 3 numeric divergence, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 numeric divergence, 4 I/O error;
+each error class carries its code.  Exit 3 always follows a written report
+and manifest.
 The default output root is ``$FEYNLAB_OUT`` (falling back to
 ``./feynlab-runs``) when neither the flag nor the config names a directory.
 """
@@ -42,7 +44,7 @@ import numpy as np
 
 from ._validate import Validator
 from .bichar import classify_limit, flow, random_null_rays
-from .errors import ClassificationError, FeynlabError, StiffnessError
+from .errors import ClassificationError, FeynlabError
 from .fields import GridSpec, SpectralField, gaussian_source, random_band_limited
 from .normal_op import normal_report
 from .orders import rule_sweep, sweep_plan
@@ -75,30 +77,38 @@ __version__ = "0.1.0"
 ENV_OUTPUT_ROOT = "FEYNLAB_OUT"
 _DEFAULT_ROOT = "feynlab-runs"
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DIVERGED = 3
-EXIT_IO = 4
+
+class _RunError(FeynlabError):
+    """How a run that did not succeed ends: its exit code and stderr label."""
+
+    exit_code: int
+    label: str
 
 
-class ConfigError(FeynlabError):
+class ConfigError(_RunError):
     """The configuration cannot be used (exit code 2)."""
 
+    exit_code, label = 2, "config error"
 
-class NumericDivergence(FeynlabError):
+
+class NumericDivergence(_RunError):
     """The run finished but the numerics diverged (exit code 3).
 
-    Artifacts and the manifest are written before this is raised; the
-    manifest rides along on the exception.
+    Only ``run_experiment`` raises it, after the artifacts and the manifest
+    are written; the manifest rides along on the exception.
     """
 
-    def __init__(self, message: str, manifest: "RunManifest | None" = None):
+    exit_code, label = 3, "diverged"
+
+    def __init__(self, message: str, manifest: "RunManifest"):
         super().__init__(message)
         self.manifest = manifest
 
 
-class ArtifactIOError(FeynlabError):
+class ArtifactIOError(_RunError):
     """Output could not be written; partial artifacts were removed (exit 4)."""
+
+    exit_code, label = 4, "io error"
 
 
 # --- schemas -------------------------------------------------------------
@@ -286,7 +296,7 @@ def _cmd_roots(cfg, p):
         "gap_exact": rd["gap"],
         "degenerate": rd["degenerate"],
     }
-    return {"roots.json": payload}, EXIT_OK
+    return {"roots.json": payload}, False
 
 
 def _cmd_spectrum(cfg, p):
@@ -298,11 +308,11 @@ def _cmd_spectrum(cfg, p):
         [e["k"], e["eigenvalue"], e["shifted"][0], e["shifted"][1], e["multiplicity"]]
         for e in entries
     ]
-    return {"spectrum.json": payload, "spectrum.csv": (header, rows)}, EXIT_OK
+    return {"spectrum.json": payload, "spectrum.csv": (header, rows)}, False
 
 
 def _cmd_weights(cfg, p):
-    return {"weights.json": normal_report(p["n"], p["K"], p["l_samples"])}, EXIT_OK
+    return {"weights.json": normal_report(p["n"], p["K"], p["l_samples"])}, False
 
 
 def _leg_summary(trace):
@@ -326,9 +336,11 @@ def _cmd_flow(cfg, p):
     )
     traces = {}
     summaries = []
+    diverged = False
     for i, ray in enumerate(rays):
         fwd = flow(ray, p["T"], tol=p["tol"])
         bwd = flow(ray, -p["T"], tol=p["tol"])
+        diverged |= "stiff" in (fwd.truncated, bwd.truncated)
         trace_file = f"trace-{i:03d}.csv" if p["write_traces"] else None
         if trace_file:
             traces[trace_file] = fwd
@@ -342,7 +354,7 @@ def _cmd_flow(cfg, p):
         )
     payload = {key: p[key] for key in ("n", "count", "T", "future", "mixed")}
     payload["rays"] = summaries
-    return {"flow.json": payload, **traces}, EXIT_OK
+    return {"flow.json": payload, **traces}, diverged
 
 
 def _cmd_propagate(cfg, p):
@@ -360,7 +372,7 @@ def _cmd_propagate(cfg, p):
         "field_file": "field.csv",
     }
     finite = math.isfinite(payload["norm_u"]) and math.isfinite(payload["residual"])
-    return {"propagate.json": payload, "field.csv": u}, EXIT_OK if finite else EXIT_DIVERGED
+    return {"propagate.json": payload, "field.csv": u}, not finite
 
 
 def _cmd_wick(cfg, p):
@@ -397,7 +409,7 @@ def _cmd_wick(cfg, p):
         "straight_diffs": straight["diffs"],
         "diagonal_diffs": diagonal["diffs"],
     }
-    return {"wick.json": payload}, EXIT_OK
+    return {"wick.json": payload}, False
 
 
 def _cmd_picard(cfg, p):
@@ -419,8 +431,7 @@ def _cmd_picard(cfg, p):
             "solution_file": "solution.csv",
         }
     )
-    status = EXIT_DIVERGED if report.diverged else EXIT_OK
-    return {"picard.json": payload, "solution.csv": u}, status
+    return {"picard.json": payload, "solution.csv": u}, report.diverged
 
 
 def _cmd_product_check(cfg, p):
@@ -444,13 +455,15 @@ def _cmd_product_check(cfg, p):
         "fraction": agreeing / len(rows),
         "rows_file": "product_check.csv",
     }
-    return {"product-check.json": payload, "product_check.csv": (header, csv_rows)}, EXIT_OK
+    return {"product-check.json": payload, "product_check.csv": (header, csv_rows)}, False
 
 
 class _Subcommand(NamedTuple):
     """A subcommand: each optional parameter's default, and ``run(cfg,
     params)``, which gets the params over the defaults and returns
-    ``({artifact name: payload}, exit status)``.  ``run`` calls the library
+    ``({artifact name: payload}, diverged)``, diverged True when the written
+    report records numerics that diverged.  How the run ends is decided in
+    ``run_experiment`` and ``_run_one``, not here.  ``run`` calls the library
     through this module's globals, which perfbench's tracer rebinds."""
 
     defaults: dict
@@ -542,7 +555,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
 
     Raises ConfigError for unusable configs, ArtifactIOError when output
     cannot be written (anything partial is removed first), and
-    NumericDivergence after a complete write whose numerics diverged.
+    NumericDivergence, with the manifest, after a complete write whose
+    numerics diverged.
     """
     validate_against_schema(cfg.to_dict())
     if cfg.out is None:
@@ -550,11 +564,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     entry = _SUBCOMMANDS[cfg.subcommand]
     start = time.monotonic()
     try:
-        artifacts, status = entry.run(cfg, {**entry.defaults, **cfg.params})
+        artifacts, diverged = entry.run(cfg, {**entry.defaults, **cfg.params})
     except (ValueError, KeyError) as exc:  # DimensionError, ChartError, PoleError
         raise ConfigError(f"invalid parameters for {cfg.subcommand}: {exc}") from exc
-    except StiffnessError as exc:
-        raise NumericDivergence(str(exc)) from exc
 
     out_dir = Path(cfg.out)  # made only now, so a config error leaves no directory
     try:
@@ -577,7 +589,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     except OSError as exc:
         _remove_partial([out_dir / name for name in artifacts] + [manifest_path])
         raise ArtifactIOError(f"manifest write failed: {exc}") from exc
-    if status == EXIT_DIVERGED:
+    if diverged:
         raise NumericDivergence("numerics diverged; see the written report", manifest)
     return manifest
 
@@ -589,14 +601,10 @@ def _run_one(path: Path, seed: int | None, out: str | None) -> tuple[int, str]:
         try:
             cfg = load_config(path, seed=seed, out=out)
             manifest = run_experiment(cfg)
-        except ConfigError as exc:
-            return EXIT_CONFIG, f"{path.name}: config error: {exc}"
-        except NumericDivergence as exc:
-            return EXIT_DIVERGED, f"{path.name}: diverged: {exc}"
-        except ArtifactIOError as exc:
-            return EXIT_IO, f"{path.name}: io error: {exc}"
+        except _RunError as exc:
+            return exc.exit_code, f"{path.name}: {exc.label}: {exc}"
     n = len(manifest.files)
-    return EXIT_OK, f"{path.name}: ok ({n} artifact{'s' if n != 1 else ''}, {cfg.out})"
+    return 0, f"{path.name}: ok ({n} artifact{'s' if n != 1 else ''}, {cfg.out})"
 
 
 def main(argv=None) -> int:
@@ -611,17 +619,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.seed is not None and not 0 <= args.seed < 2**64:
         print("seed must fit in 64 unsigned bits", file=sys.stderr)
-        return EXIT_CONFIG
+        return ConfigError.exit_code
     if args.threads < 1:
         print("threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        return ConfigError.exit_code
 
     target = Path(args.config)
     if target.is_dir():
         configs = sorted(target.glob("*.json"))
         if not configs:
             print(f"no *.json configs in {target}", file=sys.stderr)
-            return EXIT_CONFIG
+            return ConfigError.exit_code
         root = args.out or os.environ.get(ENV_OUTPUT_ROOT, _DEFAULT_ROOT)
         from concurrent.futures import ThreadPoolExecutor  # only batch mode pays for it
 
@@ -632,14 +640,11 @@ def main(argv=None) -> int:
                     configs,
                 )
             )
-        worst = EXIT_OK
         for code, message in results:
             print(message, file=sys.stderr if code else sys.stdout)
-            # precedence: config error > io error > divergence
-            rank = {EXIT_OK: 0, EXIT_DIVERGED: 1, EXIT_IO: 2, EXIT_CONFIG: 3}
-            if rank[code] > rank[worst]:
-                worst = code
-        return worst
+        # the worst code wins: config error > io error > divergence > ok
+        order = (0, NumericDivergence.exit_code, ArtifactIOError.exit_code, ConfigError.exit_code)
+        return max((code for code, _ in results), key=order.index)
 
     code, message = _run_one(target, args.seed, args.out)
     print(message, file=sys.stderr if code else sys.stdout)

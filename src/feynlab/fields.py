@@ -31,7 +31,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A rectangular periodic grid: box extents and point counts per axis."""
+    """A rectangular periodic grid: box extents and point counts per axis.
+
+    Extents whose squared frequencies overflow, or whose cell volume (the
+    Parseval scale and every norm go through it) is not a finite normal
+    float, are a ValueError.
+    """
 
     extent: tuple[float, ...]
     points: tuple[int, ...]
@@ -52,6 +57,8 @@ class GridSpec:
             raise ValueError("extents too small: the squared frequencies overflow")
         object.__setattr__(self, "extent", ext)
         object.__setattr__(self, "points", pts)
+        if not np.finfo(float).tiny <= self.cell_volume < math.inf:
+            raise ValueError(f"cell volume {self.cell_volume:g} is not a finite normal float")
 
     @property
     def dim(self) -> int:
@@ -84,14 +91,6 @@ class GridSpec:
             2.0 * np.pi * np.fft.fftfreq(N, d=L / N)
             for L, N in zip(self.extent, self.points)
         ]
-
-    def mesh(self) -> np.ndarray:
-        """Stacked coordinates, shape (dim, *points)."""
-        return np.stack(np.meshgrid(*self.axes(), indexing="ij"))
-
-    def freq_mesh(self) -> np.ndarray:
-        """Stacked frequency lattice, shape (dim, *points)."""
-        return np.stack(np.meshgrid(*self.freq_axes(), indexing="ij"))
 
     def to_dict(self) -> dict:
         return {"extent": list(self.extent), "points": list(self.points)}

@@ -88,14 +88,14 @@ def semilinear_weights(n: int, p: int) -> dict:
 class ProductIntegralResult:
     """Lattice estimates of the two Schur quantities and their growth fit.
 
-    ``cutoffs`` lists the dyadic lattice radii, largest last; the headline
-    ``M_plus``/``M_minus`` are the estimates at the largest cutoff.  The
-    growth exponent is the smaller of the two log-log slopes, since a single
-    finite quantity suffices for the product estimate.
+    ``cutoffs`` lists the dyadic lattice radii, largest last, and the level
+    tuples the estimates at each, so the last entries are the estimates at
+    the largest cutoff.  The growth exponent is the smaller of the two
+    log-log slopes, since a single finite quantity suffices for the product
+    estimate; with fewer than three levels there is no fit, the exponent is
+    NaN and ``finite`` is False.
     """
 
-    M_plus: float
-    M_minus: float
     growth_exponent: float
     cutoffs: tuple
     M_plus_levels: tuple
@@ -265,8 +265,6 @@ def product_integral(
     else:
         ep = em = float("nan")
     return ProductIntegralResult(
-        M_plus=float(mp_levels[-1]),
-        M_minus=float(mm_levels[-1]),
         growth_exponent=min(ep, em),
         cutoffs=tuple(radii),
         M_plus_levels=tuple(float(v) for v in mp_levels),

@@ -45,7 +45,7 @@ def report(num: int, label: str, ok: bool, detail: str) -> None:
 
 def off_cone_field(grid, seed, gap_frac=4.0):
     u = random_band_limited(grid, seed=seed)
-    zeta = grid.freq_mesh()
+    zeta = np.array(np.meshgrid(*grid.freq_axes(), indexing="ij"))
     sym = zeta[-1] ** 2 - np.sum(zeta[:-1] ** 2, axis=0)
     nonzero = np.abs(sym)[np.abs(sym) > 0]
     c = np.array(u.coeffs)

@@ -29,6 +29,7 @@ from feynlab.cli import (
     main,
     run_experiment,
 )
+from feynlab.errors import ClassificationError
 from feynlab.fields import GridSpec, SpectralField, gaussian_source, random_band_limited
 from feynlab.orders import PRODUCT_RULES, sweep_plan
 
@@ -238,6 +239,21 @@ def test_flow_shorter_than_a_step_runs(tmp_path):
     assert [ray["forward"]["truncated"] for ray in payload["rays"]] == [None]
     rows = (out / "trace-000.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 1
+
+
+def test_flow_leg_that_classify_limit_rejects_is_written_unclassified(tmp_path, monkeypatch):
+    # classify_limit raises for a non-null trace that reaches the radial set;
+    # the seeded rays are null, so the rejection is injected
+    def reject(trace):
+        raise ClassificationError("non-null trace converged to the radial set")
+
+    monkeypatch.setattr(cli, "classify_limit", reject)
+    out, _ = run_dict(tmp_path, {"subcommand": "flow", "params": {"n": 4, "count": 1, "T": 5.0}})
+    payload = read_strict_json(out / "flow.json")
+    check_schema(payload, "flow")
+    legs = [ray[leg] for ray in payload["rays"] for leg in ("forward", "backward")]
+    assert [leg["classification"] for leg in legs] == [None, None]
+    assert all(leg["rho_end"] > 0.0 for leg in legs)
 
 
 def test_propagate_run_artifacts(tmp_path):
@@ -995,6 +1011,7 @@ def test_main_divergence_exit_three(tmp_path):
         },
     )
     assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 3
+    assert (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_main_non_finite_iterate_exit_three(tmp_path):
@@ -1072,26 +1089,29 @@ def test_main_large_finite_eps_still_runs(tmp_path, subcommand):
     assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 0
 
 
-def edge(code, subcommand, params, extent=(8.0, 8.0)):
+def edge(code, subcommand, params, extent=(8.0, 8.0), points=8):
     data = {"subcommand": subcommand, "params": params}
-    if subcommand != "product-check":
-        data["grid"] = {"extent": list(extent), "points": [8, 8]}
+    if subcommand in ("propagate", "wick", "picard"):
+        data["grid"] = {"extent": list(extent), "points": [points] * len(extent)}
     return code, data
 
 
 # Configs at the edges of what the schema admits, with the exit code each
-# must end in: extents whose squared frequencies overflow (a bad grid) or
-# whose cell volume does (a diverged run), overflowing sources, couplings and
-# margins, and out-of-range eps values.
+# must end in: extents whose squared frequencies overflow or whose cell
+# volume overflows or underflows (a bad grid), overflowing sources, couplings
+# and margins, out-of-range eps values, a flow tol below the stepper's floor
+# of 100 EPS, and a flow tol so loose that a leg's integration fails.
 TINY, HUGE = (1e-160, 8.0), (1e300, 1e300)
+FLOW_EDGE = {"n": 3, "count": 1, "T": 5.0}
 EDGE_RUNS = {
     "tiny-propagate-retarded": edge(2, "propagate", {"kind": "retarded"}, TINY),
     "tiny-propagate-feynman": edge(2, "propagate", {"kind": "feynman"}, TINY),
     "tiny-picard": edge(2, "picard", {"p": 3, "lam": 0.1}, (8.0, 1e-200)),
     "tiny-wick": edge(2, "wick", {}, TINY),
     "tiny-wick-eps": edge(2, "wick", {"eps": 0.05}, TINY),
-    "huge-propagate": edge(3, "propagate", {"kind": "retarded"}, HUGE),
-    "huge-picard": edge(3, "picard", {"p": 3, "lam": 0.1}, HUGE),
+    "tiny-propagate-3d": edge(2, "propagate", {"kind": "feynman"}, (1e-150,) * 3, points=4),
+    "huge-propagate": edge(2, "propagate", {"kind": "retarded"}, HUGE),
+    "huge-picard": edge(2, "picard", {"p": 3, "lam": 0.1}, HUGE),
     "huge-wick": edge(2, "wick", {}, HUGE),
     "amplitude": edge(
         3, "propagate", {"kind": "retarded", "source": {"type": "gaussian", "amplitude": 1e308}}
@@ -1106,22 +1126,28 @@ EDGE_RUNS = {
     "margin": edge(2, "product-check", {"margin": 1e300}),
     "eps": edge(2, "propagate", {"kind": "retarded", "eps": 1e200}),
     "wick-eps": edge(2, "wick", {"eps": 1.6}),
+    "flow-tol": edge(2, "flow", dict(FLOW_EDGE, tol=1e-15)),
+    "flow-stiff": edge(3, "flow", dict(FLOW_EDGE, tol=0.5)),
 }
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", list(EDGE_RUNS))
 def test_edge_configs_end_in_one_verdict_line(tmp_path, capsys, name):
-    # no traceback and no numpy warning (an error here): one stderr line, and
-    # an output directory only for a run that diverged after writing
+    # no traceback and no warning (an error here): one stderr line, and an
+    # output directory, with its manifest, only for a run that diverged
     code, data = EDGE_RUNS[name]
     p = write_config(tmp_path / "edge.json", data)
     assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == code
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert (tmp_path / "o").exists() == (code == 3)
-    if name.startswith("tiny"):
+    assert (tmp_path / "o" / "manifest.json").exists() == (code == 3)
+    if name.startswith(("tiny", "huge")):
         assert "bad grid" in err
+    if name == "flow-stiff":
+        rays = read_strict_json(tmp_path / "o" / "flow.json")["rays"]
+        assert [ray["forward"]["truncated"] for ray in rays] == ["stiff"]
 
 
 def test_overflowing_run_prints_only_its_verdict(tmp_path):

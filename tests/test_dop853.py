@@ -4,7 +4,8 @@ The golden flow digests in test_bichar.py and test_cli.py pin the stepper's
 ordinary path bit for bit.  The pins here cover the event search and the
 dense-output lookup on a problem with a known solution, and what the golden
 starts never reach: the rtol floor, a non-finite start, a right-hand side
-that turns NaN, and the import cost that the stepper exists to remove.
+that turns NaN (the leg ends "stiff"), and the import cost that the stepper
+exists to remove.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from feynlab import _dop853
 from feynlab.bichar import BCotangentPoint, flow, random_null_rays
+from feynlab.errors import StiffnessError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -149,20 +151,30 @@ def test_start_with_a_non_finite_state_is_rejected():
 NAN_RHS = """
 import json, pathlib, sys
 import numpy as np
-from feynlab import bichar, cli
+from feynlab import _dop853, bichar, cli
 from feynlab.errors import StiffnessError
 
-bichar._int_rhs = lambda t, s, n: np.full(s.size, np.nan)
+def nan_rhs(t, s, n):
+    return np.full(s.size, np.nan)
+
 try:
-    bichar.flow(bichar.random_null_rays(4, 1, 0)[0], 10.0)
+    _dop853.solve(nan_rhs, 0.0, 10.0, np.ones(8), 1e-10, 1e-12, (), (4,))
     message = None
 except StiffnessError as exc:
     message = str(exc)
+bichar._int_rhs = nan_rhs
+tr = bichar.flow(bichar.random_null_rays(4, 1, 0)[0], 10.0)
 tmp = pathlib.Path(sys.argv[1])
 cfg = tmp / "flow.json"
 cfg.write_text(json.dumps({"subcommand": "flow", "params": {"n": 4, "count": 1, "T": 10.0}}))
 code = cli.main(["--config", str(cfg), "--out", str(tmp / "out")])
-print(json.dumps({"message": message, "code": code}))
+rays = json.loads((tmp / "out" / "flow.json").read_text())["rays"]
+print(json.dumps({
+    "message": message, "truncated": tr.truncated, "samples": len(tr.times),
+    "segments": tr.stats["segments"], "code": code,
+    "legs": [ray[leg]["truncated"] for ray in rays for leg in ("forward", "backward")],
+    "manifest": (tmp / "out" / "manifest.json").exists(),
+}))
 """
 
 
@@ -170,8 +182,35 @@ def test_nan_right_hand_side_fails_the_segment_instead_of_hanging(tmp_path):
     proc = run_child(NAN_RHS, str(tmp_path), timeout=60.0)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got["message"] == "interior integration failed: step size is NaN"
-    assert got["code"] == 3
+    assert got["message"] == "step size is NaN"
+    # the first segment fails: the leg keeps its start sample only
+    assert (got["truncated"], got["samples"], got["segments"]) == ("stiff", 1, 0)
+    # the CLI writes its report, then exits 3
+    assert got["code"] == 3 and got["manifest"]
+    assert got["legs"] == ["stiff", "stiff"]
+
+
+def test_failed_segment_ends_the_leg_after_the_segments_before_it(monkeypatch):
+    ray = random_null_rays(4, 1, 0)[0]
+    full = flow(ray, 10.0)
+    solve, calls = _dop853.solve, []
+
+    def fail_the_second(*args):
+        calls.append(args[1])
+        if len(calls) == 2:
+            raise StiffnessError("injected")
+        return solve(*args)
+
+    monkeypatch.setattr(_dop853, "solve", fail_the_second)
+    tr = flow(ray, 10.0)
+    assert tr.truncated == "stiff" and len(calls) == 2
+    # the samples up to the end of the first segment, the second not counted
+    k = len(tr.times)
+    assert tr.times[-1] == calls[1] and k < len(full.times)
+    assert np.array_equal(tr.times, full.times[:k]) and np.array_equal(tr.lam, full.lam[:k])
+    s = tr.stats
+    assert s["segments"] == 1 and 0 < s["steps"] < full.stats["steps"]
+    assert s["fevals"] == 2 * s["segments"] + 15 * s["steps"] + 12 * s["rejected_estimated"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -131,7 +131,7 @@ def test_retarded_energy_rides_null_diagonals():
     axes = np.array(
         [(1, 0), (-1, 0), (0, 1), (0, -1), (r, r), (r, -r), (-r, r), (-r, -r)]
     )
-    xi = grid.freq_mesh()
+    xi = np.array(np.meshgrid(*grid.freq_axes(), indexing="ij"))
     owner = np.argmax(np.einsum("sd,d...->s...", axes, xi), axis=0)
     energy = np.abs(u.coeffs) ** 2
     en = np.array([np.sum(energy[owner == k]) for k in range(len(axes))])

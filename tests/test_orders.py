@@ -150,7 +150,15 @@ def test_schur_iso_above_half_is_finite_with_known_limit():
     assert res.finite
     assert res.growth_exponent <= 0.05
     # the sup saturates at two unit-mass bumps, total 2 pi
-    assert res.M_plus == pytest.approx(2.0 * np.pi, abs=1e-3)
+    assert res.M_plus_levels[-1] == pytest.approx(2.0 * np.pi, abs=1e-3)
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_schur_with_fewer_than_three_levels_fits_no_exponent(levels):
+    # the fit needs three levels; with fewer the exponent is NaN, not finite
+    res = product_integral(iso1(1.0), iso1(1.0), iso1(1.0), 1, 100.0, step=0.5, levels=levels)
+    assert math.isnan(res.growth_exponent) and not res.finite
+    assert len(res.M_plus_levels) == len(res.M_minus_levels) == len(res.cutoffs) == levels
 
 
 def test_schur_iso_below_half_diverges_linearly():
@@ -158,7 +166,7 @@ def test_schur_iso_below_half_diverges_linearly():
     assert not res.finite
     assert res.growth_exponent > GROWTH_THRESHOLD
     # the dual quantity at the centered probe integrates the constant 1
-    assert res.M_minus == pytest.approx(2.0 * 10000.0)
+    assert res.M_minus_levels[-1] == pytest.approx(2.0 * 10000.0)
     ratios = np.diff(np.log2(np.array(res.M_minus_levels)))
     assert ratios == pytest.approx(np.ones(4), abs=1e-12)
     # growth across the sweep of radii covers a full decade at >= 10x

@@ -43,7 +43,7 @@ def band_limited_off_characteristic(grid, seed, gap_frac=4.0):
     """Random field with every coefficient at least gap_frac * min-gap away
     from the characteristic cone (and no zero mode)."""
     u = random_band_limited(grid, seed=seed)
-    zeta = grid.freq_mesh()
+    zeta = np.array(np.meshgrid(*grid.freq_axes(), indexing="ij"))
     p = zeta[-1] ** 2 - np.sum(zeta[:-1] ** 2, axis=0)
     nz = np.abs(p)[np.abs(p) > 0]
     c = np.array(u.coeffs)
@@ -65,7 +65,7 @@ def test_wick_form_substitutions():
     assert _form(space, wick(0.0))[1, 0, 0, 1] == pytest.approx(0.0, abs=1e-15)
     # theta = 0 is the plain symbol p, bit for bit
     grid = GridSpec((5.0, 7.0, 3.0), (6, 8, 4))
-    zeta = grid.freq_mesh()
+    zeta = np.array(np.meshgrid(*grid.freq_axes(), indexing="ij"))
     p = zeta[-1] ** 2 - np.sum(zeta[:-1] ** 2, axis=0)
     assert np.array_equal(_form(grid, wick(0.0)), p)
     assert np.array_equal(_form(grid, 1.0), p)
@@ -91,7 +91,7 @@ def test_propagate_zero_source(kind):
 def test_propagate_single_mode_feynman():
     grid = GridSpec((8.0, 8.0), (32, 32))
     eps = 0.01
-    mesh = grid.mesh()
+    mesh = np.meshgrid(*grid.axes(), indexing="ij")
     zeta0 = (0.0, 2.0 * np.pi / 8.0)
     f = SpectralField(grid, np.exp(1j * (zeta0[0] * mesh[0] + zeta0[1] * mesh[1])))
     u = propagate(f, Prescription(Kind.FEYNMAN, eps=eps))
@@ -154,7 +154,7 @@ def test_rotation_default_is_an_angle_with_the_kind_sign(extent):
     # sign, or sit next to the Euclidean end
     grid = GridSpec((extent, extent), (16, 16))
     f = random_band_limited(grid, seed=0)
-    xi, zt = grid.freq_mesh()
+    xi, zt = np.meshgrid(*grid.freq_axes(), indexing="ij")
     pure_time = (xi == 0.0) & (zt != 0.0)
     for kind, sign in ((Kind.FEYNMAN, 1.0), (Kind.ANTIFEYNMAN, -1.0)):
         eps = propagate(f, Prescription(kind)).meta["eps"]
@@ -180,7 +180,7 @@ def test_zero_mode_policies():
     grid = GridSpec((8.0, 8.0), (16, 16))
     eps = 0.1
     vals = np.ones((16, 16)) + 0.1 * np.cos(
-        2.0 * np.pi / 8.0 * grid.mesh()[0]
+        2.0 * np.pi / 8.0 * np.meshgrid(*grid.axes(), indexing="ij")[0]
     )
     f = SpectralField(grid, vals)
     # rotated multiplier vanishes at 0: mode projected
@@ -404,7 +404,7 @@ def test_residual_counts_the_zero_mode_exactly_where_propagate_inverts_it(proble
 
 def full_lattice_gap(grid):
     """Reference: smallest nonzero |p| by a scan of the whole lattice."""
-    zeta = grid.freq_mesh()
+    zeta = np.array(np.meshgrid(*grid.freq_axes(), indexing="ij"))
     p = np.abs(zeta[-1] ** 2 - np.sum(zeta[:-1] ** 2, axis=0))
     nz = p[p > 0]
     return float(nz.min()) if nz.size else 0.0
@@ -432,7 +432,7 @@ def test_retarded_forward_support_small_grid():
     grid = GridSpec((16.0, 16.0), (128, 128))
     f = gaussian_source(grid, width=4.0 * grid.deltas[0])
     u = propagate(f, Prescription(Kind.RETARDED, eps=0.8))
-    mesh = grid.mesh()
+    mesh = np.meshgrid(*grid.axes(), indexing="ij")
     x, t = mesh[0], mesh[1]
     collar = 3.0 * grid.deltas[0]
     outside = np.abs(x) > t + collar
@@ -455,7 +455,7 @@ def test_wick_study_constant_path():
 
 def test_wick_study_single_mode_path():
     grid = GridSpec((8.0, 8.0), (16, 16))
-    mesh = grid.mesh()
+    mesh = np.meshgrid(*grid.axes(), indexing="ij")
     zeta0 = (2.0 * np.pi / 8.0, 2.0 * 2.0 * np.pi / 8.0)
     vals = np.exp(1j * (zeta0[0] * mesh[0] + zeta0[1] * mesh[1]))
     f = SpectralField(grid, vals)
