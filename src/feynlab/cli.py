@@ -631,7 +631,7 @@ def main(argv=None) -> int:
             print(f"no *.json configs in {target}", file=sys.stderr)
             return ConfigError.exit_code
         root = args.out or os.environ.get(ENV_OUTPUT_ROOT, _DEFAULT_ROOT)
-        from concurrent.futures import ThreadPoolExecutor  # only batch mode pays for it
+        from concurrent.futures import ThreadPoolExecutor  # on use, so importing cli stays off it
 
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             results = list(

@@ -27,6 +27,7 @@ Two groups of tools share this module.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -144,6 +145,67 @@ def _sup_samples(dim: int, cutoff: float, seed: int) -> np.ndarray:
     return np.array(pts).T  # (dim, S)
 
 
+# Lattice points per row block of the w and 1/w1 evaluations (see
+# product_integral for what the blocks bound and when they run on the pool).
+_BLOCK = 2**16
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_tasks(pool, task, items) -> None:
+    """``task(item)`` for each item: in order on this thread when ``pool`` is
+    None, else on the pool under this thread's numpy error state (pool
+    threads do not inherit it), each result read so an exception raises here."""
+    if pool is None:
+        for item in items:
+            task(item)
+        return
+    err = np.geterr()
+
+    def under_caller_errstate(item):
+        with np.errstate(**err):
+            task(item)
+
+    for future in [pool.submit(under_caller_errstate, item) for item in items]:
+        future.result()
+
+
+def _level_sums(w, w1, w2, dim, r, step, seed, pool):
+    """Each probe's M+ and M- sum on the lattice of radius r, and the probes:
+    ``w`` and ``1/w1`` by row blocks into the level arrays, then one ``w2``
+    call and both sums per probe; on ``pool`` unless the lattice is one block."""
+    axis, cell = _midpoint_lattice(dim, r, step)
+    samples = _sup_samples(dim, r, seed)
+    w_samp = np.asarray(w(samples), dtype=float)
+    w1_samp = np.asarray(w1(samples), dtype=float)
+    wlat = np.empty((axis.size,) * dim)
+    inv1 = np.empty_like(wlat)
+    rows = max(_BLOCK * axis.size // wlat.size, 1)  # a row has N^(dim-1) points
+    row_p = np.empty(samples.shape[1])
+    row_m = np.empty(samples.shape[1])
+
+    def block(lo):
+        pts = np.meshgrid(axis[lo : lo + rows], *[axis] * (dim - 1), indexing="ij", sparse=True)
+        wlat[lo : lo + rows] = w(pts)
+        inv1[lo : lo + rows] = 1.0 / w1(pts)
+
+    def probe(j):
+        w2_lat = w2(np.meshgrid(*(samples[:, j, None] - axis), indexing="ij", sparse=True))
+        row_p[j] = cell * float(np.sum((w_samp[j] * inv1 / w2_lat) ** 2))
+        row_m[j] = cell * float(np.sum((wlat / w2_lat) ** 2)) / w1_samp[j] ** 2
+
+    if wlat.size <= _BLOCK:
+        pool = None
+    _run_tasks(pool, block, range(0, axis.size, rows))
+    _run_tasks(pool, probe, range(samples.shape[1]))
+    return row_p, row_m, samples
+
+
 def product_integral(
     w: WeightFunction,
     w1: WeightFunction,
@@ -184,6 +246,19 @@ def product_integral(
     sparse mesh of the axis, ``w2`` the offsets ``s_k - axis``; no
     ``(dim, N^dim)`` point stack is built.  A level sum that is not finite
     raises ``ValueError``: the growth fit cannot read it.
+
+    A level whose lattice has more than ``_BLOCK`` points (2^16) evaluates
+    ``w`` and ``1/w1`` in row blocks of about that many, then its probes, on
+    a thread pool with one worker per CPU the process may use (its affinity
+    set, else ``os.cpu_count()``); a smaller level runs on the calling
+    thread.  numpy releases the GIL in its loops, so probes overlap.  The
+    bits do not depend on the worker count: the weights are elementwise, so
+    a block holds the same values the whole lattice would, and each probe
+    runs the same two ``np.sum`` calls over the same whole level arrays,
+    its results stored by probe index.  Each task runs under the caller's
+    numpy error state; an exception in one cancels the tasks not started.
+    Peak memory is the two level arrays plus, per worker, one block's
+    weight temporaries or about two lattice-sized arrays of one probe.
     """
     if step >= 1.0:
         raise ResolutionError(f"quadrature step must be < 1, got {step}")
@@ -206,24 +281,19 @@ def product_integral(
         )
     radii = [cutoff / 2**j for j in range(levels)][::-1]
     vals_p, vals_m = [], []
-    samples = None
-    for r in radii:
-        axis, cell = _midpoint_lattice(dim, r, step)
-        pts = np.meshgrid(*[axis] * dim, indexing="ij", sparse=True)
-        samples = _sup_samples(dim, r, seed)
-        w_samp = np.asarray(w(samples), dtype=float)
-        w1_samp = np.asarray(w1(samples), dtype=float)
-        inv1 = 1.0 / w1(pts)
-        wlat = w(pts)
-        row_p = np.empty(samples.shape[1])
-        row_m = np.empty(samples.shape[1])
-        for j in range(samples.shape[1]):
-            w2_lat = w2(np.meshgrid(*(samples[:, j, None] - axis), indexing="ij", sparse=True))
-            row_p[j] = cell * float(np.sum((w_samp[j] * inv1 / w2_lat) ** 2))
-            row_m[j] = cell * float(np.sum((wlat / w2_lat) ** 2)) / w1_samp[j] ** 2
-            del w2_lat  # freed before the next probe's w2 call, the memory peak
-        vals_p.append(row_p)
-        vals_m.append(row_m)
+    pool = None
+    if _midpoint_lattice(dim, cutoff, step)[0].size ** dim > _BLOCK:  # the largest level
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(_usable_cpus())
+    try:
+        for r in radii:
+            row_p, row_m, samples = _level_sums(w, w1, w2, dim, r, step, seed, pool)
+            vals_p.append(row_p)
+            vals_m.append(row_m)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     if len({len(row) for row in vals_p}) != 1:  # pragma: no cover
         raise ResolutionError("sample ladder not aligned across dyadic levels")
     vals_p = np.array(vals_p)  # (levels, probes)

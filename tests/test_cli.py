@@ -829,7 +829,7 @@ GOLDEN_SWEEP_2D = {
 }
 
 
-def check_sweep_run(out, manifest, exponents, digests):
+def check_sweep_run(out, exponents, digests):
     with (out / "product_check.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     got = {
@@ -841,15 +841,38 @@ def check_sweep_run(out, manifest, exponents, digests):
         assert abs(got[key] - exponent) <= SWEEP_TOL, key
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
-    assert dict(manifest.files) == digests
+    files = read_strict_json(out / "manifest.json")["files"]
+    assert {f["name"]: f["sha256"] for f in files} == digests
 
 
 def test_product_check_golden_bytes(tmp_path):
-    check_sweep_run(*run_dict(tmp_path, SWEEP_1D), SWEEP_ROWS, GOLDEN_SWEEP)
+    check_sweep_run(run_dict(tmp_path, SWEEP_1D)[0], SWEEP_ROWS, GOLDEN_SWEEP)
 
 
 def test_product_check_2d_golden_bytes(tmp_path):
-    check_sweep_run(*run_dict(tmp_path, SWEEP_2D), SWEEP_2D_ROWS, GOLDEN_SWEEP_2D)
+    check_sweep_run(run_dict(tmp_path, SWEEP_2D)[0], SWEEP_2D_ROWS, GOLDEN_SWEEP_2D)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_product_check_2d_bytes_do_not_depend_on_the_worker_count(tmp_path):
+    # product_integral sizes its thread pool to the CPUs the process may use;
+    # a child pinned to one CPU runs the pool with one worker and must write
+    # the same bytes as the default run above
+    p = write_config(tmp_path / "sweep.json", SWEEP_2D)
+    script = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from feynlab import cli, orders\n"
+        "assert orders._usable_cpus() == 1\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "--config", str(p), "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    check_sweep_run(tmp_path / "o", SWEEP_2D_ROWS, GOLDEN_SWEEP_2D)
 
 
 def reference_field_csv(field) -> str:
@@ -1124,6 +1147,9 @@ EDGE_RUNS = {
         3, "propagate", {"kind": "feynman", "source": {"type": "gaussian", "width": 1e-300}}
     ),
     "margin": edge(2, "product-check", {"margin": 1e300}),
+    "margin-2d": edge(
+        2, "product-check", {"dims": [2], "rules": ["cone-product"], "margin": 1e300}
+    ),
     "eps": edge(2, "propagate", {"kind": "retarded", "eps": 1e200}),
     "wick-eps": edge(2, "wick", {"eps": 1.6}),
     "flow-tol": edge(2, "flow", dict(FLOW_EDGE, tol=1e-15)),

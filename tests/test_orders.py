@@ -3,11 +3,14 @@ Schur measurements."""
 
 import hashlib
 import math
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
+from feynlab import orders
 from feynlab.bichar import flow, random_null_rays
 from feynlab.errors import DimensionError, ResolutionError
 from feynlab.orders import (
@@ -377,11 +380,12 @@ def test_schur_rejects_non_finite_level_sums():
 
 
 class _Counting:
-    """Records the shapes of the coordinate arrays each call of a weight gets
-    (the rows of a stacked array); the list field survives a frozen class."""
+    """Records the coordinate arrays each call of a weight gets (the rows of
+    a stacked array); the list field survives a frozen class, and pool
+    threads may append to it."""
 
     def __call__(self, xi):
-        self.calls.append(tuple(np.shape(x) for x in xi))
+        self.calls.append(tuple(np.array(x, dtype=float) for x in xi))
         return super().__call__(xi)
 
 
@@ -401,23 +405,81 @@ class CountingCone(_Counting, ConeWeight):
 
 
 @pytest.mark.parametrize(
-    "w2", [CountingIso(2, 1.1), CountingSplit(2, 1, 0.8, 0.7)], ids=["iso", "split"]
+    "w2,plain_w2",
+    [(CountingIso(2, 1.1), IsoWeight(2, 1.1)),
+     (CountingSplit(2, 1, 0.8, 0.7), SplitWeight(2, 1, 0.8, 0.7))],
+    ids=["iso", "split"],
 )
-def test_schur_w2_calls_per_probe(w2):
-    # one w2 evaluation per probe and level serves both sums, and every
-    # weight gets per-axis coordinates: no argument of w, w1 or w2 is a
-    # dense stack whose rows hold the lattice's N^2 points
-    levels, cutoff, step = 3, 32.0, 0.5
+def test_schur_w2_calls_per_probe(w2, plain_w2):
+    # the 128^2 and 256^2 levels are one row block of w and w1 each, run on
+    # the caller's thread, and the 512^2 top level four, run on the pool:
+    # each level's blocks cover its rows once, one w2 evaluation per probe
+    # and level serves both sums, every weight gets per-axis coordinates (no
+    # argument is a dense stack of a lattice's N^2 points), and the levels
+    # keep the bits of the two-call reference
+    levels, cutoff, step = 3, 128.0, 0.5
     w, w1 = CountingCone(2, 0.6, 1.4, 0.15, 0.4), CountingIso(2, 0.8)
     res = product_integral(w, w1, w2, 2, cutoff, step=step, levels=levels)
-    assert len(w2.calls) == levels * len(res.sup_samples)
-    assert len(w.calls) == len(w1.calls) == 2 * levels  # the samples, the lattice
+    probes = len(res.sup_samples)
+    assert len(w2.calls) == levels * probes
+    for weight in (w, w1):
+        # per level, in the caller's order: the samples, then the lattice blocks
+        starts = [i for i, c in enumerate(weight.calls) if c[0].shape == (probes,)]
+        assert len(starts) == levels and starts[0] == 0
+        ends = starts[1:] + [len(weight.calls)]
+        blocks = [weight.calls[i + 1 : end] for i, end in zip(starts, ends)]
+        assert [len(b) for b in blocks] == [1, 1, 4]
+        for r, level in zip(res.cutoffs, blocks):
+            axis = _midpoint_lattice(2, r, step)[0]
+            rows = np.concatenate([x0.ravel() for x0, _ in level])
+            assert np.array_equal(np.sort(rows), axis)
+            for x0, x1 in level:
+                assert x0.shape[1] == 1 and x1.shape == (1, axis.size)
+                assert np.array_equal(x1.ravel(), axis)
     smallest = round(2.0 * res.cutoffs[0] / step)  # points an axis, lowest level
-    for shapes in w.calls + w1.calls + w2.calls:
-        assert len(shapes) == 2
-        assert all(math.prod(shape) < smallest**2 for shape in shapes)
-    for shapes in w2.calls:
-        assert all(sum(n > 1 for n in shape) == 1 for shape in shapes)
+    for coords in w.calls + w1.calls + w2.calls:
+        assert len(coords) == 2
+        assert all(x.size < smallest**2 for x in coords)
+    for coords in w2.calls:
+        assert all(sum(n > 1 for n in x.shape) == 1 for x in coords)
+    plain = (ConeWeight(2, 0.6, 1.4, 0.15, 0.4), IsoWeight(2, 0.8), plain_w2)
+    ref_p, ref_m = reference_schur_levels(*plain, 2, cutoff, step, levels, 0)
+    assert np.array_equal(res.M_plus_levels, ref_p.max(axis=1))
+    assert np.array_equal(res.M_minus_levels, ref_m.max(axis=1))
+
+
+class _Boom(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class BoomIso(IsoWeight):
+    """Raises on the offsets of a 512-point axis: in a probe task on the pool."""
+
+    def __call__(self, xi):
+        if np.size(xi[0]) == 512:
+            raise _Boom
+        return super().__call__(xi)
+
+
+def test_schur_pool_with_more_workers_than_cores(monkeypatch):
+    # eight workers switching every microsecond write the same bits as the
+    # default pool; an exception in a pool task raises from product_integral
+    # itself, after the pool's threads have ended
+    args = (ConeWeight(2, 0.6, 1.4, 0.15, 0.4), IsoWeight(2, 0.8), IsoWeight(2, 1.1), 2, 128.0)
+    want = product_integral(*args, levels=3)
+    monkeypatch.setattr(orders, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = product_integral(*args, levels=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    threads = set(threading.enumerate())
+    with pytest.raises(_Boom):
+        product_integral(*args[:2], BoomIso(2, 1.1), *args[3:], levels=3)
+    assert set(threading.enumerate()) <= threads
 
 
 # --- predicate vs measurement sweep --------------------------------------
