@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -146,8 +147,22 @@ def _sup_samples(dim: int, cutoff: float, seed: int) -> np.ndarray:
 
 
 # Lattice points per row block of the w and 1/w1 evaluations (see
-# product_integral for what the blocks bound and when they run on the pool).
+# product_integral for what the blocks bound).
 _BLOCK = 2**16
+
+# The one thread pool every product_integral call submits to, made on first
+# use; concurrent calls (batch runs with --threads) share its workers.
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool() -> None:
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)  # a forked child has no pool threads
 
 
 def _usable_cpus() -> int:
@@ -157,28 +172,47 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_tasks(pool, task, items) -> None:
-    """``task(item)`` for each item: in order on this thread when ``pool`` is
-    None, else on the pool under this thread's numpy error state (pool
-    threads do not inherit it), each result read so an exception raises here."""
-    if pool is None:
-        for item in items:
-            task(item)
-        return
+def _shared_pool():
+    """The module's pool, with one worker per CPU usable when it is made."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            # imported on use, so importing feynlab stays off it
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="schur")
+        return _POOL
+
+
+def _run_tasks(task, items) -> None:
+    """``task(item)`` for each item on the shared pool, under this thread's
+    numpy error state (pool threads do not inherit it).  Returns once every
+    task has run; on an exception or interrupt it cancels the tasks not
+    started, waits for the running ones and raises it here."""
+    from concurrent.futures import wait
+
     err = np.geterr()
 
     def under_caller_errstate(item):
         with np.errstate(**err):
             task(item)
 
-    for future in [pool.submit(under_caller_errstate, item) for item in items]:
-        future.result()
+    pool = _shared_pool()
+    futures = [pool.submit(under_caller_errstate, item) for item in items]
+    try:
+        for future in futures:
+            future.result()
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        raise
 
 
-def _level_sums(w, w1, w2, dim, r, step, seed, pool):
+def _level_sums(w, w1, w2, dim, r, step, seed):
     """Each probe's M+ and M- sum on the lattice of radius r, and the probes:
     ``w`` and ``1/w1`` by row blocks into the level arrays, then one ``w2``
-    call and both sums per probe; on ``pool`` unless the lattice is one block."""
+    call and both sums per probe, all on the shared pool."""
     axis, cell = _midpoint_lattice(dim, r, step)
     samples = _sup_samples(dim, r, seed)
     w_samp = np.asarray(w(samples), dtype=float)
@@ -199,10 +233,8 @@ def _level_sums(w, w1, w2, dim, r, step, seed, pool):
         row_p[j] = cell * float(np.sum((w_samp[j] * inv1 / w2_lat) ** 2))
         row_m[j] = cell * float(np.sum((wlat / w2_lat) ** 2)) / w1_samp[j] ** 2
 
-    if wlat.size <= _BLOCK:
-        pool = None
-    _run_tasks(pool, block, range(0, axis.size, rows))
-    _run_tasks(pool, probe, range(samples.shape[1]))
+    _run_tasks(block, range(0, axis.size, rows))
+    _run_tasks(probe, range(samples.shape[1]))
     return row_p, row_m, samples
 
 
@@ -247,17 +279,17 @@ def product_integral(
     ``(dim, N^dim)`` point stack is built.  A level sum that is not finite
     raises ``ValueError``: the growth fit cannot read it.
 
-    A level whose lattice has more than ``_BLOCK`` points (2^16) evaluates
-    ``w`` and ``1/w1`` in row blocks of about that many, then its probes, on
-    a thread pool with one worker per CPU the process may use (its affinity
-    set, else ``os.cpu_count()``); a smaller level runs on the calling
-    thread.  numpy releases the GIL in its loops, so probes overlap.  The
-    bits do not depend on the worker count: the weights are elementwise, so
-    a block holds the same values the whole lattice would, and each probe
-    runs the same two ``np.sum`` calls over the same whole level arrays,
-    its results stored by probe index.  Each task runs under the caller's
-    numpy error state; an exception in one cancels the tasks not started.
-    Peak memory is the two level arrays plus, per worker, one block's
+    Each level evaluates ``w`` and ``1/w1`` in row blocks of about
+    ``_BLOCK`` points (2^16), then its probes, on one thread pool that all
+    calls in the process share, made on first use with one worker per CPU
+    the process may use (its affinity set, else ``os.cpu_count()``).
+    numpy releases the GIL in its loops, so probes overlap.  The bits do not
+    depend on the worker count: the weights are elementwise, so a block
+    holds the same values the whole lattice would, and each probe runs the
+    same two ``np.sum`` calls over the same whole level arrays, its results
+    stored by probe index.  Each task runs under the caller's numpy error
+    state; an exception in one cancels the tasks not started.  Peak memory
+    is each running call's two level arrays plus, per worker, one block's
     weight temporaries or about two lattice-sized arrays of one probe.
     """
     if step >= 1.0:
@@ -281,19 +313,10 @@ def product_integral(
         )
     radii = [cutoff / 2**j for j in range(levels)][::-1]
     vals_p, vals_m = [], []
-    pool = None
-    if _midpoint_lattice(dim, cutoff, step)[0].size ** dim > _BLOCK:  # the largest level
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(_usable_cpus())
-    try:
-        for r in radii:
-            row_p, row_m, samples = _level_sums(w, w1, w2, dim, r, step, seed, pool)
-            vals_p.append(row_p)
-            vals_m.append(row_m)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for r in radii:
+        row_p, row_m, samples = _level_sums(w, w1, w2, dim, r, step, seed)
+        vals_p.append(row_p)
+        vals_m.append(row_m)
     if len({len(row) for row in vals_p}) != 1:  # pragma: no cover
         raise ResolutionError("sample ladder not aligned across dyadic levels")
     vals_p = np.array(vals_p)  # (levels, probes)

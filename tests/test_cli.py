@@ -853,28 +853,6 @@ def test_product_check_2d_golden_bytes(tmp_path):
     check_sweep_run(run_dict(tmp_path, SWEEP_2D)[0], SWEEP_2D_ROWS, GOLDEN_SWEEP_2D)
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
-def test_product_check_2d_bytes_do_not_depend_on_the_worker_count(tmp_path):
-    # product_integral sizes its thread pool to the CPUs the process may use;
-    # a child pinned to one CPU runs the pool with one worker and must write
-    # the same bytes as the default run above
-    p = write_config(tmp_path / "sweep.json", SWEEP_2D)
-    script = (
-        "import os, sys\n"
-        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        "from feynlab import cli, orders\n"
-        "assert orders._usable_cpus() == 1\n"
-        "sys.exit(cli.main(sys.argv[1:]))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "--config", str(p), "--out", str(tmp_path / "o")],
-        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    check_sweep_run(tmp_path / "o", SWEEP_2D_ROWS, GOLDEN_SWEEP_2D)
-
-
 def reference_field_csv(field) -> str:
     """The per-element writer the streamed one replaced: one list of
     np.float64 per grid point, formatted by csv.writer."""

@@ -3,8 +3,11 @@ Schur measurements."""
 
 import hashlib
 import math
+import os
+import signal
 import sys
 import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -411,12 +414,12 @@ class CountingCone(_Counting, ConeWeight):
     ids=["iso", "split"],
 )
 def test_schur_w2_calls_per_probe(w2, plain_w2):
-    # the 128^2 and 256^2 levels are one row block of w and w1 each, run on
-    # the caller's thread, and the 512^2 top level four, run on the pool:
-    # each level's blocks cover its rows once, one w2 evaluation per probe
-    # and level serves both sums, every weight gets per-axis coordinates (no
-    # argument is a dense stack of a lattice's N^2 points), and the levels
-    # keep the bits of the two-call reference
+    # the 128^2 and 256^2 levels are one row block of w and w1 each and the
+    # 512^2 top level four, all run on the pool: each level's blocks cover
+    # its rows once, one w2 evaluation per probe and level serves both sums,
+    # every weight gets per-axis coordinates (no argument is a dense stack of
+    # a lattice's N^2 points), and the levels keep the bits of the two-call
+    # reference
     levels, cutoff, step = 3, 128.0, 0.5
     w, w1 = CountingCone(2, 0.6, 1.4, 0.15, 0.4), CountingIso(2, 0.8)
     res = product_integral(w, w1, w2, 2, cutoff, step=step, levels=levels)
@@ -448,8 +451,90 @@ def test_schur_w2_calls_per_probe(w2, plain_w2):
     assert np.array_equal(res.M_minus_levels, ref_m.max(axis=1))
 
 
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """product_integral makes its shared pool anew, sized by the test's
+    _usable_cpus; the pool is shut down afterwards."""
+    monkeypatch.setattr(orders, "_POOL", None)
+    yield
+    if orders._POOL is not None:
+        orders._POOL.shutdown()
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_schur_bits_do_not_depend_on_the_worker_count(fresh_pool, monkeypatch, workers):
+    # one worker, and eight switching every microsecond, write the same bits
+    # as the default pool on a multi-block lattice
+    args = (ConeWeight(2, 0.6, 1.4, 0.15, 0.4), IsoWeight(2, 0.8), IsoWeight(2, 1.1), 2, 128.0)
+    want = product_integral(*args, levels=3)
+    orders._POOL.shutdown()
+    monkeypatch.setattr(orders, "_POOL", None)
+    monkeypatch.setattr(orders, "_usable_cpus", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = product_integral(*args, levels=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert orders._POOL._max_workers == workers
+    assert got == want
+
+
+def test_usable_cpus_reads_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(orders.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert orders._usable_cpus() == 1
+    monkeypatch.delattr(orders.os, "sched_getaffinity")
+    monkeypatch.setattr(orders.os, "cpu_count", lambda: 5)
+    assert orders._usable_cpus() == 5
+
+
 class _Boom(Exception):
     pass
+
+
+def test_schur_pool_task_error_cancels_the_tasks_not_started(fresh_pool, monkeypatch):
+    # with one worker, task 0 raises while task 1 may be running; the tasks
+    # behind them never start, the error raises from the caller, and the
+    # shared pool serves the next call
+    monkeypatch.setattr(orders, "_usable_cpus", lambda: 1)
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        if i == 0:
+            raise _Boom
+        time.sleep(0.2)
+
+    with pytest.raises(_Boom):
+        orders._run_tasks(task, range(10))
+    assert set(ran) <= {0, 1}
+    orders._run_tasks(ran.append, [7])
+    assert ran[-1] == 7
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_schur_pool_is_made_anew_in_a_forked_child(fresh_pool, monkeypatch):
+    # a forked child has none of the parent's pool threads; on the parent's
+    # pool, whose one worker thread exists, its tasks would wait forever
+    monkeypatch.setattr(orders, "_usable_cpus", lambda: 1)
+    orders._run_tasks(lambda i: None, range(2))
+    pid = os.fork()
+    if pid == 0:
+        ran = []
+        try:
+            orders._run_tasks(ran.append, range(3))
+        finally:
+            os._exit(0 if sorted(ran) == [0, 1, 2] else 1)
+    for _ in range(300):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's tasks did not run in 30 s")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 @dataclass(frozen=True)
@@ -462,24 +547,15 @@ class BoomIso(IsoWeight):
         return super().__call__(xi)
 
 
-def test_schur_pool_with_more_workers_than_cores(monkeypatch):
-    # eight workers switching every microsecond write the same bits as the
-    # default pool; an exception in a pool task raises from product_integral
-    # itself, after the pool's threads have ended
-    args = (ConeWeight(2, 0.6, 1.4, 0.15, 0.4), IsoWeight(2, 0.8), IsoWeight(2, 1.1), 2, 128.0)
-    want = product_integral(*args, levels=3)
+def test_schur_error_in_a_probe_raises_from_product_integral(fresh_pool, monkeypatch):
+    # every top-level probe raises on the pool; product_integral raises it
+    # and leaves no thread beyond the pool's workers
     monkeypatch.setattr(orders, "_usable_cpus", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = product_integral(*args, levels=3)
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == want
+    args = (ConeWeight(2, 0.6, 1.4, 0.15, 0.4), IsoWeight(2, 0.8))
     threads = set(threading.enumerate())
     with pytest.raises(_Boom):
-        product_integral(*args[:2], BoomIso(2, 1.1), *args[3:], levels=3)
-    assert set(threading.enumerate()) <= threads
+        product_integral(*args, BoomIso(2, 1.1), 2, 128.0, levels=3)
+    assert len(set(threading.enumerate()) - threads) <= 8
 
 
 # --- predicate vs measurement sweep --------------------------------------
