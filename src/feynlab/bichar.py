@@ -97,15 +97,11 @@ def _sphere_jacobian(chart: int, y: np.ndarray) -> np.ndarray:
 
 
 def _chart_transition(y: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Move (y, eta) to the opposite stereographic chart (y -> y/|y|^2)."""
-    y = np.asarray(y, dtype=float)
-    eta = np.asarray(eta, dtype=float)
+    """Move (y, eta), float arrays, to the opposite stereographic chart (y -> y/|y|^2)."""
     r2 = float(y @ y)
-    ynew = y / r2
-    # eta transforms by the transpose Jacobian of y(y') = y'/|y'|^2:
-    # d y_i / d y'_j = r2 delta_ij - 2 y_i y_j, symmetric
-    J = r2 * np.eye(y.size) - 2.0 * np.outer(y, y)
-    return ynew, J @ eta
+    # eta transforms by the transpose Jacobian of y(y') = y'/|y'|^2, the
+    # symmetric d y_i / d y'_j = r2 delta_ij - 2 y_i y_j, applied unassembled
+    return y / r2, r2 * eta - 2.0 * float(y @ eta) * y
 
 
 # --- public types --------------------------------------------------------
@@ -257,18 +253,20 @@ def _to_latitude(z: np.ndarray, zeta: np.ndarray):
 
 
 def _from_latitude(r: float, w: float, sq: float, chart: int, y: np.ndarray, fib: np.ndarray):
-    """Invert _to_latitude where sq > 0: (z, zeta) from the latitude point and raw fiber."""
-    n = y.size + 2
+    """Invert _to_latitude where sq > 0: (z, zeta) from the latitude point and raw fiber.
+
+    zeta pairs with z to -sigma, with dz/dw = r (-w omega/sq, 1) to gamma_w and with
+    r sq (d omega/dy_i, 0) to eta_i.  As |omega| = 1 and sq^2 + w^2 = 1, these rows are
+    orthogonal, of squared lengths r^2, r^2/sq^2 and (2 r sq/d)^2 (d = 1 + |y|^2), so
+    zeta, the solution of that system, sums each row times its entry over its squared length.
+    """
     omega = _sphere_point(chart, y)
     z = np.concatenate((r * sq * omega, [r * w]))
-    # rows of J^T: derivatives of z along (log r, w, y_i)
-    Jt = np.zeros((n, n))
-    Jt[0] = z
-    Jt[1, :-1] = -r * w * omega / sq
-    Jt[1, -1] = r
-    Jt[2:, :-1] = r * sq * _sphere_jacobian(chart, y)
-    rhs = np.concatenate(([-fib[0]], fib[1:]))
-    return z, np.linalg.solve(Jt, rhs)
+    a, b = -fib[0] / r, sq * fib[1] / r  # along z/r and (-w omega, sq)
+    d = 1.0 + float(y @ y)
+    zeta = np.concatenate(((a * sq - b * w) * omega, [a * w + b * sq]))
+    zeta[:-1] += d * d / (4.0 * r * sq) * (_sphere_jacobian(chart, y).T @ fib[2:])
+    return z, zeta
 
 
 def _latitude(pt: BCotangentPoint):

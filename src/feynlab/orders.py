@@ -94,8 +94,9 @@ class ProductIntegralResult:
     tuples the estimates at each, so the last entries are the estimates at
     the largest cutoff.  The growth exponent is the smaller of the two
     log-log slopes, since a single finite quantity suffices for the product
-    estimate; with fewer than three levels there is no fit, the exponent is
-    NaN and ``finite`` is False.
+    estimate.  Each slope is an end-point slope on dyadic radii, exactly
+    their least-squares fit; with fewer than three levels there is no fit,
+    the exponent is NaN and ``finite`` is False.
     """
 
     growth_exponent: float
@@ -127,8 +128,8 @@ def _sup_samples(dim: int, cutoff: float, seed: int) -> np.ndarray:
     which keeps the level sequence of sup estimates monotone.
     """
     ladder = 2.0 ** -np.arange(6)
-    dirs = [np.eye(dim)[i] for i in range(dim)]
-    dirs += [-np.eye(dim)[0]]
+    dirs = [(np.arange(dim) == i).astype(float) for i in range(dim)]
+    dirs += [-dirs[0]]
     dirs += [np.full(dim, 1.0 / math.sqrt(dim))]
     rng = np.random.default_rng(seed)
     rnd = rng.standard_normal((4, dim))
@@ -256,14 +257,15 @@ def product_integral(
     computation is repeated on dyadic radii R = cutoff/2^j, j < levels, with
     the sample construction deterministic so each sample index is a probe
     whose point scales with the level radius.  The growth exponent of a
-    quantity is fitted in log-log on the dyadic increments of each probe's
-    level sequence and the worst significant probe is reported: differencing
-    cancels any limit constant, so a bounded quantity shows its (negative)
-    tail exponent and an unbounded one its growth rate, and a growing branch
-    cannot hide behind a larger saturating one the way it can in a direct
-    fit of the max.  The reported exponent is the smaller of the two
-    quantities' exponents, since one finite quantity suffices for the
-    product estimate.
+    quantity is the log-log slope of the top (up to three) dyadic increments
+    of each probe's level sequence, for the worst significant probe: the
+    end-point slope, which on log-radii ln 2 apart is exactly the
+    least-squares fit.  Differencing cancels any limit constant, so a
+    bounded quantity shows its (negative) tail exponent and an unbounded one
+    its growth rate, and a growing branch cannot hide behind a larger
+    saturating one the way it can in a direct fit of the max.  The reported
+    exponent is the smaller of the two quantities' exponents, since one
+    finite quantity suffices for the product estimate.
 
     Each probe ``s`` needs ``w2(s - pts)`` for M+ and ``w2(pts - s)`` for
     M-.  ``w2`` must be an even weight, an :class:`IsoWeight` or a
@@ -276,8 +278,9 @@ def product_integral(
     The lattice is the dim-fold product of one axis, so every weight gets
     per-axis coordinates (see :mod:`feynlab.weights`): ``w`` and ``w1`` the
     sparse mesh of the axis, ``w2`` the offsets ``s_k - axis``; no
-    ``(dim, N^dim)`` point stack is built.  A level sum that is not finite
-    raises ``ValueError``: the growth fit cannot read it.
+    ``(dim, N^dim)`` point stack is built.  Each level is checked as it is
+    summed: a sum that is not finite, which the growth fit cannot read,
+    raises ``ValueError`` naming the radius, before a larger level runs.
 
     Each level evaluates ``w`` and ``1/w1`` in row blocks of about
     ``_BLOCK`` points (2^16), then its probes, on one thread pool that all
@@ -315,6 +318,9 @@ def product_integral(
     vals_p, vals_m = [], []
     for r in radii:
         row_p, row_m, samples = _level_sums(w, w1, w2, dim, r, step, seed)
+        if not (np.isfinite(row_p).all() and np.isfinite(row_m).all()):
+            raise ValueError(f"Schur sums not finite on the lattice of radius {r}: "
+                             f"M+ {row_p.max()}, M- {row_m.max()}")
         vals_p.append(row_p)
         vals_m.append(row_m)
     if len({len(row) for row in vals_p}) != 1:  # pragma: no cover
@@ -323,11 +329,6 @@ def product_integral(
     vals_m = np.array(vals_m)
     mp_levels = vals_p.max(axis=1)
     mm_levels = vals_m.max(axis=1)
-    if not (np.isfinite(mp_levels).all() and np.isfinite(mm_levels).all()):
-        raise ValueError(
-            f"Schur sums not finite on the lattice: M+ levels {mp_levels.tolist()}, "
-            f"M- levels {mm_levels.tolist()}"
-        )
 
     # Exponent probes: a probe whose point sits deep inside the lattice is
     # still climbing out of the <xi> ~ 1 core and carries a pure point-motion
@@ -348,9 +349,8 @@ def product_integral(
         )
         if not np.any(live):
             return -10.0
-        lr = np.log(radii[-top:])
-        slopes = np.polyfit(lr, np.log(inc[-top:, live]), 1)[0]
-        return float(np.max(slopes))
+        logs = np.log(inc[-top:, live])
+        return float(np.max((logs[-1] - logs[0]) / ((top - 1) * math.log(2.0))))
 
     if levels >= 3:
         ep = _probe_exponent(vals_p)

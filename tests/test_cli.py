@@ -804,7 +804,7 @@ SWEEP_ROWS = {
 }
 GOLDEN_SWEEP = {
     "product-check.json": "e150313aa2e0230da9a4a6ae8aa1abd3c25dbc06cc68ff314d9d115080d0ce40",
-    "product_check.csv": "31a17507240cac4a60fea3a95f31a4d258689d0b92b6a2c093a7220bab3da585",
+    "product_check.csv": "1f1a0c7f3426d01917f0f5e8004ff611bbf02f3bfe48fe5a1bd5e572d824a504",
 }
 
 
@@ -825,7 +825,7 @@ SWEEP_2D_ROWS = {
 }
 GOLDEN_SWEEP_2D = {
     "product-check.json": "772c1a640ae297a9fd8cbdd93466020e00028e67fdfe2610192fa01019b82feb",
-    "product_check.csv": "e485b91cbd50f511bff9681a6f115a92f93541f9c9e4f484079b911d5abe4118",
+    "product_check.csv": "80ae8f0ac94b1c1f1c8484d58ec30f547d14317ad54ccc4becbbfa29c16ec3b9",
 }
 
 
@@ -851,6 +851,30 @@ def test_product_check_golden_bytes(tmp_path):
 
 def test_product_check_2d_golden_bytes(tmp_path):
     check_sweep_run(run_dict(tmp_path, SWEEP_2D)[0], SWEEP_2D_ROWS, GOLDEN_SWEEP_2D)
+
+
+def openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernels at run time,
+    so that OPENBLAS_CORETYPE selects another core's."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not openblas_dynamic_arch(), reason="needs OpenBLAS with DYNAMIC_ARCH")
+def test_product_check_bytes_do_not_depend_on_the_blas_core(tmp_path):
+    # no BLAS or LAPACK call is left in product_integral, so the 1-D sweep
+    # writes the same bytes on OpenBLAS's Haswell kernels in a child process
+    p = write_config(tmp_path / "sweep.json", SWEEP_1D)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE="Haswell")
+    proc = subprocess.run(
+        [sys.executable, "-m", "feynlab.cli", "--config", str(p), "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name, digest in GOLDEN_SWEEP.items():
+        assert hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest() == digest
 
 
 def reference_field_csv(field) -> str:

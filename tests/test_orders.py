@@ -337,8 +337,8 @@ def check_golden_row(rule, threshold, offset, res):
 # sha256 over the little-endian float64 M+ levels, M- levels and growth
 # exponent of each 2-D plan row, in plan order, at cutoff 32 with 3 levels
 GOLDEN_FLAT_2D = {
-    0.1: "d4c31a136a73c661d63275b52ac915fde26315c21ef152ca1f9e80879c9dbc8b",
-    -0.1: "99fa43af171e1a25c0cd9138e15205bb551db03dffa0a598a3671b57e6db000f",
+    0.1: "9079e2b735801562b9f0f162d7bb9dc96bbdf0090ea4262f4854f14260248a67",
+    -0.1: "3ff2d58400c9f804f928bf992fbca8a0e85e9f003df12f1e5d393fac87c1eb1a",
 }
 
 
@@ -373,13 +373,24 @@ def test_schur_rejects_a_w2_that_is_not_iso_or_split(w2):
         product_integral(IsoWeight(2, 1.2), IsoWeight(2, 0.8), w2, 2, 32.0, levels=3)
 
 
-def test_schur_rejects_non_finite_level_sums():
+def test_schur_rejects_non_finite_level_sums(monkeypatch):
     # 50 past the sum threshold the weight quotient overflows; a level of
-    # infinite sums has no growth increments to fit
+    # infinite sums has no growth increments to fit.  The sums first
+    # overflow at radius 1024, and the run stops there, without summing the
+    # two larger levels
     params = _sweep_params("cone-product", 1, "sum", -50.0)
     weights = rule_flat_model("cone-product", params, 1)
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+    radii = []
+
+    def spy(w, w1, w2, dim, r, *args, _fn=orders._level_sums):
+        radii.append(r)
+        return _fn(w, w1, w2, dim, r, *args)
+
+    monkeypatch.setattr(orders, "_level_sums", spy)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite") as err:
         product_integral(*weights, 1, 4096.0, step=0.5, levels=5)
+    assert radii == [256.0, 512.0, 1024.0]
+    assert "radius 1024.0" in str(err.value)
 
 
 class _Counting:
