@@ -1,45 +1,43 @@
-"""Dormand-Prince 8(5,3) with 7th-order dense output and terminal events.
+"""Dormand-Prince 8(5,3) with 7th-order dense output and terminal events,
+for an ensemble of autonomous systems.
 
 The explicit Runge-Kutta pair of Dormand and Prince (1980) in the form of
 Hairer, Norsett and Wanner, *Solving Ordinary Differential Equations I*,
 sections II.4-II.6: twelve stages per step, an error estimate that blends
 the 5th- and 3rd-order embedded solutions, and a 7th-order interpolant from
 three extra stages per accepted step.  The coefficients are those of
-Hairer's DOP853 as SciPy 1.17 carries them.  The rules:
+Hairer's DOP853 as SciPy 1.17 carries them.  The rules, per leg:
 
-- the first step from the two-evaluation estimate of section II.4 (RMS
-  norms, order 7);
+- a segment's first step from the estimate of section II.4 (RMS norms);
 - the step factor 0.9 * err^(-1/8), clipped to [0.2, 10], and to at most 1
-  right after a rejection;
-- a step shorter than ten spacings of t fails, and so does a step size that
-  is not a number (a right-hand side that returns NaN); a non-finite start
-  is a ValueError;
-- rtol below 100 * EPS is raised to it, with a warning;
+  right after a rejection; rtol below 100 * EPS is raised to it, with a
+  warning;
+- a step shorter than ten spacings of t fails, and so does a NaN step size
+  (a right-hand side that returns NaN), and an event search on a NaN event
+  value, on no sign change over the step or on no convergence in 100
+  iterations; a non-finite start is a ValueError;
 - a segment costs 2 evaluations for the first step, 15 per accepted step
-  (12 stages and 3 for the dense output) and 12 per rejected one, and it
-  counts both;
+  (12 stages and 3 for the dense output) and 12 per rejected one;
 - a time reads the step clip(searchsorted(d * ts, d * t, "left") - 1, 0,
   steps - 1), d the sign of the integration: a step boundary reads the
   earlier step, and the end steps extrapolate;
 - every event is terminal; it fires where its value changes sign in its
-  direction over a step, and is located on the step's interpolant by
-  regula falsi with the Illinois rule (Dowell and Jarratt 1971) to a
-  bracket of 4 * EPS * (1 + |t|); the earliest root in the direction of
-  integration ends the segment, the lower event index on a tie, and a root
-  on the previous step's end drops the last step.
+  direction over a step, located on the step's interpolant by regula falsi
+  with the Illinois rule (Dowell and Jarratt 1971) to a bracket of
+  4 * EPS * (1 + |t|); the earliest root in the direction of integration
+  ends the segment, the lower event index on a tie, and a root on the
+  previous step's end drops the last step.
 
-An event search fails with StiffnessError on a NaN event value, on no sign
-change over the step and on no convergence in 100 iterations: the
-integration failed, the input did not.
-
-The bit rule, which lets the per-step arithmetic here and in the right-hand
-sides of bichar be rewritten for speed without moving a digest: every dot
-product stays numpy's (``x.dot(y)``, BLAS ``ddot``/``dgemv``; a Python sum
-rounds differently, since BLAS uses FMA), scalar arithmetic runs on Python
-floats in the same order of operations as the numpy expression it replaces,
-and a square stays a power (``x ** 2`` is libm ``pow`` for a numpy scalar
-and a float alike, and it differs from ``x * x`` in the last place now and
-then).
+The ensemble.  The legs are the rows of one (legs, state) array.  Each
+round, every running leg attempts one step of its own size, with its own
+acceptance, events and counters.  A leg's kind picks its right-hand side,
+events and state size; a row is zero past its size.  At the end of a
+segment a callback ends the leg or starts its next segment, of any kind; a
+failed leg ends, and the others go on.  The ensemble rule: every sum over
+a state or over the stages is an ordered_sum, each other operation on the
+arrays an elementwise ufunc, and the step factor's power runs in math on
+one leg's float.  No BLAS routine runs, so a leg's bits do not depend on
+the legs beside it, on numpy's SIMD width or on the BLAS core.
 """
 
 from __future__ import annotations
@@ -53,23 +51,12 @@ from .errors import StiffnessError
 
 EPS = np.finfo(float).eps
 _STAGES = 12
-
-C = np.array([0.0,
-              0.526001519587677318785587544488e-01,
-              0.789002279381515978178381316732e-01,
-              0.118350341907227396726757197510,
-              0.281649658092772603273242802490,
-              0.333333333333333333333333333333,
-              0.25,
-              0.307692307692307692307692307692,
-              0.651282051282051282051282051282,
-              0.6,
-              0.857142857142857142857142857142,
-              1.0,
-              1.0,
-              0.1,
-              0.2,
-              0.777777777777777777777777777778])
+# the nodes, part of the tableau but not of a step: every system here is autonomous
+C = np.array([0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+              0.118350341907227396726757197510, 0.281649658092772603273242802490,
+              0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+              0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
+              1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778])
 
 # rows 0-11 are the stages, row 12 the 8th-order weights B, rows 13-15 the
 # extra stages of the dense output
@@ -173,20 +160,28 @@ D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
      -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3],
 ]
 
+
 _EXPONENT = -1 / 8  # -1/(error order + 1)
 
-# each row A[s, :s] as its own contiguous array, and the nodes as floats
-_ROWS = [A[s, :s].copy() for s in range(16)]
-_NODES = C.tolist()
+# the coefficients shaped to scale stacked stages (stage, [row,] leg, component):
+# the rows A[s, :s], the weights B, the error weights E5 and E3 (zero on stage
+# 12, f_new) and the dense output's D
+_ROWS = [A[s, :s, None, None] for s in range(16)]
+_ERR = np.stack((E5[:_STAGES], E3[:_STAGES]), axis=1)[:, :, None, None]
+_D = D.T[:, :, None, None]
 
 
-def _norm(x: np.ndarray) -> float:
-    """np.linalg.norm of a real vector (the same dot and sqrt), without its dispatch."""
-    return math.sqrt(x.dot(x))
-
-
-def _rms(x: np.ndarray):
-    return _norm(x) / x.size ** 0.5
+def ordered_sum(P: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The sums of P along its last axis or its first (axis=0) in index order,
+    ((p0 + p1) + p2) + ..., as np.add.accumulate's running sums or as adds of
+    whole slices: a sum has the same bits whatever the other lines, the SIMD
+    width or the BLAS core.  An empty last axis sums to 0."""
+    if axis == 0:
+        acc = P[0].copy()
+        for p in P[1:]:
+            acc += p
+        return acc
+    return np.add.accumulate(P, axis=-1)[..., -1] if P.shape[-1] else np.zeros(P.shape[:-1])
 
 
 def _interpolate(x, y_old, F) -> np.ndarray:
@@ -200,11 +195,11 @@ def _interpolate(x, y_old, F) -> np.ndarray:
 
 
 class Segment:
-    """The result of solve: accepted step times ts (with the event root last
+    """One leg's segment: accepted step times ts (with the event root last
     when an event ended it); the steps' lengths h, start states y_old and
     interpolant coefficients F, stacked from one (h, y_old, F) per step; the
     counts of right-hand-side evaluations nfev and of rejected steps; and the
-    index of the terminal event (None when the segment reached t_bound)."""
+    index of the terminal event (None when the segment reached its end time)."""
 
     def __init__(self, ts: list, steps: list, nfev: int, rejected: int, event: int | None):
         self.ts = np.array(ts)
@@ -220,133 +215,187 @@ class Segment:
         return _interpolate(((t - self.ts[k]) / self.h[k])[:, None], self.y_old[k], self.F[k])
 
 
-def _crossed(g: float, g_new: float, direction: float) -> bool:
-    """Whether an event value went from g to g_new through zero in its direction
-    (upward for direction > 0, downward for < 0, either way for 0)."""
-    up = g <= 0 and g_new >= 0
-    down = g >= 0 and g_new <= 0
-    return up if direction > 0 else down if direction < 0 else up or down
+def _by_kind(systems, kinds: np.ndarray):
+    """(system, rows) for each kind among kinds; rows is a slice when one kind holds them all."""
+    if (kinds == kinds[0]).all():
+        return [(systems[kinds[0]], slice(None))]
+    return [(systems[k], np.flatnonzero(kinds == k)) for k in np.unique(kinds)]
 
 
-def solve(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float, atol: float,
-          events, args) -> Segment:
-    """Integrate y' = fun(t, y, *args) from t0 towards t_bound, t_bound != t0.
+def _evaluate(groups, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The derivatives of the rows Y, each by its kind's right-hand side, into out (zeros)."""
+    for (fun, _, _, size), rows in groups:
+        out[rows, :size] = fun(Y[rows, :size])
+    return out
 
-    events holds (event, direction) pairs: event(t, y, *args) ends the segment
-    where it crosses zero upward (direction > 0), downward (< 0) or either way
-    (0).  Raises ValueError for a non-finite y0 or a negative atol and
-    StiffnessError when a step or an event search fails.
+
+def _events(groups, Y: np.ndarray, width: int):
+    """The event values of the rows Y, (rows, width), and their directions; past
+    a kind's events the value is 1 and crosses nothing."""
+    g, directions = np.ones((len(Y), width)), np.zeros((len(Y), width))
+    for (_, events, dirs, size), rows in groups:
+        g[rows, : len(dirs)] = events(Y[rows, :size])
+        directions[rows, : len(dirs)] = dirs
+    return g, directions
+
+
+def _rms(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    return np.sqrt(ordered_sum(x * x) / n)  # each row over its own size n
+
+
+def solve(systems, y0: np.ndarray, kinds, t_bound, rtol: float, atol: float, on_end) -> None:
+    """Integrate each leg i, y' = fun(y) for the system of its kind, from t = 0
+    towards t_bound[i] != 0, until on_end ends it.
+
+    systems[k] = (fun, events, directions, size) for kind k: fun maps states,
+    one row each (rows, size), to their derivatives, and events to their event
+    values (rows, len(directions)); an event ends a segment where it crosses
+    zero upward (direction > 0), downward (< 0) or either way (0).  y0 holds
+    the starts (legs, N).  on_end(i, seg) gets leg i's ended Segment and
+    returns None to end the leg, or (y, kind) to go on from y at seg.ts[-1];
+    a failed leg ends after on_end(i, StiffnessError).  Raises ValueError for
+    a non-finite y0 or a negative atol.
     """
-    t0, t_bound = float(t0), float(t_bound)
-    y = np.asarray(y0, dtype=float)
-    if not np.isfinite(y).all():
+    Y = np.array(y0, dtype=float)
+    if not np.isfinite(Y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
     if atol < 0:
         raise ValueError("`atol` must be positive.")
     if rtol < 100 * EPS:
         warnings.warn(f"rtol {rtol:g} is too small; using rtol = 100 EPS = {100 * EPS}",
                       stacklevel=3)
-        rtol = np.maximum(rtol, 100 * EPS)
-    direction = float(np.sign(t_bound - t0))
-    n = y.size
-    f = fun(t0, y, *args)
+        rtol = 100 * EPS
+    legs, N = Y.shape
+    kinds, t_bound = np.array(kinds), np.array(t_bound, dtype=float)
+    sizes = np.array([system[3] for system in systems])
+    width = max(len(system[2]) for system in systems)
+    t, h_abs, d = np.zeros(legs), np.zeros(legs), np.sign(t_bound)
+    F, G = np.zeros((legs, N)), np.zeros((legs, width))
+    nfev, rejected, retry, done = (np.zeros(legs, dtype) for dtype in (int, int, bool, bool))
+    runs = [None] * legs  # per leg, the times and steps of its segment so far
+    fresh = list(range(legs))
 
-    # the first step (section II.4)
-    interval = abs(t_bound - t0)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    f1 = fun(t0 + h0 * direction, y + h0 * direction * f, *args)
-    d2 = _rms((f1 - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, interval)
-    nfev, nrejected = 2, 0
+    def end(i, result):
+        nxt = on_end(i, result)
+        if nxt is None or isinstance(result, StiffnessError):
+            done[i] = True
+        else:
+            y, kinds[i] = nxt
+            Y[i], t[i] = np.pad(y, (0, N - y.size)), result.ts[-1]
+            fresh.append(i)
 
-    K_ext = np.empty((16, n))
-    K = K_ext[: _STAGES + 1]
-    KT = [K_ext[:s].T for s in range(16)]  # the stages before stage s, one column each
-    t, ts, steps = t0, [t0], []
-    g = [ev(t0, y, *args) for ev, _ in events]
     while True:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if not h_abs >= min_step:
-                raise StiffnessError("Required step size is less than spacing between numbers."
-                                     if h_abs < min_step else "step size is NaN")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            K[0] = f
-            for s in range(1, _STAGES):
-                dy = KT[s].dot(_ROWS[s])
-                dy *= h
-                dy += y
-                K[s] = fun(t + _NODES[s] * h, dy, *args)
-            y_new = y + h * KT[_STAGES].dot(B)
-            f_new = fun(t + h, y_new, *args)
-            K[-1] = f_new
-            nfev += _STAGES
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = KT[_STAGES + 1].dot(E5) / scale
-            err3 = KT[_STAGES + 1].dot(E3) / scale
-            err5_2 = _norm(err5) ** 2
-            err3_2 = _norm(err3) ** 2
-            if err5_2 == 0 and err3_2 == 0:
-                err = 0.0
+        if fresh:
+            # the first step of each new segment (section II.4)
+            new = np.array(fresh)
+            fresh.clear()
+            y, n, groups = Y[new], sizes[kinds[new]], _by_kind(systems, kinds[new])
+            f = _evaluate(groups, y, np.zeros(y.shape))
+            scale = atol + np.abs(y) * rtol
+            d0, d1 = _rms(y / scale, n).tolist(), _rms(f / scale, n)
+            interval = np.abs(t_bound[new] - t[new]).tolist()
+            h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, c)
+                           for a, b, c in zip(d0, d1.tolist(), interval)])
+            f1 = _evaluate(groups, y + (h0 * d[new])[:, None] * f, np.zeros(y.shape))
+            d2 = _rms((f1 - f) / scale, n) / h0
+            for i, a, b, c, h in zip(new.tolist(), d1.tolist(), d2.tolist(), interval, h0.tolist()):
+                h1 = (max(1e-6, h * 1e-3) if a <= 1e-15 and b <= 1e-15
+                      else (0.01 / max(a, b)) ** (1 / 8))
+                h_abs[i] = min(100 * h, h1, c)
+                runs[i] = ([t[i]], [])
+            F[new], G[new] = f, _events(groups, y, width)[0]
+            retry[new], nfev[new], rejected[new] = False, 2, 0
+
+        act = np.flatnonzero(~done)
+        if not act.size:
+            return
+        ta, da, ha = t[act], d[act], h_abs[act]
+        min_step = 10 * np.abs(np.nextafter(ta, da * np.inf) - ta)
+        ha = np.where(~retry[act] & (ha < min_step), min_step, ha)
+        bad = ~(ha >= min_step)
+        if bad.any():
+            for i, hv in zip(act[bad].tolist(), ha[bad].tolist()):
+                end(i, StiffnessError("step size is NaN" if math.isnan(hv) else
+                                      "Required step size is less than spacing between numbers."))
+            act, ta, da, ha = act[~bad], ta[~bad], da[~bad], ha[~bad]
+            if not act.size:
+                continue
+        tn = np.where(da * (ta + ha * da - t_bound[act]) > 0, t_bound[act], ta + ha * da)
+        h = tn - ta
+        ha, hc = np.abs(h), h[:, None]
+        y, ka, groups = Y[act], kinds[act], _by_kind(systems, kinds[act])
+        K = np.zeros((16, act.size, N))
+        K[0] = F[act]
+        for s in range(1, _STAGES):
+            _evaluate(groups, ordered_sum(K[:s] * _ROWS[s], axis=0) * hc + y, K[s])
+        y_new = ordered_sum(K[:_STAGES] * B[:, None, None], axis=0) * hc + y
+        _evaluate(groups, y_new, K[_STAGES])
+        nfev[act] += _STAGES
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        e5, e3 = ordered_sum(K[:_STAGES, None] * _ERR, axis=0) / scale
+        e5, e3 = ordered_sum(e5 * e5), ordered_sum(e3 * e3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.where((e5 == 0) & (e3 == 0), 0.0,
+                           ha * e5 / np.sqrt((e5 + 0.01 * e3) * sizes[ka]))
+        for i, e, hv, again in zip(act.tolist(), err.tolist(), ha.tolist(), retry[act].tolist()):
+            if e < 1:
+                factor = min(10, 0.9 * e**_EXPONENT) if e else 10
+                h_abs[i] = hv * (min(1, factor) if again else factor)
             else:
-                err = abs(h) * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * n)
-            if err < 1:
-                factor = 10 if err == 0 else min(10, 0.9 * err**_EXPONENT)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * err**_EXPONENT)
-            rejected = True
-            nrejected += 1
+                h_abs[i] = hv * max(0.2, 0.9 * e**_EXPONENT)
+        accept = err < 1
+        retry[act] = ~accept
+        rejected[act] += ~accept
+        if not accept.all():
+            if not accept.any():
+                continue
+            K, y, y_new, ka = K[:, accept], y[accept], y_new[accept], ka[accept]
+            h, ta, tn, act = h[accept], ta[accept], tn[accept], act[accept]
+            hc, groups = h[:, None], _by_kind(systems, ka)
 
         # the dense output: three more stages, then the interpolant
         for s in range(_STAGES + 1, 16):
-            dy = KT[s].dot(_ROWS[s])
-            dy *= h
-            dy += y
-            K_ext[s] = fun(t + _NODES[s] * h, dy, *args)
-        nfev += 3
-        F = np.empty((7, n))
-        delta_y = np.subtract(y_new, y, out=F[0])
-        F[1] = h * K_ext[0] - delta_y
-        F[2] = 2 * delta_y - h * (f_new + K_ext[0])
-        np.dot(D, K_ext, out=F[3:])
-        F[3:] *= h
-        steps.append((h, y, F))
+            _evaluate(groups, ordered_sum(K[:s] * _ROWS[s], axis=0) * hc + y, K[s])
+        nfev[act] += 3
+        Fc = np.empty((act.size, 7, N))
+        delta = np.subtract(y_new, y, out=Fc[:, 0])
+        Fc[:, 1] = hc * K[0] - delta
+        Fc[:, 2] = 2 * delta - hc * (K[_STAGES] + K[0])
+        Fc[:, 3:] = (ordered_sum(K[:, None] * _D, axis=0) * hc).transpose(1, 0, 2)
 
-        g_new = [ev(t_new, y_new, *args) for ev, _ in events]
-        active = [i for i, (_, d) in enumerate(events) if _crossed(g[i], g_new[i], d)]
-        if active:
-            # the earliest root in the direction of integration, the lower
-            # index on a tie
-            key, event = min((direction * _locate(events[i][0], t, t_new, y, F, args), i)
-                             for i in active)
-            root = direction * key
-            if len(ts) > 1 and ts[-1] == root:
-                steps.pop()  # the event sits on the previous step's end
+        g_new, directions = _events(groups, y_new, width)
+        g = G[act]
+        up, down = (g <= 0) & (g_new >= 0), (g >= 0) & (g_new <= 0)
+        hit = np.where(directions > 0, up, np.where(directions < 0, down, up | down))
+        t[act], Y[act], F[act], G[act] = tn, y_new, K[_STAGES], g_new
+        crossed, reached = hit.any(axis=1).tolist(), (d[act] * (tn - t_bound[act]) >= 0).tolist()
+        for j, (i, hj) in enumerate(zip(act.tolist(), h.tolist())):
+            ts, steps = runs[i]
+            steps.append((hj, y[j].copy(), Fc[j].copy()))  # copies free the round's arrays
+            if crossed[j]:
+                # the earliest root in the direction of integration, the lower
+                # index on a tie
+                _, events, _, size = systems[kinds[i]]
+                try:
+                    key, event = min((d[i] * _locate(lambda x, e=e: events(x)[:, e], size, ta[j],
+                                                     tn[j], y[j], Fc[j]), e)
+                                     for e in np.flatnonzero(hit[j]).tolist())
+                except StiffnessError as exc:
+                    end(i, exc)
+                    continue
+                root = d[i] * key
+                if len(ts) > 1 and ts[-1] == root:
+                    steps.pop()  # the event sits on the previous step's end
+                else:
+                    ts.append(root)
+                end(i, Segment(ts, steps, int(nfev[i]), int(rejected[i]), event))
             else:
-                ts.append(root)
-            return Segment(ts, steps, nfev, nrejected, event)
-        t, y, f, g = t_new, y_new, f_new, g_new
-        ts.append(t)
-        if direction * (t - t_bound) >= 0:
-            return Segment(ts, steps, nfev, nrejected, None)
+                ts.append(tn[j])
+                if reached[j]:
+                    end(i, Segment(ts, steps, int(nfev[i]), int(rejected[i]), None))
 
 
-def _locate(ev, t_old: float, t_new: float, y_old: np.ndarray, F: np.ndarray, args) -> float:
+def _locate(ev, size: int, t_old: float, t_new: float, y_old: np.ndarray, F: np.ndarray) -> float:
     """The time in the step from t_old to t_new where ev crosses zero on the
     step's interpolant: regula falsi, where an end that two iterations in a
     row keep has its value halved (the Illinois rule), until the bracket is
@@ -354,12 +403,12 @@ def _locate(ev, t_old: float, t_new: float, y_old: np.ndarray, F: np.ndarray, ar
     h = t_new - t_old
 
     def value(t):
-        v = ev(t, _interpolate((t - t_old) / h, y_old, F), *args)
+        v = float(ev(_interpolate((t - t_old) / h, y_old, F)[None, :size])[0])
         if math.isnan(v):
             raise StiffnessError(f"event value is NaN at t = {t}")
         return v
 
-    a, b = t_old, t_new
+    a, b = float(t_old), float(t_new)
     ga, gb = value(a), value(b)
     if ga == 0:
         return a

@@ -31,11 +31,11 @@ integrated projectivized (unit vector u plus log-scale k) in a rescaled
 parameter d tau = |fiber| dt, which turns the finite-time fiber blow-up at
 the radial set into an exponential approach.  Recorded symbol values are
 taken at the unit fiber, hence scale-free and exactly zero on null rays in
-exact arithmetic.  The right-hand sides and the events do their scalar
-arithmetic on Python floats under the bit rule of _dop853: dots stay
-numpy's, the scalars are floats in the same order, and a square stays a
-power.  They give the bits of the numpy expressions they replaced, at a
-third to a half of the cost on vectors of 6-10 floats.
+exact arithmetic.  flow runs its legs as one _dop853 ensemble, and the
+fields, events, chart maps and samples keep its rule: every dot and norm
+is an ordered_sum (the two fiber norms in _sample_point that can overflow
+when squared are math.hypot), exp and log run in math, and no BLAS routine
+runs.  So a leg has the same bits in any ensemble and on any host.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from enum import Enum
 import numpy as np
 
 from . import _dop853
+from ._dop853 import ordered_sum
 from .errors import ChartError, ClassificationError, StiffnessError
 
 __all__ = [
@@ -68,40 +69,33 @@ _NULL_TOL = 1e-8
 
 # --- chart helpers -------------------------------------------------------
 
+def _dot(a, b) -> float:
+    """a . b summed in index order, as ordered_sum sums: no BLAS call."""
+    total, *rest = np.multiply(a, b).tolist() or [0.0]
+    for p in rest:
+        total += p
+    return total
+
+
+def _sumsq(X: np.ndarray) -> np.ndarray:
+    """The sums of squares of the rows of X, each an ordered_sum."""
+    return ordered_sum(X * X)
+
+
 def _sphere_point(chart: int, y: np.ndarray) -> np.ndarray:
     """Direction on S^{m} in R^{m+1} from stereographic chart coordinates."""
     y = np.asarray(y, dtype=float)
-    d = 1.0 + float(y @ y)
+    d = 1.0 + _dot(y, y)
     sign = 1.0 if chart == 0 else -1.0
     return np.concatenate(([sign * (2.0 - d) / d], 2.0 * y / d))
 
 
-def _sphere_chart(omega: np.ndarray) -> tuple[int, np.ndarray]:
-    """Chart id and coordinates for a unit direction, picked by hemisphere."""
-    chart = 0 if omega[0] >= 0.0 else 1
-    return chart, omega[1:] / (1.0 + abs(omega[0]))
-
-
-def _sphere_jacobian(chart: int, y: np.ndarray) -> np.ndarray:
-    """Rows d omega / d y_i, shape (m, m+1)."""
-    y = np.asarray(y, dtype=float)
-    m = y.size
-    d = 1.0 + float(y @ y)
-    sign = 1.0 if chart == 0 else -1.0
-    J = np.zeros((m, m + 1))
-    J[:, 0] = sign * (-4.0 * y / (d * d))
-    for i in range(m):
-        J[i, 1:] = -4.0 * y[i] * y / (d * d)
-        J[i, 1 + i] += 2.0 / d
-    return J
-
-
 def _chart_transition(y: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Move (y, eta), float arrays, to the opposite stereographic chart (y -> y/|y|^2)."""
-    r2 = float(y @ y)
+    r2 = _dot(y, y)
     # eta transforms by the transpose Jacobian of y(y') = y'/|y'|^2, the
     # symmetric d y_i / d y'_j = r2 delta_ij - 2 y_i y_j, applied unassembled
-    return y / r2, r2 * eta - 2.0 * float(y @ eta) * y
+    return y / r2, r2 * eta - 2.0 * _dot(y, eta) * y
 
 
 # --- public types --------------------------------------------------------
@@ -165,15 +159,15 @@ class RadialSet(Enum):
 
 @dataclass(frozen=True)
 class RayTrace:
-    """Sampled flow line with scale-free symbol values and solver stats.
+    """Sampled flow line of one leg with scale-free symbol values and solver stats.
 
     Fiber data per sample is the unit vector (v-frame) plus log-scale; the
     raw fiber is unit * e^{log_scale}.  truncated is None for a leg that ran
     its length or reached the radial convergence floor, else why it stopped
     early: "escaped", "chart", "segment-limit" or "stiff" (see flow).  stats
-    counts the completed segments, their accepted steps, function
-    evaluations and rejected steps, the last under the key
-    "rejected_estimated", the name perfbench reads.
+    counts the completed segments, their accepted steps, their function
+    evaluations (2 a segment, 15 an accepted step and 12 a rejected one) and
+    their rejected steps, under "rejected_estimated", the name perfbench reads.
     """
 
     times: np.ndarray
@@ -207,6 +201,17 @@ class RayTrace:
                 )
 
 
+class RayTraces(tuple):
+    """The traces of a flow over several starts; stats sums each counter over them."""
+
+    @property
+    def stats(self) -> dict:
+        return {key: sum(tr.stats[key] for tr in self) for key in _STATS}
+
+
+_STATS = ("steps", "fevals", "rejected_estimated", "segments")
+
+
 def _raw(c: float, k: float) -> float:
     """Raw fiber component c e^k from a unit one: a zero c stays zero (with
     its sign), and +-inf stands only where |c| e^k passes the largest float."""
@@ -222,33 +227,37 @@ def _to_latitude(z: np.ndarray, zeta: np.ndarray):
     """(z, zeta) -> (r, w, sq, chart, y, fib) in the latitude frame.
 
     r = |z|, w = z_n/r, sq = |z''|/r (sqrt(1 - w^2) cancels near the time
-    axis), y the stereographic point of z''/|z''| in the chart its
-    hemisphere picks (chart 0, y = 0 on the axis) and fib = (sigma, gamma_w,
-    eta) the raw fiber.  z = 0 is outside every chart, and so is any z whose
-    |z|^2 falls below the smallest normal float (|z| under about 1.5e-154):
-    the frame squares the coordinates, and subnormal squares would lose
-    precision without a flag.
+    axis), y the stereographic point of z''/|z''| in the chart its hemisphere
+    picks (chart 0, y = 0 on the axis) and fib = (sigma, gamma_w, eta) the raw
+    fiber, eta_i = r sq (d omega/dy_i . zeta'').  z = 0 is outside every
+    chart, and so is a z with |z|^2 under the smallest normal float (|z| under
+    about 1.5e-154), whose subnormal squares would lose precision unflagged.
     """
-    r = float(np.linalg.norm(z))
-    if r * r < np.finfo(float).tiny:
+    r2 = _dot(z, z)
+    if r2 < np.finfo(float).tiny:
         if not np.any(z):
             raise ChartError("z = 0 has no compactified chart")
         raise ChartError(
             f"|z| = {math.hypot(*z):.3g} is too small for the compactified "
             "chart: |z|^2 underflows"
         )
+    r = math.sqrt(r2)
     zpp = z[:-1]
-    a = float(np.linalg.norm(zpp))
+    a = math.sqrt(_dot(zpp, zpp))
     w = float(z[-1] / r)
     sq = a / r
-    if a <= 1e-14 * r:
-        chart, y = 0, np.zeros(z.size - 2)
-    else:
-        chart, y = _sphere_chart(zpp / a)
+    # the stereographic chart that the hemisphere of zpp/a picks
+    om = zpp / a if a > 1e-14 * r else np.zeros(z.size - 1)
+    chart = 0 if om[0] >= 0.0 else 1
+    y = om[1:] / (1.0 + abs(om[0]))
     omega = _sphere_point(chart, y)
-    sigma = -float(zeta @ z)
-    cw = float(zeta[-1]) * r - float(zeta[:-1] @ omega) * r * w / max(sq, 1e-300)
-    eta = r * sq * (_sphere_jacobian(chart, y) @ zeta[:-1])
+    sigma = -_dot(zeta, z)
+    cw = float(zeta[-1]) * r - _dot(zeta[:-1], omega) * r * w / max(sq, 1e-300)
+    # d omega/dy_i = 2 e_{1+i}/d - 4 y_i (sign, y)/d^2, d = 1 + |y|^2
+    d = 1.0 + _dot(y, y)
+    sign = 1.0 if chart == 0 else -1.0
+    v = zeta[:-1]
+    eta = r * sq * (2.0 * v[1:] / d - 4.0 * (sign * v[0] + _dot(y, v[1:])) / (d * d) * y)
     return r, w, sq, chart, y, np.concatenate(([sigma, cw], eta))
 
 
@@ -258,14 +267,18 @@ def _from_latitude(r: float, w: float, sq: float, chart: int, y: np.ndarray, fib
     zeta pairs with z to -sigma, with dz/dw = r (-w omega/sq, 1) to gamma_w and with
     r sq (d omega/dy_i, 0) to eta_i.  As |omega| = 1 and sq^2 + w^2 = 1, these rows are
     orthogonal, of squared lengths r^2, r^2/sq^2 and (2 r sq/d)^2 (d = 1 + |y|^2), so
-    zeta, the solution of that system, sums each row times its entry over its squared length.
+    zeta, the solution of that system, sums each row times its entry over its squared
+    length; the eta rows sum to ((0, d eta/2) - (y . eta)(sign, y))/(r sq).
     """
     omega = _sphere_point(chart, y)
     z = np.concatenate((r * sq * omega, [r * w]))
     a, b = -fib[0] / r, sq * fib[1] / r  # along z/r and (-w omega, sq)
-    d = 1.0 + float(y @ y)
+    d = 1.0 + _dot(y, y)
+    eta = fib[2:]
     zeta = np.concatenate(((a * sq - b * w) * omega, [a * w + b * sq]))
-    zeta[:-1] += d * d / (4.0 * r * sq) * (_sphere_jacobian(chart, y).T @ fib[2:])
+    rows = np.concatenate(([0.0], d / 2.0 * eta)) - _dot(y, eta) * np.concatenate(
+        ([1.0 if chart == 0 else -1.0], y))
+    zeta[:-1] += rows / (r * sq)
     return z, zeta
 
 
@@ -280,14 +293,11 @@ def _latitude(pt: BCotangentPoint):
 
 def _b_point(n: int, rho: float, w: float, sq: float, chart: int, y, sigma, gamma,
              eta) -> BCotangentPoint:
-    """The b-point of a latitude point with its v-frame fiber (sigma, gamma, eta)
-    from _v_fiber: v = 2w^2 - 1, cap = sign w.
-
-    chart_ok is cleared within 1e-7 of the zero-time slice and the time axis.
-    """
+    """The b-point of a latitude point with its v-frame fiber (from _v_fiber): v = 2w^2 - 1,
+    cap = sign w, and chart_ok cleared within 1e-7 of the zero-time slice and the time axis."""
     return BCotangentPoint(
-        n=n, rho=rho, v=2.0 * w * w - 1.0, y=tuple(y), sigma=float(sigma),
-        gamma=float(gamma), eta=tuple(eta), cap=1 if w >= 0.0 else -1, chart=chart,
+        n=n, rho=rho, v=2.0 * w * w - 1.0, y=tuple(map(float, y)), sigma=float(sigma),
+        gamma=float(gamma), eta=tuple(map(float, eta)), cap=1 if w >= 0.0 else -1, chart=chart,
         chart_ok=min(abs(w), sq) >= 1e-7,
     )
 
@@ -299,10 +309,8 @@ def _v_fiber(w: float, fib: np.ndarray):
 
 
 def compactify(c: InteriorCovector) -> BCotangentPoint:
-    """Push (z, zeta) to the b-frame with its raw fiber; ChartError as in _to_latitude.
-
-    Use flow() for long rays, where the raw fiber overflows.
-    """
+    """Push (z, zeta) to the b-frame with its raw fiber (which overflows on long rays;
+    flow keeps the fiber projectivized); ChartError as in _to_latitude."""
     r, w, sq, chart, y, fib = _to_latitude(c.z, c.zeta)
     return _b_point(c.n, 1.0 / r, w, sq, chart, y, *_v_fiber(w, fib))
 
@@ -316,100 +324,86 @@ def decompactify(pt: BCotangentPoint) -> InteriorCovector:
     return InteriorCovector(z=z, zeta=zeta)
 
 
-# --- latitude-frame symbol and field ------------------------------------
+# --- latitude-chart and interior fields -----------------------------------
 
-def _lam_w(w, y, s, cw, eta):
-    d = 1.0 + float(y @ y)
-    H = (d * d / 4.0) * float(eta @ eta)
-    return (
-        (2 * w * w - 1) * s * s
-        - 4 * w * (1 - w * w) * s * cw
-        - (2 * w * w - 1) * (1 - w * w) * cw * cw
-        - H / (1 - w * w)
-    )
-
-
-def _bd_rhs(t, state: np.ndarray, n: int) -> np.ndarray:
-    # state = [x, w, y(m), u(m+2), k]
-    m = n - 2
-    w = float(state[1])
-    y = state[2 : 2 + m]
-    u = state[2 + m : 4 + 2 * m]
-    u = u / math.sqrt(u.dot(u))
-    ul = u.tolist()
-    s, cw, *eta = ul
-    d = 1.0 + float(y.dot(y))
-    e2 = float(u[2:].dot(u[2:]))
-    H = (d * d / 4.0) * e2
-    one = 1.0 - w * w
-    dl_ds = 2 * (2 * w * w - 1) * s - 4 * w * one * cw
-    dl_dc = -4 * w * one * s - 2 * (2 * w * w - 1) * one * cw
-    dl_dw = (
-        4 * w * s * s
-        - 4 * (1 - 3 * w * w) * s * cw
-        - 2 * w * (3 - 4 * w * w) * cw * cw
-        - 2 * w * H / (one * one)
-    )
-    dl_de = [-(d * d / 2.0) * e / one for e in eta]
-    F = [0.0, -dl_dw] + [d * yi * e2 / one for yi in y.tolist()]  # [0, -dl_dw, -dl_dy]
-    kdot = float(u.dot(F))
-    du = [f - kdot * ui for f, ui in zip(F, ul)]
-    return np.array([dl_ds, dl_dc] + dl_de + du + [kdot])
+def _bd_rhs(Y: np.ndarray) -> np.ndarray:
+    """The latitude-chart field at the rows Y = [x, w, y(n-2), u(n), k]: the
+    derivatives of lam in (sigma, gamma_w, eta), then u' = F - (u . F) u and
+    k' = u . F for F = (0, -d lam/dw, -d lam/dy)."""
+    n = Y.shape[1] // 2
+    w = Y[:, 1]
+    u = Y[:, n : 2 * n] / np.sqrt(_sumsq(Y[:, n : 2 * n]))[:, None]
+    s, cw, d, e2, w2 = u[:, 0], u[:, 1], 1.0 + _sumsq(Y[:, 2:n]), _sumsq(u[:, 2:]), w * w
+    one, a2 = 1.0 - w2, 4.0 * w2 - 2.0  # a2 = 2 (2w^2 - 1)
+    b, g = 4.0 * w * one, d * d / one
+    out = np.empty(Y.shape)
+    out[:, 0] = a2 * s - b * cw
+    out[:, 1] = -(b * s + a2 * one * cw)
+    out[:, 2:n] = u[:, 2:] * (-0.5 * g)[:, None]
+    F = np.zeros((len(Y), n))
+    F[:, 1] = (((4.0 - 12.0 * w2) * s + (6.0 - 8.0 * w2) * w * cw) * cw - 4.0 * w * s * s
+               + 0.5 * w * g * e2 / one)
+    F[:, 2:] = Y[:, 2:n] * (d * e2 / one)[:, None]
+    kdot = ordered_sum(u * F)
+    out[:, n : 2 * n] = F - kdot[:, None] * u
+    out[:, 2 * n] = kdot
+    return out
 
 
-def _int_rhs(t, state: np.ndarray, n: int) -> np.ndarray:
-    # state = [z(n), zeta(n)]
-    z, zpp = state[:n], state[n:-1]
-    r2 = float(z.dot(z))
-    zn = float(state[-1])
-    p = zn ** 2 - float(zpp.dot(zpp))
-    dz = [-2.0 * x * r2 for x in zpp.tolist()] + [2.0 * zn * r2]
-    dzeta = [-2.0 * p * x for x in z.tolist()]
-    return np.array(dz + dzeta)
+def _int_rhs(Y: np.ndarray) -> np.ndarray:
+    """The interior field at the rows Y = [z(n), zeta(n)]: z' = 2 |z|^2 (-zeta'', zeta_n),
+    zeta' = -2 (zeta_n^2 - |zeta''|^2) z."""
+    n = Y.shape[1] // 2
+    zn = Y[:, -1]
+    out = np.empty(Y.shape)
+    out[:, :n] = Y[:, n:] * (2.0 * _sumsq(Y[:, :n]))[:, None]
+    out[:, : n - 1] *= -1.0
+    out[:, n:] = Y[:, :n] * (2.0 * (_sumsq(Y[:, n:-1]) - zn * zn))[:, None]
+    return out
 
 
 # --- state packing -------------------------------------------------------
 
 def _bd_state(x: float, w: float, y, fib: np.ndarray) -> np.ndarray:
     """Latitude state [x, w, y, u, k] with the fiber split as u * e^k, |u| = 1."""
-    s = float(np.linalg.norm(fib))
+    s = math.sqrt(_dot(fib, fib))
     return np.concatenate(([x, w], y, fib / s, [math.log(s)]))
 
 
 def _interior_to_bd(state: np.ndarray, n: int):
-    r, w, _, chart, y, fib = _to_latitude(state[:n], state[n:])
+    r, w, _, chart, y, fib = _to_latitude(state[:n], state[n : 2 * n])
     return _bd_state(math.log(1.0 / r), w, y, fib), chart
 
 
 def _bd_to_interior(state: np.ndarray, chart: int, n: int) -> np.ndarray:
-    m = n - 2
-    w = state[1]
-    u = state[2 + m : 4 + 2 * m]
-    fib = u / np.linalg.norm(u) * math.exp(state[-1])
+    w, u = state[1], state[n : 2 * n]
+    fib = u / math.sqrt(_dot(u, u)) * math.exp(state[2 * n])
     sq = math.sqrt(1.0 - w * w)
-    return np.concatenate(_from_latitude(math.exp(-state[0]), w, sq, chart, state[2 : 2 + m], fib))
+    return np.concatenate(_from_latitude(math.exp(-state[0]), w, sq, chart, state[2:n], fib))
 
 
 def _sample_point(state: np.ndarray, chart: int, n: int, bd: bool):
     """Flow state -> (BCotangentPoint with unit v-frame fiber, lam, log-scale)."""
     if bd:
-        m = n - 2
-        w = float(state[1])
-        rho, sq, y = math.exp(state[0]), math.sqrt(1.0 - w * w), state[2 : 2 + m]
-        u, k = state[2 + m : 4 + 2 * m], float(state[-1])
-        u = u / math.hypot(*u)
-        lam = _lam_w(w, y, u[0], u[1], u[2:])
+        x, w, *rest = state.tolist()
+        y, u, k = rest[: n - 2], rest[n - 2 : 2 * n - 2], rest[2 * n - 2]
+        rho, sq, norm = math.exp(x), math.sqrt(1.0 - w * w), math.hypot(*u)
+        u = [c / norm for c in u]
+        # lam in the latitude frame
+        s, cw, one, a, d = u[0], u[1], 1.0 - w * w, 2.0 * w * w - 1.0, 1.0 + _dot(y, y)
+        lam = (a * s * s - 4 * w * one * s * cw - a * one * cw * cw
+               - d * d / 4 * _dot(u[2:], u[2:]) / one)
     else:
-        z, zeta = state[:n], state[n:]
+        z, zeta = state[:n], state[n : 2 * n]
         r, w, sq, chart, y, fib = _to_latitude(z, zeta)
         s = math.hypot(*fib)  # the raw fiber is huge next to the time axis
-        rho, u, k = 1.0 / r, fib / s, math.log(s)
-        # the b-frame symbol is r^2 (zeta_n^2 - |zeta''|^2) in every frame;
-        # unlike _lam_w it has no 1/(1 - w^2), which blows up next to the axis
-        lam = (r / s) ** 2 * (zeta[-1] ** 2 - zeta[:-1] @ zeta[:-1])
+        rho, u, k = 1.0 / r, (fib / s).tolist(), math.log(s)
+        # the b-frame symbol is r^2 (zeta_n^2 - |zeta''|^2) in every frame; unlike
+        # the latitude frame's it has no 1/(1 - w^2), which blows up next to the axis
+        lam = (r / s) * (r / s) * (zeta[-1] * zeta[-1] - _dot(zeta[:-1], zeta[:-1]))
     sigma, gamma, eta = _v_fiber(w, u)
     s = math.hypot(sigma, gamma, *eta)
-    unit = _b_point(n, rho, w, sq, chart, y, sigma / s, gamma / s, eta / s)
+    unit = _b_point(n, rho, w, sq, chart, y, sigma / s, gamma / s, [e / s for e in eta])
     return unit, float(lam), k + math.log(s)
 
 
@@ -424,161 +418,132 @@ _LIMIT_TOL = 1e-3
 _SAMPLES_PER_UNIT = 6.0  # trace samples per unit of the trace parameter
 
 
-def _entry(r: float, w: float) -> float:
-    """Positive exactly where a state at |z| = r = 1/rho belongs to the
-    latitude chart: rho < _RHO_SWITCH and |w| < _W_NULLBAND."""
-    return min(r - 1.0 / _RHO_SWITCH, _W_NULLBAND**2 - w * w)
+def _entry(r, w):
+    """Positive exactly where |z| = r and w belong to the latitude chart:
+    1/r < _RHO_SWITCH and |w| < _W_NULLBAND."""
+    return np.minimum(r - 1.0 / _RHO_SWITCH, _W_NULLBAND**2 - w * w)
 
 
-# Interior events, s = [z, zeta]: leaving the trusted region along the time
-# axis, and entering the latitude chart (_entry turning positive).
-
-def _ev_escape(t, s, n):
-    z = s[:n]
-    return math.sqrt(z.dot(z)) - _ESCAPE_R
-
-
-def _ev_enter(t, s, n):
-    z = s[:n]
-    r = math.sqrt(z.dot(z))
-    return _entry(r, float(s[n - 1]) / r)
+def _interior_events(Y):
+    """At the rows [z, zeta]: leaving the trusted region past |z| = _ESCAPE_R (along
+    the time axis), and entering the latitude chart (_entry turning positive)."""
+    n = Y.shape[1] // 2
+    r = np.sqrt(_sumsq(Y[:, :n]))
+    return np.stack((r - _ESCAPE_R, _entry(r, Y[:, n - 1] / r)), axis=1)
 
 
-# Latitude-chart events, s = [x, w, y, u, k]: the radial convergence floor; the
-# exit to the interior at rho > _RHO_BACK or w^2 > 0.92, past _entry's edges so
-# that a ray does not bounce between the charts; the stereographic chart edge.
-
-def _ev_floor(t, s, n):
-    return s[0] - math.log(_RHO_FLOOR)
-
-
-def _ev_exit(t, s, n):
-    return max(s[0] - math.log(_RHO_BACK), s[1] ** 2 - 0.92)
+def _latitude_events(Y):
+    """At the rows [x, w, y, u, k]: the radial convergence floor; the exit to the
+    interior at rho > _RHO_BACK or w^2 > 0.92, past _entry's edges so that a
+    ray does not bounce between the charts; the stereographic chart edge."""
+    x, w = Y[:, 0], Y[:, 1]
+    return np.stack((x - math.log(_RHO_FLOOR), np.maximum(x - math.log(_RHO_BACK), w * w - 0.92),
+                     _sumsq(Y[:, 2 : Y.shape[1] // 2]) - 4.0), axis=1)
 
 
-def _ev_ychart(t, s, n):
-    y = s[2:n]
-    return float(y @ y) - 4.0
+class _Leg:
+    """One leg of flow: its chart, its state at the start of its segment, its
+    samples and its counters; end takes each segment _dop853.solve ends."""
 
-
-# each with the crossing direction in which it ends a _dop853 segment
-_INTERIOR_EVENTS = ((_ev_escape, 0.0), (_ev_enter, 1.0))
-_LATITUDE_EVENTS = ((_ev_floor, -1.0), (_ev_exit, 1.0), (_ev_ychart, 1.0))
-
-
-def flow(pt, T: float, tol: float = 1e-10) -> RayTrace:
-    """Integrate the b-Hamilton flow for parameter length T (signed).
-
-    Accepts a BCotangentPoint or an InteriorCovector.  Interior stretches
-    run in plain (z, zeta) coordinates, latitude stretches in the
-    projectivized latitude chart; one loop serves both, with one
-    _dop853.solve call (DOP853 with dense output) per segment.  A state
-    starts in the latitude chart where _entry is positive (rho < 0.05,
-    |w| < 0.85), and the interior enters it where _entry turns positive.
-    Each event ends its segment; when several fire in one step the earliest
-    crossing wins, and on a tie the one listed first.  The events: in the
-    interior, escape past |z| = 1e4 (truncated "escaped"), then entry; in
-    the latitude chart, the radial convergence floor rho = 1e-5, then the
-    exit to the interior at rho > 0.06 or w^2 > 0.92 (truncated "chart"
-    below rho = 1e-3), then the stereographic chart edge.  A segment whose
-    integration fails (StiffnessError from _dop853) ends the leg as
-    truncated "stiff": the trace keeps the samples of the segments before
-    it, and stats do not count it.  Past 200 segments the leg is truncated
-    "segment-limit".  The trace parameter is the rescaled one
-    (d tau = |fiber| dt) on latitude stretches and plain Hamilton time in
-    the interior; it is strictly monotone throughout.
-    """
-    n = pt.n
-    if isinstance(pt, BCotangentPoint):
-        rho, chart, y = pt.rho, pt.chart, pt.y
-        r = 1.0 / rho if rho > 0.0 else math.inf
-        w, _, fib = _latitude(pt)
-    else:
-        r, w, _, chart, y, fib = _to_latitude(pt.z, pt.zeta)
-        rho = 1.0 / r
-    bd = _entry(r, w) > 0.0
-    if bd:
-        state = _bd_state(math.log(max(rho, 1e-300)), w, y, fib)
-    else:
-        c = decompactify(pt) if isinstance(pt, BCotangentPoint) else pt
-        state = np.concatenate((c.z, c.zeta))
-
-    start, lam0, k0 = _sample_point(state, chart, n, bd)
-    nonnull = abs(lam0) > _NULL_TOL
-
-    sgn = 1.0 if T >= 0 else -1.0
-    tau = 0.0
-    # every trace starts with its start sample, so even |T| <= 1e-12 has one
-    rows_t, rows_pt, rows_lam, rows_k = [tau], [start], [lam0], [k0]
-    truncated = None
-    stats = {"steps": 0, "fevals": 0, "rejected_estimated": 0, "segments": 0}
-
-    for _segment in range(200):
-        if sgn * (T - tau) <= 1e-12:
-            break
-        if bd:
-            rhs, events = _bd_rhs, _LATITUDE_EVENTS
+    def __init__(self, pt, T: float):
+        n = self.n = pt.n
+        if isinstance(pt, BCotangentPoint):
+            (w, _, fib), chart, y, rho = _latitude(pt), pt.chart, pt.y, pt.rho
+            r = 1.0 / rho if rho > 0.0 else math.inf
         else:
-            rhs, events = _int_rhs, _INTERIOR_EVENTS
-        try:
-            sol = _dop853.solve(rhs, tau, T, state, tol, tol * 1e-2, events, (n,))
-        except StiffnessError:
-            truncated = "stiff"
-            break
-        stats["segments"] += 1
-        t_end = sol.ts[-1]
-        npts = max(8, int(abs(t_end - tau) * _SAMPLES_PER_UNIT))
-        ts = np.linspace(tau, t_end, npts + 1)
-        for tv, sv in zip(ts, sol(ts)):
+            r, w, _, chart, y, fib = _to_latitude(pt.z, pt.zeta)
+            rho = 1.0 / r
+        self.bd = bool(_entry(r, w) > 0.0)
+        if self.bd:
+            self.state = _bd_state(math.log(max(rho, 1e-300)), w, y, fib)
+        else:
+            c = decompactify(pt) if isinstance(pt, BCotangentPoint) else pt
+            self.state = np.concatenate((c.z, c.zeta))
+        self.chart, self.T, self.sgn = chart, T, 1.0 if T >= 0 else -1.0
+        start, lam0, k0 = _sample_point(self.state, chart, n, self.bd)
+        self.nonnull = abs(lam0) > _NULL_TOL
+        # every trace starts with its start sample, so even |T| <= 1e-12 has one
+        self.rows = ([0.0], [start], [lam0], [k0])
+        self.truncated, self.stats = None, dict.fromkeys(_STATS, 0)
+
+    def end(self, seg):
+        """Record a segment, or a failure (StiffnessError), and return the next
+        segment's (start state, kind), or None where the leg ends."""
+        if isinstance(seg, StiffnessError):
+            self.truncated = "stiff"
+            return None
+        n, sgn, T, rows_t, t_end = self.n, self.sgn, self.T, self.rows[0], seg.ts[-1]
+        tau = rows_t[-1]
+        ts = np.linspace(tau, t_end, max(8, int(abs(t_end - tau) * _SAMPLES_PER_UNIT)) + 1)
+        for tv, sv in zip(ts, seg(ts)):
             if sgn * (tv - rows_t[-1]) <= 0.0:
                 continue  # the start and segment joins repeat the last sample
-            p, lamv, kv = _sample_point(sv, chart, n, bd)
-            rows_t.append(tv)
-            rows_pt.append(p)
-            rows_lam.append(lamv)
-            rows_k.append(kv)
-        stats["steps"] += len(sol.ts) - 1
-        stats["fevals"] += sol.nfev
-        stats["rejected_estimated"] += sol.rejected
-        state = sol(t_end)
-        tau = t_end
-        if sgn * (T - tau) <= 1e-12:
-            break
+            for row, value in zip(self.rows, (tv, *_sample_point(sv, self.chart, n, self.bd))):
+                row.append(value)
+        for key, count in zip(_STATS, (len(seg.ts) - 1, seg.nfev, seg.rejected, 1)):
+            self.stats[key] += count
+        state = seg(t_end)
+        if sgn * (T - t_end) <= 1e-12:
+            return None
+        if seg.event == 0:
+            self.truncated = None if self.bd else "escaped"
+            return None
+        if not self.bd:
+            (state, self.chart), self.bd = _interior_to_bd(state, n), True
+        else:
+            state[n : 2 * n] /= math.sqrt(_dot(state[n : 2 * n], state[n : 2 * n]))
+            if seg.event == 1 and state[0] < math.log(1e-3):
+                self.truncated = "chart"  # near-axis transit too deep out for the interior
+                return None
+            if seg.event == 1:
+                # the interior coordinates stay smooth through a near-axis transit
+                state, self.bd = _bd_to_interior(state, self.chart, n), False
+            else:  # the chart edge: move y to the other stereographic chart
+                ynew, enew = _chart_transition(state[2:n], state[n + 2 : 2 * n])
+                k = state[2 * n]
+                state = _bd_state(state[0], state[1], ynew, np.concatenate((state[n : n + 2], enew)))
+                state[-1] += k
+                self.chart = 1 - self.chart
+        if self.stats["segments"] == 200:
+            self.truncated = "segment-limit"
+            return None
+        return state, int(self.bd)
 
-        stop, hand_over = sol.event == 0, sol.event == 1
-        if stop:
-            truncated = None if bd else "escaped"
-            break
-        if not bd:
-            state, chart = _interior_to_bd(state, n)
-            bd = True
-            continue
-        state[n : 2 * n] /= np.linalg.norm(state[n : 2 * n])
-        if hand_over and state[0] < math.log(1e-3):
-            truncated = "chart"  # near-axis transit too deep out for the interior
-            break
-        if hand_over:
-            # the interior coordinates stay smooth through a near-axis transit
-            state = _bd_to_interior(state, chart, n)
-            bd = False
-        else:  # _ev_ychart: move y to the other stereographic chart
-            ynew, enew = _chart_transition(state[2:n], state[n + 2 : 2 * n])
-            k = state[-1]
-            state = _bd_state(state[0], state[1], ynew, np.concatenate((state[n : n + 2], enew)))
-            state[-1] += k
-            chart = 1 - chart
-    else:
-        truncated = "segment-limit"
 
-    return RayTrace(
-        times=np.asarray(rows_t),
-        points=tuple(rows_pt),
-        lam=np.asarray(rows_lam),
-        log_scale=np.asarray(rows_k),
-        nonnull=nonnull,
-        truncated=truncated,
-        stats=stats,
-    )
+def flow(pt, T, tol: float = 1e-10):
+    """Integrate the b-Hamilton flow for parameter length T (signed).
+
+    For one start (a BCotangentPoint or an InteriorCovector) flow returns its
+    RayTrace; for a sequence of starts, with T one length or one per start,
+    their RayTraces.  The legs of each dimension run as one _dop853 ensemble,
+    and a leg's trace has the bits it has alone.  Each stretch is a segment:
+    in plain (z, zeta) coordinates, or in the projectivized latitude chart,
+    where a start goes if _entry is positive (rho < 0.05, |w| < 0.85).  The
+    events, the earlier crossing first and on a tie the one listed first: in
+    the interior, escape past |z| = 1e4 (truncated "escaped"), then entry to
+    the latitude chart; there, the radial convergence floor rho = 1e-5, then
+    the exit to the interior at rho > 0.06 or w^2 > 0.92 (truncated "chart"
+    below rho = 1e-3), then the stereographic chart edge.  A failed segment
+    ends its leg "stiff" with the samples before it, uncounted in stats, and
+    the other legs go on; past 200 segments a leg ends "segment-limit".  The
+    trace parameter, rescaled (d tau = |fiber| dt) in the latitude chart and
+    Hamilton time in the interior, is strictly monotone.
+    """
+    one = isinstance(pt, (BCotangentPoint, InteriorCovector))
+    starts = [pt] if one else list(pt)
+    legs = [_Leg(s, float(t)) for s, t in zip(starts, np.broadcast_to(T, len(starts)))]
+    # |T| <= 1e-12 runs no segment: the trace is its start sample
+    for n in sorted({leg.n for leg in legs if abs(leg.T) > 1e-12}):
+        run = [leg for leg in legs if leg.n == n and abs(leg.T) > 1e-12]
+        y0 = np.array([np.pad(leg.state, (0, 2 * n + 1 - leg.state.size)) for leg in run])
+        # each event with the crossing direction in which it ends a segment
+        systems = ((_int_rhs, _interior_events, (0.0, 1.0), 2 * n),
+                   (_bd_rhs, _latitude_events, (-1.0, 1.0, 1.0), 2 * n + 1))
+        _dop853.solve(systems, y0, [int(leg.bd) for leg in run], [leg.T for leg in run],
+                      tol, tol * 1e-2, lambda i, seg: run[i].end(seg))
+    traces = [RayTrace(np.asarray(t), tuple(pts), np.asarray(lam), np.asarray(k), leg.nonnull,
+                       leg.truncated, leg.stats) for leg in legs for t, pts, lam, k in [leg.rows]]
+    return traces[0] if one else RayTraces(traces)
 
 
 def classify_limit(tr: RayTrace):
@@ -591,35 +556,25 @@ def classify_limit(tr: RayTrace):
     flagged non-null that nevertheless meets the threshold is an error.
     """
     end = tr.end_point()
-    eta = np.asarray(end.eta, dtype=float)
-    miss = end.rho + abs(end.v) + abs(end.sigma) + float(np.linalg.norm(eta))
+    miss = end.rho + abs(end.v) + abs(end.sigma) + math.sqrt(_dot(end.eta, end.eta))
     if miss >= _LIMIT_TOL:
         return None
     if tr.nonnull:
-        raise ClassificationError(
-            "non-null trace converged to the radial set; inconsistent flags"
-        )
-    sink = end.gamma > 0.0
-    future = end.cap > 0
-    if sink:
-        return RadialSet.SINK_FUTURE if future else RadialSet.SINK_PAST
-    return RadialSet.SOURCE_FUTURE if future else RadialSet.SOURCE_PAST
+        raise ClassificationError("non-null trace converged to the radial set; inconsistent flags")
+    if end.gamma > 0.0:
+        return RadialSet.SINK_FUTURE if end.cap > 0 else RadialSet.SINK_PAST
+    return RadialSet.SOURCE_FUTURE if end.cap > 0 else RadialSet.SOURCE_PAST
 
 
 def radial_flow_signature(gamma: float) -> np.ndarray:
     """Eigenvalues of the linearized flow map near the radial set.
 
-    Works in the reduced (rho, v, gamma) system at eta = sigma = 0 (an
-    invariant subsystem),
-
-        rho' = -4(1-v^2) gamma rho,  v' = -8v(1-v^2) gamma,
-        gamma' = 4 gamma^2 (1-3v^2),
-
-    over parameter length 0.02 from (0.01, 0, gamma).  On v = 0 it solves to
-    gamma(t) = gamma/(1 - 4 gamma t) and rho(t) = rho(0)(1 - 4 gamma t), and
-    the linearized map is triangular with diagonal (a, a^2, a^-2), where
-    a = 1 - 0.08 gamma.  Near gamma > 0 the map contracts in rho and v and
-    expands in gamma; only the sign pattern is asserted by callers.
+    The reduced system at eta = sigma = 0, rho' = -4(1-v^2) gamma rho,
+    v' = -8v(1-v^2) gamma, gamma' = 4 gamma^2 (1-3v^2), run for parameter
+    length 0.02 from (0.01, 0, gamma), solves on v = 0 to gamma/(1 - 4 gamma t)
+    and rho(0)(1 - 4 gamma t); its linearized map is triangular with diagonal
+    (a, a^2, a^-2), a = 1 - 0.08 gamma.  Near gamma > 0 it contracts in rho
+    and v and expands in gamma; callers assert only the sign pattern.
     """
     a = 1.0 - 0.08 * gamma
     if a <= 0.0:
@@ -640,17 +595,13 @@ def random_null_rays(
     out = []
     while len(out) < count:
         z = rng.normal(size=n) * 2.0
-        r = np.linalg.norm(z)
-        if r < 1.0 or r > 8.0:
-            continue
-        if abs(z[-1]) / r > 0.8 or np.linalg.norm(z[:-1]) / r < 0.2:
+        r = math.sqrt(_dot(z, z))
+        if not 1.0 <= r <= 8.0 or abs(z[-1]) / r > 0.8 or math.sqrt(_dot(z[:-1], z[:-1])) / r < 0.2:
             continue
         zpp = rng.normal(size=n - 1)
-        while np.linalg.norm(zpp) < 1e-3:
+        while math.sqrt(_dot(zpp, zpp)) < 1e-3:
             zpp = rng.normal(size=n - 1)
-        sign = 1.0 if (not mixed_components or len(out) % 2 == 0) else -1.0
-        if not future:
-            sign = -sign
-        zeta = np.concatenate((zpp, [sign * np.linalg.norm(zpp)]))
+        sign = 1.0 if (not mixed_components or len(out) % 2 == 0) == future else -1.0
+        zeta = np.concatenate((zpp, [sign * math.sqrt(_dot(zpp, zpp))]))
         out.append(InteriorCovector(z=z, zeta=zeta))
     return out

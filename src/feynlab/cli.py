@@ -334,12 +334,13 @@ def _cmd_flow(cfg, p):
     rays = random_null_rays(
         p["n"], p["count"], cfg.seed, future=p["future"], mixed_components=p["mixed"]
     )
+    # one ensemble: each ray forward and backward
+    legs = flow([ray for ray in rays for _ in (0, 1)], [p["T"], -p["T"]] * len(rays), tol=p["tol"])
     traces = {}
     summaries = []
     diverged = False
-    for i, ray in enumerate(rays):
-        fwd = flow(ray, p["T"], tol=p["tol"])
-        bwd = flow(ray, -p["T"], tol=p["tol"])
+    for i in range(len(rays)):
+        fwd, bwd = legs[2 * i], legs[2 * i + 1]
         diverged |= "stiff" in (fwd.truncated, bwd.truncated)
         trace_file = f"trace-{i:03d}.csv" if p["write_traces"] else None
         if trace_file:

@@ -55,10 +55,10 @@ def off_cone_field(grid, seed, gap_frac=4.0):
 
 @pytest.fixture(scope="module")
 def ray_flows():
+    # one ensemble of 200 legs: each ray forward, then backward
     rays = random_null_rays(4, 100, seed=2026)
-    return [
-        (flow(ray, 100.0, tol=1e-10), flow(ray, -100.0, tol=1e-10)) for ray in rays
-    ]
+    legs = flow([ray for ray in rays for _ in (0, 1)], [100.0, -100.0] * len(rays), tol=1e-10)
+    return list(zip(legs[::2], legs[1::2]))
 
 
 def test_criterion_01_root_lattice_exact():

@@ -4,10 +4,11 @@ import csv
 import hashlib
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from feynlab import bichar
@@ -167,31 +168,69 @@ def test_decompactify_rejects_degenerate_frame():
 
 # --- the v-frame chart, kept as the reference ----------------------------
 
+def ordered_norm(x):
+    """|x| with the squares summed in index order, as the chart map sums them."""
+    acc = 0.0
+    for v in np.asarray(x, dtype=float).tolist():
+        acc += v * v
+    return math.sqrt(acc)
+
+
+def ref_sphere_jacobian(chart, y):
+    """The rows d omega / d y_i of _sphere_point, assembled, shape (m, m+1)."""
+    y = np.asarray(y, dtype=float)
+    m = y.size
+    d = 1.0 + float(y @ y)
+    sign = 1.0 if chart == 0 else -1.0
+    J = np.zeros((m, m + 1))
+    J[:, 0] = sign * (-4.0 * y / (d * d))
+    for i in range(m):
+        J[i, 1:] = -4.0 * y[i] * y / (d * d)
+        J[i, 1 + i] += 2.0 / d
+    return J
+
+
 def ref_compactify(z, zeta):
     """(z, zeta) -> b-frame computed in the v-frame itself, with v from squares."""
     n = z.size
-    r = float(np.linalg.norm(z))
-    a = float(np.linalg.norm(z[:-1]))
+    r = ordered_norm(z)
+    a = ordered_norm(z[:-1])
     w = float(z[-1] / r)
     v = float((z[-1] ** 2 - a * a) / (r * r))
     cap = 1 if w >= 0.0 else -1
     if a <= 1e-14 * r:
         chart, y = 0, np.zeros(n - 2)
     else:
-        chart, y = bichar._sphere_chart(z[:-1] / a)
+        omega = z[:-1] / a
+        chart, y = (0 if omega[0] >= 0.0 else 1), omega[1:] / (1.0 + abs(omega[0]))
     omega = bichar._sphere_point(chart, y)
     qp, qm = abs(w), a / r
     gamma = (float(zeta[-1]) * cap * r / (4.0 * max(qp, 1e-300))
              - float(zeta[:-1] @ omega) * r / (4.0 * max(qm, 1e-300)))
-    eta = r * qm * (bichar._sphere_jacobian(chart, y) @ zeta[:-1])
+    eta = r * qm * (ref_sphere_jacobian(chart, y) @ zeta[:-1])
     return BCotangentPoint(
         n=n, rho=1.0 / r, v=v, y=tuple(y), sigma=-float(zeta @ z), gamma=gamma,
         eta=tuple(eta), cap=cap, chart=chart, chart_ok=min(qp, qm) >= 1e-7,
     )
 
 
+def exact_solve(M, b):
+    """The solution of M x = b for float M and b, in exact rational arithmetic
+    (Gauss-Jordan on Fractions), rounded to floats once."""
+    n = len(b)
+    rows = [[Fraction(float(x)) for x in M[i]] + [Fraction(float(b[i]))] for i in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return np.array([float(rows[i][n] / rows[i][i]) for i in range(n)])
+
+
 def ref_decompactify(pt):
-    """Inverse of ref_compactify: solve the v-frame Jacobian for zeta."""
+    """Inverse of ref_compactify: solve the v-frame Jacobian for zeta exactly."""
     n = pt.n
     r = 1.0 / pt.rho
     qp = math.sqrt((1.0 + pt.v) / 2.0)
@@ -204,9 +243,9 @@ def ref_decompactify(pt):
     Jt[0] = z
     Jt[1, :-1] = -r * omega / (4.0 * qm)
     Jt[1, -1] = pt.cap * r / (4.0 * qp)
-    Jt[2:, :-1] = r * qm * bichar._sphere_jacobian(pt.chart, y)
+    Jt[2:, :-1] = r * qm * ref_sphere_jacobian(pt.chart, y)
     rhs = np.concatenate(([-pt.sigma, pt.gamma], np.asarray(pt.eta, dtype=float)))
-    return z, np.linalg.solve(Jt, rhs)
+    return z, exact_solve(Jt, rhs)
 
 
 def v_symbol(pt):
@@ -223,9 +262,21 @@ def v_symbol(pt):
     )
 
 
+# Components +-10^e m (e from -6 to 5, 1 <= m < 10): with _COMPONENT, points
+# and fibers whose components span up to 12 decades.
+_SPREAD = st.builds(lambda m, e, neg: (-m if neg else m) * 10.0**e,
+                    st.floats(1.0, 10.0, exclude_max=True), st.integers(-6, 5), st.booleans())
+
+
+# fibers spanning 12 decades on which a float LU solve of the v-frame system
+# errs by 1.4e-13/q and 8.7e-14/q of |zeta|, and the chart inverse by 2e-20/q
+@example(([-3.4532465544402957e-06, -8.198274872832805, 32495.258576865148],
+          [-0.12596447506370212, 525685.3267428653, 1.471985890544242]))
+@example(([-7.41361874892564e-06, 81.89784522106528, -0.1942383532887574, 965158.5539595276],
+          [-0.09346008127844029, 322.22779434546595, 6.710092313961372, 5.013367429487105e-06]))
 @given(
     st.integers(2, 4).flatmap(
-        lambda n: st.tuples(*[st.lists(_COMPONENT, min_size=n, max_size=n)] * 2)
+        lambda n: st.tuples(*[st.lists(_COMPONENT | _SPREAD, min_size=n, max_size=n)] * 2)
     )
 )
 def test_chart_matches_v_frame_reference(pair):
@@ -237,8 +288,10 @@ def test_chart_matches_v_frame_reference(pair):
     assume(ref.chart_ok)
     # v = 2w^2 - 1 against v from squares: a few ulps.  The fiber agrees to
     # a few ulps of its norm (worst seen over 8e4 random draws with q down
-    # to 1e-7: 4.4e-16); the inverse divides by q once (worst seen
-    # 1.1e-15/q).
+    # to 1e-7: 4.4e-16); the inverse divides by q once.  Against the exact
+    # solve, worst seen over 2e4 draws whose components span 12 decades:
+    # 4.1e-16/q; a float LU solve of the same systems errs by up to 1.4e-13/q
+    # (the examples above).
     q = min(abs(z[-1]), float(np.linalg.norm(z[:-1]))) / float(np.linalg.norm(z))
     assert pt.rho == ref.rho
     assert pt.y == ref.y
@@ -396,15 +449,14 @@ def test_flow_reaches_radial_set():
 
 def test_forward_flows_hit_sinks_backward_flows_hit_sources():
     rays = random_null_rays(4, 10, seed=7)
+    legs = flow([c for c in rays for _ in (0, 1)], [40.0, -40.0] * len(rays), tol=1e-10)
     fwd_labels = []
-    for c in rays:
-        tr = flow(c, 40.0, tol=1e-10)
+    for tr, back in zip(legs[::2], legs[1::2]):
         lab = classify_limit(tr)
         fwd_labels.append(lab)
         assert lab.is_sink
         assert tr.end_point().gamma > 0
 
-        back = flow(c, -40.0, tol=1e-10)
         bl = classify_limit(back)
         assert not bl.is_sink
         assert back.end_point().gamma < 0
@@ -507,10 +559,15 @@ def test_radial_signature_matches_central_difference(gamma):
     assert np.max(np.abs(np.sort(eigs.real) - want)) <= 1e-9
 
 
-# --- the float kernels against their numpy originals ---------------------
-# The right-hand sides and the interior events run on Python floats under the
-# bit rule of _dop853; these are the numpy expressions they replaced, and the
-# new kernels must give the same bits.
+# --- the batched kernels ----------------------------------------------------
+# The right-hand sides and the events map a batch of states, one row each, to
+# one value per row under the ensemble rule of _dop853: a row's bits do not
+# depend on the other rows.  The ref_* functions are the numpy expressions of
+# the fields, one state at a time; the kernels must agree with them within
+# the forward error of the two evaluations.
+
+EPS = np.finfo(float).eps
+
 
 def ref_bd_rhs(t, state, n):
     m = n - 2
@@ -557,54 +614,80 @@ def ref_int_rhs(t, state, n):
     return np.concatenate((dz, dzeta))
 
 
-def ref_ev_escape(t, s, n):
-    return float(np.linalg.norm(s[:n])) - bichar._ESCAPE_R
-
-
-def ref_ev_enter(t, s, n):
+def ref_interior_events(t, s, n):
     r = float(np.linalg.norm(s[:n]))
-    return bichar._entry(r, s[n - 1] / r)
+    return [r - bichar._ESCAPE_R, bichar._entry(r, s[n - 1] / r)]
 
 
 _MAGNITUDE = st.builds(lambda x, neg: -x if neg else x, st.floats(1e-3, 1e3), st.booleans())
 
 
 @st.composite
-def kernel_states(draw):
-    """(n, interior state [z, zeta], latitude state [x, w, y, u, k]) with every
-    component of magnitude 1e-3 to 1e3 and |w| <= 0.95."""
+def kernel_batches(draw):
+    """(n, interior states [z, zeta], latitude states [x, w, y, u, k]), 1 to 6
+    rows each, with every component of magnitude 1e-3 to 1e3 and |w| <= 0.95."""
     n = draw(st.sampled_from([3, 4, 5]))
-    interior = draw(st.lists(_MAGNITUDE, min_size=2 * n, max_size=2 * n))
-    latitude = draw(st.lists(_MAGNITUDE, min_size=2 * n + 1, max_size=2 * n + 1))
-    latitude[1] = draw(st.floats(-0.95, 0.95))
+    rows = draw(st.integers(1, 6))
+    interior = [draw(st.lists(_MAGNITUDE, min_size=2 * n, max_size=2 * n)) for _ in range(rows)]
+    latitude = [draw(st.lists(_MAGNITUDE, min_size=2 * n + 1, max_size=2 * n + 1))
+                for _ in range(rows)]
+    for row in latitude:
+        row[1] = draw(st.floats(-0.95, 0.95))
     return n, np.array(interior), np.array(latitude)
 
 
-def _with_zeta_n(n, zn):
-    interior = np.full(2 * n, 0.5)
-    interior[-1] = zn
-    return n, interior, np.full(2 * n + 1, 0.5)
+_KERNELS = [
+    ("interior", bichar._int_rhs), ("interior", bichar._interior_events),
+    ("latitude", bichar._bd_rhs), ("latitude", bichar._latitude_events),
+]
 
 
-# zeta_n values whose square by libm pow (numpy's scalar ** 2) and by a
-# product differ in the last place: a kernel that squares by a product fails here
-@example(_with_zeta_n(3, 34.640885754767474))
-@example(_with_zeta_n(4, 3.331768564474071))
-@example(_with_zeta_n(5, 0.9774943660281983))
-@given(kernel_states())
-def test_float_kernels_match_the_numpy_reference_bit_for_bit(case):
+@given(kernel_batches(), st.integers(0, 5))
+def test_batched_kernels_match_their_one_row_calls_bit_for_bit(case, shift):
     n, interior, latitude = case
-    assert np.array_equal(bichar._int_rhs(0.0, interior, n), ref_int_rhs(0.0, interior, n))
-    assert np.array_equal(bichar._bd_rhs(0.0, latitude, n), ref_bd_rhs(0.0, latitude, n))
-    assert bichar._ev_escape(0.0, interior, n) == ref_ev_escape(0.0, interior, n)
-    assert bichar._ev_enter(0.0, interior, n) == ref_ev_enter(0.0, interior, n)
+    for kind, kernel in _KERNELS:
+        states = interior if kind == "interior" else latitude
+        # the rows in another order, so that each sits at another index
+        states = np.roll(states, shift, axis=0)
+        batch = kernel(states)
+        for i, row in enumerate(states):
+            assert batch[i].tobytes() == kernel(row[None])[0].tobytes(), (kernel.__name__, i)
+
+
+@given(kernel_batches())
+def test_kernels_match_the_numpy_reference_within_forward_error(case):
+    n, interior, latitude = case
+    for state in interior:
+        z, zeta = state[:n], state[n:]
+        r2, q2 = float(z @ z), float(zeta @ zeta)
+        # z' is 2 r2 zeta to n + 2 roundings and zeta' is 2 (zeta_n^2 -
+        # |zeta''|^2) z to n + 3, of terms up to 2 |zeta|^2 |z_i|; twice that
+        # for the difference of two evaluations
+        bound = 2 * (n + 3) * EPS * 2 * np.concatenate((r2 * np.abs(zeta), q2 * np.abs(z)))
+        assert np.all(np.abs(bichar._int_rhs(state[None])[0] - ref_int_rhs(0.0, state, n)) <= bound)
+        r = math.sqrt(r2)
+        # a norm to n + 1 roundings, less a constant; the entry test adds
+        # the band's 0.7225 - w^2, w = z_n/r to n + 3 roundings
+        bound = 2 * (n + 4) * EPS * np.array([r + bichar._ESCAPE_R, r + 1.0 / bichar._RHO_SWITCH + 1.0])
+        got = bichar._interior_events(state[None])[0]
+        assert np.all(np.abs(got - ref_interior_events(0.0, state, n)) <= bound)
+    for state in latitude:
+        w, y = state[1], state[2:n]
+        d, one = 1.0 + float(y @ y), 1.0 - state[1] ** 2
+        # with u a unit vector and |w| <= 0.95 every term of every component
+        # is at most 18 + n d^2/one^2 in size (the largest, 2 w H/one^2 and
+        # d y e2/one, are under d^2/one^2), and each is a product of at most
+        # 8 factors past u = U/|U|, itself n + 2 roundings off
+        bound = 2 * (3 * n + 16) * EPS * (18.0 + n * d * d / (one * one))
+        got = bichar._bd_rhs(state[None])[0]
+        assert np.all(np.abs(got - ref_bd_rhs(0.0, state, n)) <= bound)
 
 
 # --- golden traces -------------------------------------------------------
 
 # sha256 over every RayTrace field of the starts below, recorded after the
 # traces matched GOLDEN_ENDS
-GOLDEN_FLOW = "45d3beeaf3de5e76fa1c9e08759b1cf61a36dbe227f94c0a5fbc76ac3fb2b8f2"
+GOLDEN_FLOW = "0073f3e5368eeb2364e90cd60dbe91c91ed331b9610d8544578b3d99c7ac86f4"
 
 # Per golden start: the limit label, the truncated flag and the end point
 # (rho, v, sigma, gamma), which a change of the arithmetic must reproduce
@@ -699,7 +782,7 @@ def trace_digest(traces):
     return h.hexdigest()
 
 
-def test_flow_golden_digest_and_branch_coverage(monkeypatch):
+def test_flow_golden_digest_and_branch_coverage(monkeypatch, golden_traces):
     hits = {"_chart_transition": [], "_bd_to_interior": []}
     current = [None]
     for name in hits:
@@ -708,13 +791,14 @@ def test_flow_golden_digest_and_branch_coverage(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(bichar, name, spy)
     starts = golden_starts()
-    traces = []
-    for i, (start, T) in enumerate(starts):
-        current[0] = i
-        traces.append(flow(start, T))
     first_bd = len(starts) - 12  # ten boundary starts, then the two truncated ones
+    for i in (first_bd, first_bd + 5):
+        current[0] = i
+        flow(*starts[i])
     assert first_bd in hits["_chart_transition"]
     assert first_bd + 5 in hits["_bd_to_interior"]
+    # each start flowed by itself (the fixture), then all as one ensemble
+    traces = [tr for _, _, tr in golden_traces]
     assert [tr.truncated for tr in traces[-2:]] == ["escaped", "chart"]
     assert len(GOLDEN_ENDS) == len(traces)
     for tr, (label, truncated, *end) in zip(traces, GOLDEN_ENDS):
@@ -722,6 +806,8 @@ def test_flow_golden_digest_and_branch_coverage(monkeypatch):
         assert (limit_label(tr), tr.truncated) == (label, truncated)
         assert np.max(np.abs(np.subtract([p.rho, p.v, p.sigma, p.gamma], end))) <= FLOW_TOL
     assert trace_digest(traces) == GOLDEN_FLOW
+    # the ensemble holds dimensions 3, 4 and 5
+    assert trace_digest(flow([start for start, _ in starts], [T for _, T in starts])) == GOLDEN_FLOW
 
 
 def test_chart_maps_and_growth_fit_call_no_linear_solver(monkeypatch):
@@ -764,6 +850,65 @@ def test_flow_stats_account_for_every_evaluation(golden_traces):
     for _, _, tr in golden_traces:
         s = tr.stats
         assert s["fevals"] == 2 * s["segments"] + 15 * s["steps"] + 12 * s["rejected_estimated"]
+
+
+# --- ensembles ---------------------------------------------------------------
+
+_ALONE = {}
+
+
+def alone(golden_traces, i, sign):
+    """The trace of golden start i flowed by itself for sign * its T."""
+    start, T, tr = golden_traces[i]
+    if sign > 0:
+        return tr
+    if i not in _ALONE:
+        _ALONE[i] = flow(start, -T)
+    return _ALONE[i]
+
+
+def poisoned(kernel, marker):
+    """kernel with NaN on the rows whose first component is marker."""
+    def rhs(Y):
+        out = kernel(Y)
+        out[Y[:, 0] == marker] = np.nan
+        return out
+    return rhs
+
+
+@settings(max_examples=12)
+@given(
+    picks=st.lists(st.tuples(st.integers(0, 35), st.sampled_from([1.0, -1.0])),
+                   min_size=1, max_size=6, unique_by=lambda p: p[0]),
+    fail=st.none() | st.integers(0, 5),
+)
+def test_ensemble_legs_have_the_bits_they_have_alone(golden_traces, picks, fail):
+    # any subset of the golden starts, in any order and with either sign of
+    # T, flowed as one ensemble: each leg's trace is the one it has alone.
+    # With fail set, that leg's right-hand side turns NaN at its start (its
+    # first component marks its rows), so it ends "stiff" with its start
+    # sample, and every other leg keeps its bits
+    starts = [golden_traces[i][0] for i, _ in picks]
+    Ts = [sign * golden_traces[i][1] for i, sign in picks]
+    marker = None if fail is None else bichar._Leg(starts[fail % len(picks)], 1.0).state[0]
+    with pytest.MonkeyPatch.context() as mp:
+        if marker is not None:
+            fail %= len(picks)
+            for name in ("_int_rhs", "_bd_rhs"):
+                mp.setattr(bichar, name, poisoned(getattr(bichar, name), marker))
+        got = flow(starts, Ts)
+    assert isinstance(got, bichar.RayTraces) and len(got) == len(picks)
+    legs = [alone(golden_traces, i, sign) for i, sign in picks]
+    if marker is not None:
+        tr = got[fail]
+        assert (tr.truncated, len(tr.times), tr.stats["segments"]) == ("stiff", 1, 0)
+        assert (tr.points[0], tr.lam[0]) == (legs[fail].points[0], legs[fail].lam[0])
+        keep = [j for j, s in enumerate(starts) if bichar._Leg(s, 1.0).state[0] != marker]
+        got, legs = [got[j] for j in keep], [legs[j] for j in keep]
+    else:
+        assert got.stats == {key: sum(tr.stats[key] for tr in legs) for key in got.stats}
+    for tr, want in zip(got, legs):
+        assert trace_digest([tr]) == trace_digest([want])
 
 
 # --- the exact null line ---------------------------------------------------

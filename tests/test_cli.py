@@ -748,9 +748,9 @@ GOLDEN_REPORTS = [
     # the compactified flow (bichar) behind the ray report and its trace, and
     # the exact root and spectrum tables (normal_op)
     (FLOW, "flow.json",
-     "531b4cabfba7148c694aab2a5c42e1dbff7b18cd104436d18b8dc498ce650d3e"),
+     "96121e329e7243abc75b516d7f16d6363edc9890124c58862af78f7c6f8d9048"),
     (FLOW, "trace-000.csv",
-     "697baa2f5b2acd2177da4411c7f28d9095e7918ea20e9ec6c2f414e31d9be68f"),
+     "438fa6a3dad72665efe4051f86203ce7286cbd3efdcaada846976a1163cfe118"),
     (ROOTS, "roots.json",
      "cfed063bf9f588bb3d0135f17939d1dc3649d9bdf5ffa7a133fd0e66127fdaa3"),
     ({"subcommand": "spectrum", "params": {"n": 4, "K": 3}}, "spectrum.json",
@@ -875,6 +875,38 @@ def test_product_check_bytes_do_not_depend_on_the_blas_core(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name, digest in GOLDEN_SWEEP.items():
         assert hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest() == digest
+
+
+# numpy's AVX-512 dispatch targets: with NPY_DISABLE_CPU_FEATURES naming them,
+# numpy runs its AVX2 loops
+NO_AVX512 = "X86_V4 AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR"
+
+
+def avx512_in_use() -> bool:
+    from numpy._core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX512_SKX"))
+
+
+@pytest.mark.parametrize("env", [
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, id="haswell-blas", marks=pytest.mark.skipif(
+        not openblas_dynamic_arch(), reason="needs OpenBLAS with DYNAMIC_ARCH")),
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": NO_AVX512}, id="no-avx512", marks=pytest.mark.skipif(
+        not avx512_in_use(), reason="needs numpy's AVX-512 loops in use")),
+])
+def test_flow_bytes_do_not_depend_on_the_host_class(tmp_path, env):
+    # no BLAS routine and no numpy transcendental runs on the ray path, so
+    # FLOW writes the same report and trace bytes in a child process on
+    # OpenBLAS's Haswell kernels, or without numpy's AVX-512 loops, as here
+    native, _ = run_dict(tmp_path, FLOW)
+    p = write_config(tmp_path / "flow.json", FLOW)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "feynlab.cli", "--config", str(p), "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("flow.json", "trace-000.csv"):
+        assert (tmp_path / "o" / name).read_bytes() == (native / name).read_bytes(), name
 
 
 def reference_field_csv(field) -> str:

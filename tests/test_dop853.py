@@ -1,4 +1,4 @@
-"""The DOP853 stepper behind bichar.flow: tableau, edge rules and failures.
+"""The DOP853 ensemble stepper behind bichar.flow: tableau, edge rules and failures.
 
 The golden flow digests in test_bichar.py and test_cli.py pin the stepper's
 ordinary path bit for bit.  The pins here cover the event search and the
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from feynlab import _dop853
+from feynlab import _dop853, bichar
 from feynlab.bichar import BCotangentPoint, flow, random_null_rays
 from feynlab.errors import StiffnessError
 
@@ -39,7 +39,7 @@ GOLDEN_TABLEAU = "ead92ac787f61c3d58590360ff9d0030fc4b1ddcdb6028f6d8bea670ba1a75
 TIGHT_STEPS = 135
 TIGHT_TOL = 1e-9
 TIGHT_END = (7.60492019315e-05, 0.000128972142795, -0.000128976736435, 0.99999998308)
-GOLDEN_TIGHT = "b545a429618ef2eafc6deb203a71e1ec7dd37fa2e7eaa98a882322b71d8743ce"
+GOLDEN_TIGHT = "fe7c907e9818a1f4d1a8ff3d4b7d6f018c62875c0392c75d31ab97c5af389bad"
 
 
 def run_child(script: str, *args: str, timeout: float = 120.0):
@@ -61,21 +61,39 @@ def test_tableau_matches_the_recorded_coefficients():
         (16, 16), (12,), (16,), (4, 16)]
 
 
-def one(t, y):
-    return np.ones_like(y)
+def one(Y):
+    return np.ones_like(Y)
+
+
+def no_events(Y):
+    return np.zeros((len(Y), 0))
+
+
+def solve_one(fun, t_bound, events=(), y0=(0.0,)):
+    """One leg of one kind from y0 towards t_bound, with (event, direction)
+    pairs: the Segment that _dop853.solve ends it with, or the StiffnessError
+    it failed with, raised."""
+    got = []
+    y0 = np.array([y0], dtype=float)
+    values = (lambda Y: np.stack([ev(Y) for ev, _ in events], axis=1)) if events else no_events
+    system = (fun, values, [direction for _, direction in events], y0.shape[1])
+    _dop853.solve((system,), y0, [0], [t_bound], 1e-10, 1e-12, lambda i, seg: got.append(seg))
+    if isinstance(got[0], StiffnessError):
+        raise got[0]
+    return got[0]
 
 
 def test_terminal_event_is_located_on_the_dense_output():
     # y' = 1 from y(0) = 0 reaches pi at t = pi; the event ends the segment
-    def hit(t, y):
-        return y[0] - math.pi
+    def hit(Y):
+        return Y[:, 0] - math.pi
 
-    seg = _dop853.solve(one, 0.0, 10.0, np.zeros(1), 1e-10, 1e-12, ((hit, 1.0),), ())
+    seg = solve_one(one, 10.0, ((hit, 1.0),))
     assert seg.event == 0
     assert abs(seg.ts[-1] - math.pi) <= 1e-12
     assert abs(seg(seg.ts[-1])[0] - math.pi) <= 1e-12
     # a crossing against the event's direction does not fire
-    seg = _dop853.solve(one, 0.0, 10.0, np.zeros(1), 1e-10, 1e-12, ((hit, -1.0),), ())
+    seg = solve_one(one, 10.0, ((hit, -1.0),))
     assert seg.event is None and seg.ts[-1] == 10.0
 
 
@@ -100,8 +118,8 @@ def test_event_search_finds_the_earliest_root(root, gap, backward, falling, eith
     events = []
     for r, fall, any_way in zip(times, falling, either_way):
         s = -1.0 if fall else 1.0
-        events.append((lambda t, y, r=r, s=s: s * math.expm1(y[0] - r), 0.0 if any_way else s * d))
-    seg = _dop853.solve(one, 0.0, d * 10.0, np.zeros(1), 1e-10, 1e-12, events, ())
+        events.append((lambda Y, r=r, s=s: s * np.expm1(Y[:, 0] - r), 0.0 if any_way else s * d))
+    seg = solve_one(one, d * 10.0, events)
     first = 1 if later_first and gap > 0 else 0
     assert seg.event == first
     assert abs(seg.ts[-1] - times[first]) <= 1e-12
@@ -152,16 +170,14 @@ NAN_RHS = """
 import json, pathlib, sys
 import numpy as np
 from feynlab import _dop853, bichar, cli
-from feynlab.errors import StiffnessError
 
-def nan_rhs(t, s, n):
-    return np.full(s.size, np.nan)
+def nan_rhs(Y):
+    return np.full(Y.shape, np.nan)
 
-try:
-    _dop853.solve(nan_rhs, 0.0, 10.0, np.ones(8), 1e-10, 1e-12, (), (4,))
-    message = None
-except StiffnessError as exc:
-    message = str(exc)
+got = []
+_dop853.solve(((nan_rhs, lambda Y: np.zeros((len(Y), 0)), (), 8),), np.ones((1, 8)), [0],
+              [10.0], 1e-10, 1e-12, lambda i, seg: got.append(seg))
+message = str(got[0]) if got and isinstance(got[0], Exception) else None
 bichar._int_rhs = nan_rhs
 tr = bichar.flow(bichar.random_null_rays(4, 1, 0)[0], 10.0)
 tmp = pathlib.Path(sys.argv[1])
@@ -193,15 +209,14 @@ def test_nan_right_hand_side_fails_the_segment_instead_of_hanging(tmp_path):
 def test_failed_segment_ends_the_leg_after_the_segments_before_it(monkeypatch):
     ray = random_null_rays(4, 1, 0)[0]
     full = flow(ray, 10.0)
-    solve, calls = _dop853.solve, []
+    end, calls = bichar._Leg.end, []
 
-    def fail_the_second(*args):
-        calls.append(args[1])
-        if len(calls) == 2:
-            raise StiffnessError("injected")
-        return solve(*args)
+    def fail_the_second(leg, seg):
+        # the start time of each segment the stepper ends; the second fails
+        calls.append(seg.ts[0])
+        return end(leg, StiffnessError("injected") if len(calls) == 2 else seg)
 
-    monkeypatch.setattr(_dop853, "solve", fail_the_second)
+    monkeypatch.setattr(bichar._Leg, "end", fail_the_second)
     tr = flow(ray, 10.0)
     assert tr.truncated == "stiff" and len(calls) == 2
     # the samples up to the end of the first segment, the second not counted
