@@ -17,7 +17,8 @@ Hairer's DOP853 as SciPy 1.17 carries them.  The rules, per leg:
   value, on no sign change over the step or on no convergence in 100
   iterations; a non-finite start is a ValueError;
 - a segment costs 2 evaluations for the first step, 15 per accepted step
-  (12 stages and 3 for the dense output) and 12 per rejected one;
+  (12 stages and 3 for the dense output) and 12 per rejected one, a step
+  dropped for an event included;
 - a time reads the step clip(searchsorted(d * ts, d * t, "left") - 1, 0,
   steps - 1), d the sign of the integration: a step boundary reads the
   earlier step, and the end steps extrapolate;
@@ -33,8 +34,12 @@ round, every running leg attempts one step of its own size, with its own
 acceptance, events and counters.  A leg's kind picks its right-hand side,
 events and state size; a row is zero past its size.  At the end of a
 segment a callback ends the leg or starts its next segment, of any kind; a
-failed leg ends, and the others go on.  The ensemble rule: every sum over
-a state or over the stages is an ordered_sum, each other operation on the
+failed leg ends, and the others go on.  A round runs only the twelve
+stages; an accepted step keeps them as views, which keep the round's arrays
+alive until their segments end.  Then the dense output's stages and
+coefficients run for all the segment's steps in one pass, before the event
+search on the last step's interpolant.  The ensemble rule: every sum over a
+state or over the stages is an ordered_sum, each other operation on the
 arrays an elementwise ufunc, and the step factor's power runs in math on
 one leg's float.  No BLAS routine runs, so a leg's bits do not depend on
 the legs beside it, on numpy's SIMD width or on the BLAS core.
@@ -115,13 +120,11 @@ A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = [
 
 B = A[_STAGES, :_STAGES]
 
-# error weights: the 8th-order solution minus the embedded 3rd- and
-# 5th-order ones
+# error weights: the 8th-order solution minus the embedded 3rd- and 5th-order ones
 E3 = np.zeros(_STAGES + 1)
-E3[:-1] = B.copy()
-E3[0] -= 0.244094488188976377952755905512
-E3[8] -= 0.733846688281611857341361741547
-E3[11] -= 0.220588235294117647058823529412e-1
+E3[:-1] = B
+E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                   0.220588235294117647058823529412e-1]
 
 E5 = np.zeros(_STAGES + 1)
 E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
@@ -196,14 +199,14 @@ def _interpolate(x, y_old, F) -> np.ndarray:
 
 class Segment:
     """One leg's segment: accepted step times ts (with the event root last
-    when an event ended it); the steps' lengths h, start states y_old and
-    interpolant coefficients F, stacked from one (h, y_old, F) per step; the
+    when an event ended it); steps = (h, y_old, F), the steps' lengths, start
+    states and interpolant coefficients, one row per step, from _dense; the
     counts of right-hand-side evaluations nfev and of rejected steps; and the
     index of the terminal event (None when the segment reached its end time)."""
 
-    def __init__(self, ts: list, steps: list, nfev: int, rejected: int, event: int | None):
+    def __init__(self, ts: list, steps: tuple, nfev: int, rejected: int, event: int | None):
         self.ts = np.array(ts)
-        self.h, self.y_old, self.F = (np.array(a) for a in zip(*steps))
+        self.h, self.y_old, self.F = steps
         self.nfev, self.rejected, self.event = nfev, rejected, event
 
     def __call__(self, t):
@@ -215,11 +218,30 @@ class Segment:
         return _interpolate(((t - self.ts[k]) / self.h[k])[:, None], self.y_old[k], self.F[k])
 
 
+def _dense(system, steps: list) -> tuple:
+    """(h, y_old, F) of a segment's accepted steps, one row each, from their (h,
+    y_old, y_new, stages 0-12): the dense output's three stages and the
+    interpolant's coefficients of all the steps at once, with each step's bits."""
+    h, y, y_new, stages = zip(*steps)
+    h, y, y_new = np.array(h), np.array(y), np.array(y_new)
+    hc, groups = h[:, None], [(system, slice(None))]
+    K = np.zeros((16, *y.shape))
+    np.stack(stages, axis=1, out=K[: _STAGES + 1])
+    for s in range(_STAGES + 1, 16):
+        _evaluate(groups, ordered_sum(K[:s] * _ROWS[s], axis=0) * hc + y, K[s])
+    F = np.empty((len(h), 7, y.shape[1]))
+    delta = np.subtract(y_new, y, out=F[:, 0])
+    F[:, 1] = hc * K[0] - delta
+    F[:, 2] = 2 * delta - hc * (K[_STAGES] + K[0])
+    F[:, 3:] = (ordered_sum(K[:, None] * _D, axis=0) * hc).transpose(1, 0, 2)
+    return h, y, F
+
+
 def _by_kind(systems, kinds: np.ndarray):
     """(system, rows) for each kind among kinds; rows is a slice when one kind holds them all."""
     if (kinds == kinds[0]).all():
         return [(systems[kinds[0]], slice(None))]
-    return [(systems[k], np.flatnonzero(kinds == k)) for k in np.unique(kinds)]
+    return [(s, rows) for k, s in enumerate(systems) if (rows := np.flatnonzero(kinds == k)).size]
 
 
 def _evaluate(groups, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -271,7 +293,7 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, rtol: float, atol: float, on_
     width = max(len(system[2]) for system in systems)
     t, h_abs, d = np.zeros(legs), np.zeros(legs), np.sign(t_bound)
     F, G = np.zeros((legs, N)), np.zeros((legs, width))
-    nfev, rejected, retry, done = (np.zeros(legs, dtype) for dtype in (int, int, bool, bool))
+    rejected, retry, done = (np.zeros(legs, dtype) for dtype in (int, bool, bool))
     runs = [None] * legs  # per leg, the times and steps of its segment so far
     fresh = list(range(legs))
 
@@ -304,7 +326,7 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, rtol: float, atol: float, on_
                 h_abs[i] = min(100 * h, h1, c)
                 runs[i] = ([t[i]], [])
             F[new], G[new] = f, _events(groups, y, width)[0]
-            retry[new], nfev[new], rejected[new] = False, 2, 0
+            retry[new], rejected[new] = False, 0
 
         act = np.flatnonzero(~done)
         if not act.size:
@@ -324,13 +346,12 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, rtol: float, atol: float, on_
         h = tn - ta
         ha, hc = np.abs(h), h[:, None]
         y, ka, groups = Y[act], kinds[act], _by_kind(systems, kinds[act])
-        K = np.zeros((16, act.size, N))
+        K = np.zeros((_STAGES + 1, act.size, N))
         K[0] = F[act]
         for s in range(1, _STAGES):
             _evaluate(groups, ordered_sum(K[:s] * _ROWS[s], axis=0) * hc + y, K[s])
         y_new = ordered_sum(K[:_STAGES] * B[:, None, None], axis=0) * hc + y
         _evaluate(groups, y_new, K[_STAGES])
-        nfev[act] += _STAGES
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         e5, e3 = ordered_sum(K[:_STAGES, None] * _ERR, axis=0) / scale
         e5, e3 = ordered_sum(e5 * e5), ordered_sum(e3 * e3)
@@ -346,23 +367,11 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, rtol: float, atol: float, on_
         accept = err < 1
         retry[act] = ~accept
         rejected[act] += ~accept
+        if not accept.any():
+            continue
         if not accept.all():
-            if not accept.any():
-                continue
-            K, y, y_new, ka = K[:, accept], y[accept], y_new[accept], ka[accept]
-            h, ta, tn, act = h[accept], ta[accept], tn[accept], act[accept]
-            hc, groups = h[:, None], _by_kind(systems, ka)
-
-        # the dense output: three more stages, then the interpolant
-        for s in range(_STAGES + 1, 16):
-            _evaluate(groups, ordered_sum(K[:s] * _ROWS[s], axis=0) * hc + y, K[s])
-        nfev[act] += 3
-        Fc = np.empty((act.size, 7, N))
-        delta = np.subtract(y_new, y, out=Fc[:, 0])
-        Fc[:, 1] = hc * K[0] - delta
-        Fc[:, 2] = 2 * delta - hc * (K[_STAGES] + K[0])
-        Fc[:, 3:] = (ordered_sum(K[:, None] * _D, axis=0) * hc).transpose(1, 0, 2)
-
+            K, groups = K[:, accept], _by_kind(systems, ka[accept])
+            y, y_new, h, ta, tn, act = (a[accept] for a in (y, y_new, h, ta, tn, act))
         g_new, directions = _events(groups, y_new, width)
         g = G[act]
         up, down = (g <= 0) & (g_new >= 0), (g >= 0) & (g_new <= 0)
@@ -371,28 +380,28 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, rtol: float, atol: float, on_
         crossed, reached = hit.any(axis=1).tolist(), (d[act] * (tn - t_bound[act]) >= 0).tolist()
         for j, (i, hj) in enumerate(zip(act.tolist(), h.tolist())):
             ts, steps = runs[i]
-            steps.append((hj, y[j].copy(), Fc[j].copy()))  # copies free the round's arrays
+            steps.append((hj, y[j], y_new[j], K[:, j]))  # views of the round's arrays
+            ts.append(tn[j])
+            if not (crossed[j] or reached[j]):
+                continue
+            system, event = systems[kinds[i]], None
+            dense = _dense(system, steps)
             if crossed[j]:
-                # the earliest root in the direction of integration, the lower
-                # index on a tie
-                _, events, _, size = systems[kinds[i]]
+                # the earliest root in the direction of integration, the lower index on a tie
+                _, events, _, size = system
                 try:
                     key, event = min((d[i] * _locate(lambda x, e=e: events(x)[:, e], size, ta[j],
-                                                     tn[j], y[j], Fc[j]), e)
+                                                     tn[j], dense[1][-1], dense[2][-1]), e)
                                      for e in np.flatnonzero(hit[j]).tolist())
                 except StiffnessError as exc:
                     end(i, exc)
                     continue
-                root = d[i] * key
-                if len(ts) > 1 and ts[-1] == root:
-                    steps.pop()  # the event sits on the previous step's end
-                else:
-                    ts.append(root)
-                end(i, Segment(ts, steps, int(nfev[i]), int(rejected[i]), event))
-            else:
-                ts.append(tn[j])
-                if reached[j]:
-                    end(i, Segment(ts, steps, int(nfev[i]), int(rejected[i]), None))
+                ts[-1] = d[i] * key
+                if len(ts) > 2 and ts[-2] == ts[-1]:  # the root is the previous step's end
+                    ts.pop()
+                    dense = tuple(a[:-1] for a in dense)
+            r = int(rejected[i])  # its evaluations by the cost rule, a dropped step's included
+            end(i, Segment(ts, dense, 2 + 15 * len(steps) + 12 * r, r, event))
 
 
 def _locate(ev, size: int, t_old: float, t_new: float, y_old: np.ndarray, F: np.ndarray) -> float:
@@ -410,10 +419,8 @@ def _locate(ev, size: int, t_old: float, t_new: float, y_old: np.ndarray, F: np.
 
     a, b = float(t_old), float(t_new)
     ga, gb = value(a), value(b)
-    if ga == 0:
-        return a
-    if gb == 0:
-        return b
+    if ga == 0 or gb == 0:
+        return a if ga == 0 else b
     if (ga > 0) == (gb > 0):
         raise StiffnessError("event value does not change sign over the step")
     kept = 0  # +1 when the last iteration kept b, -1 when it kept a

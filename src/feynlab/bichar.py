@@ -44,6 +44,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -51,18 +52,8 @@ from . import _dop853
 from ._dop853 import ordered_sum
 from .errors import ChartError, ClassificationError, StiffnessError
 
-__all__ = [
-    "InteriorCovector",
-    "BCotangentPoint",
-    "RayTrace",
-    "RadialSet",
-    "compactify",
-    "decompactify",
-    "flow",
-    "classify_limit",
-    "radial_flow_signature",
-    "random_null_rays",
-]
+__all__ = ["InteriorCovector", "BCotangentPoint", "RayTrace", "RadialSet", "compactify",
+           "decompactify", "flow", "classify_limit", "radial_flow_signature", "random_null_rays"]
 
 _NULL_TOL = 1e-8
 
@@ -161,44 +152,46 @@ class RadialSet(Enum):
 class RayTrace:
     """Sampled flow line of one leg with scale-free symbol values and solver stats.
 
-    Fiber data per sample is the unit vector (v-frame) plus log-scale; the
-    raw fiber is unit * e^{log_scale}.  truncated is None for a leg that ran
-    its length or reached the radial convergence floor, else why it stopped
-    early: "escaped", "chart", "segment-limit" or "stiff" (see flow).  stats
-    counts the completed segments, their accepted steps, their function
-    evaluations (2 a segment, 15 an accepted step and 12 a rejected one) and
-    their rejected steps, under "rejected_estimated", the name perfbench reads.
+    rows holds each sample's BCotangentPoint fields after n (see _b_row), and
+    points builds the points on first access.  The fiber is the unit vector
+    (v-frame) plus log-scale: the raw fiber is unit * e^{log_scale}.  truncated
+    is None for a leg that ran its length or reached the radial floor, else why
+    it stopped early (see flow).  stats counts the completed segments, their
+    accepted steps and evaluations (2 a segment, 15 an accepted step, 12 a
+    rejected one) and their rejected steps ("rejected_estimated", for perfbench).
     """
 
+    n: int
     times: np.ndarray
-    points: tuple
+    rows: tuple
     lam: np.ndarray  # unit-fiber symbol values
     log_scale: np.ndarray
     nonnull: bool
     truncated: str | None
     stats: dict
 
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(BCotangentPoint(self.n, *row) for row in self.rows)
+
     def end_point(self) -> BCotangentPoint:
-        return self.points[-1]
+        return BCotangentPoint(self.n, *self.rows[-1])
 
     def symbol_drift(self) -> float:
         return float(np.max(np.abs(self.lam - self.lam[0])))
 
     def to_csv(self, path) -> None:
-        m = self.points[0].n - 2
-        ys, etas = [f"y{i}" for i in range(m)], [f"eta{i}" for i in range(m)]
+        ys, etas = [f"y{i}" for i in range(self.n - 2)], [f"eta{i}" for i in range(self.n - 2)]
         header = ["t", "rho", "v", *ys, "sigma", "gamma", *etas, "lambda", "chart", "log_scale"]
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(header)
-            for t, pt, lam, k in zip(self.times, self.points, self.lam, self.log_scale):
-                chart_col = pt.chart if pt.chart_ok else -1
-                wr.writerow(
-                    [t, pt.rho, pt.v]
-                    + list(pt.y)
-                    + [_raw(c, k) for c in (pt.sigma, pt.gamma, *pt.eta)]
-                    + [lam, chart_col, k]
-                )
+            wr.writerows(
+                [t, rho, v, *y, *[_raw(c, k) for c in (sigma, gamma, *eta)], lam,
+                 chart if chart_ok else -1, k]
+                for t, (rho, v, y, sigma, gamma, eta, _, chart, chart_ok), lam, k
+                in zip(self.times.tolist(), self.rows, self.lam.tolist(), self.log_scale.tolist())
+            )
 
 
 class RayTraces(tuple):
@@ -291,15 +284,12 @@ def _latitude(pt: BCotangentPoint):
     return w, sq, np.concatenate(([pt.sigma, 4.0 * w * pt.gamma], pt.eta))
 
 
-def _b_point(n: int, rho: float, w: float, sq: float, chart: int, y, sigma, gamma,
-             eta) -> BCotangentPoint:
-    """The b-point of a latitude point with its v-frame fiber (from _v_fiber): v = 2w^2 - 1,
-    cap = sign w, and chart_ok cleared within 1e-7 of the zero-time slice and the time axis."""
-    return BCotangentPoint(
-        n=n, rho=rho, v=2.0 * w * w - 1.0, y=tuple(map(float, y)), sigma=float(sigma),
-        gamma=float(gamma), eta=tuple(map(float, eta)), cap=1 if w >= 0.0 else -1, chart=chart,
-        chart_ok=min(abs(w), sq) >= 1e-7,
-    )
+def _b_row(rho: float, w: float, sq: float, chart: int, y, sigma, gamma, eta) -> tuple:
+    """The BCotangentPoint fields after n, as plain floats, of a latitude point with its
+    v-frame fiber (from _v_fiber): v = 2w^2 - 1, cap = sign w, and chart_ok cleared
+    within 1e-7 of the zero-time slice and the time axis."""
+    return (rho, 2.0 * w * w - 1.0, tuple(map(float, y)), float(sigma), float(gamma),
+            tuple(map(float, eta)), 1 if w >= 0.0 else -1, chart, min(abs(w), sq) >= 1e-7)
 
 
 def _v_fiber(w: float, fib: np.ndarray):
@@ -312,7 +302,7 @@ def compactify(c: InteriorCovector) -> BCotangentPoint:
     """Push (z, zeta) to the b-frame with its raw fiber (which overflows on long rays;
     flow keeps the fiber projectivized); ChartError as in _to_latitude."""
     r, w, sq, chart, y, fib = _to_latitude(c.z, c.zeta)
-    return _b_point(c.n, 1.0 / r, w, sq, chart, y, *_v_fiber(w, fib))
+    return BCotangentPoint(c.n, *_b_row(1.0 / r, w, sq, chart, y, *_v_fiber(w, fib)))
 
 
 def decompactify(pt: BCotangentPoint) -> InteriorCovector:
@@ -383,7 +373,7 @@ def _bd_to_interior(state: np.ndarray, chart: int, n: int) -> np.ndarray:
 
 
 def _sample_point(state: np.ndarray, chart: int, n: int, bd: bool):
-    """Flow state -> (BCotangentPoint with unit v-frame fiber, lam, log-scale)."""
+    """Flow state -> (the _b_row of its point with unit v-frame fiber, lam, log-scale)."""
     if bd:
         x, w, *rest = state.tolist()
         y, u, k = rest[: n - 2], rest[n - 2 : 2 * n - 2], rest[2 * n - 2]
@@ -403,8 +393,8 @@ def _sample_point(state: np.ndarray, chart: int, n: int, bd: bool):
         lam = (r / s) * (r / s) * (zeta[-1] * zeta[-1] - _dot(zeta[:-1], zeta[:-1]))
     sigma, gamma, eta = _v_fiber(w, u)
     s = math.hypot(sigma, gamma, *eta)
-    unit = _b_point(n, rho, w, sq, chart, y, sigma / s, gamma / s, [e / s for e in eta])
-    return unit, float(lam), k + math.log(s)
+    row = _b_row(rho, w, sq, chart, y, sigma / s, gamma / s, [e / s for e in eta])
+    return row, float(lam), k + math.log(s)
 
 
 # --- the flow ------------------------------------------------------------
@@ -460,10 +450,9 @@ class _Leg:
             c = decompactify(pt) if isinstance(pt, BCotangentPoint) else pt
             self.state = np.concatenate((c.z, c.zeta))
         self.chart, self.T, self.sgn = chart, T, 1.0 if T >= 0 else -1.0
-        start, lam0, k0 = _sample_point(self.state, chart, n, self.bd)
-        self.nonnull = abs(lam0) > _NULL_TOL
-        # every trace starts with its start sample, so even |T| <= 1e-12 has one
-        self.rows = ([0.0], [start], [lam0], [k0])
+        # (t, row, lam, log-scale) per sample, the start's first: even |T| <= 1e-12 has one
+        self.samples = [(0.0, *_sample_point(self.state, chart, n, self.bd))]
+        self.nonnull = abs(self.samples[0][2]) > _NULL_TOL
         self.truncated, self.stats = None, dict.fromkeys(_STATS, 0)
 
     def end(self, seg):
@@ -472,17 +461,17 @@ class _Leg:
         if isinstance(seg, StiffnessError):
             self.truncated = "stiff"
             return None
-        n, sgn, T, rows_t, t_end = self.n, self.sgn, self.T, self.rows[0], seg.ts[-1]
-        tau = rows_t[-1]
+        n, sgn, T, t_end, samples = self.n, self.sgn, self.T, seg.ts[-1], self.samples
+        tau = samples[-1][0]
         ts = np.linspace(tau, t_end, max(8, int(abs(t_end - tau) * _SAMPLES_PER_UNIT)) + 1)
-        for tv, sv in zip(ts, seg(ts)):
-            if sgn * (tv - rows_t[-1]) <= 0.0:
+        states = seg(ts)  # linspace ends on t_end exactly
+        for tv, sv in zip(ts.tolist(), states):
+            if sgn * (tv - samples[-1][0]) <= 0.0:
                 continue  # the start and segment joins repeat the last sample
-            for row, value in zip(self.rows, (tv, *_sample_point(sv, self.chart, n, self.bd))):
-                row.append(value)
+            samples.append((tv, *_sample_point(sv, self.chart, n, self.bd)))
         for key, count in zip(_STATS, (len(seg.ts) - 1, seg.nfev, seg.rejected, 1)):
             self.stats[key] += count
-        state = seg(t_end)
+        state = states[-1]
         if sgn * (T - t_end) <= 1e-12:
             return None
         if seg.event == 0:
@@ -527,7 +516,8 @@ def flow(pt, T, tol: float = 1e-10):
     ends its leg "stiff" with the samples before it, uncounted in stats, and
     the other legs go on; past 200 segments a leg ends "segment-limit".  The
     trace parameter, rescaled (d tau = |fiber| dt) in the latitude chart and
-    Hamilton time in the interior, is strictly monotone.
+    Hamilton time in the interior, is strictly monotone.  A trace keeps its
+    samples as rows of floats and builds their BCotangentPoints on first access.
     """
     one = isinstance(pt, (BCotangentPoint, InteriorCovector))
     starts = [pt] if one else list(pt)
@@ -541,8 +531,9 @@ def flow(pt, T, tol: float = 1e-10):
                    (_bd_rhs, _latitude_events, (-1.0, 1.0, 1.0), 2 * n + 1))
         _dop853.solve(systems, y0, [int(leg.bd) for leg in run], [leg.T for leg in run],
                       tol, tol * 1e-2, lambda i, seg: run[i].end(seg))
-    traces = [RayTrace(np.asarray(t), tuple(pts), np.asarray(lam), np.asarray(k), leg.nonnull,
-                       leg.truncated, leg.stats) for leg in legs for t, pts, lam, k in [leg.rows]]
+    traces = [RayTrace(leg.n, np.array(t), rows, np.array(lam), np.array(k), leg.nonnull,
+                       leg.truncated, leg.stats)
+              for leg in legs for t, rows, lam, k in [zip(*leg.samples)]]
     return traces[0] if one else RayTraces(traces)
 
 

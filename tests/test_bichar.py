@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import math
 import warnings
 from fractions import Fraction
@@ -23,6 +24,7 @@ from feynlab.bichar import (
     radial_flow_signature,
     random_null_rays,
 )
+from feynlab.cli import ExperimentConfig, run_experiment
 from feynlab.errors import ChartError, ClassificationError
 from feynlab.orders import _sweep_params, product_integral, rule_flat_model
 
@@ -1050,3 +1052,52 @@ def test_trace_csv_huge_log_scale_writes_no_nan(tmp_path):
         assert np.all(np.signbit(raw) == np.signbit(unit))
         nz = unit != 0.0
         assert np.allclose(np.log(np.abs(raw[nz])), k + np.log(np.abs(unit[nz])), rtol=1e-13)
+
+
+def reference_trace_csv(tr) -> str:
+    """The trace writer that walked tr.points: one BCotangentPoint per row."""
+    m = tr.points[0].n - 2
+    ys, etas = [f"y{i}" for i in range(m)], [f"eta{i}" for i in range(m)]
+    buf = io.StringIO(newline="")
+    wr = csv.writer(buf)
+    wr.writerow(["t", "rho", "v", *ys, "sigma", "gamma", *etas, "lambda", "chart", "log_scale"])
+    for t, pt, lam, k in zip(tr.times, tr.points, tr.lam, tr.log_scale):
+        chart_col = pt.chart if pt.chart_ok else -1
+        wr.writerow([t, pt.rho, pt.v] + list(pt.y)
+                    + [bichar._raw(c, k) for c in (pt.sigma, pt.gamma, *pt.eta)]
+                    + [lam, chart_col, k])
+    return buf.getvalue()
+
+
+def test_trace_csv_matches_the_point_walking_writer(tmp_path, golden_traces):
+    # a start on the zero-time slice: its first sample has no gamma (NaN) and
+    # a flagged chart, as the samples on the time axis of the "escaped" start
+    on_slice = flow(InteriorCovector([1.0, 0.5, 0.2, 0.0], [0.6, 0.8, 0.0, 1.0]), 5.0)
+    first = on_slice.points[0]
+    assert math.isnan(first.gamma) and not first.chart_ok
+    traces = [tr for _, _, tr in golden_traces] + [on_slice]
+    assert not all(p.chart_ok for p in traces[-3].points)  # the "escaped" start
+    for i, tr in enumerate(traces):
+        path = tmp_path / f"trace-{i}.csv"
+        tr.to_csv(path)
+        assert path.read_bytes() == reference_trace_csv(tr).encode(), i
+        assert tr.end_point() == tr.points[-1]
+
+
+def test_summarized_flow_builds_only_its_end_points(tmp_path, monkeypatch):
+    # a flow run that writes no traces builds one BCotangentPoint per
+    # end_point call (classify_limit's and the summary's), none per sample
+    built, init = [], BCotangentPoint.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BCotangentPoint, "__init__", counted)
+    rays = random_null_rays(4, 3, seed=0)
+    legs = flow([ray for ray in rays for _ in (0, 1)], [30.0, -30.0] * 3)
+    assert built == [] and sum(len(tr.times) for tr in legs) > 100
+    cfg = {"subcommand": "flow", "seed": 0, "out": str(tmp_path / "o"),
+           "params": {"n": 4, "count": 3, "T": 30.0, "write_traces": False}}
+    run_experiment(ExperimentConfig.from_dict(cfg))
+    assert len(built) == 2 * 2 * 3

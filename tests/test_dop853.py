@@ -2,10 +2,11 @@
 
 The golden flow digests in test_bichar.py and test_cli.py pin the stepper's
 ordinary path bit for bit.  The pins here cover the event search and the
-dense-output lookup on a problem with a known solution, and what the golden
-starts never reach: the rtol floor, a non-finite start, a right-hand side
-that turns NaN (the leg ends "stiff"), and the import cost that the stepper
-exists to remove.
+dense-output lookup on a problem with a known solution, the dense output of
+each segment against the per-round formula and the right-hand-side calls a
+segment makes, and what the golden starts never reach: the rtol floor, a
+non-finite start, a right-hand side that turns NaN (the leg ends "stiff"),
+and the import cost that the stepper exists to remove.
 """
 
 import hashlib
@@ -132,8 +133,8 @@ def test_step_boundaries_read_the_earlier_step(d):
     # join, so that each boundary tells its two steps apart
     rng = np.random.default_rng(7)
     ts = d * np.arange(4.0)
-    steps = zip(d * np.ones(3), rng.normal(size=(3, 2)), rng.normal(size=(3, 7, 2)))
-    seg = _dop853.Segment(ts, list(steps), 0, 0, None)
+    steps = (d * np.ones(3), rng.normal(size=(3, 2)), rng.normal(size=(3, 7, 2)))
+    seg = _dop853.Segment(ts, steps, 0, 0, None)
     # ts[0] and the time one step before it read step 0; ts[k] for k >= 1,
     # and the time one step past the end, read step k - 1
     t = np.concatenate(([ts[0] - d], ts, [ts[-1] + d]))
@@ -143,6 +144,118 @@ def test_step_boundaries_read_the_earlier_step(d):
     assert np.array_equal(seg(t), np.array([seg(ti) for ti in t]))
     # the later step would read its start state
     assert not np.any(seg(ts[1:3]) == seg.y_old[1:])
+
+
+def reference_step(system, h, y):
+    """One step of length h from the state y (padded to the ensemble's width)
+    by the per-round formula the stepper ran before its dense output moved to
+    the end of the segment: the twelve stages from f(y), y_new and f(y_new),
+    then the dense output's three stages and the interpolant's coefficients,
+    each stage sum in stage order.  Returns (y_new, F)."""
+    fun, _, _, size = system
+    hc, y = np.array([[h]]), np.array([y])
+    K = np.zeros((16, *y.shape))
+
+    def stage(s, state):
+        K[s, :, :size] = fun(state[:, :size])
+
+    stage(0, y)
+    for s in range(1, 12):
+        stage(s, _dop853.ordered_sum(K[:s] * _dop853.A[s, :s, None, None], axis=0) * hc + y)
+    y_new = _dop853.ordered_sum(K[:12] * _dop853.B[:, None, None], axis=0) * hc + y
+    stage(12, y_new)
+    for s in range(13, 16):
+        stage(s, _dop853.ordered_sum(K[:s] * _dop853.A[s, :s, None, None], axis=0) * hc + y)
+    F = np.empty((1, 7, y.shape[1]))
+    delta = np.subtract(y_new, y, out=F[:, 0])
+    F[:, 1] = hc * K[0] - delta
+    F[:, 2] = 2 * delta - hc * (K[12] + K[0])
+    F[:, 3:] = (_dop853.ordered_sum(K[:, None] * _dop853.D.T[:, :, None, None], axis=0)
+                * hc).transpose(1, 0, 2)
+    return y_new[0], F[0]
+
+
+def bump(Y):
+    """s' = 1 and y' a narrow bump at s = +-1, which the step size first
+    outgrows and then must be rejected back down to: rows [s, y]."""
+    s = Y[:, 0]
+    return np.stack((np.ones(len(Y)), 50.0 / (1.0 + (50.0 * (s * s - 1.0)) ** 2)), axis=1)
+
+
+def oscillator(Y):
+    """x' = v, v' = -x on the rows [x, v, flag]; a flagged row's flag turns NaN
+    past x = 0.5, so that its leg fails there."""
+    x, v, flag = Y.T
+    return np.stack((v, -x, np.where((flag > 0) & (x > 0.5), np.nan, 0.0)), axis=1)
+
+
+OSCILLATOR = (oscillator, lambda Y: Y[:, :1], (-1.0,), 3)  # ends where x falls through 0
+
+
+def test_dense_output_per_segment_matches_the_per_round_formula():
+    # leg 0's state at the end of its third step, from a run without events
+    probe = []
+    _dop853.solve(((bump, no_events, (), 2),), np.zeros((1, 2)), [0], [3.0], 1e-10, 1e-12,
+                  lambda i, seg: probe.append(seg))
+    s3 = probe[0].y_old[3][0]
+    # |s - s3| touches 0 at that step's end and rises: it fires on the step
+    # after, with its root on the previous step's end, and that step is dropped
+    bump_kind = (bump, lambda Y: np.abs(Y[:, :1] - s3), (1.0,), 2)
+    systems = (bump_kind, OSCILLATOR)
+    y0 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    kinds, starts, got = [0, 0, 1], list(y0), []
+
+    def on_end(i, seg):
+        got.append((i, kinds[i], starts[i], seg))
+        if isinstance(seg, StiffnessError) or seg.event is None:
+            return None
+        # leg 0 goes on as an oscillator; leg 2 goes on flagged, and fails
+        nxt = np.array([0.0, 1.0, 0.0]) if i == 0 else np.array([-1.0, 0.0, 1.0])
+        kinds[i], starts[i] = 1, nxt
+        return nxt, 1
+
+    _dop853.solve(systems, y0, [0, 0, 1], [3.0, -3.0, 10.0], 1e-10, 1e-12, on_end)
+    legs = [[(kind, type(seg).__name__) for j, kind, _, seg in got if j == i] for i in range(3)]
+    assert legs == [[(0, "Segment"), (1, "Segment")], [(0, "Segment")],
+                    [(1, "Segment"), (1, "StiffnessError")]]
+    segs = [entry for entry in got if isinstance(entry[3], _dop853.Segment)]
+    popped = next(seg for i, kind, _, seg in segs if (i, kind) == (0, 0))
+    assert (popped.event, len(popped.h), popped.ts[-1]) == (0, 3, probe[0].ts[3])
+    assert any(seg.rejected for *_, seg in segs)
+    for i, kind, start, seg in segs:
+        steps, drop = len(seg.h), int(seg is popped)
+        assert np.array_equal(seg.y_old[0], start)
+        for k in range(steps):
+            y_new, F = reference_step(systems[kind], seg.h[k], seg.y_old[k])
+            assert np.array_equal(seg.F[k], F), (i, kind, k)
+            if k + 1 < steps:
+                assert np.array_equal(seg.y_old[k + 1], y_new), (i, kind, k)
+        # each step ends on a time of the segment, but the step an event root ends
+        ends = steps if seg.event is None or drop else steps - 1
+        assert np.array_equal(np.diff(seg.ts)[:ends], seg.h[:ends])
+        assert seg.nfev == 2 + 15 * (steps + drop) + 12 * seg.rejected
+
+
+def test_right_hand_side_calls_per_segment_and_round():
+    # one leg: 2 calls start each segment, 12 run each round, accepted or
+    # rejected, and 3 end each segment
+    calls, segs = [], []
+
+    def counted(Y):
+        calls.append(len(Y))
+        return oscillator(Y)
+
+    def on_end(i, seg):
+        segs.append(seg)
+        return None if seg.event is None else (np.array([-1.0, 0.0, 0.0]), 0)
+
+    _dop853.solve(((counted, *OSCILLATOR[1:]),), np.array([[0.0, 1.0, 0.0]]), [0], [20.0],
+                  1e-10, 1e-12, on_end)
+    assert [seg.event for seg in segs] == [0, 0, 0, 0, None]
+    rounds = sum(len(seg.h) + seg.rejected for seg in segs)
+    assert len(calls) == 2 * len(segs) + 12 * rounds + 3 * len(segs)
+    assert sum(seg.nfev for seg in segs) == 2 * len(segs) + 15 * sum(
+        len(seg.h) for seg in segs) + 12 * sum(seg.rejected for seg in segs)
 
 
 def test_rtol_below_the_floor_is_raised_to_100_eps_with_a_warning():
