@@ -265,7 +265,7 @@ def _rms(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.sqrt(ordered_sum(x * x) / n)  # each row over its own size n
 
 
-def solve(systems, y0: np.ndarray, kinds, t_bound, rtol: float, atol: float, on_end) -> None:
+def solve(systems, y0: np.ndarray, kinds, t_bound, tol: float, on_end) -> None:
     """Integrate each leg i, y' = fun(y) for the system of its kind, from t = 0
     towards t_bound[i] != 0, until on_end ends it.
 
@@ -275,14 +275,16 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, rtol: float, atol: float, on_
     zero upward (direction > 0), downward (< 0) or either way (0).  y0 holds
     the starts (legs, N).  on_end(i, seg) gets leg i's ended Segment and
     returns None to end the leg, or (y, kind) to go on from y at seg.ts[-1];
-    a failed leg ends after on_end(i, StiffnessError).  Raises ValueError for
-    a non-finite y0 or a negative atol.
+    a failed leg ends after on_end(i, StiffnessError).  The error scale is
+    atol + |y| rtol with rtol = tol and atol = tol/100, atol taken before the
+    rtol floor.  Raises ValueError for a non-finite y0 or a negative tol.
     """
     Y = np.array(y0, dtype=float)
     if not np.isfinite(Y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    if atol < 0:
-        raise ValueError("`atol` must be positive.")
+    if tol < 0:
+        raise ValueError("`tol` must be positive.")
+    rtol, atol = tol, tol * 1e-2
     if rtol < 100 * EPS:
         warnings.warn(f"rtol {rtol:g} is too small; using rtol = 100 EPS = {100 * EPS}",
                       stacklevel=3)

@@ -44,7 +44,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,9 +113,9 @@ class InteriorCovector:
         return self.z.size
 
 
-@dataclass(frozen=True)
-class BCotangentPoint:
-    """Compactified phase-space point in the b-frame.
+class BCotangentPoint(NamedTuple):
+    """Compactified phase-space point in the b-frame: a named tuple, which is
+    also how a RayTrace stores each sample.
 
     cap is +1 on the future half (z_n > 0), -1 on the past half; chart is
     the stereographic chart id for y; chart_ok is cleared where the
@@ -152,45 +152,38 @@ class RadialSet(Enum):
 class RayTrace:
     """Sampled flow line of one leg with scale-free symbol values and solver stats.
 
-    rows holds each sample's BCotangentPoint fields after n (see _b_row), and
-    points builds the points on first access.  The fiber is the unit vector
-    (v-frame) plus log-scale: the raw fiber is unit * e^{log_scale}.  truncated
-    is None for a leg that ran its length or reached the radial floor, else why
-    it stopped early (see flow).  stats counts the completed segments, their
-    accepted steps and evaluations (2 a segment, 15 an accepted step, 12 a
-    rejected one) and their rejected steps ("rejected_estimated", for perfbench).
+    points holds each sample's BCotangentPoint, built once (see _b_point), so
+    points[-1] is the end point.  The fiber is the unit vector (v-frame) plus
+    log-scale: the raw fiber is unit * e^{log_scale}.  truncated is None for a
+    leg that ran its length or reached the radial floor, else why it stopped
+    early (see flow).  stats counts the completed segments, their accepted
+    steps and evaluations (2 a segment, 15 an accepted step, 12 a rejected
+    one) and their rejected steps ("rejected_estimated", for perfbench).
     """
 
-    n: int
     times: np.ndarray
-    rows: tuple
+    points: tuple
     lam: np.ndarray  # unit-fiber symbol values
     log_scale: np.ndarray
     nonnull: bool
     truncated: str | None
     stats: dict
 
-    @cached_property
-    def points(self) -> tuple:
-        return tuple(BCotangentPoint(self.n, *row) for row in self.rows)
-
-    def end_point(self) -> BCotangentPoint:
-        return BCotangentPoint(self.n, *self.rows[-1])
-
     def symbol_drift(self) -> float:
         return float(np.max(np.abs(self.lam - self.lam[0])))
 
     def to_csv(self, path) -> None:
-        ys, etas = [f"y{i}" for i in range(self.n - 2)], [f"eta{i}" for i in range(self.n - 2)]
+        m = self.points[0].n - 2
+        ys, etas = [f"y{i}" for i in range(m)], [f"eta{i}" for i in range(m)]
         header = ["t", "rho", "v", *ys, "sigma", "gamma", *etas, "lambda", "chart", "log_scale"]
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(header)
             wr.writerows(
-                [t, rho, v, *y, *[_raw(c, k) for c in (sigma, gamma, *eta)], lam,
-                 chart if chart_ok else -1, k]
-                for t, (rho, v, y, sigma, gamma, eta, _, chart, chart_ok), lam, k
-                in zip(self.times.tolist(), self.rows, self.lam.tolist(), self.log_scale.tolist())
+                [t, p.rho, p.v, *p.y, *[_raw(c, k) for c in (p.sigma, p.gamma, *p.eta)], lam,
+                 p.chart if p.chart_ok else -1, k]
+                for t, p, lam, k
+                in zip(self.times.tolist(), self.points, self.lam.tolist(), self.log_scale.tolist())
             )
 
 
@@ -284,12 +277,13 @@ def _latitude(pt: BCotangentPoint):
     return w, sq, np.concatenate(([pt.sigma, 4.0 * w * pt.gamma], pt.eta))
 
 
-def _b_row(rho: float, w: float, sq: float, chart: int, y, sigma, gamma, eta) -> tuple:
-    """The BCotangentPoint fields after n, as plain floats, of a latitude point with its
-    v-frame fiber (from _v_fiber): v = 2w^2 - 1, cap = sign w, and chart_ok cleared
-    within 1e-7 of the zero-time slice and the time axis."""
-    return (rho, 2.0 * w * w - 1.0, tuple(map(float, y)), float(sigma), float(gamma),
-            tuple(map(float, eta)), 1 if w >= 0.0 else -1, chart, min(abs(w), sq) >= 1e-7)
+def _b_point(n: int, rho: float, w: float, sq: float, chart: int, y, sigma, gamma, eta):
+    """The BCotangentPoint, of plain floats, of a latitude point with its v-frame fiber
+    (from _v_fiber): v = 2w^2 - 1, cap = sign w, and chart_ok cleared within 1e-7 of
+    the zero-time slice and the time axis."""
+    return BCotangentPoint(n, rho, 2.0 * w * w - 1.0, tuple(map(float, y)), float(sigma),
+                           float(gamma), tuple(map(float, eta)), 1 if w >= 0.0 else -1,
+                           chart, min(abs(w), sq) >= 1e-7)
 
 
 def _v_fiber(w: float, fib: np.ndarray):
@@ -302,7 +296,7 @@ def compactify(c: InteriorCovector) -> BCotangentPoint:
     """Push (z, zeta) to the b-frame with its raw fiber (which overflows on long rays;
     flow keeps the fiber projectivized); ChartError as in _to_latitude."""
     r, w, sq, chart, y, fib = _to_latitude(c.z, c.zeta)
-    return BCotangentPoint(c.n, *_b_row(1.0 / r, w, sq, chart, y, *_v_fiber(w, fib)))
+    return _b_point(c.n, 1.0 / r, w, sq, chart, y, *_v_fiber(w, fib))
 
 
 def decompactify(pt: BCotangentPoint) -> InteriorCovector:
@@ -373,7 +367,7 @@ def _bd_to_interior(state: np.ndarray, chart: int, n: int) -> np.ndarray:
 
 
 def _sample_point(state: np.ndarray, chart: int, n: int, bd: bool):
-    """Flow state -> (the _b_row of its point with unit v-frame fiber, lam, log-scale)."""
+    """Flow state -> (its BCotangentPoint with unit v-frame fiber, lam, log-scale)."""
     if bd:
         x, w, *rest = state.tolist()
         y, u, k = rest[: n - 2], rest[n - 2 : 2 * n - 2], rest[2 * n - 2]
@@ -393,8 +387,8 @@ def _sample_point(state: np.ndarray, chart: int, n: int, bd: bool):
         lam = (r / s) * (r / s) * (zeta[-1] * zeta[-1] - _dot(zeta[:-1], zeta[:-1]))
     sigma, gamma, eta = _v_fiber(w, u)
     s = math.hypot(sigma, gamma, *eta)
-    row = _b_row(rho, w, sq, chart, y, sigma / s, gamma / s, [e / s for e in eta])
-    return row, float(lam), k + math.log(s)
+    pt = _b_point(n, rho, w, sq, chart, y, sigma / s, gamma / s, [e / s for e in eta])
+    return pt, float(lam), k + math.log(s)
 
 
 # --- the flow ------------------------------------------------------------
@@ -403,6 +397,7 @@ _RHO_SWITCH = 0.05
 _RHO_BACK = 0.06
 _W_NULLBAND = 0.85
 _RHO_FLOOR = 1e-5
+_MAX_SEGMENTS = 200  # a leg ends "segment-limit" after this many segments
 _ESCAPE_R = 1.0e4
 _LIMIT_TOL = 1e-3
 _SAMPLES_PER_UNIT = 6.0  # trace samples per unit of the trace parameter
@@ -450,7 +445,7 @@ class _Leg:
             c = decompactify(pt) if isinstance(pt, BCotangentPoint) else pt
             self.state = np.concatenate((c.z, c.zeta))
         self.chart, self.T, self.sgn = chart, T, 1.0 if T >= 0 else -1.0
-        # (t, row, lam, log-scale) per sample, the start's first: even |T| <= 1e-12 has one
+        # (t, point, lam, log-scale) per sample, the start's first: even |T| <= 1e-12 has one
         self.samples = [(0.0, *_sample_point(self.state, chart, n, self.bd))]
         self.nonnull = abs(self.samples[0][2]) > _NULL_TOL
         self.truncated, self.stats = None, dict.fromkeys(_STATS, 0)
@@ -493,7 +488,7 @@ class _Leg:
                 state = _bd_state(state[0], state[1], ynew, np.concatenate((state[n : n + 2], enew)))
                 state[-1] += k
                 self.chart = 1 - self.chart
-        if self.stats["segments"] == 200:
+        if self.stats["segments"] == _MAX_SEGMENTS:
             self.truncated = "segment-limit"
             return None
         return state, int(self.bd)
@@ -514,10 +509,10 @@ def flow(pt, T, tol: float = 1e-10):
     the exit to the interior at rho > 0.06 or w^2 > 0.92 (truncated "chart"
     below rho = 1e-3), then the stereographic chart edge.  A failed segment
     ends its leg "stiff" with the samples before it, uncounted in stats, and
-    the other legs go on; past 200 segments a leg ends "segment-limit".  The
-    trace parameter, rescaled (d tau = |fiber| dt) in the latitude chart and
-    Hamilton time in the interior, is strictly monotone.  A trace keeps its
-    samples as rows of floats and builds their BCotangentPoints on first access.
+    the other legs go on; after _MAX_SEGMENTS segments a leg ends
+    "segment-limit".  The trace parameter, rescaled (d tau = |fiber| dt) in the
+    latitude chart and Hamilton time in the interior, is strictly monotone.  A
+    trace holds one BCotangentPoint per sample, built when the sample is taken.
     """
     one = isinstance(pt, (BCotangentPoint, InteriorCovector))
     starts = [pt] if one else list(pt)
@@ -530,10 +525,10 @@ def flow(pt, T, tol: float = 1e-10):
         systems = ((_int_rhs, _interior_events, (0.0, 1.0), 2 * n),
                    (_bd_rhs, _latitude_events, (-1.0, 1.0, 1.0), 2 * n + 1))
         _dop853.solve(systems, y0, [int(leg.bd) for leg in run], [leg.T for leg in run],
-                      tol, tol * 1e-2, lambda i, seg: run[i].end(seg))
-    traces = [RayTrace(leg.n, np.array(t), rows, np.array(lam), np.array(k), leg.nonnull,
+                      tol, lambda i, seg: run[i].end(seg))
+    traces = [RayTrace(np.array(t), points, np.array(lam), np.array(k), leg.nonnull,
                        leg.truncated, leg.stats)
-              for leg in legs for t, rows, lam, k in [zip(*leg.samples)]]
+              for leg in legs for t, points, lam, k in [zip(*leg.samples)]]
     return traces[0] if one else RayTraces(traces)
 
 
@@ -546,7 +541,7 @@ def classify_limit(tr: RayTrace):
     source; the cap sign picks the future or past component.  A trace
     flagged non-null that nevertheless meets the threshold is an error.
     """
-    end = tr.end_point()
+    end = tr.points[-1]
     miss = end.rho + abs(end.v) + abs(end.sigma) + math.sqrt(_dot(end.eta, end.eta))
     if miss >= _LIMIT_TOL:
         return None

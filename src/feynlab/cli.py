@@ -320,7 +320,7 @@ def _leg_summary(trace):
         target = classify_limit(trace)
     except ClassificationError:
         target = None
-    end = trace.end_point()
+    end = trace.points[-1]
     return {
         "classification": target.name.lower() if target is not None else None,
         "rho_end": end.rho,

@@ -179,7 +179,7 @@ def test_criterion_09_radial_classification(ray_flows):
         sinks += cf is not None and cf.is_sink
         sources += cb is not None and not cb.is_sink
         for trace, want_contracting in ((fwd, 2), (bwd, 1)):
-            eigs = np.abs(radial_flow_signature(trace.end_point().gamma))
+            eigs = np.abs(radial_flow_signature(trace.points[-1].gamma))
             signatures += int(np.sum(eigs < 1.0)) == want_contracting
     ok = sinks == 100 and sources == 100 and signatures == 200
     report(9, "radial classification", ok,

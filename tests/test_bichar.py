@@ -24,7 +24,6 @@ from feynlab.bichar import (
     radial_flow_signature,
     random_null_rays,
 )
-from feynlab.cli import ExperimentConfig, run_experiment
 from feynlab.errors import ChartError, ClassificationError
 from feynlab.orders import _sweep_params, product_integral, rule_flat_model
 
@@ -166,6 +165,9 @@ def test_decompactify_rejects_degenerate_frame():
                          gamma=1.0, eta=(0.0, 0.0), cap=1, chart=0, chart_ok=False)
     with pytest.raises(ChartError):
         decompactify(pt)
+    # a boundary point has no interior preimage
+    with pytest.raises(ChartError, match="rho must be positive"):
+        decompactify(pt._replace(rho=0.0, v=0.0, chart_ok=True))
 
 
 # --- the v-frame chart, kept as the reference ----------------------------
@@ -438,7 +440,7 @@ def test_flow_rejects_start_outside_the_chart(start, match):
 def test_flow_reaches_radial_set():
     for c in random_null_rays(4, 4, seed=11):
         tr = flow(c, 40.0, tol=1e-10)
-        end = tr.end_point()
+        end = tr.points[-1]
         assert end.rho < 1e-3
         assert abs(end.v) < 1e-3
         assert abs(end.sigma) < 1e-3
@@ -457,11 +459,11 @@ def test_forward_flows_hit_sinks_backward_flows_hit_sources():
         lab = classify_limit(tr)
         fwd_labels.append(lab)
         assert lab.is_sink
-        assert tr.end_point().gamma > 0
+        assert tr.points[-1].gamma > 0
 
         bl = classify_limit(back)
         assert not bl.is_sink
-        assert back.end_point().gamma < 0
+        assert back.points[-1].gamma < 0
         # reversal swaps the cap along with the sink/source character
         assert is_future(bl) != is_future(lab)
     # both characteristic halves show up in the ensemble
@@ -474,7 +476,7 @@ def test_classify_limit_matches_end_cap_and_gamma_sign():
     # +gamma fiber pole, sources at -gamma
     for c in random_null_rays(4, 4, seed=3):
         tr = flow(c, 40.0, tol=1e-10)
-        end = tr.end_point()
+        end = tr.points[-1]
         label = classify_limit(tr)
         assert end.cap == (1 if is_future(label) else -1)
         assert (end.gamma > 0) == label.is_sink
@@ -494,7 +496,7 @@ def test_flow_too_short_to_step_keeps_its_start_sample(T):
     tr = flow(c, T, tol=1e-10)
     longer = flow(c, 0.05, tol=1e-10)
     assert list(tr.times) == [0.0] and tr.stats["segments"] == 0
-    assert tr.end_point() == longer.points[0]
+    assert tr.points[-1] == longer.points[0]
     assert (tr.lam[0], tr.log_scale[0]) == (longer.lam[0], longer.log_scale[0])
     assert classify_limit(tr) is None and tr.symbol_drift() == 0.0
 
@@ -804,7 +806,7 @@ def test_flow_golden_digest_and_branch_coverage(monkeypatch, golden_traces):
     assert [tr.truncated for tr in traces[-2:]] == ["escaped", "chart"]
     assert len(GOLDEN_ENDS) == len(traces)
     for tr, (label, truncated, *end) in zip(traces, GOLDEN_ENDS):
-        p = tr.end_point()
+        p = tr.points[-1]
         assert (limit_label(tr), tr.truncated) == (label, truncated)
         assert np.max(np.abs(np.subtract([p.rho, p.v, p.sigma, p.gamma], end))) <= FLOW_TOL
     assert trace_digest(traces) == GOLDEN_FLOW
@@ -1014,6 +1016,29 @@ def test_flow_hand_over_branches(monkeypatch, start, segments, edge, exits):
         assert x == pytest.approx(math.log(0.06), abs=1e-9) and w2 < 0.92
 
 
+def test_flow_ends_a_leg_at_the_segment_limit(monkeypatch):
+    # with a limit of one segment, an interior start ends where it enters the
+    # latitude chart, with that segment's samples and stats
+    c = random_null_rays(4, 1, seed=0)[0]
+    full = flow(c, 100.0)
+    segs = []
+
+    def spy(leg, seg, _fn=bichar._Leg.end):
+        segs.append(seg)
+        return _fn(leg, seg)
+
+    monkeypatch.setattr(bichar, "_MAX_SEGMENTS", 1)
+    monkeypatch.setattr(bichar._Leg, "end", spy)
+    tr = flow(c, 100.0)
+    (seg,) = segs
+    assert (tr.truncated, seg.event) == ("segment-limit", 1)
+    assert tr.stats == {"steps": len(seg.ts) - 1, "fevals": seg.nfev,
+                        "rejected_estimated": seg.rejected, "segments": 1}
+    assert tr.times[-1] == seg.ts[-1] < full.times[-1]
+    assert full.stats["segments"] > 1 and full.truncated is None
+    assert tr.points == full.points[: len(tr.points)]
+
+
 # --- export ---------------------------------------------------------------
 
 def test_trace_csv_round_trip(tmp_path):
@@ -1081,23 +1106,3 @@ def test_trace_csv_matches_the_point_walking_writer(tmp_path, golden_traces):
         path = tmp_path / f"trace-{i}.csv"
         tr.to_csv(path)
         assert path.read_bytes() == reference_trace_csv(tr).encode(), i
-        assert tr.end_point() == tr.points[-1]
-
-
-def test_summarized_flow_builds_only_its_end_points(tmp_path, monkeypatch):
-    # a flow run that writes no traces builds one BCotangentPoint per
-    # end_point call (classify_limit's and the summary's), none per sample
-    built, init = [], BCotangentPoint.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(BCotangentPoint, "__init__", counted)
-    rays = random_null_rays(4, 3, seed=0)
-    legs = flow([ray for ray in rays for _ in (0, 1)], [30.0, -30.0] * 3)
-    assert built == [] and sum(len(tr.times) for tr in legs) > 100
-    cfg = {"subcommand": "flow", "seed": 0, "out": str(tmp_path / "o"),
-           "params": {"n": 4, "count": 3, "T": 30.0, "write_traces": False}}
-    run_experiment(ExperimentConfig.from_dict(cfg))
-    assert len(built) == 2 * 2 * 3

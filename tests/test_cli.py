@@ -1043,6 +1043,12 @@ def test_main_config_error_exit_two(tmp_path, capsys):
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+    # a file that is not JSON at all
+    p.write_text("{")
+    assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert "config error" in err and "not valid JSON" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_rotation_eps_outside_the_angle_range_exits_two(tmp_path, capsys):
@@ -1306,6 +1312,8 @@ def test_main_batch_threads_match_serial(tmp_path):
     grid = {"extent": [8.0, 8.0], "points": [32, 32]}
     write_config(batch / "propagate.json", dict(GOLDEN_FIELDS[0][0], grid=grid))
     write_config(batch / "sweep.json", SWEEP_1D)
+    flow_params = {"n": 4, "count": 2, "T": 5.0, "write_traces": True}
+    write_config(batch / "flow.json", {"subcommand": "flow", "params": flow_params})
     digests = {}
     for threads in ("1", "2"):
         root = tmp_path / f"threads-{threads}"
@@ -1314,7 +1322,9 @@ def test_main_batch_threads_match_serial(tmp_path):
             run.name: json.loads((run / "manifest.json").read_text())["files"]
             for run in root.iterdir()
         }
-    assert len(digests["1"]) == 4
+    assert len(digests["1"]) == 5
+    assert {f["name"] for f in digests["1"]["flow"]} == {
+        "flow.json", "trace-000.csv", "trace-001.csv"}
     assert digests["2"] == digests["1"]
 
 

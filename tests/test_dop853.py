@@ -5,8 +5,9 @@ ordinary path bit for bit.  The pins here cover the event search and the
 dense-output lookup on a problem with a known solution, the dense output of
 each segment against the per-round formula and the right-hand-side calls a
 segment makes, and what the golden starts never reach: the rtol floor, a
-non-finite start, a right-hand side that turns NaN (the leg ends "stiff"),
-and the import cost that the stepper exists to remove.
+negative tolerance, a non-finite start, an event search that fails, a
+right-hand side that turns NaN (the leg ends "stiff"), and the import cost
+that the stepper exists to remove.
 """
 
 import hashlib
@@ -78,7 +79,7 @@ def solve_one(fun, t_bound, events=(), y0=(0.0,)):
     y0 = np.array([y0], dtype=float)
     values = (lambda Y: np.stack([ev(Y) for ev, _ in events], axis=1)) if events else no_events
     system = (fun, values, [direction for _, direction in events], y0.shape[1])
-    _dop853.solve((system,), y0, [0], [t_bound], 1e-10, 1e-12, lambda i, seg: got.append(seg))
+    _dop853.solve((system,), y0, [0], [t_bound], 1e-10, lambda i, seg: got.append(seg))
     if isinstance(got[0], StiffnessError):
         raise got[0]
     return got[0]
@@ -195,7 +196,7 @@ OSCILLATOR = (oscillator, lambda Y: Y[:, :1], (-1.0,), 3)  # ends where x falls 
 def test_dense_output_per_segment_matches_the_per_round_formula():
     # leg 0's state at the end of its third step, from a run without events
     probe = []
-    _dop853.solve(((bump, no_events, (), 2),), np.zeros((1, 2)), [0], [3.0], 1e-10, 1e-12,
+    _dop853.solve(((bump, no_events, (), 2),), np.zeros((1, 2)), [0], [3.0], 1e-10,
                   lambda i, seg: probe.append(seg))
     s3 = probe[0].y_old[3][0]
     # |s - s3| touches 0 at that step's end and rises: it fires on the step
@@ -214,7 +215,7 @@ def test_dense_output_per_segment_matches_the_per_round_formula():
         kinds[i], starts[i] = 1, nxt
         return nxt, 1
 
-    _dop853.solve(systems, y0, [0, 0, 1], [3.0, -3.0, 10.0], 1e-10, 1e-12, on_end)
+    _dop853.solve(systems, y0, [0, 0, 1], [3.0, -3.0, 10.0], 1e-10, on_end)
     legs = [[(kind, type(seg).__name__) for j, kind, _, seg in got if j == i] for i in range(3)]
     assert legs == [[(0, "Segment"), (1, "Segment")], [(0, "Segment")],
                     [(1, "Segment"), (1, "StiffnessError")]]
@@ -250,7 +251,7 @@ def test_right_hand_side_calls_per_segment_and_round():
         return None if seg.event is None else (np.array([-1.0, 0.0, 0.0]), 0)
 
     _dop853.solve(((counted, *OSCILLATOR[1:]),), np.array([[0.0, 1.0, 0.0]]), [0], [20.0],
-                  1e-10, 1e-12, on_end)
+                  1e-10, on_end)
     assert [seg.event for seg in segs] == [0, 0, 0, 0, None]
     rounds = sum(len(seg.h) + seg.rejected for seg in segs)
     assert len(calls) == 2 * len(segs) + 12 * rounds + 3 * len(segs)
@@ -261,13 +262,33 @@ def test_right_hand_side_calls_per_segment_and_round():
 def test_rtol_below_the_floor_is_raised_to_100_eps_with_a_warning():
     with pytest.warns(UserWarning, match="rtol 1e-15 is too small"):
         tr = flow(random_null_rays(4, 1, 0)[0], 5.0, tol=1e-15)
-    p = tr.end_point()
+    p = tr.points[-1]
     assert tr.stats["steps"] == TIGHT_STEPS
     assert np.max(np.abs(np.subtract([p.rho, p.v, p.sigma, p.gamma], TIGHT_END))) <= TIGHT_TOL
     h = hashlib.sha256()
     for a in (tr.times, tr.lam, tr.log_scale):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == GOLDEN_TIGHT
+
+
+def test_negative_tolerance_is_rejected():
+    with pytest.raises(ValueError, match="`tol` must be positive"):
+        _dop853.solve((OSCILLATOR,), np.zeros((1, 3)), [0], [1.0], -1e-10, lambda i, seg: None)
+
+
+# the interpolant of a step from t = 0 to 1 that is y = t: F[0] = 1, the rest 0
+LINE_STEP = (0.0, 1.0, np.zeros(1), np.eye(7, 1))
+
+
+@pytest.mark.parametrize("event,message", [
+    (lambda Y: Y[:, 0] + 1.0, "does not change sign"),
+    # regula falsi keeps landing on t = 0, where the value is -1e-300, and the
+    # halved far end never outweighs it within 100 iterations
+    (lambda Y: np.where(Y[:, 0] > 0.5, 1.0, -1e-300), "failed to converge after 100 iterations"),
+], ids=["same-sign", "no-convergence"])
+def test_event_search_failures_raise(event, message):
+    with pytest.raises(StiffnessError, match=message):
+        _dop853._locate(event, 1, *LINE_STEP)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -289,7 +310,7 @@ def nan_rhs(Y):
 
 got = []
 _dop853.solve(((nan_rhs, lambda Y: np.zeros((len(Y), 0)), (), 8),), np.ones((1, 8)), [0],
-              [10.0], 1e-10, 1e-12, lambda i, seg: got.append(seg))
+              [10.0], 1e-10, lambda i, seg: got.append(seg))
 message = str(got[0]) if got and isinstance(got[0], Exception) else None
 bichar._int_rhs = nan_rhs
 tr = bichar.flow(bichar.random_null_rays(4, 1, 0)[0], 10.0)
