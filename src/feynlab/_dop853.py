@@ -36,9 +36,10 @@ events and state size; a row is zero past its size.  At the end of a
 segment a callback ends the leg or starts its next segment, of any kind; a
 failed leg ends, and the others go on.  A round runs only the twelve
 stages; an accepted step keeps them as views, which keep the round's arrays
-alive until their segments end.  Then the dense output's stages and
-coefficients run for all the segment's steps in one pass, before the event
-search on the last step's interpolant.  The ensemble rule: every sum over a
+alive until their segments end.  The dense output's stages and coefficients
+then run once per kind per round, in one pass over every step of the
+segments of that kind that end in the round, before each segment's event
+search on its last step's interpolant.  The ensemble rule: every sum over a
 state or over the stages is an ordered_sum, each other operation on the
 arrays an elementwise ufunc, and the step factor's power runs in math on
 one leg's float.  No BLAS routine runs, so a leg's bits do not depend on
@@ -218,11 +219,12 @@ class Segment:
         return _interpolate(((t - self.ts[k]) / self.h[k])[:, None], self.y_old[k], self.F[k])
 
 
-def _dense(system, steps: list) -> tuple:
-    """(h, y_old, F) of a segment's accepted steps, one row each, from their (h,
-    y_old, y_new, stages 0-12): the dense output's three stages and the
-    interpolant's coefficients of all the steps at once, with each step's bits."""
-    h, y, y_new, stages = zip(*steps)
+def _dense(system, runs: list) -> list:
+    """(h, y_old, F) of each of the segments runs, one row per accepted step, from
+    their steps' (h, y_old, y_new, stages 0-12): the dense output's three stages and
+    the interpolant's coefficients of all the segments' steps in one pass, with each
+    step's bits."""
+    h, y, y_new, stages = zip(*[step for steps in runs for step in steps])
     h, y, y_new = np.array(h), np.array(y), np.array(y_new)
     hc, groups = h[:, None], [(system, slice(None))]
     K = np.zeros((16, *y.shape))
@@ -234,7 +236,8 @@ def _dense(system, steps: list) -> tuple:
     F[:, 1] = hc * K[0] - delta
     F[:, 2] = 2 * delta - hc * (K[_STAGES] + K[0])
     F[:, 3:] = (ordered_sum(K[:, None] * _D, axis=0) * hc).transpose(1, 0, 2)
-    return h, y, F
+    ends = np.cumsum([len(steps) for steps in runs]).tolist()
+    return [(h[a:b], y[a:b], F[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def _by_kind(systems, kinds: np.ndarray):
@@ -275,7 +278,10 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, tol: float, on_end) -> None:
     zero upward (direction > 0), downward (< 0) or either way (0).  y0 holds
     the starts (legs, N).  on_end(i, seg) gets leg i's ended Segment and
     returns None to end the leg, or (y, kind) to go on from y at seg.ts[-1];
-    a failed leg ends after on_end(i, StiffnessError).  The error scale is
+    a failed leg ends after on_end(i, StiffnessError).  The segments that end
+    in a round get their dense output in one pass per kind, each leg's kind
+    read before the round's first on_end, and a leg ends at most one segment a
+    round.  The error scale is
     atol + |y| rtol with rtol = tol and atol = tol/100, atol taken before the
     rtol floor.  Raises ValueError for a non-finite y0 or a negative tol.
     """
@@ -380,20 +386,25 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, tol: float, on_end) -> None:
         hit = np.where(directions > 0, up, np.where(directions < 0, down, up | down))
         t[act], Y[act], F[act], G[act] = tn, y_new, K[_STAGES], g_new
         crossed, reached = hit.any(axis=1).tolist(), (d[act] * (tn - t_bound[act]) >= 0).tolist()
+        ending = []  # (j, leg, kind) of each segment that ends, the kind read before any end
         for j, (i, hj) in enumerate(zip(act.tolist(), h.tolist())):
             ts, steps = runs[i]
             steps.append((hj, y[j], y_new[j], K[:, j]))  # views of the round's arrays
             ts.append(tn[j])
-            if not (crossed[j] or reached[j]):
-                continue
-            system, event = systems[kinds[i]], None
-            dense = _dense(system, steps)
+            if crossed[j] or reached[j]:
+                ending.append((j, i, int(kinds[i])))
+        dense = {}  # one pass per kind, over the segments of that kind that end in the round
+        for k in {k for *_, k in ending}:
+            mine = [i for _, i, kind in ending if kind == k]
+            dense.update(zip(mine, _dense(systems[k], [runs[i][1] for i in mine])))
+        for j, i, k in ending:
+            (ts, steps), seg, event = runs[i], dense[i], None
             if crossed[j]:
                 # the earliest root in the direction of integration, the lower index on a tie
-                _, events, _, size = system
+                _, events, _, size = systems[k]
                 try:
                     key, event = min((d[i] * _locate(lambda x, e=e: events(x)[:, e], size, ta[j],
-                                                     tn[j], dense[1][-1], dense[2][-1]), e)
+                                                     tn[j], seg[1][-1], seg[2][-1]), e)
                                      for e in np.flatnonzero(hit[j]).tolist())
                 except StiffnessError as exc:
                     end(i, exc)
@@ -401,9 +412,9 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, tol: float, on_end) -> None:
                 ts[-1] = d[i] * key
                 if len(ts) > 2 and ts[-2] == ts[-1]:  # the root is the previous step's end
                     ts.pop()
-                    dense = tuple(a[:-1] for a in dense)
+                    seg = tuple(a[:-1] for a in seg)
             r = int(rejected[i])  # its evaluations by the cost rule, a dropped step's included
-            end(i, Segment(ts, dense, 2 + 15 * len(steps) + 12 * r, r, event))
+            end(i, Segment(ts, seg, 2 + 15 * len(steps) + 12 * r, r, event))
 
 
 def _locate(ev, size: int, t_old: float, t_new: float, y_old: np.ndarray, F: np.ndarray) -> float:

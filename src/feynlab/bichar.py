@@ -33,17 +33,21 @@ the radial set into an exponential approach.  Recorded symbol values are
 taken at the unit fiber, hence scale-free and exactly zero on null rays in
 exact arithmetic.  flow runs its legs as one _dop853 ensemble, and the
 fields, events, chart maps and samples keep its rule: every dot and norm
-is an ordered_sum (the two fiber norms in _sample_point that can overflow
-when squared are math.hypot), exp and log run in math, and no BLAS routine
-runs.  So a leg has the same bits in any ensemble and on any host.
+is an ordered_sum or a _dot, summed in index order (the two fiber norms in
+_sample_point that can overflow when squared are math.hypot), exp and log
+run in math, and no BLAS routine runs.  The chart map and the samples run
+on Python floats, whose IEEE operations round as numpy's do.  So a leg has
+the same bits in any ensemble and on any host.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -61,9 +65,11 @@ _NULL_TOL = 1e-8
 # --- chart helpers -------------------------------------------------------
 
 def _dot(a, b) -> float:
-    """a . b summed in index order, as ordered_sum sums: no BLAS call."""
-    total, *rest = np.multiply(a, b).tolist() or [0.0]
-    for p in rest:
+    """a . b of two float sequences, summed in index order from the first product
+    (so a -0.0 survives), as ordered_sum sums: no BLAS call.  0.0 when empty."""
+    products = map(mul, a, b)
+    total = next(products, 0.0)
+    for p in products:
         total += p
     return total
 
@@ -73,12 +79,10 @@ def _sumsq(X: np.ndarray) -> np.ndarray:
     return ordered_sum(X * X)
 
 
-def _sphere_point(chart: int, y: np.ndarray) -> np.ndarray:
+def _sphere_point(chart: int, y) -> np.ndarray:
     """Direction on S^{m} in R^{m+1} from stereographic chart coordinates."""
-    y = np.asarray(y, dtype=float)
     d = 1.0 + _dot(y, y)
-    sign = 1.0 if chart == 0 else -1.0
-    return np.concatenate(([sign * (2.0 - d) / d], 2.0 * y / d))
+    return np.array([(1.0 if chart == 0 else -1.0) * (2.0 - d) / d, *[2.0 * c / d for c in y]])
 
 
 def _chart_transition(y: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,12 +183,12 @@ class RayTrace:
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(header)
-            wr.writerows(
-                [t, p.rho, p.v, *p.y, *[_raw(c, k) for c in (p.sigma, p.gamma, *p.eta)], lam,
-                 p.chart if p.chart_ok else -1, k]
-                for t, p, lam, k
-                in zip(self.times.tolist(), self.points, self.lam.tolist(), self.log_scale.tolist())
-            )
+            for t, p, lam, k in zip(self.times.tolist(), self.points, self.lam.tolist(),
+                                    self.log_scale.tolist()):
+                e = math.exp(min(k, 700.0))  # once a row: _raw's c e^k where it is finite
+                wr.writerow([t, p.rho, p.v, *p.y, *[c * e if k < 700.0 or c == 0.0 else _raw(c, k)
+                                                    for c in (p.sigma, p.gamma, *p.eta)],
+                             lam, p.chart if p.chart_ok else -1, k])
 
 
 class RayTraces(tuple):
@@ -209,9 +213,11 @@ def _raw(c: float, k: float) -> float:
 
 # --- the chart map -------------------------------------------------------
 
-def _to_latitude(z: np.ndarray, zeta: np.ndarray):
-    """(z, zeta) -> (r, w, sq, chart, y, fib) in the latitude frame.
+def _to_latitude(z, zeta):
+    """(z, zeta) -> (r, w, sq, chart, y, fib) in the latitude frame, on Python floats.
 
+    z and zeta are lists of floats, y and fib come back as lists, and each
+    step runs in the order of the array form the tests keep, with its bits.
     r = |z|, w = z_n/r, sq = |z''|/r (sqrt(1 - w^2) cancels near the time
     axis), y the stereographic point of z''/|z''| in the chart its hemisphere
     picks (chart 0, y = 0 on the axis) and fib = (sigma, gamma_w, eta) the raw
@@ -220,31 +226,28 @@ def _to_latitude(z: np.ndarray, zeta: np.ndarray):
     about 1.5e-154), whose subnormal squares would lose precision unflagged.
     """
     r2 = _dot(z, z)
-    if r2 < np.finfo(float).tiny:
-        if not np.any(z):
+    if r2 < sys.float_info.min:
+        if not any(z):
             raise ChartError("z = 0 has no compactified chart")
         raise ChartError(
             f"|z| = {math.hypot(*z):.3g} is too small for the compactified "
             "chart: |z|^2 underflows"
         )
     r = math.sqrt(r2)
-    zpp = z[:-1]
+    zpp, v = z[:-1], zeta[:-1]
     a = math.sqrt(_dot(zpp, zpp))
-    w = float(z[-1] / r)
-    sq = a / r
+    w, sq = z[-1] / r, a / r
     # the stereographic chart that the hemisphere of zpp/a picks
-    om = zpp / a if a > 1e-14 * r else np.zeros(z.size - 1)
-    chart = 0 if om[0] >= 0.0 else 1
-    y = om[1:] / (1.0 + abs(om[0]))
-    omega = _sphere_point(chart, y)
+    om = [c / a for c in zpp] if a > 1e-14 * r else [0.0] * len(zpp)
+    chart, q = 0 if om[0] >= 0.0 else 1, 1.0 + abs(om[0])
+    y = [c / q for c in om[1:]]
     sigma = -_dot(zeta, z)
-    cw = float(zeta[-1]) * r - _dot(zeta[:-1], omega) * r * w / max(sq, 1e-300)
+    cw = zeta[-1] * r - _dot(v, _sphere_point(chart, y).tolist()) * r * w / max(sq, 1e-300)
     # d omega/dy_i = 2 e_{1+i}/d - 4 y_i (sign, y)/d^2, d = 1 + |y|^2
     d = 1.0 + _dot(y, y)
-    sign = 1.0 if chart == 0 else -1.0
-    v = zeta[:-1]
-    eta = r * sq * (2.0 * v[1:] / d - 4.0 * (sign * v[0] + _dot(y, v[1:])) / (d * d) * y)
-    return r, w, sq, chart, y, np.concatenate(([sigma, cw], eta))
+    c = 4.0 * ((1.0 if chart == 0 else -1.0) * v[0] + _dot(y, v[1:])) / (d * d)
+    rs = r * sq
+    return r, w, sq, chart, y, [sigma, cw, *[rs * (2.0 * e / d - c * b) for e, b in zip(v[1:], y)]]
 
 
 def _from_latitude(r: float, w: float, sq: float, chart: int, y: np.ndarray, fib: np.ndarray):
@@ -295,7 +298,7 @@ def _v_fiber(w: float, fib: np.ndarray):
 def compactify(c: InteriorCovector) -> BCotangentPoint:
     """Push (z, zeta) to the b-frame with its raw fiber (which overflows on long rays;
     flow keeps the fiber projectivized); ChartError as in _to_latitude."""
-    r, w, sq, chart, y, fib = _to_latitude(c.z, c.zeta)
+    r, w, sq, chart, y, fib = _to_latitude(c.z.tolist(), c.zeta.tolist())
     return _b_point(c.n, 1.0 / r, w, sq, chart, y, *_v_fiber(w, fib))
 
 
@@ -348,14 +351,15 @@ def _int_rhs(Y: np.ndarray) -> np.ndarray:
 
 # --- state packing -------------------------------------------------------
 
-def _bd_state(x: float, w: float, y, fib: np.ndarray) -> np.ndarray:
+def _bd_state(x: float, w: float, y, fib) -> np.ndarray:
     """Latitude state [x, w, y, u, k] with the fiber split as u * e^k, |u| = 1."""
     s = math.sqrt(_dot(fib, fib))
-    return np.concatenate(([x, w], y, fib / s, [math.log(s)]))
+    return np.concatenate(([x, w], y, np.divide(fib, s), [math.log(s)]))
 
 
 def _interior_to_bd(state: np.ndarray, n: int):
-    r, w, _, chart, y, fib = _to_latitude(state[:n], state[n : 2 * n])
+    z_zeta = state.tolist()
+    r, w, _, chart, y, fib = _to_latitude(z_zeta[:n], z_zeta[n : 2 * n])
     return _bd_state(math.log(1.0 / r), w, y, fib), chart
 
 
@@ -366,10 +370,10 @@ def _bd_to_interior(state: np.ndarray, chart: int, n: int) -> np.ndarray:
     return np.concatenate(_from_latitude(math.exp(-state[0]), w, sq, chart, state[2:n], fib))
 
 
-def _sample_point(state: np.ndarray, chart: int, n: int, bd: bool):
-    """Flow state -> (its BCotangentPoint with unit v-frame fiber, lam, log-scale)."""
+def _sample_point(state: list, chart: int, n: int, bd: bool):
+    """Flow state, a list -> (its BCotangentPoint with unit v-frame fiber, lam, log-scale)."""
     if bd:
-        x, w, *rest = state.tolist()
+        x, w, *rest = state
         y, u, k = rest[: n - 2], rest[n - 2 : 2 * n - 2], rest[2 * n - 2]
         rho, sq, norm = math.exp(x), math.sqrt(1.0 - w * w), math.hypot(*u)
         u = [c / norm for c in u]
@@ -381,7 +385,7 @@ def _sample_point(state: np.ndarray, chart: int, n: int, bd: bool):
         z, zeta = state[:n], state[n : 2 * n]
         r, w, sq, chart, y, fib = _to_latitude(z, zeta)
         s = math.hypot(*fib)  # the raw fiber is huge next to the time axis
-        rho, u, k = 1.0 / r, (fib / s).tolist(), math.log(s)
+        rho, u, k = 1.0 / r, [c / s for c in fib], math.log(s)
         # the b-frame symbol is r^2 (zeta_n^2 - |zeta''|^2) in every frame; unlike
         # the latitude frame's it has no 1/(1 - w^2), which blows up next to the axis
         lam = (r / s) * (r / s) * (zeta[-1] * zeta[-1] - _dot(zeta[:-1], zeta[:-1]))
@@ -413,17 +417,20 @@ def _interior_events(Y):
     """At the rows [z, zeta]: leaving the trusted region past |z| = _ESCAPE_R (along
     the time axis), and entering the latitude chart (_entry turning positive)."""
     n = Y.shape[1] // 2
-    r = np.sqrt(_sumsq(Y[:, :n]))
-    return np.stack((r - _ESCAPE_R, _entry(r, Y[:, n - 1] / r)), axis=1)
+    r, out = np.sqrt(_sumsq(Y[:, :n])), np.empty((len(Y), 2))
+    out[:, 0], out[:, 1] = r - _ESCAPE_R, _entry(r, Y[:, n - 1] / r)
+    return out
 
 
 def _latitude_events(Y):
     """At the rows [x, w, y, u, k]: the radial convergence floor; the exit to the
     interior at rho > _RHO_BACK or w^2 > 0.92, past _entry's edges so that a
     ray does not bounce between the charts; the stereographic chart edge."""
-    x, w = Y[:, 0], Y[:, 1]
-    return np.stack((x - math.log(_RHO_FLOOR), np.maximum(x - math.log(_RHO_BACK), w * w - 0.92),
-                     _sumsq(Y[:, 2 : Y.shape[1] // 2]) - 4.0), axis=1)
+    x, w, out = Y[:, 0], Y[:, 1], np.empty((len(Y), 3))
+    out[:, 0] = x - math.log(_RHO_FLOOR)
+    out[:, 1] = np.maximum(x - math.log(_RHO_BACK), w * w - 0.92)
+    out[:, 2] = _sumsq(Y[:, 2 : Y.shape[1] // 2]) - 4.0
+    return out
 
 
 class _Leg:
@@ -436,7 +443,7 @@ class _Leg:
             (w, _, fib), chart, y, rho = _latitude(pt), pt.chart, pt.y, pt.rho
             r = 1.0 / rho if rho > 0.0 else math.inf
         else:
-            r, w, _, chart, y, fib = _to_latitude(pt.z, pt.zeta)
+            r, w, _, chart, y, fib = _to_latitude(pt.z.tolist(), pt.zeta.tolist())
             rho = 1.0 / r
         self.bd = bool(_entry(r, w) > 0.0)
         if self.bd:
@@ -446,7 +453,7 @@ class _Leg:
             self.state = np.concatenate((c.z, c.zeta))
         self.chart, self.T, self.sgn = chart, T, 1.0 if T >= 0 else -1.0
         # (t, point, lam, log-scale) per sample, the start's first: even |T| <= 1e-12 has one
-        self.samples = [(0.0, *_sample_point(self.state, chart, n, self.bd))]
+        self.samples = [(0.0, *_sample_point(self.state.tolist(), chart, n, self.bd))]
         self.nonnull = abs(self.samples[0][2]) > _NULL_TOL
         self.truncated, self.stats = None, dict.fromkeys(_STATS, 0)
 
@@ -460,7 +467,7 @@ class _Leg:
         tau = samples[-1][0]
         ts = np.linspace(tau, t_end, max(8, int(abs(t_end - tau) * _SAMPLES_PER_UNIT)) + 1)
         states = seg(ts)  # linspace ends on t_end exactly
-        for tv, sv in zip(ts.tolist(), states):
+        for tv, sv in zip(ts.tolist(), states.tolist()):
             if sgn * (tv - samples[-1][0]) <= 0.0:
                 continue  # the start and segment joins repeat the last sample
             samples.append((tv, *_sample_point(sv, self.chart, n, self.bd)))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from feynlab import bichar
+from feynlab import _dop853, bichar
 from feynlab.bichar import (
     BCotangentPoint,
     InteriorCovector,
@@ -168,6 +168,100 @@ def test_decompactify_rejects_degenerate_frame():
     # a boundary point has no interior preimage
     with pytest.raises(ChartError, match="rho must be positive"):
         decompactify(pt._replace(rho=0.0, v=0.0, chart_ok=True))
+
+
+# --- the chart map on Python floats ---------------------------------------
+
+def ref_dot(a, b):
+    """a . b as the array form of the chart map summed it: numpy's products,
+    added in index order from the first."""
+    total, *rest = np.multiply(a, b).tolist() or [0.0]
+    for p in rest:
+        total += p
+    return total
+
+
+def ref_to_latitude(z, zeta):
+    """The chart map's array form, the reference for _to_latitude: the same
+    operations in the same order, run by numpy on arrays."""
+    r2 = ref_dot(z, z)
+    if r2 < np.finfo(float).tiny:
+        if not np.any(z):
+            raise ChartError("z = 0 has no compactified chart")
+        raise ChartError(f"|z| = {math.hypot(*z):.3g} is too small for the compactified "
+                         "chart: |z|^2 underflows")
+    r = math.sqrt(r2)
+    zpp = z[:-1]
+    a = math.sqrt(ref_dot(zpp, zpp))
+    w = float(z[-1] / r)
+    sq = a / r
+    om = zpp / a if a > 1e-14 * r else np.zeros(z.size - 1)
+    chart = 0 if om[0] >= 0.0 else 1
+    y = om[1:] / (1.0 + abs(om[0]))
+    d = 1.0 + ref_dot(y, y)
+    sign = 1.0 if chart == 0 else -1.0
+    omega = np.concatenate(([sign * (2.0 - d) / d], 2.0 * y / d))
+    sigma = -ref_dot(zeta, z)
+    cw = float(zeta[-1]) * r - ref_dot(zeta[:-1], omega) * r * w / max(sq, 1e-300)
+    v = zeta[:-1]
+    eta = r * sq * (2.0 * v[1:] / d - 4.0 * (sign * v[0] + ref_dot(y, v[1:])) / (d * d) * y)
+    return r, w, sq, chart, y, np.concatenate(([sigma, cw], eta))
+
+
+# floats of either sign from 0.3 to 3e3 with full mantissas (times pi), so
+# that a sum taken in another order rounds differently
+_GENERIC = st.builds(lambda x, neg: -x if neg else x,
+                     st.floats(0.1, 1e3).map(lambda x: x * math.pi), st.booleans())
+
+
+@st.composite
+def chart_inputs(draw):
+    """(z, zeta) as lists, n = 2 to 5, with some components signed zeros; z
+    free, on the time axis (|z''| <= 1e-14 |z|), on the zero-time slice, or
+    scaled to about the underflow edge |z| = 1.5e-154."""
+    n = draw(st.integers(2, 5))
+    z, zeta = (draw(st.lists(_GENERIC, min_size=n, max_size=n)) for _ in range(2))
+    for v in (z, zeta):
+        for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+            v[i] = draw(st.sampled_from([0.0, -0.0]))
+    where = draw(st.sampled_from(["free", "axis", "slice", "edge"]))
+    if where == "axis":
+        z = [1e-18 * c for c in z[:-1]] + [draw(st.sampled_from([1.0, -1.0, 1e3, -2.5]))]
+    elif where == "slice":
+        z[-1] = draw(st.sampled_from([0.0, -0.0]))
+    elif where == "edge":
+        top = max(map(abs, z)) or 1.0
+        scale = draw(st.floats(1.0e-154, 1.6e-154))
+        z = [c / top * scale for c in z]
+    return z, zeta
+
+
+@settings(max_examples=200)  # cheap, and a reordered sum shows in a few per cent
+@given(chart_inputs())
+@example(([-0.0, 2.0], [-0.0, -0.0]))  # n = 2, on the axis: y is empty
+@example(([-1.0, 0.5], [0.3, -0.0]))  # n = 2, chart 1
+@example(([1e-15, -0.0, 0.0, -3.0], [-0.0, 1.0, -2.0, 0.5]))  # the time axis
+@example(([1.0, -2.0, 0.5, -0.0], [0.2, -0.0, 0.0, 1.0]))  # the zero-time slice
+@example(([-1.5, 0.25, -0.0, 2.0, 1.0], [1.0, -1.0, 0.5, -0.0, 3.0]))  # n = 5, chart 1
+@example(([1.0e-154, 1.0e-154], [1.0, 2.0]))  # |z|^2 just under the smallest normal
+@example(([1.1e-154, 1.1e-154], [1.0, 2.0]))  # and just over it
+@example(([0.0, -0.0, 0.0], [1.0, 2.0, 3.0]))  # z = 0
+def test_chart_map_on_floats_has_the_bits_of_the_array_form(pair):
+    z, zeta = pair
+    try:
+        want = ref_to_latitude(np.array(z), np.array(zeta))
+    except ChartError as exc:
+        with pytest.raises(ChartError) as info:
+            bichar._to_latitude(z, zeta)
+        assert str(info.value) == str(exc)
+        return
+    got = bichar._to_latitude(z, zeta)
+    assert got[3] == want[3]
+    assert all(type(x) is float for x in (*got[:3], *got[4], *got[5]))
+    for g, w in zip((*got[:3], got[4], got[5]), (*want[:3], want[4], want[5])):
+        g, w = np.array(g, dtype=float), np.array(w, dtype=float)
+        assert g.shape == w.shape
+        assert np.all(g == w) and np.all(np.signbit(g) == np.signbit(w))
 
 
 # --- the v-frame chart, kept as the reference ----------------------------
@@ -881,6 +975,7 @@ def poisoned(kernel, marker):
 
 
 @settings(max_examples=12)
+@example(picks=[(0, 1.0), (1, -1.0)], fail=None)  # start 0 twice, forward
 @given(
     picks=st.lists(st.tuples(st.integers(0, 35), st.sampled_from([1.0, -1.0])),
                    min_size=1, max_size=6, unique_by=lambda p: p[0]),
@@ -895,7 +990,14 @@ def test_ensemble_legs_have_the_bits_they_have_alone(golden_traces, picks, fail)
     starts = [golden_traces[i][0] for i, _ in picks]
     Ts = [sign * golden_traces[i][1] for i, sign in picks]
     marker = None if fail is None else bichar._Leg(starts[fail % len(picks)], 1.0).state[0]
+    passes = []  # the segments of each dense pass
+
+    def dense(system, runs, _fn=_dop853._dense):
+        passes.append(len(runs))
+        return _fn(system, runs)
+
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_dop853, "_dense", dense)
         if marker is not None:
             fail %= len(picks)
             for name in ("_int_rhs", "_bd_rhs"):
@@ -911,6 +1013,10 @@ def test_ensemble_legs_have_the_bits_they_have_alone(golden_traces, picks, fail)
         got, legs = [got[j] for j in keep], [legs[j] for j in keep]
     else:
         assert got.stats == {key: sum(tr.stats[key] for tr in legs) for key in got.stats}
+        # twin legs (one start, one T) end each segment in the same round: one pass
+        if any(starts[a] is starts[b] and Ts[a] == Ts[b] for b in range(len(picks))
+               for a in range(b)):
+            assert max(passes) >= 2
     for tr, want in zip(got, legs):
         assert trace_digest([tr]) == trace_digest([want])
 
@@ -956,7 +1062,8 @@ def test_chart_transition_round_trip(pair):
     # (z, zeta) -> latitude chart -> the other stereographic chart -> (z, zeta)
     z, zeta = (np.array(v) for v in pair)
     assume(np.linalg.norm(z) > 0.1 and np.linalg.norm(zeta) > 0.1)
-    r, w, sq, chart, y, fib = bichar._to_latitude(z, zeta)
+    r, w, sq, chart, y, fib = bichar._to_latitude(z.tolist(), zeta.tolist())
+    y, fib = np.array(y), np.array(fib)
     assume(sq > 0.05 and np.linalg.norm(y) > 0.2)
     ynew, eta = bichar._chart_transition(y, fib[2:])
     back_z, back_zeta = bichar._from_latitude(

@@ -238,25 +238,36 @@ def test_dense_output_per_segment_matches_the_per_round_formula():
 
 
 def test_right_hand_side_calls_per_segment_and_round():
-    # one leg: 2 calls start each segment, 12 run each round, accepted or
-    # rejected, and 3 end each segment
-    calls, segs = [], []
+    # per kind: 2 calls start the segments that start in a round, 12 run each
+    # round, accepted or rejected, and 3 end the segments that end in a round,
+    # all of them in one pass.  One leg; two legs of one kind, which end each
+    # segment in the same round (3 calls there, not 6); one leg of each of two
+    # kinds, which end each segment in the same round (3 calls a kind)
+    for kinds in ([0], [0, 0], [0, 1]):
+        calls, segs = ([], []), [[] for _ in kinds]
 
-    def counted(Y):
-        calls.append(len(Y))
-        return oscillator(Y)
+        def counted(k):
+            def fun(Y):
+                calls[k].append(len(Y))
+                return oscillator(Y)
+            return fun
 
-    def on_end(i, seg):
-        segs.append(seg)
-        return None if seg.event is None else (np.array([-1.0, 0.0, 0.0]), 0)
+        def on_end(i, seg):
+            segs[i].append(seg)
+            return None if seg.event is None else (np.array([-1.0, 0.0, 0.0]), kinds[i])
 
-    _dop853.solve(((counted, *OSCILLATOR[1:]),), np.array([[0.0, 1.0, 0.0]]), [0], [20.0],
-                  1e-10, on_end)
-    assert [seg.event for seg in segs] == [0, 0, 0, 0, None]
-    rounds = sum(len(seg.h) + seg.rejected for seg in segs)
-    assert len(calls) == 2 * len(segs) + 12 * rounds + 3 * len(segs)
-    assert sum(seg.nfev for seg in segs) == 2 * len(segs) + 15 * sum(
-        len(seg.h) for seg in segs) + 12 * sum(seg.rejected for seg in segs)
+        systems = tuple((counted(k), *OSCILLATOR[1:]) for k in (0, 1))
+        _dop853.solve(systems, np.tile([0.0, 1.0, 0.0], (len(kinds), 1)), kinds,
+                      [20.0] * len(kinds), 1e-10, on_end)
+        for leg in segs:
+            assert [seg.event for seg in leg] == [0, 0, 0, 0, None]
+            assert all(np.array_equal(a.ts, b.ts) for a, b in zip(leg, segs[0]))
+        leg = segs[0]
+        rounds = sum(len(seg.h) + seg.rejected for seg in leg)
+        for k in set(kinds):
+            assert len(calls[k]) == 2 * len(leg) + 12 * rounds + 3 * len(leg), kinds
+        assert sum(seg.nfev for seg in leg) == 2 * len(leg) + 15 * sum(
+            len(seg.h) for seg in leg) + 12 * sum(seg.rejected for seg in leg)
 
 
 def test_rtol_below_the_floor_is_raised_to_100_eps_with_a_warning():

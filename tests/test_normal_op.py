@@ -98,6 +98,18 @@ def test_spectrum_validation():
         harmonic_multiplicity(4, -2)
 
 
+@pytest.mark.parametrize("call,error", [
+    (lambda: harmonic_multiplicity(1, 0), DimensionError),
+    (lambda: indicial_roots(1, 3), DimensionError),
+    (lambda: indicial_roots(4, -1), ValueError),
+    (lambda: weight_line_invertible(1, 0.7), DimensionError),
+    (lambda: index_count(1, 0.7), DimensionError),
+], ids=["multiplicity-n", "roots-n", "roots-K", "line-n", "index-n"])
+def test_public_entry_points_reject_a_bad_dimension_or_truncation(call, error):
+    with pytest.raises(error):
+        call()
+
+
 # --- indicial roots -------------------------------------------------------
 
 def test_roots_small_truncations():
