@@ -277,11 +277,11 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, tol: float, on_end) -> None:
     values (rows, len(directions)); an event ends a segment where it crosses
     zero upward (direction > 0), downward (< 0) or either way (0).  y0 holds
     the starts (legs, N).  on_end(i, seg) gets leg i's ended Segment and
-    returns None to end the leg, or (y, kind) to go on from y at seg.ts[-1];
-    a failed leg ends after on_end(i, StiffnessError).  The segments that end
-    in a round get their dense output in one pass per kind, each leg's kind
-    read before the round's first on_end, and a leg ends at most one segment a
-    round.  The error scale is
+    returns None to end the leg, or (y, kind) to go on from y (a float
+    sequence) at seg.ts[-1]; a failed leg ends after on_end(i, StiffnessError).
+    The segments that end in a round get their dense output in one pass per
+    kind, each leg's kind read before the round's first on_end, and a leg ends
+    at most one segment a round.  The error scale is
     atol + |y| rtol with rtol = tol and atol = tol/100, atol taken before the
     rtol floor.  Raises ValueError for a non-finite y0 or a negative tol.
     """
@@ -311,7 +311,7 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, tol: float, on_end) -> None:
             done[i] = True
         else:
             y, kinds[i] = nxt
-            Y[i], t[i] = np.pad(y, (0, N - y.size)), result.ts[-1]
+            Y[i], t[i] = np.pad(y, (0, N - len(y))), result.ts[-1]
             fresh.append(i)
 
     while True:

@@ -3,9 +3,10 @@
 The keywords have their Draft 2020-12 meaning: $ref (into #/$defs), type,
 enum, const, properties, required, additionalProperties (false), items,
 minItems, minLength, minimum, maximum, exclusiveMinimum, multipleOf (a
-positive integer), oneOf, allOf and if/then.  The annotations $schema, $id,
+positive integer), allOf and if/then.  The annotations $schema, $id,
 title and description are ignored.  Loading a schema that uses anything
-else raises SchemaError, so a schema edit cannot slip past unchecked.
+else (oneOf too), or a list or object as a const or enum value, raises
+SchemaError, so a schema edit cannot slip past unchecked.
 
 Violations come as ``(path, message)`` with jsonschema's message texts and
 in its order (keywords in schema order, properties in schema order, items by
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import numbers
 import operator
-from collections.abc import Mapping, Sequence
 
 
 class SchemaError(ValueError):
@@ -40,15 +40,11 @@ _TYPES = {
 
 
 def _equal(a, b) -> bool:
-    """JSON equality: true is not 1, 1.0 is 1, containers compare by item."""
+    """JSON equality of an instance a and a scalar b: true is not 1, 1.0 is 1."""
     if a is b:
         return True
     if isinstance(a, str) or isinstance(b, str):
         return a == b
-    if isinstance(a, Sequence) and isinstance(b, Sequence):
-        return len(a) == len(b) and all(map(_equal, a, b))
-    if isinstance(a, Mapping) and isinstance(b, Mapping):
-        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
     return not isinstance(a, bool) and not isinstance(b, bool) and a == b
 
 
@@ -88,7 +84,7 @@ def _load(schema, defs, top=False):
         raise SchemaError(f"subschema {schema!r} is not an object")
     unknown = schema.keys() - _KEYWORDS.keys() - _ANNOTATIONS - ({"$defs"} if top else set())
     ref, step = schema.get("$ref"), schema.get("multipleOf", 1)
-    types = schema.get("type", ())
+    types, values = schema.get("type", ()), [*schema.get("enum", ()), schema.get("const")]
     if unknown:
         raise SchemaError(f"unsupported schema keyword(s): {', '.join(sorted(unknown))}")
     if ref is not None and (not ref.startswith("#/$defs/") or ref[8:] not in defs):
@@ -99,9 +95,11 @@ def _load(schema, defs, top=False):
         raise SchemaError("multipleOf must be a positive integer")
     if not set([types] if isinstance(types, str) else types) <= _TYPES.keys():
         raise SchemaError(f"unknown type in {types!r}")
+    if any(isinstance(v, (list, dict)) for v in values):
+        raise SchemaError("const and enum values must be scalars")
     for k, v in schema.items():
         if k in _APPLICATORS:
-            for sub in v.values() if k == "properties" else v if k in ("allOf", "oneOf") else [v]:
+            for sub in v.values() if k == "properties" else v if k == "allOf" else [v]:
                 _load(sub, defs)
 
 
@@ -118,7 +116,7 @@ def _type(val, names, s, x, path, errors):
 
 
 def _enum(val, values, s, x, path, errors):
-    if not any(_equal(e, x) for e in values):
+    if not any(_equal(x, e) for e in values):
         errors.append((path, f"{x!r} is not one of {values!r}"))
 
 
@@ -178,22 +176,13 @@ def _all_of(val, subs, s, x, path, errors):
         val._check(sub, x, path, errors)
 
 
-def _one_of(val, subs, s, x, path, errors):
-    hits = [sub for sub in subs if val._valid(sub, x, path)]
-    if not hits:
-        errors.append((path, f"{x!r} is not valid under any of the given schemas"))
-    elif len(hits) > 1:
-        listed = ", ".join(map(repr, hits[1:] + hits[:1]))
-        errors.append((path, f"{x!r} is valid under each of {listed}"))
-
-
 def _if(val, cond, s, x, path, errors):
     if "then" in s and val._valid(cond, x, path):
         val._check(s["then"], x, path, errors)
 
 
 _ANNOTATIONS = frozenset({"$schema", "$id", "title", "description"})
-_APPLICATORS = frozenset({"properties", "items", "allOf", "oneOf", "if", "then"})
+_APPLICATORS = frozenset({"properties", "items", "allOf", "if", "then"})
 # "then" is read by "if"
 _KEYWORDS = {
     "$ref": _ref,
@@ -210,7 +199,6 @@ _KEYWORDS = {
     "maximum": _bound(operator.gt, "is greater than the maximum of"),
     "exclusiveMinimum": _bound(operator.le, "is less than or equal to the minimum of"),
     "multipleOf": _multiple_of,
-    "oneOf": _one_of,
     "allOf": _all_of,
     "if": _if,
     "then": None,

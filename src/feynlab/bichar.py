@@ -79,18 +79,18 @@ def _sumsq(X: np.ndarray) -> np.ndarray:
     return ordered_sum(X * X)
 
 
-def _sphere_point(chart: int, y) -> np.ndarray:
+def _sphere_point(chart: int, y) -> list:
     """Direction on S^{m} in R^{m+1} from stereographic chart coordinates."""
     d = 1.0 + _dot(y, y)
-    return np.array([(1.0 if chart == 0 else -1.0) * (2.0 - d) / d, *[2.0 * c / d for c in y]])
+    return [(1.0 if chart == 0 else -1.0) * (2.0 - d) / d, *[2.0 * c / d for c in y]]
 
 
-def _chart_transition(y: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Move (y, eta), float arrays, to the opposite stereographic chart (y -> y/|y|^2)."""
-    r2 = _dot(y, y)
+def _chart_transition(y, eta) -> tuple[list, list]:
+    """Move (y, eta), float lists, to the opposite stereographic chart (y -> y/|y|^2)."""
+    r2, ye = _dot(y, y), 2.0 * _dot(y, eta)
     # eta transforms by the transpose Jacobian of y(y') = y'/|y'|^2, the
     # symmetric d y_i / d y'_j = r2 delta_ij - 2 y_i y_j, applied unassembled
-    return y / r2, r2 * eta - 2.0 * _dot(y, eta) * y
+    return [c / r2 for c in y], [r2 * e - ye * c for e, c in zip(eta, y)]
 
 
 # --- public types --------------------------------------------------------
@@ -242,7 +242,7 @@ def _to_latitude(z, zeta):
     chart, q = 0 if om[0] >= 0.0 else 1, 1.0 + abs(om[0])
     y = [c / q for c in om[1:]]
     sigma = -_dot(zeta, z)
-    cw = zeta[-1] * r - _dot(v, _sphere_point(chart, y).tolist()) * r * w / max(sq, 1e-300)
+    cw = zeta[-1] * r - _dot(v, _sphere_point(chart, y)) * r * w / max(sq, 1e-300)
     # d omega/dy_i = 2 e_{1+i}/d - 4 y_i (sign, y)/d^2, d = 1 + |y|^2
     d = 1.0 + _dot(y, y)
     c = 4.0 * ((1.0 if chart == 0 else -1.0) * v[0] + _dot(y, v[1:])) / (d * d)
@@ -250,8 +250,9 @@ def _to_latitude(z, zeta):
     return r, w, sq, chart, y, [sigma, cw, *[rs * (2.0 * e / d - c * b) for e, b in zip(v[1:], y)]]
 
 
-def _from_latitude(r: float, w: float, sq: float, chart: int, y: np.ndarray, fib: np.ndarray):
-    """Invert _to_latitude where sq > 0: (z, zeta) from the latitude point and raw fiber.
+def _from_latitude(r: float, w: float, sq: float, chart: int, y, fib):
+    """Invert _to_latitude where sq > 0: (z, zeta), float lists, from the latitude
+    point and raw fiber, y and fib float sequences, in the order of the array form.
 
     zeta pairs with z to -sigma, with dz/dw = r (-w omega/sq, 1) to gamma_w and with
     r sq (d omega/dy_i, 0) to eta_i.  As |omega| = 1 and sq^2 + w^2 = 1, these rows are
@@ -259,16 +260,13 @@ def _from_latitude(r: float, w: float, sq: float, chart: int, y: np.ndarray, fib
     zeta, the solution of that system, sums each row times its entry over its squared
     length; the eta rows sum to ((0, d eta/2) - (y . eta)(sign, y))/(r sq).
     """
-    omega = _sphere_point(chart, y)
-    z = np.concatenate((r * sq * omega, [r * w]))
+    omega, rs, eta = _sphere_point(chart, y), r * sq, fib[2:]
     a, b = -fib[0] / r, sq * fib[1] / r  # along z/r and (-w omega, sq)
-    d = 1.0 + _dot(y, y)
-    eta = fib[2:]
-    zeta = np.concatenate(((a * sq - b * w) * omega, [a * w + b * sq]))
-    rows = np.concatenate(([0.0], d / 2.0 * eta)) - _dot(y, eta) * np.concatenate(
-        ([1.0 if chart == 0 else -1.0], y))
-    zeta[:-1] += rows / (r * sq)
-    return z, zeta
+    c, d, ye = a * sq - b * w, 1.0 + _dot(y, y), _dot(y, eta)
+    rows = [0.0 - ye * (1.0 if chart == 0 else -1.0)]
+    rows += [d / 2.0 * e - ye * q for e, q in zip(eta, y)]
+    return ([rs * o for o in omega] + [r * w],
+            [c * o + p / rs for o, p in zip(omega, rows)] + [a * w + b * sq])
 
 
 def _latitude(pt: BCotangentPoint):
@@ -277,22 +275,21 @@ def _latitude(pt: BCotangentPoint):
         raise ChartError("degenerate b-frame; cannot invert")
     w = pt.cap * math.sqrt((1.0 + pt.v) / 2.0)
     sq = math.sqrt((1.0 - pt.v) / 2.0)
-    return w, sq, np.concatenate(([pt.sigma, 4.0 * w * pt.gamma], pt.eta))
+    return w, sq, [pt.sigma, 4.0 * w * pt.gamma, *pt.eta]
 
 
 def _b_point(n: int, rho: float, w: float, sq: float, chart: int, y, sigma, gamma, eta):
     """The BCotangentPoint, of plain floats, of a latitude point with its v-frame fiber
     (from _v_fiber): v = 2w^2 - 1, cap = sign w, and chart_ok cleared within 1e-7 of
     the zero-time slice and the time axis."""
-    return BCotangentPoint(n, rho, 2.0 * w * w - 1.0, tuple(map(float, y)), float(sigma),
-                           float(gamma), tuple(map(float, eta)), 1 if w >= 0.0 else -1,
-                           chart, min(abs(w), sq) >= 1e-7)
+    return BCotangentPoint(n, rho, 2.0 * w * w - 1.0, tuple(y), sigma, gamma, tuple(eta),
+                           1 if w >= 0.0 else -1, chart, min(abs(w), sq) >= 1e-7)
 
 
-def _v_fiber(w: float, fib: np.ndarray):
+def _v_fiber(w: float, fib: list):
     """(sigma, gamma, eta) from the latitude fiber: gamma = gamma_w/(4w); on the
     zero-time slice dv/dw = 4w vanishes and gamma is NaN."""
-    return float(fib[0]), float(fib[1]) / (4.0 * w) if w else math.nan, fib[2:]
+    return fib[0], fib[1] / (4.0 * w) if w else math.nan, fib[2:]
 
 
 def compactify(c: InteriorCovector) -> BCotangentPoint:
@@ -307,7 +304,7 @@ def decompactify(pt: BCotangentPoint) -> InteriorCovector:
     if pt.rho <= 0.0:
         raise ChartError("rho must be positive to return to the interior")
     w, sq, fib = _latitude(pt)
-    z, zeta = _from_latitude(1.0 / pt.rho, w, sq, pt.chart, np.asarray(pt.y, dtype=float), fib)
+    z, zeta = _from_latitude(1.0 / pt.rho, w, sq, pt.chart, pt.y, fib)
     return InteriorCovector(z=z, zeta=zeta)
 
 
@@ -351,23 +348,23 @@ def _int_rhs(Y: np.ndarray) -> np.ndarray:
 
 # --- state packing -------------------------------------------------------
 
-def _bd_state(x: float, w: float, y, fib) -> np.ndarray:
+def _bd_state(x: float, w: float, y, fib) -> list:
     """Latitude state [x, w, y, u, k] with the fiber split as u * e^k, |u| = 1."""
     s = math.sqrt(_dot(fib, fib))
-    return np.concatenate(([x, w], y, np.divide(fib, s), [math.log(s)]))
+    return [x, w, *y, *[c / s for c in fib], math.log(s)]
 
 
-def _interior_to_bd(state: np.ndarray, n: int):
-    z_zeta = state.tolist()
-    r, w, _, chart, y, fib = _to_latitude(z_zeta[:n], z_zeta[n : 2 * n])
+def _interior_to_bd(state: list, n: int):
+    r, w, _, chart, y, fib = _to_latitude(state[:n], state[n : 2 * n])
     return _bd_state(math.log(1.0 / r), w, y, fib), chart
 
 
-def _bd_to_interior(state: np.ndarray, chart: int, n: int) -> np.ndarray:
-    w, u = state[1], state[n : 2 * n]
-    fib = u / math.sqrt(_dot(u, u)) * math.exp(state[2 * n])
-    sq = math.sqrt(1.0 - w * w)
-    return np.concatenate(_from_latitude(math.exp(-state[0]), w, sq, chart, state[2:n], fib))
+def _bd_to_interior(state: list, chart: int, n: int) -> list:
+    w, u, e = state[1], state[n : 2 * n], math.exp(state[2 * n])
+    s = math.sqrt(_dot(u, u))
+    z, zeta = _from_latitude(math.exp(-state[0]), w, math.sqrt(1.0 - w * w), chart, state[2:n],
+                             [c / s * e for c in u])
+    return z + zeta
 
 
 def _sample_point(state: list, chart: int, n: int, bd: bool):
@@ -434,10 +431,12 @@ def _latitude_events(Y):
 
 
 class _Leg:
-    """One leg of flow: its chart, its state at the start of its segment, its
-    samples and its counters; end takes each segment _dop853.solve ends."""
+    """One leg of flow: its chart, its state (a float list) at the start of its
+    segment, its samples and its counters; end takes each segment _dop853.solve ends."""
 
     def __init__(self, pt, T: float):
+        if math.isnan(T):
+            raise ValueError("flow length T is NaN")
         n = self.n = pt.n
         if isinstance(pt, BCotangentPoint):
             (w, _, fib), chart, y, rho = _latitude(pt), pt.chart, pt.y, pt.rho
@@ -450,10 +449,10 @@ class _Leg:
             self.state = _bd_state(math.log(max(rho, 1e-300)), w, y, fib)
         else:
             c = decompactify(pt) if isinstance(pt, BCotangentPoint) else pt
-            self.state = np.concatenate((c.z, c.zeta))
+            self.state = c.z.tolist() + c.zeta.tolist()
         self.chart, self.T, self.sgn = chart, T, 1.0 if T >= 0 else -1.0
         # (t, point, lam, log-scale) per sample, the start's first: even |T| <= 1e-12 has one
-        self.samples = [(0.0, *_sample_point(self.state.tolist(), chart, n, self.bd))]
+        self.samples = [(0.0, *_sample_point(self.state, chart, n, self.bd))]
         self.nonnull = abs(self.samples[0][2]) > _NULL_TOL
         self.truncated, self.stats = None, dict.fromkeys(_STATS, 0)
 
@@ -466,8 +465,8 @@ class _Leg:
         n, sgn, T, t_end, samples = self.n, self.sgn, self.T, seg.ts[-1], self.samples
         tau = samples[-1][0]
         ts = np.linspace(tau, t_end, max(8, int(abs(t_end - tau) * _SAMPLES_PER_UNIT)) + 1)
-        states = seg(ts)  # linspace ends on t_end exactly
-        for tv, sv in zip(ts.tolist(), states.tolist()):
+        states = seg(ts).tolist()  # linspace ends on t_end exactly
+        for tv, sv in zip(ts.tolist(), states):
             if sgn * (tv - samples[-1][0]) <= 0.0:
                 continue  # the start and segment joins repeat the last sample
             samples.append((tv, *_sample_point(sv, self.chart, n, self.bd)))
@@ -482,7 +481,8 @@ class _Leg:
         if not self.bd:
             (state, self.chart), self.bd = _interior_to_bd(state, n), True
         else:
-            state[n : 2 * n] /= math.sqrt(_dot(state[n : 2 * n], state[n : 2 * n]))
+            s = math.sqrt(_dot(state[n : 2 * n], state[n : 2 * n]))
+            state[n : 2 * n] = [c / s for c in state[n : 2 * n]]
             if seg.event == 1 and state[0] < math.log(1e-3):
                 self.truncated = "chart"  # near-axis transit too deep out for the interior
                 return None
@@ -492,7 +492,7 @@ class _Leg:
             else:  # the chart edge: move y to the other stereographic chart
                 ynew, enew = _chart_transition(state[2:n], state[n + 2 : 2 * n])
                 k = state[2 * n]
-                state = _bd_state(state[0], state[1], ynew, np.concatenate((state[n : n + 2], enew)))
+                state = _bd_state(state[0], state[1], ynew, state[n : n + 2] + enew)
                 state[-1] += k
                 self.chart = 1 - self.chart
         if self.stats["segments"] == _MAX_SEGMENTS:
@@ -502,7 +502,7 @@ class _Leg:
 
 
 def flow(pt, T, tol: float = 1e-10):
-    """Integrate the b-Hamilton flow for parameter length T (signed).
+    """Integrate the b-Hamilton flow for parameter length T (signed, not NaN).
 
     For one start (a BCotangentPoint or an InteriorCovector) flow returns its
     RayTrace; for a sequence of starts, with T one length or one per start,
@@ -527,7 +527,7 @@ def flow(pt, T, tol: float = 1e-10):
     # |T| <= 1e-12 runs no segment: the trace is its start sample
     for n in sorted({leg.n for leg in legs if abs(leg.T) > 1e-12}):
         run = [leg for leg in legs if leg.n == n and abs(leg.T) > 1e-12]
-        y0 = np.array([np.pad(leg.state, (0, 2 * n + 1 - leg.state.size)) for leg in run])
+        y0 = np.array([np.pad(leg.state, (0, 2 * n + 1 - len(leg.state))) for leg in run])
         # each event with the crossing direction in which it ends a segment
         systems = ((_int_rhs, _interior_events, (0.0, 1.0), 2 * n),
                    (_bd_rhs, _latitude_events, (-1.0, 1.0, 1.0), 2 * n + 1))

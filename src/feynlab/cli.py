@@ -137,6 +137,10 @@ def _strict_json(text: str, origin: str) -> dict:
     def reject_constant(token):
         raise ConfigError(f"{origin}: nonfinite literal {token!r} not allowed")
 
+    def finite_float(token):  # 1e400 parses to inf, as nonfinite as Infinity
+        x = float(token)
+        return x if math.isfinite(x) else reject_constant(token)
+
     def reject_duplicates(pairs):
         seen = {}
         for key, value in pairs:
@@ -146,9 +150,8 @@ def _strict_json(text: str, origin: str) -> dict:
         return seen
 
     try:
-        data = json.loads(
-            text, parse_constant=reject_constant, object_pairs_hook=reject_duplicates
-        )
+        data = json.loads(text, parse_float=finite_float, parse_constant=reject_constant,
+                          object_pairs_hook=reject_duplicates)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{origin}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):

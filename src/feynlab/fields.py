@@ -35,7 +35,8 @@ class GridSpec:
 
     Extents whose squared frequencies overflow, or whose cell volume (the
     Parseval scale and every norm go through it) is not a finite normal
-    float, are a ValueError.
+    float, are a ValueError, and so is a point count that is not an even
+    whole number >= 4 (8.0 is 8; 6.7 is not truncated to 6).
     """
 
     extent: tuple[float, ...]
@@ -48,8 +49,8 @@ class GridSpec:
             raise DimensionError("extent and points must be equal, nonzero length")
         if any(L <= 0 for L in ext):
             raise ValueError("extents must be positive")
-        if any(N < 4 or N % 2 for N in pts):
-            raise ValueError("point counts must be even and >= 4")
+        if pts != tuple(self.points) or any(N < 4 or N % 2 for N in pts):
+            raise ValueError("point counts must be even whole numbers >= 4")
         # (2 pi N / L)^2, four squared Nyquist frequencies, bounds the symbol's
         # squares and (as N >= 4) default_epsilon's 10 (2 pi / L)^2
         twice_nyquist = [2.0 * math.pi * N / L for L, N in zip(ext, pts)]

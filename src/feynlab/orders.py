@@ -323,8 +323,6 @@ def product_integral(
                              f"M+ {row_p.max()}, M- {row_m.max()}")
         vals_p.append(row_p)
         vals_m.append(row_m)
-    if len({len(row) for row in vals_p}) != 1:  # pragma: no cover
-        raise ResolutionError("sample ladder not aligned across dyadic levels")
     vals_p = np.array(vals_p)  # (levels, probes)
     vals_m = np.array(vals_m)
     mp_levels = vals_p.max(axis=1)

@@ -144,11 +144,9 @@ class SumWeight(WeightFunction):
     parts: tuple[WeightFunction, ...]
 
     def __post_init__(self) -> None:
-        if not self.parts:
-            raise ValueError("sum weight needs at least one part")
-        dims = {p.dim for p in self.parts}
-        if len(dims) != 1:
-            raise DimensionError(f"mixed dimensions in sum weight: {dims}")
+        dims = sorted({p.dim for p in self.parts})
+        if len(dims) != 1:  # no parts, or parts of mixed dimensions
+            raise DimensionError(f"sum weight needs parts of one dimension, got {dims}")
 
     @property
     def dim(self) -> int:

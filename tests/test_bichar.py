@@ -208,6 +208,34 @@ def ref_to_latitude(z, zeta):
     return r, w, sq, chart, y, np.concatenate(([sigma, cw], eta))
 
 
+def ref_from_latitude(r, w, sq, chart, y, fib):
+    """The array form of _from_latitude, on arrays y and fib."""
+    d = 1.0 + ref_dot(y, y)
+    sign = 1.0 if chart == 0 else -1.0
+    omega = np.concatenate(([sign * (2.0 - d) / d], 2.0 * y / d))
+    z = np.concatenate((r * sq * omega, [r * w]))
+    a, b = -fib[0] / r, sq * fib[1] / r
+    eta = fib[2:]
+    zeta = np.concatenate(((a * sq - b * w) * omega, [a * w + b * sq]))
+    rows = np.concatenate(([0.0], d / 2.0 * eta)) - ref_dot(y, eta) * np.concatenate(([sign], y))
+    zeta[:-1] += rows / (r * sq)
+    return z, zeta
+
+
+def ref_chart_transition(y, eta):
+    """The array form of _chart_transition, on arrays y and eta."""
+    r2 = ref_dot(y, y)
+    return y / r2, r2 * eta - 2.0 * ref_dot(y, eta) * y
+
+
+def assert_same_bits(got, want):
+    """got holds Python floats with the values and signs of want's."""
+    assert all(type(x) is float for x in got)
+    g, w = np.array(got, dtype=float), np.array(want, dtype=float)
+    assert g.shape == w.shape
+    assert np.all(g == w) and np.all(np.signbit(g) == np.signbit(w))
+
+
 # floats of either sign from 0.3 to 3e3 with full mantissas (times pi), so
 # that a sum taken in another order rounds differently
 _GENERIC = st.builds(lambda x, neg: -x if neg else x,
@@ -246,6 +274,7 @@ def chart_inputs(draw):
 @example(([1.0e-154, 1.0e-154], [1.0, 2.0]))  # |z|^2 just under the smallest normal
 @example(([1.1e-154, 1.1e-154], [1.0, 2.0]))  # and just over it
 @example(([0.0, -0.0, 0.0], [1.0, 2.0, 3.0]))  # z = 0
+@example(([1.0, 1.0], [-0.0, -0.0]))  # zeta = 0: the inverse's 0.0 - y . eta is +0.0
 def test_chart_map_on_floats_has_the_bits_of_the_array_form(pair):
     z, zeta = pair
     try:
@@ -257,11 +286,19 @@ def test_chart_map_on_floats_has_the_bits_of_the_array_form(pair):
         return
     got = bichar._to_latitude(z, zeta)
     assert got[3] == want[3]
-    assert all(type(x) is float for x in (*got[:3], *got[4], *got[5]))
-    for g, w in zip((*got[:3], got[4], got[5]), (*want[:3], want[4], want[5])):
-        g, w = np.array(g, dtype=float), np.array(w, dtype=float)
-        assert g.shape == w.shape
-        assert np.all(g == w) and np.all(np.signbit(g) == np.signbit(w))
+    for g, w in zip((got[:3], got[4], got[5]), (want[:3], want[4], want[5])):
+        assert_same_bits(g, w)
+    # the inverse, where sq > 0, and the move to the other chart, where y != 0
+    r, w, sq, chart, y, fib = got
+    y_arr, fib_arr = np.array(y, dtype=float), np.array(fib)
+    if sq > 0.0:
+        for g, want in zip(bichar._from_latitude(r, w, sq, chart, y, fib),
+                           ref_from_latitude(r, w, sq, chart, y_arr, fib_arr)):
+            assert_same_bits(g, want)
+    if ref_dot(y_arr, y_arr) > 0.0:
+        for g, want in zip(bichar._chart_transition(y, fib[2:]),
+                           ref_chart_transition(y_arr, fib_arr[2:])):
+            assert_same_bits(g, want)
 
 
 # --- the v-frame chart, kept as the reference ----------------------------
@@ -301,7 +338,7 @@ def ref_compactify(z, zeta):
     else:
         omega = z[:-1] / a
         chart, y = (0 if omega[0] >= 0.0 else 1), omega[1:] / (1.0 + abs(omega[0]))
-    omega = bichar._sphere_point(chart, y)
+    omega = np.array(bichar._sphere_point(chart, y))
     qp, qm = abs(w), a / r
     gamma = (float(zeta[-1]) * cap * r / (4.0 * max(qp, 1e-300))
              - float(zeta[:-1] @ omega) * r / (4.0 * max(qm, 1e-300)))
@@ -334,7 +371,7 @@ def ref_decompactify(pt):
     qp = math.sqrt((1.0 + pt.v) / 2.0)
     qm = math.sqrt((1.0 - pt.v) / 2.0)
     y = np.asarray(pt.y, dtype=float)
-    omega = bichar._sphere_point(pt.chart, y)
+    omega = np.array(bichar._sphere_point(pt.chart, y))
     z = np.concatenate((r * qm * omega, [pt.cap * r * qp]))
     # rows of J^T: derivatives of z along (log r, v, y_i)
     Jt = np.zeros((n, n))
@@ -529,6 +566,15 @@ def test_flow_next_to_time_axis_records_finite_values(d, zeta):
 def test_flow_rejects_start_outside_the_chart(start, match):
     with pytest.raises(ChartError, match=match):
         flow(start, 1.0)
+
+
+def test_flow_rejects_a_nan_length():
+    # a NaN length would pass every |T| test untaken and return the start
+    # sample alone, as if the leg had run its whole length
+    start = InteriorCovector([30.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0])
+    for starts, T in [(start, math.nan), ([start, start], [1.0, math.nan])]:
+        with pytest.raises(ValueError, match="NaN"):
+            flow(starts, T)
 
 
 def test_flow_reaches_radial_set():
@@ -1099,7 +1145,7 @@ def test_flow_hand_over_branches(monkeypatch, start, segments, edge, exits):
     entries, exits_at = [], []
 
     def spy_enter(state, n, _fn=bichar._interior_to_bd):
-        z = state[:n]
+        z = np.array(state[:n])
         entries.append((float(np.linalg.norm(z)), float(z[-1] ** 2 / (z @ z))))
         return _fn(state, n)
 

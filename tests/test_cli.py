@@ -127,10 +127,12 @@ def test_strict_json_duplicate_keys(tmp_path):
         load_config(p)
 
 
-def test_strict_json_nonfinite(tmp_path):
+@pytest.mark.parametrize("literal", ["Infinity", "1e400", "-1e400"])
+def test_strict_json_nonfinite(tmp_path, literal):
+    # a number literal that overflows to +-inf is as nonfinite as Infinity
     p = tmp_path / "c.json"
-    p.write_text('{"subcommand": "picard", "params": {"p": 3, "lam": Infinity}}')
-    with pytest.raises(ConfigError):
+    p.write_text('{"subcommand": "picard", "params": {"p": 3, "lam": %s}}' % literal)
+    with pytest.raises(ConfigError, match="nonfinite"):
         load_config(p)
 
 

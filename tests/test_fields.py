@@ -28,6 +28,8 @@ def test_grid_serialization_round_trip():
         ((8.0,), (3,)), ((8.0,), (2,)), ((-1.0,), (8,)), ((8.0, 4.0), (8,)),
         # 10 (2 pi / L)^2 overflows, though the squared Nyquist frequency does not
         ((1.2e-153, 8.0), (4, 8)),
+        # a point count that is not a whole number is not truncated
+        ((8.0, 8.0), (6.7, 8)),
     ],
 )
 def test_grid_rejects_bad_specs(extent, points):
@@ -99,6 +101,27 @@ def test_fields_own_fresh_arrays_and_copy_a_callers():
     g = f + f
     assert not g.values.flags.writeable
     assert np.array_equal(g.values, 2.0 * c)
+
+
+GRID_A = GridSpec((8.0, 8.0), (8, 8))
+GRID_B = GridSpec((8.0, 6.0), (8, 8))
+
+
+FIELD_A = SpectralField(GRID_A, np.ones((8, 8)))
+FIELD_B = SpectralField(GRID_B, np.ones((8, 8)))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: SpectralField(GRID_A, np.zeros((8, 6))), "values shape"),
+    # before the transform, whose result would fail the values check
+    (lambda: SpectralField.from_coeffs(GRID_A, np.zeros(8)), "coefficient shape"),
+    (lambda: FIELD_A.inner(FIELD_B), "different grids"),
+    (lambda: FIELD_A + FIELD_B, "different grids"),
+    (lambda: FIELD_A - FIELD_B, "different grids"),
+], ids=["values-shape", "coeffs-shape", "inner", "add", "sub"])
+def test_fields_reject_a_wrong_shape_or_grid(call, match):
+    with pytest.raises(DimensionError, match=match):
+        call()
 
 
 def test_gaussian_source_long_center_rejected():

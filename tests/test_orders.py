@@ -608,6 +608,9 @@ def test_sweep_plan_filters_by_dim_and_rule():
         sweep_plan([1], rules)  # no 1-D realization
     with pytest.raises(ValueError, match="'cone-prodcut'"):
         sweep_plan(None, ["cone-prodcut"])
+    # a plan that rule_sweep is given directly names only declared thresholds
+    with pytest.raises(KeyError, match="bogus"):
+        rule_sweep(plan=[("cone-product", 1, "bogus")])
 
 
 # the hypotheses a joint threshold crosses together

@@ -86,6 +86,7 @@ def test_propagate_zero_source(kind):
     f = SpectralField(grid, np.zeros((16, 16)))
     u = propagate(f, Prescription(kind, eps=0.1))
     assert u.norm() == 0.0
+    assert characteristic_energy_fraction(u, 1.0) == 0.0
 
 
 def test_propagate_single_mode_feynman():
@@ -496,6 +497,28 @@ def test_wick_study_limit_matches_pairing():
 def test_default_epsilon_scale():
     grid = GridSpec((8.0, 4.0), (16, 16))
     assert default_epsilon(grid) == pytest.approx(10.0 * (2.0 * np.pi / 4.0) ** 2)
+
+
+GRID_A = GridSpec((8.0, 8.0), (8, 8))
+FIELD_A = SpectralField(GRID_A, np.ones((8, 8)))
+FIELD_B = SpectralField(GridSpec((8.0, 6.0), (8, 8)), np.ones((8, 8)))
+T = np.linspace(-1.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: apply_box(SpectralField(GridSpec((8.0,), (8,)), np.ones(8)),
+                       Prescription(Kind.FEYNMAN, eps=0.1)), DimensionError),
+    (lambda: prescription_residual(FIELD_A, FIELD_B, Prescription(Kind.RETARDED, eps=0.1)),
+     DimensionError),
+    (lambda: wick_continuation_study(FIELD_A, FIELD_B, [0.5j]), DimensionError),
+    (lambda: mode_profile(-1.0, Prescription(Kind.RETARDED, eps=0.1), T), ValueError),
+    (lambda: mode_profile(1.0, Prescription(Kind.RETARDED), T), ValueError),
+    # the rotation by 1e-300 leaves the pole of omega = 1e-30 on the real axis
+    (lambda: mode_profile(1e-30, Prescription(Kind.FEYNMAN, eps=1e-300), T), ValueError),
+], ids=["box-1d", "residual-grids", "wick-grids", "profile-omega", "profile-eps", "profile-pole"])
+def test_public_calls_reject_a_bad_grid_or_argument(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_propagate_needs_two_axes():

@@ -240,11 +240,14 @@ def test_zero_coupling_reports_the_propagate_residual(kind):
 
 
 def test_zero_source_converges_immediately():
+    # one iteration is the least a solve runs, and all a zero source needs
     zero = SpectralField(GRID, np.zeros(GRID.points))
     u, rep = picard_solve(SemilinearProblem(f=zero, p=3, lam=0.5))
     assert rep.iterations == 1
     assert rep.converged
     assert u.norm() == 0.0
+    with pytest.raises(ValueError):
+        picard_solve(SemilinearProblem(f=zero, p=3, lam=0.5), max_iter=0)
 
 
 # --- the contraction regime ----------------------------------------------

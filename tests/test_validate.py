@@ -8,6 +8,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -116,7 +117,44 @@ BOUNDARY_CASES = [
     # no source branch, and a dim that is true
     dict(VALID["picard"], params=dict(VALID["picard"]["params"], source={"type": "uniform"})),
     dict(VALID["product-check"], params={"dims": [True, 2.0]}),
+] + [
+    # hand-made sources under both subcommands that take one
+    dict(VALID[sub], params=dict(VALID[sub]["params"], source=source))
+    for sub in ("propagate", "picard")
+    for source in [
+        {}, [], "gaussian", {"width": 1.0}, {"type": True}, {"type": "random"},
+        {"type": "gaussian", "band": 0.5}, {"type": "random", "width": 1.0, "zzz": 0},
+        {"type": "gaussian", "width": 0, "center": [True]},
+        {"type": "random", "band": 1, "decay": 0.5},
+    ]
 ]
+
+# the source block before the choice of source type became if/then pairs
+ONE_OF_SOURCE = {
+    "oneOf": [
+        {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["type"],
+            "properties": {
+                "type": {"const": "gaussian"},
+                "width": {"type": "number", "exclusiveMinimum": 0},
+                "amplitude": {"type": "number"},
+                "center": {"type": "array", "items": {"type": "number"}},
+            },
+        },
+        {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["type"],
+            "properties": {
+                "type": {"const": "random"},
+                "band": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+                "decay": {"type": "number", "exclusiveMinimum": 0},
+            },
+        },
+    ]
+}
 
 
 @given(mutated_configs())
@@ -143,6 +181,22 @@ def test_mutations_reach_accepted_and_rejected_configs():
     collect()
     assert verdicts == {True, False}
     assert {(), ("grid",), ("params",), ("seed",)} <= sites
+
+
+def test_source_choice_keeps_the_verdicts_of_the_one_of():
+    # jsonschema accepts and rejects the same configs under either source block
+    old = jsonschema.Draft202012Validator(
+        dict(CONFIG_SCHEMA, **{"$defs": dict(CONFIG_SCHEMA["$defs"], source=ONE_OF_SOURCE)})
+    )
+    new = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+    @given(mutated_configs())
+    def same_verdict(cfg):
+        assert new.is_valid(cfg) == old.is_valid(cfg)
+
+    same_verdict()
+    for cfg in BOUNDARY_CASES:
+        assert new.is_valid(cfg) == old.is_valid(cfg)
 
 
 @pytest.mark.parametrize("subcommand", sorted(VALID))
@@ -195,6 +249,9 @@ def test_const_tells_true_from_one():
         {"type": "decimal"},
         {"items": True},
         {"properties": {"a": {"$defs": {}}}},
+        {"oneOf": [{"type": "object"}, {"type": "array"}]},
+        {"const": [1]},
+        {"enum": [{"a": 1}]},
     ],
 )
 def test_unknown_keywords_and_forms_raise_at_load(schema):
@@ -203,12 +260,22 @@ def test_unknown_keywords_and_forms_raise_at_load(schema):
 
 
 def test_config_error_message_names_the_first_path():
-    with pytest.raises(cli.ConfigError) as info:
-        cli.ExperimentConfig.from_dict(
-            {"subcommand": "picard", "grid": {"extent": [8.0, 8.0], "points": [16, 3]},
-             "params": {"p": True, "lam": 0.1}}
-        )
-    assert str(info.value) == "config invalid at grid/points/1: 3 is less than the minimum of 4"
+    picard = VALID["picard"]["params"]
+    for cfg, message in [
+        ({"subcommand": "picard", "grid": {"extent": [8.0, 8.0], "points": [16, 3]},
+          "params": {"p": True, "lam": 0.1}},
+         "grid/points/1: 3 is less than the minimum of 4"),
+        # a bad source names its fault
+        (dict(VALID["picard"], params=dict(picard, source={"type": "uniform"})),
+         "params/source/type: 'uniform' is not one of ['gaussian', 'random']"),
+        (dict(VALID["picard"], params=dict(picard, source={"type": "random", "width": 1.0})),
+         "params/source: Additional properties are not allowed ('width' was unexpected)"),
+        (dict(VALID["picard"], params=dict(picard, source={"width": 1.0})),
+         "params/source: 'type' is a required property"),
+    ]:
+        with pytest.raises(cli.ConfigError) as info:
+            cli.ExperimentConfig.from_dict(cfg)
+        assert str(info.value) == f"config invalid at {message}"
 
 
 def test_cli_import_loads_no_jsonschema_and_no_thread_pool():

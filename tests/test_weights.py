@@ -42,6 +42,10 @@ def test_weights_reject_bad_dimensions():
         ConeWeight(3, 0.6, 1.4, 0.3, 0.7)(np.zeros((2, 8)))
     with pytest.raises(ValueError):
         ConeWeight(2, 0.6, 1.4, 0.7, 0.3)  # need inner < outer
+    with pytest.raises(DimensionError, match=r"got \[\]"):
+        SumWeight(())
+    with pytest.raises(DimensionError, match=r"got \[2, 3\]"):
+        SumWeight((IsoWeight(2, 1.0), IsoWeight(3, 1.0)))
 
 
 def folded_cone_order(dim, base, peak, inner, outer, xi):
