@@ -11,7 +11,10 @@ SchemaError, so a schema edit cannot slip past unchecked.
 Violations come as ``(path, message)`` with jsonschema's message texts and
 in its order (keywords in schema order, properties in schema order, items by
 index), then sorted by path.  A bool is neither an integer nor a number,
-1.0 is an integer, and enum and const tell true from 1.
+1.0 is an integer, and enum and const tell true from 1.  ``check`` also
+lists where a float such as 1.0 passed as an integer (by ``type: integer``
+or an integer enum value), so a caller can read it as the int it stands
+for; the walk records those places as ``(path, None)``.
 """
 
 from __future__ import annotations
@@ -61,9 +64,14 @@ class Validator:
     def errors(self, instance) -> list:
         """Every violation as ``(path, message)``, the path a tuple of keys
         and indices; sorted by path, ties in the order they were found."""
-        errors = []
-        self._check(self._schema, instance, (), errors)
-        return sorted(errors, key=operator.itemgetter(0))
+        return self.check(instance)[0]
+
+    def check(self, instance) -> tuple[list, list]:
+        """``(errors(instance), paths)``, paths where a float passed as an integer."""
+        found = []
+        self._check(self._schema, instance, (), found)
+        errors = sorted((e for e in found if e[1] is not None), key=operator.itemgetter(0))
+        return errors, [path for path, message in found if message is None]
 
     def _check(self, schema, x, path, errors):
         for k, v in schema.items():
@@ -74,7 +82,7 @@ class Validator:
     def _valid(self, schema, x, path) -> bool:
         errors = []
         self._check(schema, x, path, errors)
-        return not errors
+        return all(message is None for _, message in errors)
 
 
 def _load(schema, defs, top=False):
@@ -113,11 +121,15 @@ def _type(val, names, s, x, path, errors):
     names = [names] if isinstance(names, str) else names
     if not any(_TYPES[t](x) for t in names):
         errors.append((path, f"{x!r} is not of type {', '.join(map(repr, names))}"))
+    elif isinstance(x, float) and "number" not in names:  # 3.0 passed as an integer
+        errors.append((path, None))
 
 
 def _enum(val, values, s, x, path, errors):
     if not any(_equal(x, e) for e in values):
         errors.append((path, f"{x!r} is not one of {values!r}"))
+    elif isinstance(x, float) and any(type(e) is int and x == e for e in values):
+        errors.append((path, None))
 
 
 def _const(val, value, s, x, path, errors):

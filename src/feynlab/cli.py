@@ -15,6 +15,8 @@ Each subcommand is one ``_SUBCOMMANDS`` entry: its parameter defaults and
 the function that runs it.  ``run_experiment`` validates every config
 against the schema, so a directly built ``ExperimentConfig`` meets the same
 rules (a ``grid`` for ``propagate``, ``wick`` and ``picard``) as a file.
+A float the schema takes as an integer (3.0) runs as that int, with the
+same config hash and artifacts.
 
 Exit codes: 0 success, 2 config error, 3 numeric divergence, 4 I/O error;
 each error class carries its code.  Exit 3 always follows a written report
@@ -26,11 +28,13 @@ The default output root is ``$FEYNLAB_OUT`` (falling back to
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -124,22 +128,34 @@ def _validator() -> Validator:
     return Validator(_schema("config"))
 
 
-def validate_against_schema(payload: dict) -> None:
-    """Raise ConfigError with the config's first violation (by path), if any."""
-    errors = _validator().errors(payload)
+def validate_against_schema(payload: dict) -> dict:
+    """Raise ConfigError with the config's first violation (by path), if any;
+    else return the payload with each float the schema takes as an integer
+    (3.0) made an int, so that it runs as its integer twin does."""
+    errors, integral = _validator().check(payload)
     if errors:
         path, message = errors[0]
         where = "/".join(map(str, path)) or "(top level)"
         raise ConfigError(f"config invalid at {where}: {message}")
+    if integral:
+        payload = copy.deepcopy(payload)
+        for *head, last in integral:
+            parent = functools.reduce(operator.getitem, head, payload)
+            parent[last] = int(parent[last])
+    return payload
 
 
 def _strict_json(text: str, origin: str) -> dict:
     def reject_constant(token):
-        raise ConfigError(f"{origin}: nonfinite literal {token!r} not allowed")
+        shown = token if len(token) <= 24 else f"{token[:12]}...({len(token)} characters)"
+        raise ConfigError(f"{origin}: nonfinite literal {shown!r} not allowed")
 
     def finite_float(token):  # 1e400 parses to inf, as nonfinite as Infinity
         x = float(token)
         return x if math.isfinite(x) else reject_constant(token)
+
+    def finite_int(token):  # so does a 400-digit integer, read as a float
+        return int(token) if math.isfinite(float(token)) else reject_constant(token)
 
     def reject_duplicates(pairs):
         seen = {}
@@ -150,8 +166,8 @@ def _strict_json(text: str, origin: str) -> dict:
         return seen
 
     try:
-        data = json.loads(text, parse_float=finite_float, parse_constant=reject_constant,
-                          object_pairs_hook=reject_duplicates)
+        data = json.loads(text, parse_float=finite_float, parse_int=finite_int,
+                          parse_constant=reject_constant, object_pairs_hook=reject_duplicates)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{origin}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
@@ -178,7 +194,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        validate_against_schema(data)
+        data = validate_against_schema(data)
         grid = None
         if "grid" in data:
             try:
@@ -562,7 +578,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     NumericDivergence, with the manifest, after a complete write whose
     numerics diverged.
     """
-    validate_against_schema(cfg.to_dict())
+    cfg = ExperimentConfig.from_dict(cfg.to_dict())
     if cfg.out is None:
         raise ConfigError("no output directory resolved")
     entry = _SUBCOMMANDS[cfg.subcommand]

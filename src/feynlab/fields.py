@@ -14,6 +14,7 @@ Conventions, used consistently across the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,12 +45,16 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         ext = tuple(float(L) for L in self.extent)
-        pts = tuple(int(N) for N in self.points)
-        if len(ext) != len(pts) or not ext:
+        if len(ext) != len(self.points) or not ext:
             raise DimensionError("extent and points must be equal, nonzero length")
         if any(L <= 0 for L in ext):
             raise ValueError("extents must be positive")
-        if pts != tuple(self.points) or any(N < 4 or N % 2 for N in pts):
+        try:
+            pts = tuple(int(N) for N in self.points)
+        except (OverflowError, ValueError):  # inf, NaN
+            pts = ()
+        # a count past the float range would overflow the frequencies below
+        if pts != tuple(self.points) or any(not 4 <= N <= sys.float_info.max or N % 2 for N in pts):
             raise ValueError("point counts must be even whole numbers >= 4")
         # (2 pi N / L)^2, four squared Nyquist frequencies, bounds the symbol's
         # squares and (as N >= 4) default_epsilon's 10 (2 pi / L)^2

@@ -15,21 +15,16 @@ them, and its index counts the shifted eigenvalues below l^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, floor
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DimensionError, PoleError
 
 __all__ = [
     "SpectrumEntry",
-    "SphereSpectrum",
     "sphere_spectrum",
     "harmonic_multiplicity",
-    "IndicialSet",
     "indicial_roots",
     "LineVerdict",
     "weight_line_invertible",
@@ -38,20 +33,24 @@ __all__ = [
 ]
 
 
+def _check(n: int, K: int = 0) -> None:
+    """Raise unless n >= 2 (the sphere S^{n-1}) and the degree bound K >= 0."""
+    if n < 2:
+        raise DimensionError(f"the sphere S^(n-1) needs n >= 2, got n = {n}")
+    if K < 0:
+        raise ValueError(f"degree bound must be >= 0, got {K}")
+
+
 def harmonic_multiplicity(n: int, k: int) -> int:
     """Dimension of degree-k spherical harmonics on S^{n-1}."""
-    if n < 2:
-        raise DimensionError("sphere spectrum needs n >= 2")
-    if k < 0:
-        raise ValueError("degree must be >= 0")
+    _check(n, k)
     if k == 0:
         return 1
     low = comb(n + k - 3, k - 2) if k >= 2 else 0
     return comb(n + k - 1, k) - low
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     k: int
     eigenvalue: int  # k(k+n-2)
     shifted: Fraction  # (k+(n-2)/2)^2, exact
@@ -59,80 +58,26 @@ class SpectrumEntry:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class SphereSpectrum:
-    n: int
-    entries: tuple[SpectrumEntry, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "entries": [
-                {
-                    "k": e.k,
-                    "eigenvalue": e.eigenvalue,
-                    "shifted": [e.shifted.numerator, e.shifted.denominator],
-                    "multiplicity": e.multiplicity,
-                }
-                for e in self.entries
-            ],
-        }
-
-
-def sphere_spectrum(n: int, K: int) -> SphereSpectrum:
+def sphere_spectrum(n: int, K: int) -> tuple[SpectrumEntry, ...]:
     """Degrees k = 0..K of the sphere Laplacian with exact shifted values."""
-    if n < 2:
-        raise DimensionError("sphere spectrum needs n >= 2")
-    if K < 0:
-        raise ValueError("K must be >= 0")
+    _check(n, K)
     half = Fraction(n - 2, 2)
-    entries = []
-    for k in range(K + 1):
-        root = k + half
-        entries.append(
-            SpectrumEntry(
-                k=k,
-                eigenvalue=k * (k + n - 2),
-                shifted=root * root,
-                shifted_root=root,
-                multiplicity=harmonic_multiplicity(n, k),
-            )
-        )
-    return SphereSpectrum(n=n, entries=tuple(entries))
+    return tuple(
+        SpectrumEntry(k, k * (k + n - 2), (k + half) ** 2, k + half, harmonic_multiplicity(n, k))
+        for k in range(K + 1)
+    )
 
 
-@dataclass(frozen=True)
-class IndicialSet:
-    """Truncated symmetric root set {+-((n-2)/2 + k) : 0 <= k <= K}."""
+def indicial_roots(n: int, K: int) -> tuple[Fraction, ...]:
+    """The truncated root set {+-((n-2)/2 + k) : 0 <= k <= K}, ascending.
 
-    n: int
-    K: int
-    roots: tuple[Fraction, ...]  # sorted ascending, symmetric under negation
-    degenerate: bool = field(default=False)  # n = 2: gap collapses to 0
-
-    @property
-    def gap(self) -> Fraction:
-        return min(abs(r) for r in self.roots)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "K": self.K,
-            "roots": [[r.numerator, r.denominator] for r in self.roots],
-            "gap": [self.gap.numerator, self.gap.denominator],
-            "degenerate": self.degenerate,
-        }
-
-
-def indicial_roots(n: int, K: int) -> IndicialSet:
-    if n < 2:
-        raise DimensionError("indicial roots need n >= 2")
-    if K < 0:
-        raise ValueError("K must be >= 0")
+    It is symmetric under negation, and its smallest |root| (the gap) is
+    (n-2)/2: for n = 2 the roots +-0 coincide and the gap is 0.
+    """
+    _check(n, K)
     half = Fraction(n - 2, 2)
     pos = [half + k for k in range(K + 1)]
-    roots = sorted({-r for r in pos} | set(pos))
-    return IndicialSet(n=n, K=K, roots=tuple(roots), degenerate=(n == 2))
+    return tuple(sorted({-r for r in pos} | set(pos)))
 
 
 class LineVerdict(NamedTuple):
@@ -146,7 +91,7 @@ def _nearest_root_distance(n: int, l: float) -> float:
     # roots are half + k, k >= 0; nearest one to a
     if a <= half:
         return half - a
-    k = int(np.floor(a - half))
+    k = floor(a - half)
     return min(abs(a - (half + k)), abs(half + k + 1 - a))
 
 
@@ -156,8 +101,7 @@ def weight_line_invertible(n: int, l: float) -> LineVerdict:
     A pole on the line kills invertibility outright; off poles the line is at
     worst a Fredholm one (index tracked separately by index_count).
     """
-    if n < 2:
-        raise DimensionError("need n >= 2")
+    _check(n)
     d = _nearest_root_distance(n, float(l))
     if d < 1e-12:
         return LineVerdict(False, 0.0)
@@ -173,8 +117,7 @@ def index_count(n: int, l: float, with_multiplicity: bool = True) -> int:
     multiplicities sum to C(n+K-2, n-1) + C(n+K-3, n-1), so the cost does not
     grow with |l|.  Raises PoleError when |l| sits on a root.
     """
-    if n < 2:
-        raise DimensionError("need n >= 2")
+    _check(n)
     lv = float(l)
     if _nearest_root_distance(n, lv) < 1e-12:
         raise PoleError(f"weight {lv} lies on an indicial root for n = {n}")
@@ -186,10 +129,18 @@ def index_count(n: int, l: float, with_multiplicity: bool = True) -> int:
     return -count if lv > 0 else count
 
 
+def _exact(q: Fraction) -> list:
+    return [q.numerator, q.denominator]
+
+
 def normal_report(n: int, K: int, l_samples) -> dict:
-    """JSON-ready summary: spectrum, roots, gap and an index table."""
-    spec = sphere_spectrum(n, K)
-    roots = indicial_roots(n, K).to_dict()
+    """JSON-ready summary: spectrum, roots, gap and an index table.
+
+    Exact values are ``[numerator, denominator]`` pairs; the gap is (n-2)/2,
+    the smallest |root|, and n = 2 is flagged degenerate (the gap is 0).
+    """
+    spectrum = sphere_spectrum(n, K)
+    gap = _exact(Fraction(n - 2, 2))
     table = []
     for l in l_samples:
         verdict = weight_line_invertible(n, l)
@@ -200,15 +151,19 @@ def normal_report(n: int, K: int, l_samples) -> dict:
         }
         if verdict.invertible:
             row["index"] = index_count(n, float(l))
-            row["index_without_multiplicity"] = index_count(
-                n, float(l), with_multiplicity=False
-            )
+            row["index_without_multiplicity"] = index_count(n, float(l), with_multiplicity=False)
         table.append(row)
+    entries = [
+        {"k": e.k, "eigenvalue": e.eigenvalue, "shifted": _exact(e.shifted),
+         "multiplicity": e.multiplicity}
+        for e in spectrum
+    ]
+    roots = [_exact(r) for r in indicial_roots(n, K)]
     return {
         "n": n,
         "K": K,
-        "spectrum": spec.to_dict(),
-        "roots": roots,
-        "gap": roots["gap"],
+        "spectrum": {"n": n, "entries": entries},
+        "roots": {"n": n, "K": K, "roots": roots, "gap": gap, "degenerate": n == 2},
+        "gap": gap,
         "index_table": table,
     }

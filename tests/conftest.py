@@ -49,6 +49,6 @@ def config_verdicts_match_jsonschema(monkeypatch):
 
     def checked(payload):
         assert cli._validator().errors(payload) == _reference_errors(payload)
-        validate(payload)
+        return validate(payload)
 
     monkeypatch.setattr(cli, "validate_against_schema", checked)

@@ -127,13 +127,83 @@ def test_strict_json_duplicate_keys(tmp_path):
         load_config(p)
 
 
-@pytest.mark.parametrize("literal", ["Infinity", "1e400", "-1e400"])
+# integers past the float range: 5001 digits is also past CPython's limit on
+# the digits of an int read from a string
+HUGE_INTS = ["1" + "0" * 400, "-1" + "0" * 400, "1" + "0" * 5000]
+
+
+@pytest.mark.parametrize(
+    "literal", ["Infinity", "1e400", "-1e400", *HUGE_INTS],
+    ids=lambda s: s if len(s) < 20 else f"{s[:2]}-{len(s)}-chars",
+)
 def test_strict_json_nonfinite(tmp_path, literal):
     # a number literal that overflows to +-inf is as nonfinite as Infinity
     p = tmp_path / "c.json"
     p.write_text('{"subcommand": "picard", "params": {"p": 3, "lam": %s}}' % literal)
-    with pytest.raises(ConfigError, match="nonfinite"):
+    with pytest.raises(ConfigError, match="nonfinite") as info:
         load_config(p)
+    assert len(str(info.value)) < 200  # the literal is not echoed in full
+
+
+def test_integer_past_the_float_range_exits_two(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text('{"subcommand": "weights", "params": {"n": 4, "l_samples": [%s]}}' % HUGE_INTS[0])
+    assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert "nonfinite literal" in err
+
+
+def integer_fields() -> list:
+    """(object, key) of each property the config schema takes as an integer:
+    typed integer, or its items are (grid points) or are integer enum values
+    (dims).  The object is "config" for the top level, else its $defs name."""
+    schema = load_schema("config")
+    fields = []
+    for where, block in {"config": schema, **schema["$defs"]}.items():
+        for key, sub in block.get("properties", {}).items():
+            item = sub.get("items", sub)
+            if item.get("type") == "integer" or all(type(e) is int for e in item.get("enum", [""])):
+                fields.append((where, key))
+    return fields
+
+
+# a small config for each object with integer fields, each field set
+SMALL_GRID = {"extent": [8.0, 8.0], "points": [8, 8]}
+INTEGER_CONFIGS = {
+    "config": dict(ROOTS, seed=3),
+    "grid": {"subcommand": "wick", "grid": SMALL_GRID, "params": {"steps": 2}},
+    "roots_params": {"subcommand": "roots", "params": {"n": 3, "K": 2}},
+    "weights_params": {"subcommand": "weights",
+                       "params": {"n": 3, "K": 2, "l_samples": [0.5, 1.0]}},
+    "flow_params": {"subcommand": "flow", "params": {"n": 3, "count": 1, "T": 5.0}},
+    "wick_params": {"subcommand": "wick", "grid": SMALL_GRID, "params": {"steps": 2}},
+    "picard_params": {"subcommand": "picard", "grid": SMALL_GRID,
+                      "params": {"p": 3, "lam": 0.1, "max_iter": 3}},
+    "product_check_params": {"subcommand": "product-check", "params": {"dims": [1], "repeats": 1}},
+}
+
+
+def holder(data: dict, where: str) -> dict:
+    return data if where == "config" else data["grid"] if where == "grid" else data["params"]
+
+
+@pytest.mark.parametrize("where,key", integer_fields(), ids=lambda name: name)
+def test_integral_float_runs_as_its_integer_twin(tmp_path, capsys, where, key):
+    # JSON Schema takes 3.0 as an integer: the config runs as the one with 3
+    ints = INTEGER_CONFIGS[where]
+    floats = json.loads(json.dumps(ints))
+    block = holder(floats, where)
+    value = block[key]
+    block[key] = [float(v) for v in value] if isinstance(value, list) else float(value)
+    assert json.dumps(floats) != json.dumps(ints)
+    runs = {}
+    for name, data in (("ints", ints), ("floats", floats)):
+        p = write_config(tmp_path / f"{name}.json", data)
+        assert main(["--config", str(p), "--out", str(tmp_path / name)]) == 0, capsys.readouterr()
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        files = {f["name"]: (tmp_path / name / f["name"]).read_bytes() for f in manifest["files"]}
+        runs[name] = (manifest["config_hash"], files)
+    assert runs["floats"] == runs["ints"]
 
 
 def test_strict_json_top_level_array(tmp_path):
@@ -762,6 +832,22 @@ GOLDEN_REPORTS = [
         "weights.json",
         "ea847984265c1c05d9301b44537bf3a063523131344a69883093095975bf754d",
     ),
+    # the degenerate plane (n = 2: root 0, gap 0) and the half-integer roots
+    # of n = 3, each weight table with a sample on a pole
+    ({"subcommand": "roots", "params": {"n": 2, "K": 3}}, "roots.json",
+     "77bf415348b8479f238e9904c6cbba60c18c794260f2865fc583c25efb4ef115"),
+    ({"subcommand": "spectrum", "params": {"n": 3, "K": 3}}, "spectrum.json",
+     "4b82c86e9327bbbe8366f8a47cb404c3bcddddcd72d5213ed023dd099f2415cb"),
+    (
+        {"subcommand": "weights", "params": {"n": 2, "K": 3, "l_samples": [0.0, 0.5, -1.5]}},
+        "weights.json",
+        "dd245d068dd8da824a3d88c2de6ef47287ea588bf6d0a365129b1df89acf4e5b",
+    ),
+    (
+        {"subcommand": "weights", "params": {"n": 3, "K": 3, "l_samples": [0.5, 1.0, -2.5]}},
+        "weights.json",
+        "13c953d103384f7dcebb695fbb6f3345ba70bf3d8e55744aa3c4d9c2057903c2",
+    ),
 ]
 
 
@@ -771,6 +857,7 @@ GOLDEN_REPORTS = [
     ids=[
         "propagate", "wick-cone-gap", "wick", "wick-256", "picard", "picard-retarded",
         "flow", "flow-trace", "roots", "spectrum", "weights",
+        "roots-n2", "spectrum-n3", "weights-n2", "weights-n3",
     ],
 )
 def test_json_report_golden_bytes(tmp_path, data, name, digest):

@@ -1,5 +1,6 @@
 """Grids, spectral fields and seeded sources."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -30,10 +31,15 @@ def test_grid_serialization_round_trip():
         ((1.2e-153, 8.0), (4, 8)),
         # a point count that is not a whole number is not truncated
         ((8.0, 8.0), (6.7, 8)),
+        # nor one without an int, or past the float range
+        ((8.0, 8.0), (math.inf, 8)), ((8.0, 8.0), (math.nan, 8)), ((8.0, 8.0), (2**2000, 8)),
     ],
 )
 def test_grid_rejects_bad_specs(extent, points):
-    with pytest.raises((ValueError, DimensionError)):
+    # each with one of the documented messages, not an int() or float() error
+    documented = ("extent and points must be equal|extents must be positive|extents too small"
+                  "|point counts must be even whole numbers >= 4")
+    with pytest.raises((ValueError, DimensionError), match=documented):
         GridSpec(extent, points)
 
 

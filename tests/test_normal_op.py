@@ -53,23 +53,23 @@ def harmonic_dimension_oracle(n, k):
 # --- sphere spectrum ------------------------------------------------------
 
 def test_spectrum_constants_entry():
-    e = sphere_spectrum(4, 0).entries[0]
+    e = sphere_spectrum(4, 0)[0]
     assert e.eigenvalue == 0
     assert e.shifted == 1
     assert e.multiplicity == 1
 
 
 def test_spectrum_first_nonconstant_entry():
-    e = sphere_spectrum(4, 1).entries[1]
+    e = sphere_spectrum(4, 1)[1]
     assert e.eigenvalue == 3
     assert e.multiplicity == 4
 
 
 def test_spectrum_circle_modes():
     spec = sphere_spectrum(2, 3)
-    assert [e.eigenvalue for e in spec.entries] == [0, 1, 4, 9]
+    assert [e.eigenvalue for e in spec] == [0, 1, 4, 9]
     # circle: one constant mode, cos/sin pair for every k >= 1
-    assert [e.multiplicity for e in spec.entries] == [1, 2, 2, 2]
+    assert [e.multiplicity for e in spec] == [1, 2, 2, 2]
 
 
 @pytest.mark.parametrize("n,k", list(itertools.product(range(2, 6), range(5))))
@@ -79,13 +79,13 @@ def test_multiplicity_matches_polynomial_kernel_oracle(n, k):
 
 def test_spectrum_eigenvalues_strictly_increasing():
     for n in (2, 3, 4, 7):
-        ev = [e.eigenvalue for e in sphere_spectrum(n, 12).entries]
+        ev = [e.eigenvalue for e in sphere_spectrum(n, 12)]
         assert all(b > a for a, b in zip(ev, ev[1:]))
 
 
 def test_shifted_identity_exact_in_rational_arithmetic():
     for n in range(2, 11):
-        for e in sphere_spectrum(n, 200).entries:
+        for e in sphere_spectrum(n, 200):
             assert e.eigenvalue + Fraction(n - 2, 2) ** 2 == e.shifted
 
 
@@ -113,24 +113,27 @@ def test_public_entry_points_reject_a_bad_dimension_or_truncation(call, error):
 # --- indicial roots -------------------------------------------------------
 
 def test_roots_small_truncations():
-    assert indicial_roots(4, 2).roots == tuple(
+    assert indicial_roots(4, 2) == tuple(
         Fraction(v) for v in (-3, -2, -1, 1, 2, 3)
     )
-    assert indicial_roots(3, 0).roots == (Fraction(-1, 2), Fraction(1, 2))
+    assert indicial_roots(3, 0) == (Fraction(-1, 2), Fraction(1, 2))
 
 
 def test_roots_negation_symmetry_and_gap():
     for n in (3, 4, 5, 6):
         s = indicial_roots(n, 5)
-        assert tuple(sorted(-r for r in s.roots)) == s.roots
-        assert s.gap == Fraction(n - 2, 2)
-        assert not s.degenerate
+        assert tuple(sorted(-r for r in s)) == s
+        assert min(map(abs, s)) == Fraction(n - 2, 2)
+        rep = normal_report(n, 5, [])
+        assert Fraction(*rep["gap"]) == Fraction(n - 2, 2)
+        assert rep["roots"]["degenerate"] is False
 
 
 def test_roots_degenerate_plane_flagged():
-    s = indicial_roots(2, 3)
-    assert s.degenerate
-    assert s.gap == 0
+    assert min(map(abs, indicial_roots(2, 3))) == 0
+    rep = normal_report(2, 3, [])
+    assert rep["roots"]["degenerate"] is True
+    assert rep["gap"] == rep["roots"]["gap"] == [0, 1]
 
 
 # --- weight lines and the index ------------------------------------------
