@@ -56,9 +56,6 @@ from . import _dop853
 from ._dop853 import ordered_sum
 from .errors import ChartError, ClassificationError, StiffnessError
 
-__all__ = ["InteriorCovector", "BCotangentPoint", "RayTrace", "RadialSet", "compactify",
-           "decompactify", "flow", "classify_limit", "radial_flow_signature", "random_null_rays"]
-
 _NULL_TOL = 1e-8
 
 

@@ -65,17 +65,6 @@ from .propagators import (
 )
 from .semilinear import SemilinearProblem, picard_solve
 
-__all__ = [
-    "ExperimentConfig",
-    "RunManifest",
-    "ConfigError",
-    "NumericDivergence",
-    "ArtifactIOError",
-    "load_config",
-    "run_experiment",
-    "main",
-]
-
 __version__ = "0.1.0"
 
 ENV_OUTPUT_ROOT = "FEYNLAB_OUT"

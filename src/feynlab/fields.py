@@ -22,13 +22,6 @@ import numpy as np
 from .errors import DimensionError
 from .weights import bracket
 
-__all__ = [
-    "GridSpec",
-    "SpectralField",
-    "random_band_limited",
-    "gaussian_source",
-]
-
 
 @dataclass(frozen=True)
 class GridSpec:

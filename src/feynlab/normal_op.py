@@ -3,8 +3,8 @@
 Everything here is exact where it can be: sphere eigenvalues, shifted values
 and indicial roots are rational-arithmetic objects (fractions.Fraction), and
 pole tests compare against the closed-form root set rather than root-finding.
-The only floating-point piece is the distance from a weight line to the
-nearest root.
+The distance from a weight line to the nearest root is exact too, and is
+rounded to a float once.
 
 Conventions.  Sphere dimension parameter n means S^{n-1} inside R^n, n >= 2.
 Degree-k eigenvalue of the (nonnegative) sphere Laplacian is k(k+n-2); the
@@ -20,17 +20,6 @@ from math import ceil, comb, floor
 from typing import NamedTuple
 
 from .errors import DimensionError, PoleError
-
-__all__ = [
-    "SpectrumEntry",
-    "sphere_spectrum",
-    "harmonic_multiplicity",
-    "indicial_roots",
-    "LineVerdict",
-    "weight_line_invertible",
-    "index_count",
-    "normal_report",
-]
 
 
 def _check(n: int, K: int = 0) -> None:
@@ -85,14 +74,14 @@ class LineVerdict(NamedTuple):
     distance: float
 
 
-def _nearest_root_distance(n: int, l: float) -> float:
-    half = 0.5 * (n - 2)
-    a = abs(l)
+def _nearest_root_distance(n: int, a: Fraction) -> float:
+    """Distance from |l| = a, exact, to the nearest root, rounded once."""
+    half = Fraction(n - 2, 2)
     # roots are half + k, k >= 0; nearest one to a
     if a <= half:
-        return half - a
+        return float(half - a)
     k = floor(a - half)
-    return min(abs(a - (half + k)), abs(half + k + 1 - a))
+    return float(min(a - (half + k), half + k + 1 - a))
 
 
 def weight_line_invertible(n: int, l: float) -> LineVerdict:
@@ -102,7 +91,7 @@ def weight_line_invertible(n: int, l: float) -> LineVerdict:
     worst a Fredholm one (index tracked separately by index_count).
     """
     _check(n)
-    d = _nearest_root_distance(n, float(l))
+    d = _nearest_root_distance(n, abs(Fraction(l)))
     if d < 1e-12:
         return LineVerdict(False, 0.0)
     return LineVerdict(True, d)
@@ -118,15 +107,15 @@ def index_count(n: int, l: float, with_multiplicity: bool = True) -> int:
     grow with |l|.  Raises PoleError when |l| sits on a root.
     """
     _check(n)
-    lv = float(l)
-    if _nearest_root_distance(n, lv) < 1e-12:
-        raise PoleError(f"weight {lv} lies on an indicial root for n = {n}")
-    K = max(ceil(abs(lv) - 0.5 * (n - 2)), 0)
+    a = abs(Fraction(l))
+    if _nearest_root_distance(n, a) < 1e-12:
+        raise PoleError(f"weight {float(l)} lies on an indicial root for n = {n}")
+    K = max(ceil(a - Fraction(n - 2, 2)), 0)
     if K == 0 or not with_multiplicity:
         count = K
     else:
         count = comb(n + K - 2, n - 1) + comb(n + K - 3, n - 1)
-    return -count if lv > 0 else count
+    return -count if l > 0 else count
 
 
 def _exact(q: Fraction) -> list:
@@ -138,20 +127,22 @@ def normal_report(n: int, K: int, l_samples) -> dict:
 
     Exact values are ``[numerator, denominator]`` pairs; the gap is (n-2)/2,
     the smallest |root|, and n = 2 is flagged degenerate (the gap is 0).
+    ValueError when an index has more digits than Python writes
+    (``sys.get_int_max_str_digits``).
     """
     spectrum = sphere_spectrum(n, K)
     gap = _exact(Fraction(n - 2, 2))
     table = []
-    for l in l_samples:
+    for l in map(float, l_samples):
         verdict = weight_line_invertible(n, l)
-        row = {
-            "l": float(l),
-            "invertible": verdict.invertible,
-            "distance": verdict.distance,
-        }
+        row = {"l": l, "invertible": verdict.invertible, "distance": verdict.distance}
         if verdict.invertible:
-            row["index"] = index_count(n, float(l))
-            row["index_without_multiplicity"] = index_count(n, float(l), with_multiplicity=False)
+            row["index"] = index_count(n, l)
+            row["index_without_multiplicity"] = index_count(n, l, with_multiplicity=False)
+            try:
+                str(row["index"])
+            except ValueError:
+                raise ValueError(f"the index at weight {l} has too many digits to write") from None
         table.append(row)
     entries = [
         {"k": e.k, "eigenvalue": e.eigenvalue, "shifted": _exact(e.shifted),

@@ -1,27 +1,21 @@
-"""Semilinear weight arithmetic and convolution product criteria.
+"""Convolution product criteria.
 
-Two groups of tools share this module.
+A product estimate H^(w1) * H^(w2) -> H^(w) holds when one of the two Schur
+quantities
 
-* Semilinear weight arithmetic (``semilinear_weights``): the power/dimension
-  admissibility rule, the open weight interval, and the affine map sending a
-  solution weight l to the weight l'' of the substituted nonlinearity.
+    M+ = sup_xi  integral (w(xi) / (w1(eta) w2(xi - eta)))^2 d eta
+    M- = sup_eta integral (w(xi) / (w1(eta) w2(xi - eta)))^2 d xi
 
-* Product criteria: a product estimate H^(w1) * H^(w2) -> H^(w) holds when
-  one of the two Schur quantities
-
-      M+ = sup_xi  integral (w(xi) / (w1(eta) w2(xi - eta)))^2 d eta
-      M- = sup_eta integral (w(xi) / (w1(eta) w2(xi - eta)))^2 d xi
-
-  is finite.  ``product_integral`` measures both on truncated lattices and
-  fits a growth exponent across dyadic cutoffs (near zero signals
-  finiteness).  Each named product rule is one ``_RULES`` entry: parameter
-  names, hypotheses, flat-model weights, sweep dims, swept thresholds and
-  straddle points.  ``product_rule_predict`` evaluates the hypotheses;
-  ``rule_flat_model`` realizes the weights on flat frequency space;
-  ``sweep_plan`` lists the straddle points and raises ValueError for an
-  unknown rule or a requested rule with no row in the requested dims (the
-  ``product-check`` exit 2); ``rule_sweep`` compares predicate against
-  measurement at each point.
+is finite.  ``product_integral`` measures both on truncated lattices and
+fits a growth exponent across dyadic cutoffs (near zero signals finiteness).
+Each named product rule is one ``_RULES`` entry: parameter names,
+hypotheses, flat-model weights, sweep dims, swept thresholds and straddle
+points.  ``product_rule_predict`` evaluates the hypotheses;
+``rule_flat_model`` realizes the weights on flat frequency space;
+``sweep_plan`` lists the straddle points and raises ValueError for an
+unknown rule or a requested rule with no row in the requested dims (the
+``product-check`` exit 2); ``rule_sweep`` compares predicate against
+measurement at each point.
 """
 
 from __future__ import annotations
@@ -40,46 +34,6 @@ from .weights import ConeWeight, IsoWeight, SplitWeight, SumWeight, WeightFuncti
 # Verdict threshold on the fitted growth exponent: at or below counts as a
 # finite (bounded) Schur quantity.
 GROWTH_THRESHOLD = 0.1
-
-
-def semilinear_weights(n: int, p: int) -> dict:
-    """Weight arithmetic for the semilinear problem with power p in dimension n.
-
-    Returns the admissibility boolean of the power/dimension rule
-    ``2/(p-1) < (n-2)/2``, the open weight interval
-    ``(2/(p-1) - (n-2)/2, 0)``, and the coefficients of the affine map
-
-        l'' = -2 + (p-1)(n-2)/2 + p*l
-
-    giving the weight of the substituted nonlinearity (``l'' >= l`` holds for
-    every l in the interval).  The cubic fallback for (n, p) = (4, 3) is
-    reported separately: it admits weights l >= 0, taken small, capped by the
-    invertibility bound (n-2)/2.
-
-    The solver order must exceed the contraction argument's order floor
-    ``1/2 + (p-2)*mu``, reported at the slack mu = 0 of constant orders and
-    flagged provisional because its source fixes mu only implicitly.
-    """
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"power p must be an integer >= 2, got {p}")
-    if n < 3:
-        raise DimensionError("need ambient dimension n >= 3")
-    lo = 2.0 / (p - 1) - (n - 2) / 2.0
-    admissible = lo < 0.0
-    intercept = -2.0 + (p - 1) * (n - 2) / 2.0
-    cubic = p == 3 and n == 4
-    return {
-        "n": n,
-        "p": p,
-        "admissible": admissible,
-        "l_interval": (lo, 0.0),
-        "l_map_coeffs": (intercept, float(p)),
-        "order_floor": 0.5,
-        "mu": 0.0,
-        "mu_provisional": True,
-        "cubic_admissible": cubic,
-        "cubic_l_interval": (0.0, (n - 2) / 2.0) if cubic else None,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -44,19 +44,6 @@ import numpy as np
 from .errors import DimensionError, ZeroModeError
 from .fields import GridSpec, SpectralField
 
-__all__ = [
-    "Kind",
-    "Prescription",
-    "default_epsilon",
-    "propagate",
-    "apply_box",
-    "prescription_residual",
-    "mode_profile",
-    "near_cone",
-    "wick_continuation_study",
-    "characteristic_energy_fraction",
-]
-
 
 class Kind(Enum):
     RETARDED = "retarded"
@@ -95,15 +82,6 @@ def default_epsilon(grid: GridSpec) -> float:
     return 10.0 * (2.0 * np.pi / min(grid.extent)) ** 2
 
 
-def _eps(prescription: Prescription, grid: GridSpec) -> float:
-    """The prescription's eps, or its kind's default: the frequency shift
-    default_epsilon, which the rotation kinds cap at the angle pi/4."""
-    if prescription.eps is not None:
-        return prescription.eps
-    cap = np.pi / 4 if prescription.kind in _ROTATIONS else np.inf
-    return min(default_epsilon(grid), cap)
-
-
 def _lattice(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Time frequency zeta_n and |zeta'|^2, its squares added first axis
     first, as sparse arrays that broadcast to the grid's frequency lattice."""
@@ -133,6 +111,20 @@ def _solve_modes(m: np.ndarray) -> np.ndarray:
     keep = np.ones(m.shape, dtype=bool)
     keep.flat[0] = m.flat[0] != 0.0
     return keep
+
+
+def _resolve(grid: GridSpec, prescription: Prescription) -> tuple[np.ndarray, np.ndarray, float]:
+    """The prescription resolved on a grid, for every entry point: (m, keep,
+    eps), with eps the prescription's or else default_epsilon, which the
+    rotation kinds cap at the angle pi/4, m the kind's multiplier at eps and
+    keep its solve modes (``_solve_modes``)."""
+    if grid.dim < 2:
+        raise DimensionError("propagation needs at least one space and one time axis")
+    eps = prescription.eps
+    if eps is None:
+        eps = min(default_epsilon(grid), np.pi / 4 if prescription.kind in _ROTATIONS else np.inf)
+    m = _multiplier(grid, prescription.kind, eps)
+    return m, _solve_modes(m), eps
 
 
 def _symbol_gap(grid: GridSpec) -> float:
@@ -182,11 +174,8 @@ def _inverse(grid: GridSpec, prescription: Prescription):
     meta is the metadata ``propagate`` attaches.  The Picard loop applies
     the same solve to every iterate.
     """
-    if grid.dim < 2:
-        raise DimensionError("propagation needs at least one space and one time axis")
-    eps = _eps(prescription, grid)
-    m = _multiplier(grid, prescription.kind, eps)
-    drop = ~_solve_modes(m)
+    m, keep, eps = _resolve(grid, prescription)
+    drop = ~keep
     m[drop] = 1.0  # mode removed; avoid 0/0
     meta = {
         "kind": prescription.kind.value,
@@ -210,13 +199,9 @@ def apply_box(u: SpectralField, prescription: Prescription) -> SpectralField:
     -eps^2, matching the propagate conventions so propagate(apply_box(u)) = u
     on zero-mode-free fields.
     """
-    grid = u.grid
-    if grid.dim < 2:
-        raise DimensionError("need at least one space and one time axis")
-    eps = _eps(prescription, grid)
-    m = _multiplier(grid, prescription.kind, eps)
+    m, _, eps = _resolve(u.grid, prescription)
     return SpectralField.from_coeffs(
-        grid, u.coeffs * m, {"kind": prescription.kind.value, "eps": float(eps)}
+        u.grid, u.coeffs * m, {"kind": prescription.kind.value, "eps": float(eps)}
     )
 
 
@@ -237,8 +222,7 @@ def prescription_residual(
     """
     if u.grid != f.grid:
         raise DimensionError("fields on different grids")
-    m = _multiplier(f.grid, prescription.kind, _eps(prescription, f.grid))
-    keep = _solve_modes(m)
+    m, keep, _ = _resolve(f.grid, prescription)
     lhs = m * u.coeffs
     if nonlinear is not None:
         lhs = lhs + nonlinear.coeffs

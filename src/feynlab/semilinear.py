@@ -35,6 +35,10 @@ The residual is ``propagators.prescription_residual`` with the nonlinear
 term passed in, so it is measured on the modes the propagator solves for:
 rotation prescriptions leave out the constant mode (their multiplier
 annihilates it), the shift prescriptions keep it.
+
+Each report carries ``semilinear_weights``, the continuum weight arithmetic
+of (n, p): the admissibility rule, the open weight interval, and the affine
+map from a solution weight l to the weight l'' of the nonlinearity.
 """
 
 from __future__ import annotations
@@ -46,17 +50,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .fields import SpectralField
-from .orders import semilinear_weights
 from .propagators import Kind, Prescription, _inverse, prescription_residual, propagate
-
-__all__ = [
-    "SemilinearProblem",
-    "PicardReport",
-    "dealiased_power",
-    "dealiased_product",
-    "picard_solve",
-    "perturbation_series",
-]
 
 
 def _fine_grid(points: tuple) -> tuple:
@@ -189,6 +183,46 @@ def dealiased_power(u: SpectralField, p: int) -> SpectralField:
     return SpectralField._own(u.grid, spec)
 
 
+def semilinear_weights(n: int, p: int) -> dict:
+    """Weight arithmetic for the semilinear problem with power p in dimension n.
+
+    Returns the admissibility boolean of the power/dimension rule
+    ``2/(p-1) < (n-2)/2``, the open weight interval
+    ``(2/(p-1) - (n-2)/2, 0)``, and the coefficients of the affine map
+
+        l'' = -2 + (p-1)(n-2)/2 + p*l
+
+    giving the weight of the substituted nonlinearity (``l'' >= l`` holds for
+    every l in the interval).  The cubic fallback for (n, p) = (4, 3) is
+    reported separately: it admits weights l >= 0, taken small, capped by the
+    invertibility bound (n-2)/2.
+
+    The solver order must exceed the contraction argument's order floor
+    ``1/2 + (p-2)*mu``, reported at the slack mu = 0 of constant orders and
+    flagged provisional because its source fixes mu only implicitly.
+    """
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"power p must be an integer >= 2, got {p}")
+    if n < 3:
+        raise DimensionError("need ambient dimension n >= 3")
+    lo = 2.0 / (p - 1) - (n - 2) / 2.0
+    admissible = lo < 0.0
+    intercept = -2.0 + (p - 1) * (n - 2) / 2.0
+    cubic = p == 3 and n == 4
+    return {
+        "n": n,
+        "p": p,
+        "admissible": admissible,
+        "l_interval": (lo, 0.0),
+        "l_map_coeffs": (intercept, float(p)),
+        "order_floor": 0.5,
+        "mu": 0.0,
+        "mu_provisional": True,
+        "cubic_admissible": cubic,
+        "cubic_l_interval": (0.0, (n - 2) / 2.0) if cubic else None,
+    }
+
+
 @dataclass(frozen=True)
 class SemilinearProblem:
     """Box u + lam u^p = f with a chosen propagator prescription.
@@ -210,10 +244,6 @@ class SemilinearProblem:
         if self.f.grid.dim < 2:
             raise DimensionError("need at least one space and one time axis")
 
-    @property
-    def n(self) -> int:
-        return self.f.grid.dim
-
     def smallness_bound(self) -> float:
         """0.1 * sqrt(volume of the grid box)."""
         vol = float(np.prod(self.f.grid.extent))
@@ -221,7 +251,7 @@ class SemilinearProblem:
 
     def weights_verdict(self) -> dict | None:
         try:
-            out = semilinear_weights(self.n, self.p)
+            out = semilinear_weights(self.f.grid.dim, self.p)
         except DimensionError:
             return None
         # no weight annotations are set; the key keeps picard.json's bytes

@@ -26,7 +26,7 @@ from feynlab.normal_op import (
     indicial_roots,
     sphere_spectrum,
 )
-from feynlab.orders import rule_sweep, semilinear_weights
+from feynlab.orders import rule_sweep
 from feynlab.propagators import (
     Kind,
     Prescription,
@@ -35,7 +35,12 @@ from feynlab.propagators import (
     propagate,
     wick_continuation_study,
 )
-from feynlab.semilinear import SemilinearProblem, perturbation_series, picard_solve
+from feynlab.semilinear import (
+    SemilinearProblem,
+    perturbation_series,
+    picard_solve,
+    semilinear_weights,
+)
 
 
 def report(num: int, label: str, ok: bool, detail: str) -> None:

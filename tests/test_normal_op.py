@@ -2,12 +2,15 @@
 
 import itertools
 import json
+import math
 import time
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feynlab.errors import DimensionError, PoleError
 from feynlab.normal_op import (
@@ -178,6 +181,50 @@ def test_index_at_a_huge_weight_is_immediate():
     got = index_count(4, 1e12 + 0.5)
     assert time.perf_counter() - start < 1.0
     assert got == -(K * (K + 1) * (2 * K + 1) // 6)
+
+
+def float_root_distance(n, l):
+    """The distance to the nearest root in floats: the reference the exact
+    distance must match bit for bit where every float step is exact."""
+    half = 0.5 * (n - 2)
+    a = abs(l)
+    if a <= half:
+        return half - a
+    k = math.floor(a - half)
+    return min(abs(a - (half + k)), abs(half + k + 1 - a))
+
+
+@settings(max_examples=300)  # cheap
+@given(
+    st.integers(2, 40),
+    st.one_of(
+        st.floats(-(2.0**51), 2.0**51, exclude_min=True, exclude_max=True),
+        st.integers(-(2**40), 2**40).map(lambda q: q / 8),  # on and between roots
+    ),
+)
+def test_exact_root_distance_keeps_the_float_bits_below_2_to_51(n, l):
+    # for |l| < 2^51 every step of the float formula is exact, so the exact
+    # distance rounded once has its bits, and the index its K
+    d = float_root_distance(n, l)
+    assert weight_line_invertible(n, l) == ((False, 0.0) if d < 1e-12 else (True, d))
+    if d >= 1e-12:
+        K = max(math.ceil(abs(l) - 0.5 * (n - 2)), 0)
+        assert index_count(n, l, with_multiplicity=False) == (-K if l > 0 else K)
+
+
+@pytest.mark.parametrize("l", [2.0**53, 2.0**52 + 1])
+def test_root_distance_is_exact_past_2_to_52(l):
+    # the float formula put both on a root; each lies 0.5 from the nearest,
+    # an integer + 1/2 for n = 3
+    assert weight_line_invertible(3, l) == (True, 0.5)
+
+
+def test_index_count_is_exact_past_2_to_52():
+    # |l| - 1/2 = 2^52 + 1/2 rounds to 2^52 in floats, which read l as a pole;
+    # K = 2^52 + 1 degrees lie below it, of multiplicities 2k + 1 in n = 3
+    K = 2**52 + 1
+    assert index_count(3, 2.0**52 + 1) == -(K**2)
+    assert index_count(3, 2.0**52 + 1, with_multiplicity=False) == -K
 
 
 def test_index_pole_raises():

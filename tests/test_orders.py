@@ -26,9 +26,9 @@ from feynlab.orders import (
     product_rule_predict,
     rule_flat_model,
     rule_sweep,
-    semilinear_weights,
     sweep_plan,
 )
+from feynlab.semilinear import semilinear_weights
 from feynlab.weights import ConeWeight, IsoWeight, SplitWeight, SumWeight
 
 
@@ -59,6 +59,7 @@ def test_constructed_order_monotone_on_terminal_approach():
 
 
 # --- semilinear weight arithmetic ----------------------------------------
+# (``feynlab.semilinear.semilinear_weights``)
 
 def test_semilinear_cubic_four_dimensions_needs_fallback():
     sw = semilinear_weights(4, 3)

@@ -502,12 +502,16 @@ def test_default_epsilon_scale():
 GRID_A = GridSpec((8.0, 8.0), (8, 8))
 FIELD_A = SpectralField(GRID_A, np.ones((8, 8)))
 FIELD_B = SpectralField(GridSpec((8.0, 6.0), (8, 8)), np.ones((8, 8)))
+FIELD_1D = SpectralField(GridSpec((8.0,), (8,)), np.ones(8))
 T = np.linspace(-1.0, 1.0, 5)
 
 
 @pytest.mark.parametrize("call,error", [
-    (lambda: apply_box(SpectralField(GridSpec((8.0,), (8,)), np.ones(8)),
-                       Prescription(Kind.FEYNMAN, eps=0.1)), DimensionError),
+    (lambda: apply_box(FIELD_1D, Prescription(Kind.FEYNMAN, eps=0.1)), DimensionError),
+    # every entry point resolves its prescription through one helper, which
+    # refuses a grid without a space and a time axis
+    (lambda: prescription_residual(FIELD_1D, FIELD_1D, Prescription(Kind.RETARDED, eps=0.1)),
+     DimensionError),
     (lambda: prescription_residual(FIELD_A, FIELD_B, Prescription(Kind.RETARDED, eps=0.1)),
      DimensionError),
     (lambda: wick_continuation_study(FIELD_A, FIELD_B, [0.5j]), DimensionError),
@@ -515,7 +519,7 @@ T = np.linspace(-1.0, 1.0, 5)
     (lambda: mode_profile(1.0, Prescription(Kind.RETARDED), T), ValueError),
     # the rotation by 1e-300 leaves the pole of omega = 1e-30 on the real axis
     (lambda: mode_profile(1e-30, Prescription(Kind.FEYNMAN, eps=1e-300), T), ValueError),
-], ids=["box-1d", "residual-grids", "wick-grids", "profile-omega", "profile-eps", "profile-pole"])
+], ids=["box-1d", "residual-1d", "residual-grids", "wick-grids", "profile-omega", "profile-eps", "profile-pole"])
 def test_public_calls_reject_a_bad_grid_or_argument(call, error):
     with pytest.raises(error):
         call()
