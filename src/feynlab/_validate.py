@@ -52,7 +52,7 @@ def _equal(a, b) -> bool:
 
 
 class Validator:
-    """A checked schema; ``errors(instance)`` lists every violation."""
+    """A checked schema; ``check(instance)`` lists every violation."""
 
     def __init__(self, schema: dict):
         self._defs = schema.get("$defs", {})
@@ -61,13 +61,11 @@ class Validator:
             _load(sub, self._defs)
         self._schema = schema
 
-    def errors(self, instance) -> list:
-        """Every violation as ``(path, message)``, the path a tuple of keys
-        and indices; sorted by path, ties in the order they were found."""
-        return self.check(instance)[0]
-
     def check(self, instance) -> tuple[list, list]:
-        """``(errors(instance), paths)``, paths where a float passed as an integer."""
+        """``(errors, paths)``: every violation as ``(path, message)``, the
+        path a tuple of keys and indices, sorted by path with ties in the
+        order they were found; and the paths where a float passed as an
+        integer."""
         found = []
         self._check(self._schema, instance, (), found)
         errors = sorted((e for e in found if e[1] is not None), key=operator.itemgetter(0))

@@ -5,9 +5,9 @@ command line only says where the config is and where results go:
 
     feynlab --config run.json --out results/run1 --seed 7
 
-A directory passed to --config runs every ``*.json`` inside it (batch
-mode), each config writing into its own subdirectory; --threads bounds the
-batch concurrency.  Every run emits its artifacts plus ``manifest.json``
+A directory passed to --config runs every ``*.json`` inside it in name
+order (batch mode), each config writing into its own subdirectory; a single
+file is a batch of one.  Every run emits its artifacts plus ``manifest.json``
 listing each file with a sha256 checksum; identical config and seed give
 identical artifact checksums.
 
@@ -603,17 +603,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     return manifest
 
 
-def _run_one(path: Path, seed: int | None, out: str | None) -> tuple[int, str]:
-    # overflow shows in the verdict (exit 3, nulls in the JSON), not in numpy
-    # warnings; the error state is per thread, and batch runs call this in theirs
+def _run_one(path: Path, seed: int | None, out: str | None) -> int:
+    """Run one config file, print its verdict line and return its exit code."""
+    # overflow shows in the verdict (exit 3, nulls in the JSON), not in numpy warnings
     with np.errstate(all="ignore"):
         try:
             cfg = load_config(path, seed=seed, out=out)
             manifest = run_experiment(cfg)
         except _RunError as exc:
-            return exc.exit_code, f"{path.name}: {exc.label}: {exc}"
+            print(f"{path.name}: {exc.label}: {exc}", file=sys.stderr)
+            return exc.exit_code
     n = len(manifest.files)
-    return 0, f"{path.name}: ok ({n} artifact{'s' if n != 1 else ''}, {cfg.out})"
+    print(f"{path.name}: ok ({n} artifact{'s' if n != 1 else ''}, {cfg.out})")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -624,40 +626,20 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True, help="config file, or directory for batch mode")
     ap.add_argument("--out", help="output directory (single run) or output root (batch)")
     ap.add_argument("--seed", type=int, help="override the config seed")
-    ap.add_argument("--threads", type=int, default=1, help="batch concurrency (default 1)")
     args = ap.parse_args(argv)
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        print("seed must fit in 64 unsigned bits", file=sys.stderr)
-        return ConfigError.exit_code
-    if args.threads < 1:
-        print("threads must be >= 1", file=sys.stderr)
-        return ConfigError.exit_code
 
     target = Path(args.config)
+    runs = [(target, args.out)]
     if target.is_dir():
-        configs = sorted(target.glob("*.json"))
-        if not configs:
+        root = Path(args.out or os.environ.get(ENV_OUTPUT_ROOT, _DEFAULT_ROOT))
+        runs = [(p, str(root / p.stem)) for p in sorted(target.glob("*.json"))]
+        if not runs:
             print(f"no *.json configs in {target}", file=sys.stderr)
             return ConfigError.exit_code
-        root = args.out or os.environ.get(ENV_OUTPUT_ROOT, _DEFAULT_ROOT)
-        from concurrent.futures import ThreadPoolExecutor  # on use, so importing cli stays off it
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(
-                pool.map(
-                    lambda p: _run_one(p, args.seed, str(Path(root) / p.stem)),
-                    configs,
-                )
-            )
-        for code, message in results:
-            print(message, file=sys.stderr if code else sys.stdout)
-        # the worst code wins: config error > io error > divergence > ok
-        order = (0, NumericDivergence.exit_code, ArtifactIOError.exit_code, ConfigError.exit_code)
-        return max((code for code, _ in results), key=order.index)
-
-    code, message = _run_one(target, args.seed, args.out)
-    print(message, file=sys.stderr if code else sys.stdout)
-    return code
+    # each config in turn; the worst code wins: config error > io error >
+    # divergence > ok
+    order = (0, NumericDivergence.exit_code, ArtifactIOError.exit_code, ConfigError.exit_code)
+    return max((_run_one(path, args.seed, out) for path, out in runs), key=order.index)
 
 
 if __name__ == "__main__":

@@ -106,7 +106,7 @@ def _sup_samples(dim: int, cutoff: float, seed: int) -> np.ndarray:
 _BLOCK = 2**16
 
 # The one thread pool every product_integral call submits to, made on first
-# use; concurrent calls (batch runs with --threads) share its workers.
+# use; calls from several library threads share its workers.
 _POOL = None
 _POOL_LOCK = threading.Lock()
 

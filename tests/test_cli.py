@@ -1296,8 +1296,9 @@ def edge(code, subcommand, params, extent=(8.0, 8.0), points=8):
 # must end in: extents whose squared frequencies overflow or whose cell
 # volume overflows or underflows (a bad grid), overflowing sources, couplings
 # and margins, out-of-range eps values, a flow tol below the stepper's floor
-# of 100 EPS, a flow tol so loose that a leg's integration fails, and a
-# weight whose index has more digits than Python writes as a string.
+# of 100 EPS, a flow tol so loose that a leg's integration fails, a weight
+# whose index has more digits than Python writes as a string, and an n or K
+# above the schema's cap of 1000.
 TINY, HUGE = (1e-160, 8.0), (1e300, 1e300)
 FLOW_EDGE = {"n": 3, "count": 1, "T": 5.0}
 EDGE_RUNS = {
@@ -1329,6 +1330,10 @@ EDGE_RUNS = {
     "flow-tol": edge(2, "flow", dict(FLOW_EDGE, tol=1e-15)),
     "flow-stiff": edge(3, "flow", dict(FLOW_EDGE, tol=0.5)),
     "weights-index": edge(2, "weights", {"n": 401, "l_samples": [1000000000000000.25]}),
+    "roots-n": edge(2, "roots", {"n": 1001, "K": 2}),
+    "spectrum-K": edge(2, "spectrum", {"n": 3, "K": 1001}),
+    "weights-n": edge(2, "weights", {"n": 1001, "l_samples": [0.5]}),
+    "weights-K": edge(2, "weights", {"n": 3, "K": 1001, "l_samples": [0.5]}),
 }
 
 
@@ -1351,6 +1356,9 @@ def test_edge_configs_end_in_one_verdict_line(tmp_path, capsys, name):
         assert [ray["forward"]["truncated"] for ray in rays] == ["stiff"]
     if name == "weights-index":
         assert "the index at weight 1000000000000000.2 has too many digits" in err
+    if name.endswith(("-n", "-K")):
+        field = name.rsplit("-", 1)[1]
+        assert f"config invalid at params/{field}: 1001 is greater than the maximum of 1000" in err
 
 
 def test_overflowing_run_prints_only_its_verdict(tmp_path):
@@ -1430,15 +1438,13 @@ def test_main_batch_mode(tmp_path, capsys):
     batch.mkdir()
     write_config(batch / "one.json", ROOTS)
     write_config(batch / "two.json", {"subcommand": "spectrum", "params": {"n": 3, "K": 2}})
-    code = main(
-        ["--config", str(batch), "--out", str(tmp_path / "root"), "--threads", "2"]
-    )
-    assert code == 0
+    assert main(["--config", str(batch), "--out", str(tmp_path / "root")]) == 0
     assert (tmp_path / "root" / "one" / "roots.json").exists()
     assert (tmp_path / "root" / "two" / "spectrum.json").exists()
 
 
-def test_main_batch_threads_match_serial(tmp_path):
+def test_main_batch_matches_single_runs(tmp_path):
+    # each config, run alone, writes the bytes it writes in the batch
     batch = tmp_path / "batch"
     batch.mkdir()
     write_config(batch / "roots.json", ROOTS)
@@ -1448,18 +1454,19 @@ def test_main_batch_threads_match_serial(tmp_path):
     write_config(batch / "sweep.json", SWEEP_1D)
     flow_params = {"n": 4, "count": 2, "T": 5.0, "write_traces": True}
     write_config(batch / "flow.json", {"subcommand": "flow", "params": flow_params})
-    digests = {}
-    for threads in ("1", "2"):
-        root = tmp_path / f"threads-{threads}"
-        assert main(["--config", str(batch), "--out", str(root), "--threads", threads]) == 0
-        digests[threads] = {
-            run.name: json.loads((run / "manifest.json").read_text())["files"]
-            for run in root.iterdir()
-        }
-    assert len(digests["1"]) == 5
-    assert {f["name"] for f in digests["1"]["flow"]} == {
+    assert main(["--config", str(batch), "--out", str(tmp_path / "batch-out")]) == 0
+
+    def artifacts(run: Path) -> dict:
+        return {f.name: f.read_bytes() for f in run.iterdir() if f.name != "manifest.json"}
+
+    configs = sorted(batch.glob("*.json"))
+    assert len(configs) == 5
+    for config in configs:
+        alone = tmp_path / "alone" / config.stem
+        assert main(["--config", str(config), "--out", str(alone)]) == 0
+        assert artifacts(alone) == artifacts(tmp_path / "batch-out" / config.stem)
+    assert set(artifacts(tmp_path / "alone" / "flow")) == {
         "flow.json", "trace-000.csv", "trace-001.csv"}
-    assert digests["2"] == digests["1"]
 
 
 def test_main_batch_reports_worst_code(tmp_path):
@@ -1478,7 +1485,19 @@ def test_main_empty_batch_dir(tmp_path):
     assert main(["--config", str(empty)]) == 2
 
 
-def test_main_rejects_bad_flag_values(tmp_path):
-    p = write_config(tmp_path / "c.json", ROOTS)
-    assert main(["--config", str(p), "--threads", "0"]) == 2
-    assert main(["--config", str(p), "--seed", "-1"]) == 2
+def test_main_rejects_bad_flag_values(tmp_path, capsys):
+    # the schema's seed bounds hold for --seed too: one stderr line per
+    # config names the seed, and no output directory is made
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_config(batch / "one.json", ROOTS)
+    write_config(batch / "two.json", ROOTS)
+    out = tmp_path / "out"
+    for seed in ("-1", "18446744073709551616"):
+        for config, runs in ((batch / "one.json", 1), (batch, 2)):
+            assert main(["--config", str(config), "--out", str(out), "--seed", seed]) == 2
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert captured.out == "" and len(err) == runs
+            assert all(f"config invalid at seed: {seed} is " in line for line in err)
+            assert not out.exists()
