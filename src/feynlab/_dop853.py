@@ -10,22 +10,22 @@ Hairer's DOP853 as SciPy 1.17 carries them.  The rules, per leg:
 
 - a segment's first step from the estimate of section II.4 (RMS norms);
 - the step factor 0.9 * err^(-1/8), clipped to [0.2, 10], and to at most 1
-  right after a rejection; rtol below 100 * EPS is raised to it, with a
-  warning;
+  right after a rejection;
 - a step shorter than ten spacings of t fails, and so does a NaN step size
   (a right-hand side that returns NaN), and an event search on a NaN event
   value, on no sign change over the step or on no convergence in 100
-  iterations; a non-finite start is a ValueError;
+  iterations; a non-finite start, and a tol that is not finite or is below
+  100 * EPS, are a ValueError;
 - a segment costs 2 evaluations for the first step, 15 per accepted step
   (12 stages and 3 for the dense output) and 12 per rejected one, a step
   dropped for an event included;
 - a time reads the step clip(searchsorted(d * ts, d * t, "left") - 1, 0,
   steps - 1), d the sign of the integration: a step boundary reads the
   earlier step, and the end steps extrapolate;
-- every event is terminal; it fires where its value changes sign in its
-  direction over a step, located on the step's interpolant by regula falsi
-  with the Illinois rule (Dowell and Jarratt 1971) to a bracket of
-  4 * EPS * (1 + |t|); the earliest root in the direction of integration
+- every event is terminal; it fires where its value crosses zero upward
+  over a step, from <= 0 to >= 0, located on the step's interpolant by
+  regula falsi with the Illinois rule (Dowell and Jarratt 1971) to a
+  bracket of 4 * EPS * (1 + |t|); the earliest root in the direction of integration
   ends the segment, the lower event index on a tie, and a root on the
   previous step's end drops the last step.
 
@@ -49,7 +49,6 @@ the legs beside it, on numpy's SIMD width or on the BLAS core.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -210,10 +209,8 @@ class Segment:
         self.h, self.y_old, self.F = steps
         self.nfev, self.rejected, self.event = nfev, rejected, event
 
-    def __call__(self, t):
-        """The state at time t, or at an array of times one row each, by the lookup rule."""
-        if np.ndim(t) == 0:
-            return self(np.array([t]))[0]
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """The states at the times t, one row each, by the lookup rule."""
         d = np.sign(self.h[0])
         k = np.clip(np.searchsorted(d * self.ts, d * t, side="left") - 1, 0, len(self.h) - 1)
         return _interpolate(((t - self.ts[k]) / self.h[k])[:, None], self.y_old[k], self.F[k])
@@ -254,14 +251,13 @@ def _evaluate(groups, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _events(groups, Y: np.ndarray, width: int):
-    """The event values of the rows Y, (rows, width), and their directions; past
-    a kind's events the value is 1 and crosses nothing."""
-    g, directions = np.ones((len(Y), width)), np.zeros((len(Y), width))
-    for (_, events, dirs, size), rows in groups:
-        g[rows, : len(dirs)] = events(Y[rows, :size])
-        directions[rows, : len(dirs)] = dirs
-    return g, directions
+def _events(groups, Y: np.ndarray, width: int) -> np.ndarray:
+    """The event values of the rows Y, (rows, width); past a kind's events
+    the value is 1 and crosses nothing."""
+    g = np.ones((len(Y), width))
+    for (_, events, count, size), rows in groups:
+        g[rows, :count] = events(Y[rows, :size])
+    return g
 
 
 def _rms(x: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -272,33 +268,28 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, tol: float, on_end) -> None:
     """Integrate each leg i, y' = fun(y) for the system of its kind, from t = 0
     towards t_bound[i] != 0, until on_end ends it.
 
-    systems[k] = (fun, events, directions, size) for kind k: fun maps states,
-    one row each (rows, size), to their derivatives, and events to their event
-    values (rows, len(directions)); an event ends a segment where it crosses
-    zero upward (direction > 0), downward (< 0) or either way (0).  y0 holds
-    the starts (legs, N).  on_end(i, seg) gets leg i's ended Segment and
-    returns None to end the leg, or (y, kind) to go on from y (a float
-    sequence) at seg.ts[-1]; a failed leg ends after on_end(i, StiffnessError).
-    The segments that end in a round get their dense output in one pass per
-    kind, each leg's kind read before the round's first on_end, and a leg ends
-    at most one segment a round.  The error scale is
-    atol + |y| rtol with rtol = tol and atol = tol/100, atol taken before the
-    rtol floor.  Raises ValueError for a non-finite y0 or a negative tol.
+    systems[k] = (fun, events, count, size) for kind k: fun maps states, one
+    row each (rows, size), to their derivatives, and events to their count
+    event values (rows, count); an event ends a segment where it crosses zero
+    upward.  y0 holds the starts (legs, N).  on_end(i, seg) gets leg i's
+    ended Segment and returns None to end the leg, or (y, kind) to go on from
+    y (a float sequence) at seg.ts[-1]; a failed leg ends after on_end(i,
+    StiffnessError).  The segments that end in a round get their dense output
+    in one pass per kind, each leg's kind read before the round's first
+    on_end, and a leg ends at most one segment a round.  The error scale is
+    tol/100 + |y| tol.  Raises ValueError for a non-finite y0, and for a tol
+    that is not finite or is below 100 * EPS.
     """
     Y = np.array(y0, dtype=float)
     if not np.isfinite(Y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    if tol < 0:
-        raise ValueError("`tol` must be positive.")
-    rtol, atol = tol, tol * 1e-2
-    if rtol < 100 * EPS:
-        warnings.warn(f"rtol {rtol:g} is too small; using rtol = 100 EPS = {100 * EPS}",
-                      stacklevel=3)
-        rtol = 100 * EPS
+    if not 100 * EPS <= tol < math.inf:  # NaN fails both
+        raise ValueError(f"`tol` must be finite and at least 100 EPS = {100 * EPS}, not {tol}")
+    atol = tol * 1e-2
     legs, N = Y.shape
     kinds, t_bound = np.array(kinds), np.array(t_bound, dtype=float)
     sizes = np.array([system[3] for system in systems])
-    width = max(len(system[2]) for system in systems)
+    width = max(system[2] for system in systems)
     t, h_abs, d = np.zeros(legs), np.zeros(legs), np.sign(t_bound)
     F, G = np.zeros((legs, N)), np.zeros((legs, width))
     rejected, retry, done = (np.zeros(legs, dtype) for dtype in (int, bool, bool))
@@ -321,7 +312,7 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, tol: float, on_end) -> None:
             fresh.clear()
             y, n, groups = Y[new], sizes[kinds[new]], _by_kind(systems, kinds[new])
             f = _evaluate(groups, y, np.zeros(y.shape))
-            scale = atol + np.abs(y) * rtol
+            scale = atol + np.abs(y) * tol
             d0, d1 = _rms(y / scale, n).tolist(), _rms(f / scale, n)
             interval = np.abs(t_bound[new] - t[new]).tolist()
             h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, c)
@@ -333,7 +324,7 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, tol: float, on_end) -> None:
                       else (0.01 / max(a, b)) ** (1 / 8))
                 h_abs[i] = min(100 * h, h1, c)
                 runs[i] = ([t[i]], [])
-            F[new], G[new] = f, _events(groups, y, width)[0]
+            F[new], G[new] = f, _events(groups, y, width)
             retry[new], rejected[new] = False, 0
 
         act = np.flatnonzero(~done)
@@ -360,7 +351,7 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, tol: float, on_end) -> None:
             _evaluate(groups, ordered_sum(K[:s] * _ROWS[s], axis=0) * hc + y, K[s])
         y_new = ordered_sum(K[:_STAGES] * B[:, None, None], axis=0) * hc + y
         _evaluate(groups, y_new, K[_STAGES])
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
         e5, e3 = ordered_sum(K[:_STAGES, None] * _ERR, axis=0) / scale
         e5, e3 = ordered_sum(e5 * e5), ordered_sum(e3 * e3)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -380,10 +371,8 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, tol: float, on_end) -> None:
         if not accept.all():
             K, groups = K[:, accept], _by_kind(systems, ka[accept])
             y, y_new, h, ta, tn, act = (a[accept] for a in (y, y_new, h, ta, tn, act))
-        g_new, directions = _events(groups, y_new, width)
-        g = G[act]
-        up, down = (g <= 0) & (g_new >= 0), (g >= 0) & (g_new <= 0)
-        hit = np.where(directions > 0, up, np.where(directions < 0, down, up | down))
+        g_new = _events(groups, y_new, width)
+        hit = (G[act] <= 0) & (g_new >= 0)
         t[act], Y[act], F[act], G[act] = tn, y_new, K[_STAGES], g_new
         crossed, reached = hit.any(axis=1).tolist(), (d[act] * (tn - t_bound[act]) >= 0).tolist()
         ending = []  # (j, leg, kind) of each segment that ends, the kind read before any end

@@ -408,8 +408,8 @@ def _entry(r, w):
 
 
 def _interior_events(Y):
-    """At the rows [z, zeta]: leaving the trusted region past |z| = _ESCAPE_R (along
-    the time axis), and entering the latitude chart (_entry turning positive)."""
+    """At the rows [z, zeta]: leaving the trusted region outward past |z| = _ESCAPE_R
+    (along the time axis), and entering the latitude chart (_entry turning positive)."""
     n = Y.shape[1] // 2
     r, out = np.sqrt(_sumsq(Y[:, :n])), np.empty((len(Y), 2))
     out[:, 0], out[:, 1] = r - _ESCAPE_R, _entry(r, Y[:, n - 1] / r)
@@ -417,11 +417,12 @@ def _interior_events(Y):
 
 
 def _latitude_events(Y):
-    """At the rows [x, w, y, u, k]: the radial convergence floor; the exit to the
-    interior at rho > _RHO_BACK or w^2 > 0.92, past _entry's edges so that a
-    ray does not bounce between the charts; the stereographic chart edge."""
+    """At the rows [x, w, y, u, k]: the radial convergence floor (rho falling
+    through _RHO_FLOOR); the exit to the interior at rho > _RHO_BACK or
+    w^2 > 0.92, past _entry's edges so that a ray does not bounce between the
+    charts; the stereographic chart edge."""
     x, w, out = Y[:, 0], Y[:, 1], np.empty((len(Y), 3))
-    out[:, 0] = x - math.log(_RHO_FLOOR)
+    out[:, 0] = math.log(_RHO_FLOOR) - x
     out[:, 1] = np.maximum(x - math.log(_RHO_BACK), w * w - 0.92)
     out[:, 2] = _sumsq(Y[:, 2 : Y.shape[1] // 2]) - 4.0
     return out
@@ -508,15 +509,17 @@ def flow(pt, T, tol: float = 1e-10):
     in plain (z, zeta) coordinates, or in the projectivized latitude chart,
     where a start goes if _entry is positive (rho < 0.05, |w| < 0.85).  The
     events, the earlier crossing first and on a tie the one listed first: in
-    the interior, escape past |z| = 1e4 (truncated "escaped"), then entry to
-    the latitude chart; there, the radial convergence floor rho = 1e-5, then
-    the exit to the interior at rho > 0.06 or w^2 > 0.92 (truncated "chart"
-    below rho = 1e-3), then the stereographic chart edge.  A failed segment
-    ends its leg "stiff" with the samples before it, uncounted in stats, and
-    the other legs go on; after _MAX_SEGMENTS segments a leg ends
-    "segment-limit".  The trace parameter, rescaled (d tau = |fiber| dt) in the
-    latitude chart and Hamilton time in the interior, is strictly monotone.  A
-    trace holds one BCotangentPoint per sample, built when the sample is taken.
+    the interior, escape outward past |z| = 1e4 (truncated "escaped"), then
+    entry to the latitude chart; there, the radial convergence floor
+    rho = 1e-5, then the exit to the interior at rho > 0.06 or w^2 > 0.92
+    (truncated "chart" below rho = 1e-3), then the stereographic chart edge.
+    A failed segment ends its leg "stiff" with the samples before it,
+    uncounted in stats, and the other legs go on; after _MAX_SEGMENTS
+    segments a leg ends "segment-limit".  The trace parameter, rescaled
+    (d tau = |fiber| dt) in the latitude chart and Hamilton time in the
+    interior, is strictly monotone.  A trace holds one BCotangentPoint per
+    sample, built when the sample is taken.  A tol that is not finite or is
+    below 100 EPS is a ValueError (_dop853.solve).
     """
     one = isinstance(pt, (BCotangentPoint, InteriorCovector))
     starts = [pt] if one else list(pt)
@@ -525,9 +528,9 @@ def flow(pt, T, tol: float = 1e-10):
     for n in sorted({leg.n for leg in legs if abs(leg.T) > 1e-12}):
         run = [leg for leg in legs if leg.n == n and abs(leg.T) > 1e-12]
         y0 = np.array([np.pad(leg.state, (0, 2 * n + 1 - len(leg.state))) for leg in run])
-        # each event with the crossing direction in which it ends a segment
-        systems = ((_int_rhs, _interior_events, (0.0, 1.0), 2 * n),
-                   (_bd_rhs, _latitude_events, (-1.0, 1.0, 1.0), 2 * n + 1))
+        # each kind with its count of events, each of which fires crossing zero upward
+        systems = ((_int_rhs, _interior_events, 2, 2 * n),
+                   (_bd_rhs, _latitude_events, 3, 2 * n + 1))
         _dop853.solve(systems, y0, [int(leg.bd) for leg in run], [leg.T for leg in run],
                       tol, lambda i, seg: run[i].end(seg))
     traces = [RayTrace(np.array(t), points, np.array(lam), np.array(k), leg.nonnull,

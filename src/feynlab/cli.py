@@ -51,7 +51,7 @@ from .bichar import classify_limit, flow, random_null_rays
 from .errors import ClassificationError, FeynlabError
 from .fields import GridSpec, SpectralField, gaussian_source, random_band_limited
 from .normal_op import normal_report
-from .orders import rule_sweep, sweep_plan
+from .orders import rule_sweep
 from .propagators import (
     Kind,
     Prescription,
@@ -88,14 +88,10 @@ class NumericDivergence(_RunError):
     """The run finished but the numerics diverged (exit code 3).
 
     Only ``run_experiment`` raises it, after the artifacts and the manifest
-    are written; the manifest rides along on the exception.
+    are written.
     """
 
     exit_code, label = 3, "diverged"
-
-    def __init__(self, message: str, manifest: "RunManifest"):
-        super().__init__(message)
-        self.manifest = manifest
 
 
 class ArtifactIOError(_RunError):
@@ -445,8 +441,7 @@ def _cmd_picard(cfg, p):
 
 def _cmd_product_check(cfg, p):
     dims, margin, repeats = p["dims"], p["margin"], p["repeats"]
-    plan = sweep_plan(dims, p["rules"])
-    rows = rule_sweep(margin=margin, repeats=repeats, seed=cfg.seed, plan=plan)
+    rows = rule_sweep(margin, repeats, cfg.seed, dims, p["rules"])
     # one column per rule_sweep key, in its order; params as sorted JSON
     header = list(rows[0])
     csv_rows = [
@@ -564,7 +559,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
 
     Raises ConfigError for unusable configs, ArtifactIOError when output
     cannot be written (anything partial is removed first), and
-    NumericDivergence, with the manifest, after a complete write whose
+    NumericDivergence after a complete write, manifest included, whose
     numerics diverged.
     """
     cfg = ExperimentConfig.from_dict(cfg.to_dict())
@@ -599,7 +594,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         _remove_partial([out_dir / name for name in artifacts] + [manifest_path])
         raise ArtifactIOError(f"manifest write failed: {exc}") from exc
     if diverged:
-        raise NumericDivergence("numerics diverged; see the written report", manifest)
+        raise NumericDivergence("numerics diverged; see the written report")
     return manifest
 
 

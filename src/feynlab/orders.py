@@ -535,14 +535,6 @@ def rule_flat_model(rule: str, params: dict, dim: int):
     return _rule(rule).flat_model(dim, **params)
 
 
-def _sweep_params(rule: str, dim: int, threshold: str, offset: float):
-    """Parameter point straddling one threshold with the others pinned."""
-    entry = _rule(rule)
-    if threshold not in entry.thresholds:
-        raise KeyError(threshold)
-    return entry.straddle(dim, threshold, offset)
-
-
 def sweep_plan(dims=None, rules=None) -> list[tuple[str, int, str]]:
     """The declared (rule, dim, threshold) triples of the straddle sweep, in
     table order, restricted to ``dims`` and ``rules`` when given.
@@ -568,27 +560,28 @@ def sweep_plan(dims=None, rules=None) -> list[tuple[str, int, str]]:
 
 
 def rule_sweep(
-    margin: float = 0.1, repeats: int = 1, seed: int = 7, plan=None
+    margin: float = 0.1, repeats: int = 1, seed: int = 7, dims=None, rules=None
 ) -> list[dict]:
     """Seeded straddle sweep comparing rule predicates with measurements.
 
-    Each planned (rule, dim, threshold) is sampled at offsets +-margin (with
-    small seeded jitter on repeats beyond the first), the other thresholds
-    pinned 0.35 inside; the predicate is the full hypothesis conjunction and
-    the measurement is the growth-exponent verdict of the flat model, on a
-    step-0.5 lattice cut off at 4096 in 1-D and 192 in 2-D.  Returns one row
-    per point with the margin data and the agreement flag; the row keys, in
-    order, are the columns of the product-check CSV.
+    Each (rule, dim, threshold) of sweep_plan(dims, rules), whose ValueError
+    it raises, is sampled at offsets +-margin (with small seeded jitter on
+    repeats beyond the first), the other thresholds pinned 0.35 inside; the
+    predicate is the full hypothesis conjunction and the measurement is the
+    growth-exponent verdict of the flat model, on a step-0.5 lattice cut off
+    at 4096 in 1-D and 192 in 2-D.  Returns one row per point with the margin
+    data and the agreement flag; the row keys, in order, are the columns of
+    the product-check CSV.
     """
     rng = np.random.default_rng(seed)
     rows = []
-    for rule, dim, threshold in plan if plan is not None else sweep_plan():
+    for rule, dim, threshold in sweep_plan(dims, rules):
         cutoff = 4096.0 if dim == 1 else 192.0
         for rep in range(repeats):
             jitter = 0.0 if rep == 0 else float(rng.uniform(-0.02, 0.02))
             for sign in (+1.0, -1.0):
                 offset = sign * margin + jitter
-                params = _sweep_params(rule, dim, threshold, offset)
+                params = _RULES[rule].straddle(dim, threshold, offset)
                 pred = product_rule_predict(rule, params)
                 w, w1, w2 = rule_flat_model(rule, params, dim)
                 res = product_integral(

@@ -25,7 +25,7 @@ from feynlab.bichar import (
     random_null_rays,
 )
 from feynlab.errors import ChartError, ClassificationError
-from feynlab.orders import _sweep_params, product_integral, rule_flat_model
+from feynlab.orders import _RULES, product_integral, rule_flat_model
 
 
 def fiber(pt):
@@ -954,6 +954,31 @@ def test_flow_golden_digest_and_branch_coverage(monkeypatch, golden_traces):
     assert trace_digest(flow([start for start, _ in starts], [T for _, T in starts])) == GOLDEN_FLOW
 
 
+def test_escape_fires_only_outward():
+    # interior starts just past |z| = 1e4 inside the time-axis cone (|w| >=
+    # 0.9, outside the latitude chart), moving inward: they cross |z| = 1e4
+    # inward and go on, instead of ending "escaped" there
+    rng = np.random.default_rng(0)
+    starts = []
+    while len(starts) < 5:
+        z = rng.normal(size=4)
+        z /= np.linalg.norm(z)
+        if abs(z[-1]) < 0.9:
+            continue
+        z *= rng.uniform(1.001e4, 1.05e4)
+        zpp = rng.normal(size=3)
+        # null, with z_n' = 2 |z|^2 zeta_n of the sign of -z_n
+        zeta = np.append(zpp, -math.copysign(np.linalg.norm(zpp), z[-1]))
+        if np.append(-zpp, zeta[-1]) @ z < 0.0:  # z . z' < 0
+            starts.append(InteriorCovector(z, zeta))
+    for tr in flow(starts, 1.0):
+        assert tr.truncated is None
+        assert max(p.rho for p in tr.points) > 1.1e-4  # well inside |z| = 1e4
+    # the golden "escaped" start moves outward along the time axis
+    out = InteriorCovector([0.0, 0.0, 0.0, 5.0], [0.0, 0.0, 0.0, 1.0])
+    assert flow(out, 1.0).truncated == "escaped"
+
+
 def test_chart_maps_and_growth_fit_call_no_linear_solver(monkeypatch):
     # the chart inverse, the chart transition and the growth fit on dyadic
     # radii are closed forms: none may reach a general solver
@@ -976,7 +1001,7 @@ def test_chart_maps_and_growth_fit_call_no_linear_solver(monkeypatch):
     for start, T in (starts[first_bd], starts[first_bd + 5]):
         flow(start, T)
     assert hits["_chart_transition"] and hits["_bd_to_interior"]
-    params = _sweep_params("cone-product", 2, "sum", 0.1)
+    params = _RULES["cone-product"].straddle(2, "sum", 0.1)
     res = product_integral(*rule_flat_model("cone-product", params, 2), 2, 32.0, levels=3)
     assert math.isfinite(res.growth_exponent)
 

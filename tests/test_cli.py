@@ -380,12 +380,13 @@ def test_picard_divergence_raises_after_writing(tmp_path):
         "out": str(tmp_path / "div"),
     }
     cfg = ExperimentConfig.from_dict(data)
-    with pytest.raises(NumericDivergence) as info:
+    with pytest.raises(NumericDivergence):
         run_experiment(cfg)
-    assert info.value.manifest is not None
     payload = json.loads((tmp_path / "div" / "picard.json").read_text())
     assert payload["diverged"] is True
-    assert (tmp_path / "div" / "manifest.json").exists()
+    # the manifest is on disk and lists the complete write
+    manifest = json.loads((tmp_path / "div" / "manifest.json").read_text())
+    assert [f["name"] for f in manifest["files"]] == ["picard.json", "solution.csv"]
 
 
 def test_product_check_run_artifacts(tmp_path):

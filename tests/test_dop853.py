@@ -4,10 +4,10 @@ The golden flow digests in test_bichar.py and test_cli.py pin the stepper's
 ordinary path bit for bit.  The pins here cover the event search and the
 dense-output lookup on a problem with a known solution, the dense output of
 each segment against the per-round formula and the right-hand-side calls a
-segment makes, and what the golden starts never reach: the rtol floor, a
-negative tolerance, a non-finite start, an event search that fails, a
-right-hand side that turns NaN (the leg ends "stiff"), and the import cost
-that the stepper exists to remove.
+segment makes, and what the golden starts never reach: a tolerance that is
+not finite or is below 100 EPS, a non-finite start, an event search that
+fails, a right-hand side that turns NaN (the leg ends "stiff"), and the
+import cost that the stepper exists to remove.
 """
 
 import hashlib
@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,16 +33,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # sha256 over A, B, C, E3, E5 and D as scipy.integrate._ivp.dop853_coefficients
 # builds them (scipy 1.17.1), the tableau the stepper had before it was inlined
 GOLDEN_TABLEAU = "ead92ac787f61c3d58590360ff9d0030fc4b1ddcdb6028f6d8bea670ba1a75f2"
-
-# flow(random_null_rays(4, 1, 0)[0], 5.0, tol=1e-15): its steps under the
-# rtol floor (without the floor the same flow takes 184) and its end point
-# (rho, v, sigma, gamma), which a change of the stepper must reproduce within
-# TIGHT_TOL before GOLDEN_TIGHT, the sha256 over its times, lam and
-# log_scale, is recorded again
-TIGHT_STEPS = 135
-TIGHT_TOL = 1e-9
-TIGHT_END = (7.60492019315e-05, 0.000128972142795, -0.000128976736435, 0.99999998308)
-GOLDEN_TIGHT = "fe7c907e9818a1f4d1a8ff3d4b7d6f018c62875c0392c75d31ab97c5af389bad"
 
 
 def run_child(script: str, *args: str, timeout: float = 120.0):
@@ -72,13 +63,13 @@ def no_events(Y):
 
 
 def solve_one(fun, t_bound, events=(), y0=(0.0,)):
-    """One leg of one kind from y0 towards t_bound, with (event, direction)
-    pairs: the Segment that _dop853.solve ends it with, or the StiffnessError
-    it failed with, raised."""
+    """One leg of one kind from y0 towards t_bound, with events that each end
+    it crossing zero upward: the Segment that _dop853.solve ends it with, or
+    the StiffnessError it failed with, raised."""
     got = []
     y0 = np.array([y0], dtype=float)
-    values = (lambda Y: np.stack([ev(Y) for ev, _ in events], axis=1)) if events else no_events
-    system = (fun, values, [direction for _, direction in events], y0.shape[1])
+    values = (lambda Y: np.stack([ev(Y) for ev in events], axis=1)) if events else no_events
+    system = (fun, values, len(events), y0.shape[1])
     _dop853.solve((system,), y0, [0], [t_bound], 1e-10, lambda i, seg: got.append(seg))
     if isinstance(got[0], StiffnessError):
         raise got[0]
@@ -90,12 +81,12 @@ def test_terminal_event_is_located_on_the_dense_output():
     def hit(Y):
         return Y[:, 0] - math.pi
 
-    seg = solve_one(one, 10.0, ((hit, 1.0),))
+    seg = solve_one(one, 10.0, (hit,))
     assert seg.event == 0
     assert abs(seg.ts[-1] - math.pi) <= 1e-12
-    assert abs(seg(seg.ts[-1])[0] - math.pi) <= 1e-12
-    # a crossing against the event's direction does not fire
-    seg = solve_one(one, 10.0, ((hit, -1.0),))
+    assert abs(seg(seg.ts[-1:])[0, 0] - math.pi) <= 1e-12
+    # a falling crossing of an upward event does not fire
+    seg = solve_one(one, 10.0, (lambda Y: -hit(Y),))
     assert seg.event is None and seg.ts[-1] == 10.0
 
 
@@ -103,29 +94,28 @@ def test_terminal_event_is_located_on_the_dense_output():
     root=st.floats(0.01, 9.4),
     gap=st.sampled_from([0.0, 1e-9, 1e-3, 0.5]),
     backward=st.booleans(),
-    falling=st.tuples(st.booleans(), st.booleans()),
-    either_way=st.tuples(st.booleans(), st.booleans()),
+    concave=st.booleans(),
     later_first=st.booleans(),
 )
-def test_event_search_finds_the_earliest_root(root, gap, backward, falling, either_way,
-                                              later_first):
-    # y' = 1 from y(0) = 0, so y = t: two events cross zero at |t| = root and
-    # root + gap, rising or falling, in one step where the gap is small; the
-    # earlier crossing ends the segment, the lower index on a tie.  The events
-    # are exponential in t, so that regula falsi alone would converge slowly
+def test_event_search_finds_the_earliest_root(root, gap, backward, concave, later_first):
+    # y' = 1 from y(0) = 0, so y = t: two events cross zero upward at |t| =
+    # root and root + gap, in one step where the gap is small; the earlier
+    # crossing ends the segment, the lower index on a tie.  A third event
+    # falls through zero before both, at |t| = root/2, and does not fire.
+    # The two are exponential in t, both convex or both concave along the
+    # integration, so that regula falsi alone would converge slowly
     d = -1.0 if backward else 1.0
     times = (d * root, d * (root + gap))
     if later_first:
         times = times[::-1]
-    events = []
-    for r, fall, any_way in zip(times, falling, either_way):
-        s = -1.0 if fall else 1.0
-        events.append((lambda Y, r=r, s=s: s * np.expm1(Y[:, 0] - r), 0.0 if any_way else s * d))
+    events = [(lambda Y, r=r: -np.expm1(d * (r - Y[:, 0]))) if concave else
+              (lambda Y, r=r: np.expm1(d * (Y[:, 0] - r))) for r in times]
+    events.append(lambda Y: -np.expm1(d * Y[:, 0] - root / 2))
     seg = solve_one(one, d * 10.0, events)
     first = 1 if later_first and gap > 0 else 0
     assert seg.event == first
     assert abs(seg.ts[-1] - times[first]) <= 1e-12
-    assert abs(seg(seg.ts[-1])[0] - times[first]) <= 1e-12
+    assert abs(seg(seg.ts[-1:])[0, 0] - times[first]) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [1.0, -1.0])
@@ -141,8 +131,8 @@ def test_step_boundaries_read_the_earlier_step(d):
     t = np.concatenate(([ts[0] - d], ts, [ts[-1] + d]))
     for ti, k in zip(t, [0, 0, 0, 1, 2, 2]):
         want = _dop853._interpolate((ti - ts[k]) / d, seg.y_old[k], seg.F[k])
-        assert np.array_equal(seg(ti), want)
-    assert np.array_equal(seg(t), np.array([seg(ti) for ti in t]))
+        assert np.array_equal(seg(np.array([ti]))[0], want)
+    assert np.array_equal(seg(t), np.array([seg(np.array([ti]))[0] for ti in t]))
     # the later step would read its start state
     assert not np.any(seg(ts[1:3]) == seg.y_old[1:])
 
@@ -190,18 +180,18 @@ def oscillator(Y):
     return np.stack((v, -x, np.where((flag > 0) & (x > 0.5), np.nan, 0.0)), axis=1)
 
 
-OSCILLATOR = (oscillator, lambda Y: Y[:, :1], (-1.0,), 3)  # ends where x falls through 0
+OSCILLATOR = (oscillator, lambda Y: -Y[:, :1], 1, 3)  # ends where x falls through 0
 
 
 def test_dense_output_per_segment_matches_the_per_round_formula():
     # leg 0's state at the end of its third step, from a run without events
     probe = []
-    _dop853.solve(((bump, no_events, (), 2),), np.zeros((1, 2)), [0], [3.0], 1e-10,
+    _dop853.solve(((bump, no_events, 0, 2),), np.zeros((1, 2)), [0], [3.0], 1e-10,
                   lambda i, seg: probe.append(seg))
     s3 = probe[0].y_old[3][0]
     # |s - s3| touches 0 at that step's end and rises: it fires on the step
     # after, with its root on the previous step's end, and that step is dropped
-    bump_kind = (bump, lambda Y: np.abs(Y[:, :1] - s3), (1.0,), 2)
+    bump_kind = (bump, lambda Y: np.abs(Y[:, :1] - s3), 1, 2)
     systems = (bump_kind, OSCILLATOR)
     y0 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     kinds, starts, got = [0, 0, 1], list(y0), []
@@ -270,21 +260,16 @@ def test_right_hand_side_calls_per_segment_and_round():
             len(seg.h) for seg in leg) + 12 * sum(seg.rejected for seg in leg)
 
 
-def test_rtol_below_the_floor_is_raised_to_100_eps_with_a_warning():
-    with pytest.warns(UserWarning, match="rtol 1e-15 is too small"):
-        tr = flow(random_null_rays(4, 1, 0)[0], 5.0, tol=1e-15)
-    p = tr.points[-1]
-    assert tr.stats["steps"] == TIGHT_STEPS
-    assert np.max(np.abs(np.subtract([p.rho, p.v, p.sigma, p.gamma], TIGHT_END))) <= TIGHT_TOL
-    h = hashlib.sha256()
-    for a in (tr.times, tr.lam, tr.log_scale):
-        h.update(np.ascontiguousarray(a).tobytes())
-    assert h.hexdigest() == GOLDEN_TIGHT
-
-
-def test_negative_tolerance_is_rejected():
-    with pytest.raises(ValueError, match="`tol` must be positive"):
-        _dop853.solve((OSCILLATOR,), np.zeros((1, 3)), [0], [1.0], -1e-10, lambda i, seg: None)
+def test_tol_not_finite_or_below_100_eps_is_a_value_error():
+    # the one tolerance rule: no warning, no clamp, and no trace of 0 steps
+    c = random_null_rays(4, 1, 0)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tol in (math.nan, math.inf, 0.0, -1e-10, 1e-20):
+            with pytest.raises(ValueError, match="`tol` must be finite and at least 100 EPS"):
+                flow(c, 1.0, tol=tol)
+        tr = flow(c, 1.0, tol=100 * _dop853.EPS)
+    assert tr.truncated is None and tr.stats["steps"] > 0
 
 
 # the interpolant of a step from t = 0 to 1 that is y = t: F[0] = 1, the rest 0
@@ -320,7 +305,7 @@ def nan_rhs(Y):
     return np.full(Y.shape, np.nan)
 
 got = []
-_dop853.solve(((nan_rhs, lambda Y: np.zeros((len(Y), 0)), (), 8),), np.ones((1, 8)), [0],
+_dop853.solve(((nan_rhs, lambda Y: np.zeros((len(Y), 0)), 0, 8),), np.ones((1, 8)), [0],
               [10.0], 1e-10, lambda i, seg: got.append(seg))
 message = str(got[0]) if got and isinstance(got[0], Exception) else None
 bichar._int_rhs = nan_rhs

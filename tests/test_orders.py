@@ -21,7 +21,6 @@ from feynlab.orders import (
     PRODUCT_RULES,
     _midpoint_lattice,
     _sup_samples,
-    _sweep_params,
     product_integral,
     product_rule_predict,
     rule_flat_model,
@@ -351,7 +350,7 @@ def test_schur_levels_match_two_call_reference_on_flat_models(offset):
     plan = sweep_plan(dims=[2])
     digest = hashlib.sha256()
     for rule, dim, threshold in plan:
-        weights = rule_flat_model(rule, _sweep_params(rule, dim, threshold, offset), dim)
+        weights = rule_flat_model(rule, orders._RULES[rule].straddle(dim, threshold, offset), dim)
         res = product_integral(*weights, dim, 32.0, step=0.5, levels=3)
         check_golden_row(rule, threshold, offset, res)
         ref_p, ref_m = reference_schur_levels(*weights, dim, 32.0, 0.5, 3, 0)
@@ -379,7 +378,7 @@ def test_schur_rejects_non_finite_level_sums(monkeypatch):
     # infinite sums has no growth increments to fit.  The sums first
     # overflow at radius 1024, and the run stops there, without summing the
     # two larger levels
-    params = _sweep_params("cone-product", 1, "sum", -50.0)
+    params = orders._RULES["cone-product"].straddle(1, "sum", -50.0)
     weights = rule_flat_model("cone-product", params, 1)
     radii = []
 
@@ -574,7 +573,7 @@ def test_schur_error_in_a_probe_raises_from_product_integral(fresh_pool, monkeyp
 
 def test_flat_models_exist_for_planned_rules():
     for rule, dim, threshold in sweep_plan():
-        params = _sweep_params(rule, dim, threshold, 0.1)
+        params = orders._RULES[rule].straddle(dim, threshold, 0.1)
         w, w1, w2 = rule_flat_model(rule, params, dim)
         assert w.dim == w1.dim == w2.dim == dim
         assert isinstance(w2, (IsoWeight, SplitWeight))  # product_integral's even w2
@@ -594,7 +593,7 @@ def test_flat_model_split_rules_have_no_line_realization():
 
 
 def test_sweep_line_rules_agree():
-    rows = rule_sweep(plan=sweep_plan(dims=[1]))
+    rows = rule_sweep(dims=[1])
     assert len(rows) == 8
     assert all(r["agree"] for r in rows)
     # both orientations are exercised
@@ -609,9 +608,9 @@ def test_sweep_plan_filters_by_dim_and_rule():
         sweep_plan([1], rules)  # no 1-D realization
     with pytest.raises(ValueError, match="'cone-prodcut'"):
         sweep_plan(None, ["cone-prodcut"])
-    # a plan that rule_sweep is given directly names only declared thresholds
-    with pytest.raises(KeyError, match="bogus"):
-        rule_sweep(plan=[("cone-product", 1, "bogus")])
+    # rule_sweep plans its points by sweep_plan, before it measures any
+    with pytest.raises(ValueError, match=r"'split-algebra'.*\[1\]"):
+        rule_sweep(dims=[1], rules=rules)
 
 
 # the hypotheses a joint threshold crosses together
@@ -623,7 +622,7 @@ def test_sweep_points_cross_exactly_their_threshold(offset):
     # rule_sweep's straddle: the threshold's hypotheses have margin equal to
     # the offset, and every other hypothesis holds
     for rule, dim, threshold in sweep_plan():
-        pred = product_rule_predict(rule, _sweep_params(rule, dim, threshold, offset))
+        pred = product_rule_predict(rule, orders._RULES[rule].straddle(dim, threshold, offset))
         crossed = _CROSSED.get(threshold, (threshold,))
         assert set(crossed) <= set(pred["margins"])
         for (label, margin), text in zip(pred["margins"].items(), pred["hypotheses"]):
@@ -638,7 +637,6 @@ def test_sweep_points_cross_exactly_their_threshold(offset):
 
 
 def test_sweep_deterministic():
-    plan = [("cone-product", 1, "sum")]
-    a = rule_sweep(plan=plan)
-    b = rule_sweep(plan=plan)
+    a = rule_sweep(dims=[1], rules=["cone-product"])
+    b = rule_sweep(dims=[1], rules=["cone-product"])
     assert a == b
