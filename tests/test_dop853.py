@@ -272,6 +272,12 @@ def test_tol_not_finite_or_below_100_eps_is_a_value_error():
     assert tr.truncated is None and tr.stats["steps"] > 0
 
 
+def test_negative_tolerance_is_rejected():
+    # the rule holds in the stepper itself, not only in flow
+    with pytest.raises(ValueError, match="`tol` must be finite and at least 100 EPS"):
+        _dop853.solve((OSCILLATOR,), np.zeros((1, 3)), [0], [1.0], -1e-10, lambda i, seg: None)
+
+
 # the interpolant of a step from t = 0 to 1 that is y = t: F[0] = 1, the rest 0
 LINE_STEP = (0.0, 1.0, np.zeros(1), np.eye(7, 1))
 
