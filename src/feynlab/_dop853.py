@@ -264,6 +264,12 @@ def _rms(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.sqrt(ordered_sum(x * x) / n)  # each row over its own size n
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError for a tol that is not finite or is below 100 * EPS."""
+    if not 100 * EPS <= tol < math.inf:  # NaN fails both
+        raise ValueError(f"`tol` must be finite and at least 100 EPS = {100 * EPS}, not {tol}")
+
+
 def solve(systems, y0: np.ndarray, kinds, t_bound, tol: float, on_end) -> None:
     """Integrate each leg i, y' = fun(y) for the system of its kind, from t = 0
     towards t_bound[i] != 0, until on_end ends it.
@@ -283,8 +289,7 @@ def solve(systems, y0: np.ndarray, kinds, t_bound, tol: float, on_end) -> None:
     Y = np.array(y0, dtype=float)
     if not np.isfinite(Y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    if not 100 * EPS <= tol < math.inf:  # NaN fails both
-        raise ValueError(f"`tol` must be finite and at least 100 EPS = {100 * EPS}, not {tol}")
+    check_tol(tol)
     atol = tol * 1e-2
     legs, N = Y.shape
     kinds, t_bound = np.array(kinds), np.array(t_bound, dtype=float)

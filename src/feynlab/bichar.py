@@ -519,8 +519,10 @@ def flow(pt, T, tol: float = 1e-10):
     (d tau = |fiber| dt) in the latitude chart and Hamilton time in the
     interior, is strictly monotone.  A trace holds one BCotangentPoint per
     sample, built when the sample is taken.  A tol that is not finite or is
-    below 100 EPS is a ValueError (_dop853.solve).
+    below 100 EPS is a ValueError, raised before any leg runs, a leg with
+    |T| <= 1e-12 included.
     """
+    _dop853.check_tol(tol)
     one = isinstance(pt, (BCotangentPoint, InteriorCovector))
     starts = [pt] if one else list(pt)
     legs = [_Leg(s, float(t)) for s, t in zip(starts, np.broadcast_to(T, len(starts)))]

@@ -164,32 +164,61 @@ def _run_tasks(task, items) -> None:
         raise
 
 
-def _level_sums(w, w1, w2, dim, r, step, seed):
-    """Each probe's M+ and M- sum on the lattice of radius r, and the probes:
-    ``w`` and ``1/w1`` by row blocks into the level arrays, then one ``w2``
-    call and both sums per probe, all on the shared pool."""
-    axis, cell = _midpoint_lattice(dim, r, step)
-    samples = _sup_samples(dim, r, seed)
-    w_samp = np.asarray(w(samples), dtype=float)
-    w1_samp = np.asarray(w1(samples), dtype=float)
-    wlat = np.empty((axis.size,) * dim)
-    inv1 = np.empty_like(wlat)
-    rows = max(_BLOCK * axis.size // wlat.size, 1)  # a row has N^(dim-1) points
-    row_p = np.empty(samples.shape[1])
-    row_m = np.empty(samples.shape[1])
+def _schur_sums(w, w1, w2, dim, radii, step, seed):
+    """Each probe's M+ and M- sum on the lattice of each radius, one row per
+    level, and each level's probes; product_integral says what is shared."""
+    axes, cells = zip(*(_midpoint_lattice(dim, r, step) for r in radii))
+    top = axes[-1]
+    bases, offsets = [], []  # the lattice whose w and 1/w1 a level windows, and where
+    for i, axis in enumerate(axes):
+        lo, odd = divmod(top.size - axis.size, 2)
+        nests = not odd and np.array_equal(top[lo : lo + axis.size], axis)
+        bases.append(len(axes) - 1 if nests else i)
+        offsets.append(lo if nests else 0)
+    arrays = {b: np.empty((2,) + (axes[b].size,) * dim) for b in set(bases)}  # w and 1/w1
+    blocks = []
+    for b in arrays:
+        rows = max(_BLOCK // axes[b].size ** (dim - 1), 1)  # a row has N^(dim-1) points
+        blocks += [(b, lo, rows) for lo in range(0, axes[b].size, rows)]
+    samples = [_sup_samples(dim, r, seed) for r in radii]
+    w_samp = [np.asarray(w(s), dtype=float) for s in samples]
+    w1_samp = [np.asarray(w1(s), dtype=float) for s in samples]
+    row_p, row_m = ([np.empty(s.shape[1]) for s in samples] for _ in range(2))
+    # the (level, probe) pairs by base and point, up to reflection where the
+    # base is symmetric; walking the levels down puts each group's largest first
+    symmetric = {b: np.array_equal(axes[b][::-1], -axes[b]) for b in arrays}
+    groups = {}
+    for i in reversed(range(len(radii))):
+        for j, p in enumerate(samples[i].T):
+            key = (bases[i], tuple(np.abs(p) if symmetric[bases[i]] else p))
+            groups.setdefault(key, []).append((i, j))
 
-    def block(lo):
-        pts = np.meshgrid(axis[lo : lo + rows], *[axis] * (dim - 1), indexing="ij", sparse=True)
-        wlat[lo : lo + rows] = w(pts)
-        inv1[lo : lo + rows] = 1.0 / w1(pts)
+    def block(item):
+        b, lo, rows = item
+        pts = np.meshgrid(axes[b][lo : lo + rows], *[axes[b]] * (dim - 1), indexing="ij", sparse=True)
+        arrays[b][0][lo : lo + rows] = w(pts)
+        arrays[b][1][lo : lo + rows] = 1.0 / w1(pts)
 
-    def probe(j):
-        w2_lat = w2(np.meshgrid(*(samples[:, j, None] - axis), indexing="ij", sparse=True))
-        row_p[j] = cell * float(np.sum((w_samp[j] * inv1 / w2_lat) ** 2))
-        row_m[j] = cell * float(np.sum((wlat / w2_lat) ** 2)) / w1_samp[j] ** 2
+    def probe(members):
+        g, h = members[0]
+        s0 = samples[g][:, h]
+        w2_g = w2(np.meshgrid(*(s0[:, None] - axes[g]), indexing="ij", sparse=True))
+        buf = np.empty(w2_g.size)
+        for i, j in members:
+            n, s, cell = axes[i].size, samples[i][:, j], cells[i]
+            lo = offsets[i] - offsets[g]
+            flips = tuple(k for k in range(dim) if s[k] != s0[k])
+            w2_lat = np.flip(w2_g[(slice(lo, lo + n),) * dim], flips)
+            win = (slice(offsets[i], offsets[i] + n),) * dim
+            wlat, inv1 = (a[win] for a in arrays[bases[i]])
+            out = buf[: n**dim].reshape((n,) * dim)
+            np.divide(np.multiply(w_samp[i][j], inv1, out=out), w2_lat, out=out)
+            row_p[i][j] = cell * float(np.sum(np.multiply(out, out, out=out)))
+            np.divide(wlat, w2_lat, out=out)
+            row_m[i][j] = cell * float(np.sum(np.multiply(out, out, out=out))) / w1_samp[i][j] ** 2
 
-    _run_tasks(block, range(0, axis.size, rows))
-    _run_tasks(probe, range(samples.shape[1]))
+    _run_tasks(block, blocks)
+    _run_tasks(probe, groups.values())
     return row_p, row_m, samples
 
 
@@ -223,38 +252,59 @@ def product_integral(
 
     Each probe ``s`` needs ``w2(s - pts)`` for M+ and ``w2(pts - s)`` for
     M-.  ``w2`` must be an even weight, an :class:`IsoWeight` or a
-    :class:`SplitWeight` (every ``w2`` of ``rule_flat_model`` is one), and is
-    evaluated once per probe for both sums.  That is exact, not approximate:
-    IEEE subtraction gives ``pts - s == -(s - pts)`` bit for bit, and both
-    weights read their argument only through squared coordinates, so the two
-    arrays are bitwise equal.  Any other ``w2`` raises ``ValueError``.
+    :class:`SplitWeight` (every ``w2`` of ``rule_flat_model`` is one); both
+    read their argument only through squared coordinates.  IEEE subtraction
+    gives ``pts - s == -(s - pts)`` bit for bit, so one array serves both
+    sums.  Any other ``w2`` raises ``ValueError``.
 
     The lattice is the dim-fold product of one axis, so every weight gets
     per-axis coordinates (see :mod:`feynlab.weights`): ``w`` and ``w1`` the
     sparse mesh of the axis, ``w2`` the offsets ``s_k - axis``; no
-    ``(dim, N^dim)`` point stack is built.  Each level is checked as it is
-    summed: a sum that is not finite, which the growth fit cannot read,
-    raises ``ValueError`` naming the radius, before a larger level runs.
+    ``(dim, N^dim)`` point stack is built.
 
-    Each level evaluates ``w`` and ``1/w1`` in row blocks of about
-    ``_BLOCK`` points (2^16), then its probes, on one thread pool that all
-    calls in the process share, made on first use with one worker per CPU
-    the process may use (its affinity set, else ``os.cpu_count()``).
-    numpy releases the GIL in its loops, so probes overlap.  The bits do not
+    Each weight is evaluated once per lattice point it is needed at, and
+    every sum has the bits of fresh evaluations per level and probe:
+
+    - a level whose axis is a centred slice of the top level's axis, bit for
+      bit (every level of ``rule_sweep``), reads ``w`` and ``1/w1`` as
+      windows of the top level's arrays; any other level evaluates its own;
+    - ``w2`` is evaluated once per probe point, up to reflection where the
+      axis is symmetric bit for bit (``axis[::-1] == -axis``, so that
+      ``-s - axis == -(s - axis[::-1])``).  Ladder point lam at radius r/2
+      is ladder point lam/2 at r, as the two differ by powers of two.  The
+      array is made on the largest lattice whose probes hold the point; the
+      others take centred windows of it, flipped along each axis where
+      their point's sign differs;
+    - each sum runs in one contiguous buffer of its level's shape, holding
+      the values of the fresh expression's temporaries, so ``np.sum`` adds
+      them in the same order.
+
+    The weight arrays are made in row blocks of about ``_BLOCK`` points
+    (2^16), then the probe groups run, on one thread pool that all calls
+    in the process share, made on first use with one worker per CPU the
+    process may use (its affinity set, else ``os.cpu_count()``).  numpy
+    releases the GIL in its loops, so tasks overlap.  The bits do not
     depend on the worker count: the weights are elementwise, so a block
-    holds the same values the whole lattice would, and each probe runs the
-    same two ``np.sum`` calls over the same whole level arrays, its results
-    stored by probe index.  Each task runs under the caller's numpy error
-    state; an exception in one cancels the tasks not started.  Peak memory
-    is each running call's two level arrays plus, per worker, one block's
-    weight temporaries or about two lattice-sized arrays of one probe.
+    holds the same values the whole lattice would, and each sum is stored
+    by level and probe index.  Each task runs under the caller's numpy
+    error state; an exception in one cancels the tasks not started.  Peak
+    memory is each running call's ``w`` and ``1/w1`` arrays of the top
+    level (and of a level that does not nest) plus, per worker, one block's
+    weight temporaries, or one group's ``w2`` array, its buffer and the
+    temporaries of one ``w2`` evaluation.
+
+    Once every level is summed, the levels are checked from the smallest
+    radius up: a sum that is not finite, which the growth fit cannot read,
+    raises ``ValueError`` naming the first such radius.
     """
+    if not math.isfinite(step):
+        raise ResolutionError(f"quadrature step must be finite, got {step}")
     if step >= 1.0:
         raise ResolutionError(f"quadrature step must be < 1, got {step}")
     if step <= 0.0:
         raise ResolutionError("quadrature step must be positive")
-    if cutoff <= 0.0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    if not 0.0 < cutoff < math.inf:  # NaN fails both
+        raise ValueError(f"cutoff must be finite and positive, got {cutoff}")
     if levels < 1:
         raise ValueError("need at least one dyadic level")
     if not isinstance(w2, (IsoWeight, SplitWeight)):
@@ -269,14 +319,11 @@ def product_integral(
             "smallest dyadic cutoff under 8 steps; lower `levels` or `step`"
         )
     radii = [cutoff / 2**j for j in range(levels)][::-1]
-    vals_p, vals_m = [], []
-    for r in radii:
-        row_p, row_m, samples = _level_sums(w, w1, w2, dim, r, step, seed)
+    vals_p, vals_m, samples = _schur_sums(w, w1, w2, dim, radii, step, seed)
+    for r, row_p, row_m in zip(radii, vals_p, vals_m):
         if not (np.isfinite(row_p).all() and np.isfinite(row_m).all()):
             raise ValueError(f"Schur sums not finite on the lattice of radius {r}: "
                              f"M+ {row_p.max()}, M- {row_m.max()}")
-        vals_p.append(row_p)
-        vals_m.append(row_m)
     vals_p = np.array(vals_p)  # (levels, probes)
     vals_m = np.array(vals_m)
     mp_levels = vals_p.max(axis=1)
@@ -287,7 +334,7 @@ def product_integral(
     # transient, so only the origin and the top three ladder octaves are
     # eligible; a probe counts as a growth witness only while its recent
     # increments are genuinely positive.
-    norms = np.sqrt(np.sum(samples**2, axis=0))
+    norms = np.sqrt(np.sum(samples[-1] ** 2, axis=0))
     eligible = (norms < 1e-9) | (norms >= cutoff / 8.0 - 1e-9)
 
     def _probe_exponent(vals):
@@ -315,7 +362,7 @@ def product_integral(
         M_plus_levels=tuple(float(v) for v in mp_levels),
         M_minus_levels=tuple(float(v) for v in mm_levels),
         step=step,
-        sup_samples=tuple(map(tuple, samples.T)),
+        sup_samples=tuple(map(tuple, samples[-1].T)),
     )
 
 

@@ -266,8 +266,9 @@ def test_tol_not_finite_or_below_100_eps_is_a_value_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for tol in (math.nan, math.inf, 0.0, -1e-10, 1e-20):
-            with pytest.raises(ValueError, match="`tol` must be finite and at least 100 EPS"):
-                flow(c, 1.0, tol=tol)
+            for T in (1.0, 0.0, 1e-13):  # a leg with |T| <= 1e-12 runs no segment
+                with pytest.raises(ValueError, match="`tol` must be finite and at least 100 EPS"):
+                    flow(c, T, tol=tol)
         tr = flow(c, 1.0, tol=100 * _dop853.EPS)
     assert tr.truncated is None and tr.stats["steps"] > 0
 

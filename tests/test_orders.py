@@ -210,6 +210,11 @@ def test_schur_validation():
         product_integral(w, w, w, 1, 100.0, step=-0.5)
     with pytest.raises(ValueError):
         product_integral(w, w, w, 1, -5.0)
+    for cutoff in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"cutoff must be finite and positive, got {cutoff}"):
+            product_integral(w, w, w, 1, cutoff)
+    with pytest.raises(ResolutionError, match="quadrature step must be finite, got nan"):
+        product_integral(w, w, w, 1, 100.0, step=math.nan)
     with pytest.raises(ValueError):
         product_integral(w, w, w, 1, 100.0, levels=0)
     with pytest.raises(ResolutionError):
@@ -373,23 +378,14 @@ def test_schur_rejects_a_w2_that_is_not_iso_or_split(w2):
         product_integral(IsoWeight(2, 1.2), IsoWeight(2, 0.8), w2, 2, 32.0, levels=3)
 
 
-def test_schur_rejects_non_finite_level_sums(monkeypatch):
+def test_schur_rejects_non_finite_level_sums():
     # 50 past the sum threshold the weight quotient overflows; a level of
-    # infinite sums has no growth increments to fit.  The sums first
-    # overflow at radius 1024, and the run stops there, without summing the
-    # two larger levels
+    # infinite sums has no growth increments to fit.  Every level is summed,
+    # and the error names the smallest radius whose sums overflow, 1024
     params = orders._RULES["cone-product"].straddle(1, "sum", -50.0)
     weights = rule_flat_model("cone-product", params, 1)
-    radii = []
-
-    def spy(w, w1, w2, dim, r, *args, _fn=orders._level_sums):
-        radii.append(r)
-        return _fn(w, w1, w2, dim, r, *args)
-
-    monkeypatch.setattr(orders, "_level_sums", spy)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite") as err:
         product_integral(*weights, 1, 4096.0, step=0.5, levels=5)
-    assert radii == [256.0, 512.0, 1024.0]
     assert "radius 1024.0" in str(err.value)
 
 
@@ -418,38 +414,53 @@ class CountingCone(_Counting, ConeWeight):
     calls: list = field(default_factory=list, compare=False, repr=False)
 
 
+def assert_reference_bits(weights, dim, cutoff, step, levels):
+    """Every probe's M+ and M- sum on every level equals the two-call
+    reference bit for bit, and so do product_integral's levels."""
+    radii = [cutoff / 2**j for j in range(levels)][::-1]
+    vals_p, vals_m, _ = orders._schur_sums(*weights, dim, radii, step, 0)
+    ref_p, ref_m = reference_schur_levels(*weights, dim, cutoff, step, levels, 0)
+    assert np.array_equal(np.array(vals_p), ref_p)
+    assert np.array_equal(np.array(vals_m), ref_m)
+    res = product_integral(*weights, dim, cutoff, step=step, levels=levels)
+    assert np.array_equal(res.M_plus_levels, ref_p.max(axis=1))
+    assert np.array_equal(res.M_minus_levels, ref_m.max(axis=1))
+
+
 @pytest.mark.parametrize(
     "w2,plain_w2",
     [(CountingIso(2, 1.1), IsoWeight(2, 1.1)),
      (CountingSplit(2, 1, 0.8, 0.7), SplitWeight(2, 1, 0.8, 0.7))],
     ids=["iso", "split"],
 )
-def test_schur_w2_calls_per_probe(w2, plain_w2):
-    # the 128^2 and 256^2 levels are one row block of w and w1 each and the
-    # 512^2 top level four, all run on the pool: each level's blocks cover
-    # its rows once, one w2 evaluation per probe and level serves both sums,
-    # every weight gets per-axis coordinates (no argument is a dense stack of
-    # a lattice's N^2 points), and the levels keep the bits of the two-call
-    # reference
+def test_schur_weights_evaluated_once_per_lattice_point(w2, plain_w2):
+    # the 128^2 and 256^2 levels are centred windows of the 512^2 top level:
+    # w and w1 run four row blocks on the top lattice only, covering its rows
+    # once, plus one call on each level's samples; w2 runs once per probe
+    # point up to per-axis reflection, on the largest lattice whose probes
+    # hold it; every weight gets per-axis coordinates (no argument is a
+    # dense stack of a lattice's N^2 points); and every sum keeps the bits
+    # of the two-call reference
     levels, cutoff, step = 3, 128.0, 0.5
     w, w1 = CountingCone(2, 0.6, 1.4, 0.15, 0.4), CountingIso(2, 0.8)
     res = product_integral(w, w1, w2, 2, cutoff, step=step, levels=levels)
-    probes = len(res.sup_samples)
-    assert len(w2.calls) == levels * probes
+    top = _midpoint_lattice(2, cutoff, step)[0]
     for weight in (w, w1):
-        # per level, in the caller's order: the samples, then the lattice blocks
-        starts = [i for i, c in enumerate(weight.calls) if c[0].shape == (probes,)]
-        assert len(starts) == levels and starts[0] == 0
-        ends = starts[1:] + [len(weight.calls)]
-        blocks = [weight.calls[i + 1 : end] for i, end in zip(starts, ends)]
-        assert [len(b) for b in blocks] == [1, 1, 4]
-        for r, level in zip(res.cutoffs, blocks):
-            axis = _midpoint_lattice(2, r, step)[0]
-            rows = np.concatenate([x0.ravel() for x0, _ in level])
-            assert np.array_equal(np.sort(rows), axis)
-            for x0, x1 in level:
-                assert x0.shape[1] == 1 and x1.shape == (1, axis.size)
-                assert np.array_equal(x1.ravel(), axis)
+        assert sum(c[0].ndim == 1 for c in weight.calls) == levels  # the samples
+        blocks = [c for c in weight.calls if c[0].ndim == 2]
+        assert len(blocks) == 4
+        assert np.array_equal(np.sort(np.concatenate([x0.ravel() for x0, _ in blocks])), top)
+        for x0, x1 in blocks:
+            assert x0.shape[1] == 1 and x1.shape == (1, top.size)
+            assert np.array_equal(x1.ravel(), top)
+    largest = {}  # each point up to reflection: the largest radius that probes it
+    for r in res.cutoffs:
+        for p in _sup_samples(2, r, 0).T:
+            largest[tuple(np.abs(p))] = r
+    assert len(w2.calls) == len(largest) < levels * len(res.sup_samples)
+    assert sorted(x0.size for x0, _ in w2.calls) == sorted(
+        round(2.0 * r / step) for r in largest.values()
+    )
     smallest = round(2.0 * res.cutoffs[0] / step)  # points an axis, lowest level
     for coords in w.calls + w1.calls + w2.calls:
         assert len(coords) == 2
@@ -457,9 +468,42 @@ def test_schur_w2_calls_per_probe(w2, plain_w2):
     for coords in w2.calls:
         assert all(sum(n > 1 for n in x.shape) == 1 for x in coords)
     plain = (ConeWeight(2, 0.6, 1.4, 0.15, 0.4), IsoWeight(2, 0.8), plain_w2)
-    ref_p, ref_m = reference_schur_levels(*plain, 2, cutoff, step, levels, 0)
-    assert np.array_equal(res.M_plus_levels, ref_p.max(axis=1))
-    assert np.array_equal(res.M_minus_levels, ref_m.max(axis=1))
+    assert_reference_bits(plain, 2, cutoff, step, levels)
+
+
+@pytest.mark.parametrize(
+    "dim,w2,cutoff,step,levels",
+    [(1, IsoWeight(1, 1.1), 100.0, 0.5, 5), (2, IsoWeight(2, 1.1), 100.0, 0.5, 5),
+     (1, IsoWeight(1, 1.1), 24.0, 0.3, 3), (2, IsoWeight(2, 1.1), 24.0, 0.3, 3),
+     (2, SplitWeight(2, 1, 0.8, 0.7), 100.0, 0.5, 5)],
+    ids=["unnested-1d", "unnested-2d", "asymmetric-1d", "asymmetric-2d", "split-2d"],
+)
+def test_schur_fallbacks_keep_the_reference_bits(dim, w2, cutoff, step, levels):
+    # cutoff 100 over 5 levels: the 6.25 level's axis sits at multiples of
+    # 0.5, the top's at odd multiples of 0.25, so it evaluates its own
+    # arrays; step 0.3 gives axes that are neither symmetric bit for bit nor
+    # windows of the top, so no probe shares w2 with its reflection; a split
+    # w2 reflects each axis but swaps none
+    radii = [cutoff / 2**j for j in range(levels)][::-1]
+    axes = [_midpoint_lattice(dim, r, step)[0] for r in radii]
+    if step == 0.3:
+        assert not any(np.array_equal(a[::-1], -a) for a in axes)
+    if cutoff == 100.0:
+        assert not np.isin(axes[0], axes[-1]).any()
+    weights = (ConeWeight(dim, 0.6, 1.4, 0.15, 0.4), IsoWeight(dim, 0.8), w2)
+    assert_reference_bits(weights, dim, cutoff, step, levels)
+
+
+def test_schur_w2_points_on_the_2d_cone_product_row():
+    # a 2-D cone-product row of product-check at seed 0: five levels, 768^2
+    # down to 48^2, 49 probes each; 71 points up to reflection, where one w2
+    # call per probe and level took 245 calls on 38.5M points
+    params = orders._RULES["cone-product"].straddle(2, "sum", 0.1)
+    w, w1, _ = rule_flat_model("cone-product", params, 2)
+    w2 = CountingIso(2, params["r"])
+    product_integral(w, w1, w2, 2, 192.0, step=0.5, levels=5, seed=0)
+    assert len(w2.calls) == 71
+    assert sum(x0.size * x1.size for x0, x1 in w2.calls) == 26_733_312  # 106.9M on 4 rows
 
 
 @pytest.fixture
