@@ -54,7 +54,7 @@ import numpy as np
 
 from . import _dop853
 from ._dop853 import ordered_sum
-from .errors import ChartError, ClassificationError, StiffnessError
+from .errors import ChartError, ClassificationError, DimensionError, StiffnessError
 
 _NULL_TOL = 1e-8
 
@@ -586,6 +586,8 @@ def random_null_rays(
     axis; covectors satisfy zeta_n = +-|zeta''| with the sign alternating
     over the two characteristic halves when mixed_components is set.
     """
+    if n < 2:  # with n = 1, |z_n| / |z| is 1 and no draw is accepted
+        raise DimensionError(f"null rays need n >= 2, got {n}")
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:

@@ -67,10 +67,12 @@ class ProductIntegralResult:
 
 def _midpoint_lattice(dim: int, cutoff: float, step: float) -> tuple[np.ndarray, float]:
     """Axis and cell volume of a uniform midpoint lattice on [-cutoff, cutoff]^dim,
-    the dim-fold product of the axis."""
-    count = max(int(round(2.0 * cutoff / step)), 2)
-    axis = -cutoff + (np.arange(count) + 0.5) * (2.0 * cutoff / count)
-    return axis, (2.0 * cutoff / count) ** dim
+    the dim-fold product of the axis.  Point k of N sits at (k + (1 - N)/2) h
+    with h = 2 cutoff / N, so the axis is symmetric bit for bit, and where
+    2^(j+1) divides N the axis of cutoff/2^j is its centred window, bit for bit."""
+    count = round(2.0 * cutoff / step)
+    h = 2.0 * cutoff / count
+    return (np.arange(count) + (1 - count) / 2) * h, h**dim
 
 
 def _sup_samples(dim: int, cutoff: float, seed: int) -> np.ndarray:
@@ -167,57 +169,46 @@ def _run_tasks(task, items) -> None:
 def _schur_sums(w, w1, w2, dim, radii, step, seed):
     """Each probe's M+ and M- sum on the lattice of each radius, one row per
     level, and each level's probes; product_integral says what is shared."""
-    axes, cells = zip(*(_midpoint_lattice(dim, r, step) for r in radii))
-    top = axes[-1]
-    bases, offsets = [], []  # the lattice whose w and 1/w1 a level windows, and where
-    for i, axis in enumerate(axes):
-        lo, odd = divmod(top.size - axis.size, 2)
-        nests = not odd and np.array_equal(top[lo : lo + axis.size], axis)
-        bases.append(len(axes) - 1 if nests else i)
-        offsets.append(lo if nests else 0)
-    arrays = {b: np.empty((2,) + (axes[b].size,) * dim) for b in set(bases)}  # w and 1/w1
-    blocks = []
-    for b in arrays:
-        rows = max(_BLOCK // axes[b].size ** (dim - 1), 1)  # a row has N^(dim-1) points
-        blocks += [(b, lo, rows) for lo in range(0, axes[b].size, rows)]
+    axis, cell = _midpoint_lattice(dim, radii[-1], step)
+    top = axis.size
+    sizes = [top >> (len(radii) - 1 - i) for i in range(len(radii))]
+    wins = [slice((top - n) // 2, (top + n) // 2) for n in sizes]  # centred windows
+    arrays = np.empty((2,) + (top,) * dim)  # w and 1/w1 on the top lattice
+    rows = max(_BLOCK // top ** (dim - 1), 1)  # a row has N^(dim-1) points
     samples = [_sup_samples(dim, r, seed) for r in radii]
     w_samp = [np.asarray(w(s), dtype=float) for s in samples]
     w1_samp = [np.asarray(w1(s), dtype=float) for s in samples]
     row_p, row_m = ([np.empty(s.shape[1]) for s in samples] for _ in range(2))
-    # the (level, probe) pairs by base and point, up to reflection where the
-    # base is symmetric; walking the levels down puts each group's largest first
-    symmetric = {b: np.array_equal(axes[b][::-1], -axes[b]) for b in arrays}
+    # the (level, probe) pairs by point up to reflection; walking the levels
+    # down puts each group's largest first
     groups = {}
     for i in reversed(range(len(radii))):
         for j, p in enumerate(samples[i].T):
-            key = (bases[i], tuple(np.abs(p) if symmetric[bases[i]] else p))
-            groups.setdefault(key, []).append((i, j))
+            groups.setdefault(tuple(np.abs(p)), []).append((i, j))
 
-    def block(item):
-        b, lo, rows = item
-        pts = np.meshgrid(axes[b][lo : lo + rows], *[axes[b]] * (dim - 1), indexing="ij", sparse=True)
-        arrays[b][0][lo : lo + rows] = w(pts)
-        arrays[b][1][lo : lo + rows] = 1.0 / w1(pts)
+    def block(lo):
+        pts = np.meshgrid(axis[lo : lo + rows], *[axis] * (dim - 1), indexing="ij", sparse=True)
+        arrays[0][lo : lo + rows] = w(pts)
+        arrays[1][lo : lo + rows] = 1.0 / w1(pts)
 
     def probe(members):
         g, h = members[0]
         s0 = samples[g][:, h]
-        w2_g = w2(np.meshgrid(*(s0[:, None] - axes[g]), indexing="ij", sparse=True))
+        w2_g = w2(np.meshgrid(*(s0[:, None] - axis[wins[g]]), indexing="ij", sparse=True))
         buf = np.empty(w2_g.size)
         for i, j in members:
-            n, s, cell = axes[i].size, samples[i][:, j], cells[i]
-            lo = offsets[i] - offsets[g]
+            n, s = sizes[i], samples[i][:, j]
+            lo = wins[i].start - wins[g].start
             flips = tuple(k for k in range(dim) if s[k] != s0[k])
             w2_lat = np.flip(w2_g[(slice(lo, lo + n),) * dim], flips)
-            win = (slice(offsets[i], offsets[i] + n),) * dim
-            wlat, inv1 = (a[win] for a in arrays[bases[i]])
+            wlat, inv1 = (a[(wins[i],) * dim] for a in arrays)
             out = buf[: n**dim].reshape((n,) * dim)
             np.divide(np.multiply(w_samp[i][j], inv1, out=out), w2_lat, out=out)
             row_p[i][j] = cell * float(np.sum(np.multiply(out, out, out=out)))
             np.divide(wlat, w2_lat, out=out)
             row_m[i][j] = cell * float(np.sum(np.multiply(out, out, out=out))) / w1_samp[i][j] ** 2
 
-    _run_tasks(block, blocks)
+    _run_tasks(block, range(0, top, rows))
     _run_tasks(probe, groups.values())
     return row_p, row_m, samples
 
@@ -257,24 +248,28 @@ def product_integral(
     gives ``pts - s == -(s - pts)`` bit for bit, so one array serves both
     sums.  Any other ``w2`` raises ``ValueError``.
 
-    The lattice is the dim-fold product of one axis, so every weight gets
-    per-axis coordinates (see :mod:`feynlab.weights`): ``w`` and ``w1`` the
-    sparse mesh of the axis, ``w2`` the offsets ``s_k - axis``; no
-    ``(dim, N^dim)`` point stack is built.
+    The lattice is the dim-fold product of one axis, point k of N at
+    ``(k + (1 - N)/2) h`` with ``N = round(2 cutoff / step)`` and ``h = 2
+    cutoff / N``.  Level j below the top takes the centred ``N / 2^j``
+    points, which is, bit for bit, the lattice of its radius at the same
+    ``h``; so N must be a multiple of ``2^levels`` (the smallest level's
+    count even), and a lattice that cannot nest raises ``ResolutionError``
+    naming N and ``2^levels``.  ``levels = 1`` takes any N.  Every weight
+    gets per-axis coordinates (see :mod:`feynlab.weights`): ``w`` and
+    ``w1`` the sparse mesh of the axis, ``w2`` the offsets ``s_k - axis``;
+    no ``(dim, N^dim)`` point stack is built.
 
     Each weight is evaluated once per lattice point it is needed at, and
     every sum has the bits of fresh evaluations per level and probe:
 
-    - a level whose axis is a centred slice of the top level's axis, bit for
-      bit (every level of ``rule_sweep``), reads ``w`` and ``1/w1`` as
-      windows of the top level's arrays; any other level evaluates its own;
-    - ``w2`` is evaluated once per probe point, up to reflection where the
-      axis is symmetric bit for bit (``axis[::-1] == -axis``, so that
-      ``-s - axis == -(s - axis[::-1])``).  Ladder point lam at radius r/2
-      is ladder point lam/2 at r, as the two differ by powers of two.  The
-      array is made on the largest lattice whose probes hold the point; the
-      others take centred windows of it, flipped along each axis where
-      their point's sign differs;
+    - ``w`` and ``1/w1`` are made on the top lattice, and each level reads
+      its centred window of them;
+    - ``w2`` is evaluated once per probe point up to reflection: the axis is
+      symmetric bit for bit, so ``-s - axis == -(s - axis[::-1])``.  Ladder
+      point lam at radius r/2 is ladder point lam/2 at r, as the two differ
+      by powers of two.  The array is made on the largest level whose probes
+      hold the point; the others take centred windows of it, flipped along
+      each axis where their point's sign differs;
     - each sum runs in one contiguous buffer of its level's shape, holding
       the values of the fresh expression's temporaries, so ``np.sum`` adds
       them in the same order.
@@ -289,9 +284,8 @@ def product_integral(
     by level and probe index.  Each task runs under the caller's numpy
     error state; an exception in one cancels the tasks not started.  Peak
     memory is each running call's ``w`` and ``1/w1`` arrays of the top
-    level (and of a level that does not nest) plus, per worker, one block's
-    weight temporaries, or one group's ``w2`` array, its buffer and the
-    temporaries of one ``w2`` evaluation.
+    level plus, per worker, one block's weight temporaries, or one group's
+    ``w2`` array, its buffer and the temporaries of one ``w2`` evaluation.
 
     Once every level is summed, the levels are checked from the smallest
     radius up: a sum that is not finite, which the growth fit cannot read,
@@ -318,6 +312,10 @@ def product_integral(
         raise ResolutionError(
             "smallest dyadic cutoff under 8 steps; lower `levels` or `step`"
         )
+    count = round(2.0 * cutoff / step)
+    if levels > 1 and count % 2**levels:
+        raise ResolutionError(f"{count} lattice points an axis do not nest over {levels} "
+                              f"dyadic levels: need a multiple of 2^levels = {2**levels}")
     radii = [cutoff / 2**j for j in range(levels)][::-1]
     vals_p, vals_m, samples = _schur_sums(w, w1, w2, dim, radii, step, seed)
     for r, row_p, row_m in zip(radii, vals_p, vals_m):

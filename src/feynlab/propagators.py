@@ -244,8 +244,8 @@ def mode_profile(
     -step(t) e^{-eps t} sin(omega t)/omega; for Feynman, the
     e^{-i omega |t|} phase signature.
     """
-    if omega < 0:
-        raise ValueError("omega must be >= 0")
+    if not 0.0 <= omega < np.inf:  # NaN fails both
+        raise ValueError(f"omega must be finite and >= 0, got {omega}")
     eps = prescription.eps
     if eps is None:
         raise ValueError("mode_profile needs an explicit eps")

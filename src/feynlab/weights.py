@@ -121,22 +121,14 @@ class ConeWeight(WeightFunction):
         if not 0.0 <= self.inner < self.outer <= np.pi:
             raise ValueError("need 0 <= inner < outer <= pi")
 
-    def order(self, xi) -> np.ndarray:
-        """The exponent m on frequency coordinates; the zero vector gets `base`."""
-        x = _coords(xi, self.dim)
-        return self._order(x[0], _norm2(x))
-
-    def _order(self, x0: np.ndarray, norm2: np.ndarray) -> np.ndarray:
-        norms = np.sqrt(norm2)
-        cos = np.clip(x0 / np.where(norms == 0.0, 1.0, norms), -1.0, 1.0)
-        t = (np.arccos(cos) - self.inner) / (self.outer - self.inner)
-        out = self.base + (self.peak - self.base) * smooth_step(t)
-        return np.where(norms == 0.0, self.base, out)
-
     def __call__(self, xi) -> np.ndarray:
+        # the zero vector reads as angle pi/2, and <0>^m is 1 for any m
         x = _coords(xi, self.dim)
         norm2 = _norm2(x)
-        return np.sqrt(1.0 + norm2) ** self._order(x[0], norm2)
+        norms = np.sqrt(norm2)
+        cos = np.clip(x[0] / np.where(norms == 0.0, 1.0, norms), -1.0, 1.0)
+        t = (np.arccos(cos) - self.inner) / (self.outer - self.inner)
+        return np.sqrt(1.0 + norm2) ** (self.base + (self.peak - self.base) * smooth_step(t))
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,17 @@ feynlab validates configs with a validator of its own; jsonschema stays the
 reference.  Every payload a test validates through ``feynlab.cli`` must get
 the same violations, in the same order and with the same messages, from
 both.
+
+``run_child`` runs a script in a child process, for a call that might hang.
 """
 
 import functools
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -39,6 +45,24 @@ def _reference_errors(payload) -> list:
 @pytest.fixture(scope="session")
 def reference_errors():
     return _reference_errors
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_child(script: str, *args: str, timeout: float = 120.0):
+    """Run a Python script with args in a child process on this checkout's
+    sources; a hang fails the test at the timeout instead of stalling the suite."""
+    env = dict(os.environ)
+    paths = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return subprocess.run([sys.executable, "-c", script, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.fixture(scope="session")
+def run_child():
+    return _run_child
 
 
 @pytest.fixture(autouse=True)

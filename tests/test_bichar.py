@@ -622,6 +622,24 @@ def test_classify_limit_matches_end_cap_and_gamma_sign():
         assert (end.gamma > 0) == label.is_sink
 
 
+def test_random_null_rays_needs_two_dimensions(run_child):
+    # with n = 1, |z_n| / |z| is 1 and every draw fails the 0.8 test, so the
+    # loop would never end; the child turns such a hang into a failure
+    proc = run_child(
+        "from feynlab.bichar import random_null_rays\n"
+        "from feynlab.errors import DimensionError\n"
+        "for n in (0, 1):\n"
+        "    try:\n"
+        "        random_null_rays(n, 1, 0)\n"
+        "    except DimensionError as err:\n"
+        "        print(err)\n",
+        timeout=60.0,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"null rays need n >= 2, got {n}" for n in (0, 1)]
+    assert len(random_null_rays(2, 3, 0)) == 3
+
+
 def test_classify_short_trace_returns_none():
     c = random_null_rays(4, 1, seed=1)[0]
     tr = flow(c, 0.05, tol=1e-10)

@@ -13,11 +13,7 @@ import cost that the stepper exists to remove.
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,21 +24,9 @@ from feynlab import _dop853, bichar
 from feynlab.bichar import BCotangentPoint, flow, random_null_rays
 from feynlab.errors import StiffnessError
 
-ROOT = Path(__file__).resolve().parents[1]
-
 # sha256 over A, B, C, E3, E5 and D as scipy.integrate._ivp.dop853_coefficients
 # builds them (scipy 1.17.1), the tableau the stepper had before it was inlined
 GOLDEN_TABLEAU = "ead92ac787f61c3d58590360ff9d0030fc4b1ddcdb6028f6d8bea670ba1a75f2"
-
-
-def run_child(script: str, *args: str, timeout: float = 120.0):
-    """Run a Python script with args in a child process on this checkout's
-    sources; a hang fails the test at the timeout instead of stalling the suite."""
-    env = dict(os.environ)
-    paths = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    return subprocess.run([sys.executable, "-c", script, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_tableau_matches_the_recorded_coefficients():
@@ -331,7 +315,7 @@ print(json.dumps({
 """
 
 
-def test_nan_right_hand_side_fails_the_segment_instead_of_hanging(tmp_path):
+def test_nan_right_hand_side_fails_the_segment_instead_of_hanging(run_child, tmp_path):
     proc = run_child(NAN_RHS, str(tmp_path), timeout=60.0)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
@@ -365,7 +349,7 @@ def test_failed_segment_ends_the_leg_after_the_segments_before_it(monkeypatch):
     assert s["fevals"] == 2 * s["segments"] + 15 * s["steps"] + 12 * s["rejected_estimated"]
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(run_child):
     proc = run_child(
         "import json, sys\nimport feynlab.cli\n"
         "print(json.dumps([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]))"

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from feynlab import orders
 from feynlab.bichar import flow, random_null_rays
@@ -28,7 +30,7 @@ from feynlab.orders import (
     sweep_plan,
 )
 from feynlab.semilinear import semilinear_weights
-from feynlab.weights import ConeWeight, IsoWeight, SplitWeight, SumWeight
+from feynlab.weights import ConeWeight, IsoWeight, SplitWeight, SumWeight, bracket
 
 
 def iso1(s):
@@ -42,13 +44,13 @@ def test_constructed_order_monotone_on_terminal_approach():
     # rho = 0.1 the sampled order must never increase and must land exactly
     # on the dip value.  The order is 1.2 with a dip of 0.5 about the +gamma
     # pole of the fiber, listed as (gamma, sigma, eta) to put gamma on the
-    # cone weight's axis +e0.
-    order = ConeWeight(4, 1.2, 0.7, 0.15, 0.4).order
+    # cone weight's axis +e0; the order is read off w = <xi>^m.
+    w = ConeWeight(4, 1.2, 0.7, 0.15, 0.4)
     dip = 0.7
     for c in random_null_rays(4, 50, seed=13):
         tr = flow(c, 40.0, tol=1e-10)
         dirs = np.array([(p.gamma, p.sigma) + tuple(p.eta) for p in tr.points]).T
-        vals = order(dirs)
+        vals = np.log(w(dirs)) / np.log(bracket(dirs))
         rhos = np.array([p.rho for p in tr.points])
         idx = np.where(rhos >= 0.1)[0]
         seg = vals[(idx[-1] + 1) if idx.size else 0 :]
@@ -475,23 +477,48 @@ def test_schur_weights_evaluated_once_per_lattice_point(w2, plain_w2):
     "dim,w2,cutoff,step,levels",
     [(1, IsoWeight(1, 1.1), 100.0, 0.5, 5), (2, IsoWeight(2, 1.1), 100.0, 0.5, 5),
      (1, IsoWeight(1, 1.1), 24.0, 0.3, 3), (2, IsoWeight(2, 1.1), 24.0, 0.3, 3),
-     (2, SplitWeight(2, 1, 0.8, 0.7), 100.0, 0.5, 5)],
+     (2, SplitWeight(2, 1, 0.8, 0.7), 64.0, 0.5, 5)],
     ids=["unnested-1d", "unnested-2d", "asymmetric-1d", "asymmetric-2d", "split-2d"],
 )
 def test_schur_fallbacks_keep_the_reference_bits(dim, w2, cutoff, step, levels):
-    # cutoff 100 over 5 levels: the 6.25 level's axis sits at multiples of
-    # 0.5, the top's at odd multiples of 0.25, so it evaluates its own
-    # arrays; step 0.3 gives axes that are neither symmetric bit for bit nor
-    # windows of the top, so no probe shares w2 with its reflection; a split
-    # w2 reflects each axis but swaps none
-    radii = [cutoff / 2**j for j in range(levels)][::-1]
-    axes = [_midpoint_lattice(dim, r, step)[0] for r in radii]
-    if step == 0.3:
-        assert not any(np.array_equal(a[::-1], -a) for a in axes)
-    if cutoff == 100.0:
-        assert not np.isin(axes[0], axes[-1]).any()
+    # cutoff 100 over 5 levels has 400 points an axis, so its 6.25 level
+    # (25 points) has no centred window and the call is refused; at step
+    # 0.3, whose h is not a dyadic number, the levels nest and mirrored
+    # probes share w2 all the same; a split w2 reflects each axis but swaps
+    # none
     weights = (ConeWeight(dim, 0.6, 1.4, 0.15, 0.4), IsoWeight(dim, 0.8), w2)
-    assert_reference_bits(weights, dim, cutoff, step, levels)
+    if cutoff == 100.0:
+        with pytest.raises(ResolutionError, match=r"400 .* 2\^levels = 32"):
+            product_integral(*weights, dim, cutoff, step=step, levels=levels)
+    else:
+        assert_reference_bits(weights, dim, cutoff, step, levels)
+
+
+@st.composite
+def _nesting_lattices(draw):
+    """A step, a depth j and a top cutoff: any cutoff, or one whose point
+    count 2^(j+1) divides."""
+    step = draw(st.sampled_from([0.3, 0.35, 0.45, 0.5, 0.7]))
+    j = draw(st.integers(0, 5))
+    multiple = st.integers(1, 256).map(lambda m: m * 2 ** (j + 1) * step / 2.0)
+    return step, j, draw(st.floats(64.0, 4096.0) | multiple)
+
+
+@given(_nesting_lattices())
+def test_midpoint_axes_are_symmetric_and_nest_by_construction(lattice):
+    # point k of N at (k + (1 - N)/2) h: exact half-integers times one h, so
+    # the axis at cutoff/2^j is the centred window of the top axis, bit for
+    # bit, whenever the counts allow one
+    step, j, cutoff = lattice
+    top, top_cell = _midpoint_lattice(2, cutoff, step)
+    low, low_cell = _midpoint_lattice(2, cutoff / 2**j, step)
+    for axis in (top, low):
+        assert np.array_equal(axis, -axis[::-1])
+    if top.size % 2 ** (j + 1) == 0:
+        lo = (top.size - low.size) // 2
+        assert low.size << j == top.size
+        assert np.array_equal(top[lo : lo + low.size], low)
+        assert low_cell == top_cell
 
 
 def test_schur_w2_points_on_the_2d_cone_product_row():

@@ -516,10 +516,14 @@ T = np.linspace(-1.0, 1.0, 5)
      DimensionError),
     (lambda: wick_continuation_study(FIELD_A, FIELD_B, [0.5j]), DimensionError),
     (lambda: mode_profile(-1.0, Prescription(Kind.RETARDED, eps=0.1), T), ValueError),
+    # omega must be finite: NaN would give [nan, 0, 0] silently, inf all NaN
+    (lambda: mode_profile(np.nan, Prescription(Kind.RETARDED, eps=0.1), T), ValueError),
+    (lambda: mode_profile(np.inf, Prescription(Kind.FEYNMAN, eps=0.1), T), ValueError),
     (lambda: mode_profile(1.0, Prescription(Kind.RETARDED), T), ValueError),
     # the rotation by 1e-300 leaves the pole of omega = 1e-30 on the real axis
     (lambda: mode_profile(1e-30, Prescription(Kind.FEYNMAN, eps=1e-300), T), ValueError),
-], ids=["box-1d", "residual-1d", "residual-grids", "wick-grids", "profile-omega", "profile-eps", "profile-pole"])
+], ids=["box-1d", "residual-1d", "residual-grids", "wick-grids", "profile-omega",
+        "profile-omega-nan", "profile-omega-inf", "profile-eps", "profile-pole"])
 def test_public_calls_reject_a_bad_grid_or_argument(call, error):
     with pytest.raises(error):
         call()
